@@ -109,7 +109,6 @@ def scale_transform(traj: Trajectory, c0: float, a: float) -> Trajectory:
     grid2 = scale_grid(grid, s)
     spec2 = replace(traj.spec, lattice_spacing=traj.spec.lattice_spacing * s)
     params2 = ModelParams(l=traj.params.l * s ** ((d - 1) / 2.0),
-                          c0=traj.params.c0, c1=traj.params.c1,
                           omega=grid2.volume)
     psi_fac = s ** (d / 2.0)
     snaps2 = []
@@ -135,5 +134,5 @@ def scale_transform_state(grid: TensorGrid, psi: np.ndarray, a_t: np.ndarray,
     grid2 = scale_grid(grid, s)
     spec2 = replace(spec, lattice_spacing=spec.lattice_spacing * s)
     params2 = ModelParams(l=params.l * s ** ((d - 1) / 2.0),
-                          c0=params.c0, c1=params.c1, omega=grid2.volume)
+                          omega=grid2.volume)
     return grid2, s ** (d / 2.0) * psi, a_t / s, spec2, params2

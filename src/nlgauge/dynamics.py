@@ -188,7 +188,7 @@ def _cn_step_nd(grid, psi, phases, diag, a_lat, dt, rtol=1e-12, max_iter=500):
                                               phases, diag, a_lat), 0.0)
 
     b = psi - 1j * alpha * apply_h(psi)
-    b2 = b + 1j * alpha * apply_h(b)  # (I - i a H) applied to RHS
+    b2 = b - 1j * alpha * apply_h(b)  # (I - i a H)^2 psi
 
     def apply_A(v):
         return v + alpha * alpha * apply_h(apply_h(v))
@@ -226,8 +226,8 @@ def evolve_temporal_gauge(psi0: WaveFunctional, gauge0: GaugeState,
 
     Records a snapshot every `record_every` steps (the initial state is
     snapshot 0). Diagnostics per recorded step: norm, total charge, Gauss
-    residual, continuity residual (between this and the previous recorded
-    step when adjacent), matter and field energy.
+    residual, continuity residual (between this step and the one before
+    it; 0 at the initial snapshot), matter and field energy.
     """
     grid = psi0.grid
     if np.any(gauge0.a_t):
@@ -265,7 +265,7 @@ def evolve_temporal_gauge(psi0: WaveFunctional, gauge0: GaugeState,
                              "continuity_residual", "energy", "sigma")}
     norm0 = float(np.real((w * np.abs(psi) ** 2).sum()))
 
-    def record(k, psi_v, a_links, f_bar, prev):
+    def record(k, psi_v, a_links, f_bar, prev=None):
         t = k * dt
         rho = np.abs(psi_v) ** 2
         nrm = float((w * rho).sum())
@@ -294,12 +294,14 @@ def evolve_temporal_gauge(psi0: WaveFunctional, gauge0: GaugeState,
         snap = Snapshot(t, psi_v.copy(), [ax.copy() for ax in a_links],
                         [fx.copy() for fx in f_bar], np.zeros(grid.shape))
         traj.snapshots.append(snap)
-        return snap, nrm, gres
+        return nrm, gres
 
-    prev_snap, _, gres0 = record(0, psi, a, f0, None)
+    _, gres0 = record(0, psi, a, f0)
     gauss_floor = max(gres0, 1e-12)
 
     for k in range(1, steps + 1):
+        # psi and the links are rebound below, never mutated in place
+        psi_prev, a_prev = psi, a
         a_mid = [a[x] + 0.5 * dt * f_half[x] for x in range(grid.ndim)]
         phases_mid = link_phases(grid, a_mid)
         if scheme == "cn":
@@ -322,8 +324,8 @@ def evolve_temporal_gauge(psi0: WaveFunctional, gauge0: GaugeState,
 
         if k % record_every == 0 or k == steps:
             f_bar = [0.5 * (f_half_prev[x] + f_half[x]) for x in range(grid.ndim)]
-            prev_snap, nrm, gres = record(k, psi, a, f_bar,
-                                          prev_snap if record_every == 1 else None)
+            nrm, gres = record(k, psi, a, f_bar, Snapshot(
+                (k - 1) * dt, psi_prev, a_prev, [], np.zeros(grid.shape)))
             if abs(nrm - norm0) > norm_tol:
                 raise IntegratorError(
                     f"norm drifted to {nrm:.12f} at step {k} (tol {norm_tol})")

@@ -194,11 +194,11 @@ def link_current(grid: TensorGrid, values: np.ndarray,
 
 def gauss_solve_stationary(grid: TensorGrid, rho: np.ndarray,
                            params: ModelParams, *,
-                           compat_tol: float = 1e-8,
-                           rtol: float = 1e-13) -> np.ndarray:
+                           compat_tol: float = 1e-8) -> np.ndarray:
     """Solve for the stationary multiplier potential A_t from the density.
 
-    sum_x d^2 A_t / dphi_x^2 = -(1/l^2) (rho - 1/Omega), zero mean.
+    sum_x d^2 A_t / dphi_x^2 = -(1/l^2) (rho - 1/Omega), zero mean, by the
+    exact cosine-transform Poisson solve.
 
     The source integrates to zero only for a normalized density; anything
     else violates the vanishing-total-charge constraint and raises.
@@ -211,17 +211,17 @@ def gauss_solve_stationary(grid: TensorGrid, rho: np.ndarray,
     if params.inv_l2 == 0.0:
         return np.zeros(grid.shape)
     source = -params.inv_l2 * nonlinearity(rho, params)
-    return poisson_solve(grid, source, rtol=rtol, compat_tol=params.inv_l2 * compat_tol + 1e-300)
+    return poisson_solve(grid, source, compat_tol=params.inv_l2 * compat_tol + 1e-300)
 
 
 def initialize_constraint(psi0: WaveFunctional, params: ModelParams, *,
-                          compat_tol: float = 1e-8,
-                          rtol: float = 1e-13) -> list[np.ndarray]:
+                          compat_tol: float = 1e-8) -> list[np.ndarray]:
     """Gradient-form initial data for the field strength.
 
     Solves sum_x d^2 chi/dphi_x^2 = +(1/l^2)(rho - 1/Omega) (Neumann, zero
-    mean) and returns F(.,x) = dchi/dphi_x on links, so the adjoint
-    divergence of F satisfies the Gauss law to the Poisson tolerance.
+    mean) exactly by the cosine-transform Poisson solve and returns
+    F(.,x) = dchi/dphi_x on links, so the adjoint divergence of F
+    satisfies the Gauss law to roundoff.
     """
     grid = psi0.grid
     check_omega_matches(grid, params)
@@ -238,7 +238,7 @@ def initialize_constraint(psi0: WaveFunctional, params: ModelParams, *,
             zeros.append(np.zeros(s))
         return zeros
     source = params.inv_l2 * nonlinearity(rho, params)
-    chi = poisson_solve(grid, source, rtol=rtol, compat_tol=params.inv_l2 * compat_tol + 1e-300)
+    chi = poisson_solve(grid, source, compat_tol=params.inv_l2 * compat_tol + 1e-300)
     return [link_diff(grid, chi, x) for x in range(grid.ndim)]
 
 

@@ -24,21 +24,17 @@ class ModelParams:
     """Coupling constants of the gauge sector.
 
     l is the fundamental length; 1/l^2 multiplies every charge source, and
-    l = inf switches the gauge coupling off (the linear limit). c0 and c1
-    are the normalization constants; the solvers implement the normalized
-    theory c0 = c1 = 1.
+    l = inf switches the gauge coupling off (the linear limit). The
+    solvers implement the normalized theory, in which both normalization
+    constants equal 1.
     """
 
     l: float = 1.0
-    c0: float = 1.0
-    c1: float = 1.0
     omega: float = 1.0
 
     def __post_init__(self):
         if not self.l > 0:
             raise ValueError("l must be positive (l = inf allowed)")
-        if self.c0 <= 0 or self.c1 <= 0:
-            raise ValueError("c0 and c1 must be positive")
         if self.omega <= 0:
             raise ValueError("omega must be positive")
 
@@ -206,8 +202,6 @@ def density(psi: WaveFunctional) -> np.ndarray:
 
 def nonlinearity(rho: np.ndarray, params: ModelParams) -> np.ndarray:
     """The charge density rho*N(rho) = rho - 1/Omega (normalized theory)."""
-    if params.c0 != 1.0 or params.c1 != 1.0:
-        raise ValueError("nonlinearity is implemented in the c0 = c1 = 1 normalization")
     return rho - 1.0 / params.omega
 
 

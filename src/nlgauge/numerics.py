@@ -1,11 +1,13 @@
-"""Finite-difference Laplacians, a matrix-free Poisson solver, and a
+"""Finite-difference Laplacians, an exact Neumann Poisson solver, and a
 smallest-eigenpair solver.
 
 All operators are second-order compact stencils and are exactly symmetric
 under the trapezoid inner product: Dirichlet operators act on (and return)
 fields that vanish on the cutoff faces; Neumann operators use mirror
 ghosts, which is the discretization whose nullspace is exactly the
-constants.
+constants. The type-I cosine transform diagonalizes the mirror-ghost
+Laplacian, so the Poisson solve is a direct spectral solve with no
+iteration.
 """
 
 from __future__ import annotations
@@ -67,16 +69,28 @@ def laplacian_apply(grid: TensorGrid, values: np.ndarray,
     return out
 
 
+def _dct1(values: np.ndarray, axis: int) -> np.ndarray:
+    """Unnormalized type-I cosine transform along one axis: the real FFT
+    of the even extension of length 2(n-1). Applying it twice multiplies
+    by 2(n-1)."""
+    n = values.shape[axis]
+    ext = np.concatenate([values, values.take(np.arange(n - 2, 0, -1), axis=axis)],
+                         axis=axis)
+    return np.fft.rfft(ext, axis=axis).real
+
+
 def poisson_solve(grid: TensorGrid, source: np.ndarray, *,
-                  rtol: float = 1e-12, compat_tol: float = 1e-8,
-                  max_iter: int = 20000) -> np.ndarray:
+                  compat_tol: float = 1e-8) -> np.ndarray:
     """Solve sum_x d^2 u/dphi_x^2 = source with zero-gradient boundaries
     and the additive constant fixed by zero mean.
 
     The Neumann problem is solvable only for zero-mean sources; the check
-    is |integral(source)| < compat_tol. Conjugate gradients run in the
-    trapezoid inner product, where -Laplacian is symmetric positive
-    semidefinite with kernel = constants.
+    is |integral(source)| < compat_tol. The solve is exact: the type-I
+    cosine transform diagonalizes the mirror-ghost Laplacian, with
+    eigenvalue sum_x (2 cos(pi k_x/(n_x-1)) - 2)/h_x^2 per mode. The
+    all-zero mode is the constant; its coefficient is proportional to the
+    trapezoid integral, so zeroing it projects out the source mean and
+    fixes the zero-mean gauge.
     """
     source = np.asarray(source, dtype=float)
     grid.check_field(source)
@@ -88,40 +102,21 @@ def poisson_solve(grid: TensorGrid, source: np.ndarray, *,
             f"Neumann source has mean {total / vol:.3e} (integral {total:.3e}); "
             "the constraint is unsolvable for a non-neutral source")
 
-    b = -(source - total / vol)  # solve (-L) u = -source, exactly neutral
-    bnorm = np.sqrt(float((w * b * b).sum()))
-    if bnorm == 0.0:
-        return np.zeros_like(source)
-
-    def dot(a, c):
-        return float((w * a * c).sum())
-
-    def apply_A(x):
-        return -laplacian_apply(grid, x, BoundaryCondition.NEUMANN_ZERO)
-
-    x = np.zeros_like(b)
-    r = b.copy()
-    p = r.copy()
-    rr = dot(r, r)
-    tol2 = (rtol * bnorm) ** 2
-    for it in range(max_iter):
-        if rr <= tol2:
-            break
-        Ap = apply_A(p)
-        alpha = rr / dot(p, Ap)
-        x += alpha * p
-        r -= alpha * Ap
-        if (it + 1) % 50 == 0:
-            # re-project the constant mode drift from roundoff
-            r -= (w * r).sum() / vol
-        rr_new = dot(r, r)
-        p = r + (rr_new / rr) * p
-        rr = rr_new
-    else:
-        raise ConvergenceError("Poisson CG did not converge",
-                               residual=np.sqrt(rr) / bnorm)
-    x -= (w * x).sum() / vol
-    return x
+    coeffs = source
+    for axis in range(grid.ndim):
+        coeffs = _dct1(coeffs, axis)
+    eig = np.zeros(grid.shape)
+    for axis, ax in enumerate(grid.axes):
+        shape = [1] * grid.ndim
+        shape[axis] = ax.count
+        theta = np.pi * np.arange(ax.count) / (ax.count - 1)
+        eig = eig + ((2.0 * np.cos(theta) - 2.0) / ax.spacing ** 2).reshape(shape)
+    eig.flat[0] = 1.0  # the constant mode, zeroed below
+    coeffs /= eig
+    coeffs.flat[0] = 0.0
+    for axis in range(grid.ndim):
+        coeffs = _dct1(coeffs, axis)
+    return coeffs / np.prod([2.0 * (n - 1) for n in grid.shape])
 
 
 def smallest_eigenpair(op_apply, guess: np.ndarray, tol: float = 1e-9, *,

@@ -332,6 +332,10 @@ def _neumann_tridiag(n: int, h: float):
 def poisson_1d_neumann(grid: UniformGrid1D, source: np.ndarray) -> np.ndarray:
     """Direct banded solve of u'' = source, zero-gradient ends, zero mean.
 
+    This is the solver of the independent `line_ground_scf` oracle and of
+    the line evolver; it is kept apart from `numerics.poisson_solve` so
+    that the two can be checked against each other.
+
     The source mean is projected out first (compact-universe
     compatibility); the singular system is pinned at the first node and
     the mean subtracted afterwards.

@@ -54,7 +54,7 @@ def stationarity_residual(grid: TensorGrid, psi: np.ndarray,
     c0 = float(np.real((w * rho).sum()))
     if params.inv_l2 > 0:
         source = -params.inv_l2 * (rho - c0 / params.omega)
-        a_t = poisson_solve(grid, source, rtol=1e-13, compat_tol=1e-8)
+        a_t = poisson_solve(grid, source, compat_tol=1e-8)
     else:
         a_t = np.zeros(grid.shape)
     hpsi = apply_hamiltonian_raw(grid, psi, None,

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from nlgauge.dynamics import evolve_temporal_gauge, stationary_solve
+from nlgauge.dynamics import (_cn_step_1d, _cn_step_nd, evolve_temporal_gauge,
+                              stationary_solve)
 from nlgauge.errors import IntegratorError
-from nlgauge.gaugeops import initialize_constraint
+from nlgauge.gaugeops import (apply_hamiltonian_raw, initialize_constraint,
+                              link_phases)
 from nlgauge.grids import TensorGrid
 from nlgauge.model import (GaugeState, HamiltonianSpec, ModelParams,
                            WaveFunctional)
@@ -282,3 +284,60 @@ def test_evolve_2d_conserves():
     d = traj.diagnostics
     assert np.abs(d["norm"] - 1.0).max() < 1e-9
     assert np.abs(d["charge"]).max() < 1e-12
+
+
+def test_cn_nd_step_matches_banded_step_on_one_site():
+    grid = TensorGrid.cube(-8.0, 8.0, 201, 1)
+    psi = normalized_packet(grid, center=1.0, momentum=0.5).values
+    x = grid.axes[0].nodes
+    phases = link_phases(grid, [0.3 * np.sin(0.5 * (x[1:] + x[:-1]))])
+    diag = HARMONIC.site_potential_total(grid)
+    banded = _cn_step_1d(grid, psi, phases, diag, 1.0, 0.01)
+    nd = _cn_step_nd(grid, psi, phases, diag, 1.0, 0.01)
+    assert np.abs(nd - banded).max() < 1e-10
+    assert np.abs(nd - psi).max() > 1e-3
+
+
+def test_cn_nd_step_matches_dense_reference():
+    grid = TensorGrid.cube(-4.0, 4.0, 13, 2)
+    spec = HamiltonianSpec(sites=2, potential_coeffs=(0.0, 0.0, 0.5),
+                           gradient_coupling=0.2)
+    rng = np.random.default_rng(5)
+    interior = grid.boundary_mask()
+    psi = np.where(interior, rng.standard_normal(grid.shape)
+                   + 1j * rng.standard_normal(grid.shape), 0.0)
+    a_phi = [0.4 * rng.standard_normal(s) for s in ((12, 13), (13, 12))]
+    phases = link_phases(grid, a_phi)
+    diag = spec.site_potential_total(grid)
+    dt = 0.05
+    idx = np.flatnonzero(interior)
+    hmat = np.zeros((idx.size, idx.size), dtype=complex)
+    for j, col in enumerate(idx):
+        e = np.zeros(grid.shape, dtype=complex)
+        e.flat[col] = 1.0
+        hmat[:, j] = apply_hamiltonian_raw(grid, e, phases, diag, 1.0).ravel()[idx]
+    step = 0.5j * dt * hmat
+    eye = np.eye(idx.size)
+    dense = np.zeros(grid.shape, dtype=complex)
+    dense.flat[idx] = scipy.linalg.solve(eye + step,
+                                         (eye - step) @ psi.ravel()[idx])
+    nd = _cn_step_nd(grid, psi, phases, diag, 1.0, dt)
+    assert np.abs(nd - dense).max() < 1e-10
+    assert np.abs(nd - psi).max() > 1e-2
+
+
+def test_continuity_residual_is_computed_at_every_recorded_step():
+    grid = TensorGrid.cube(-8.0, 8.0, 201, 1)
+    params = ModelParams.for_grid(grid, l=1.0)
+    psi0 = normalized_packet(grid, center=1.0)
+    g0 = gauss_consistent_gauge(psi0, params)
+    every = evolve_temporal_gauge(psi0, g0, HARMONIC, params, dt=0.01,
+                                  steps=35).diagnostics
+    sparse = evolve_temporal_gauge(psi0, g0, HARMONIC, params, dt=0.01,
+                                   steps=35, record_every=10).diagnostics
+    picked = [10, 20, 30, 35]
+    assert np.array_equal(sparse["time"], every["time"][[0] + picked])
+    cres = sparse["continuity_residual"][1:]
+    assert np.all(cres > 0.0)
+    np.testing.assert_allclose(cres, every["continuity_residual"][picked],
+                               rtol=1e-12, atol=0.0)

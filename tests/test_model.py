@@ -43,12 +43,6 @@ def test_nonlinearity_half_and_half(grid):
     assert np.allclose(out[grid.shape[0] // 2:], -1.0 / p.omega)
 
 
-def test_nonlinearity_requires_unit_constants(grid):
-    p = ModelParams(l=1.0, c0=2.0, omega=grid.volume)
-    with pytest.raises(ValueError):
-        nonlinearity(np.zeros(grid.shape), p)
-
-
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.integers(0, 2 ** 31 - 1))
 def test_normalized_density_has_zero_charge_integral(seed):

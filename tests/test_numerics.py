@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlgauge.errors import UnsolvableConstraintError
-from nlgauge.grids import BoundaryCondition, TensorGrid
+from nlgauge.grids import BoundaryCondition, TensorGrid, UniformGrid1D
 from nlgauge.numerics import laplacian_apply, poisson_solve, smallest_eigenpair
 
 DIR = BoundaryCondition.DIRICHLET_ZERO
@@ -94,16 +94,29 @@ def test_poisson_nonzero_mean_raises():
         poisson_solve(g, src)
 
 
+# per-axis counts and extents differ, so a mix-up of axes or spacings shows
+ROUNDTRIP_GRIDS = [
+    (UniformGrid1D(-1.0, 2.0, 3),),
+    (UniformGrid1D(0.0, 5.0, 40),),
+    (UniformGrid1D(-1.0, 1.0, 33), UniformGrid1D(0.0, 3.0, 20)),
+    (UniformGrid1D(-2.0, 1.0, 3), UniformGrid1D(0.0, 0.5, 12),
+     UniformGrid1D(-4.0, 4.0, 17)),
+    (UniformGrid1D(-1.0, 1.0, 5), UniformGrid1D(0.0, 2.0, 4),
+     UniformGrid1D(-3.0, 1.0, 3), UniformGrid1D(1.0, 1.5, 6)),
+]
+
+
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(st.integers(0, 2 ** 31 - 1))
 def test_poisson_laplacian_roundtrip(seed):
     rng = np.random.default_rng(seed)
-    g = TensorGrid.cube(-1.0, 1.0, 33, 2)
-    src = rng.standard_normal(g.shape)
-    src -= g.integrate(src) / g.volume
-    u = poisson_solve(g, src, rtol=1e-13)
-    back = laplacian_apply(g, u, NEU)
-    assert g.norm(back - src) < 1e-10 * max(1.0, g.norm(src))
+    for axes in ROUNDTRIP_GRIDS:
+        g = TensorGrid(axes)
+        src = rng.standard_normal(g.shape)
+        src -= g.integrate(src) / g.volume
+        u = poisson_solve(g, src)
+        back = laplacian_apply(g, u, NEU)
+        assert g.norm(back - src) < 1e-10 * max(1.0, g.norm(src)), g.shape
 
 
 # ---------------------------------------------------------- eigenpairs
