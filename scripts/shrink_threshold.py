@@ -28,9 +28,7 @@ def main():
 
     axis = UniformGrid1D(-args.half_width, args.half_width, args.count)
     x = axis.nodes
-    w = np.full(axis.count, axis.spacing)
-    w[0] *= 0.5
-    w[-1] *= 0.5
+    w = axis.quad_weights()
     psi0 = np.exp(-x ** 2 / (4 * args.sigma0 ** 2)) + 0j
     psi0 /= np.sqrt((w * np.abs(psi0) ** 2).sum())
     steps = int(round(args.time / args.dt))

@@ -250,9 +250,7 @@ def _run_sn_evolve(cfg: SolverConfig):
     psi = _gaussian_packet(x, cfg[("initial", "center")],
                            cfg[("initial", "width")],
                            cfg[("initial", "momentum")])
-    w = np.full(axis.count, axis.spacing)
-    w[0] *= 0.5
-    w[-1] *= 0.5
+    w = axis.quad_weights()
     psi /= np.sqrt((w * np.abs(psi) ** 2).sum())
     res = sn_evolve_1d(Line1DState(axis, psi, np.zeros_like(x)), params,
                        dt=cfg[("solver", "dt")], steps=cfg[("solver", "steps")],

@@ -21,6 +21,13 @@ from .errors import GridShapeError
 MAX_POINTS = 4_000_000
 
 
+def _trapezoid_weights(count: int, spacing: float) -> np.ndarray:
+    w = np.full(count, spacing)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
+
+
 class BoundaryCondition(Enum):
     DIRICHLET_ZERO = "dirichlet_zero"
     NEUMANN_ZERO = "neumann_zero"
@@ -51,6 +58,10 @@ class UniformGrid1D:
     @property
     def extent(self) -> float:
         return self.upper - self.lower
+
+    def quad_weights(self) -> np.ndarray:
+        """Trapezoid weights; they sum to `extent`."""
+        return _trapezoid_weights(self.count, self.spacing)
 
 
 @dataclass(frozen=True)
@@ -170,3 +181,7 @@ class RadialGrid:
     @property
     def nodes(self) -> np.ndarray:
         return np.linspace(self.r_min, self.r_max, self.count)
+
+    def quad_weights(self) -> np.ndarray:
+        """Trapezoid weights; they sum to `r_max - r_min`."""
+        return _trapezoid_weights(self.count, self.spacing)

@@ -5,7 +5,9 @@ Three solvers live here:
 * a radial ground-state solver (3D, u = r psi substitution) built on the
   alternating eigen-solve / potential-solve loop;
 * an independent shooting-method oracle for the same radial problem,
-  integrating the ODEs with RK4 and bisecting on the node count;
+  integrating the ODEs with RK4, bracketing the ground level by the node
+  count and converging on the node transition by safeguarded Illinois
+  steps;
 * a 1D line evolver (Crank-Nicolson) with the self-consistent potential,
   including the uniform background term of the parent theory.
 
@@ -33,6 +35,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConvergenceError, IntegratorError
+from .fixedpoint import fixed_point
 from .grids import RadialGrid, TensorGrid, UniformGrid1D
 from .model import HamiltonianSpec, ModelParams
 
@@ -109,43 +112,35 @@ def _tridiag_ground(h: float, diag_full: np.ndarray):
 
 def sn_ground_radial_scf(params: SNParams, grid: RadialGrid, tol: float = 1e-10,
                          *, mixing: float = 0.5, max_scf: int = 300) -> RadialState:
-    """Ground state of the coupled radial system by alternating solves."""
+    """Ground state of the coupled radial system by alternating solves,
+    Anderson-mixed on the potential v."""
     if params.background != 0.0:
         raise ValueError("radial solver is the background-free case")
     r = grid.nodes
     h = grid.spacing
-    w = np.full(grid.count, h)
-    w[0] *= 0.5
-    w[-1] *= 0.5
     vext = params.external_potential(r)
+    last = {}
 
-    v = np.zeros_like(r)
-    u = r * np.exp(-0.5 * r * r)
-    energy_prev = None
-    for it in range(max_scf):
+    def update(v):
         energy, u = _tridiag_ground(h, vext + v / r)
         u = u / np.sqrt(_radial_norm(r, u))
-        if params.coupling > 0:
-            v_new = _potential_from_u_quadrature(r, u, params.coupling)
-            v = (1.0 - mixing) * v + mixing * v_new
-        if energy_prev is not None and abs(energy - energy_prev) < tol:
-            energy_prev = energy
-            break
-        energy_prev = energy
-    else:
-        raise ConvergenceError("radial SCF did not converge",
-                               residual=abs(energy - energy_prev))
+        last["u"] = u
+        last["v"] = _potential_from_u_quadrature(r, u, params.coupling)
+        return last["v"], energy
+
+    _, iterations, trace = fixed_point(update, np.zeros_like(r), beta=mixing,
+                                       tol=tol, max_iter=max_scf,
+                                       name="radial SCF")
+    energy = trace[-1][1]
     # self-consistency residual: eigen-residual with the unmixed potential
-    if params.coupling > 0:
-        v = _potential_from_u_quadrature(r, u, params.coupling)
+    u, v = last["u"], last["v"]
     diag = vext + v / r
     hu = np.zeros_like(u)
     hu[1:-1] = -(u[2:] - 2.0 * u[1:-1] + u[:-2]) / (2.0 * h * h)
     hu += diag * u
     hu[0] = hu[-1] = 0.0
-    res = float(np.sqrt((w * (hu - energy_prev * u) ** 2).sum()))
-    return RadialState(grid, u, v, float(energy_prev), iterations=it + 1,
-                       residual=res)
+    res = float(np.sqrt((grid.quad_weights() * (hu - energy * u) ** 2).sum()))
+    return RadialState(grid, u, v, energy, iterations=iterations, residual=res)
 
 
 def _rk4_shoot_u(r, veff, energy):
@@ -240,84 +235,137 @@ def _rk4_poisson_v(r, u, coupling):
     return part + slope * r
 
 
+def _shoot(r, veff, energy):
+    """One outward shot: its node count and the shooting function
+    u[-2] / |u|, which is continuous in the energy (the amplitude
+    rescaling inside the shot cancels) and changes sign where the node
+    count goes from 0 to 1."""
+    u = _rk4_shoot_u(r, veff, energy)
+    return shoot_node_count(u), float(u[-2] / np.linalg.norm(u))
+
+
+def _ground_bracket(r, veff, hist, bracket):
+    """(lo, f_lo, hi, f_hi): shots with 0 nodes at lo and >= 1 node at hi.
+
+    Starts around the previous energy and widens that bracket
+    geometrically, reusing every shot as the end it is valid for; falls
+    back to the cold bracket [min veff - 1, max veff] (or `bracket`).
+    """
+    if hist:
+        if len(hist) >= 2:
+            span = max(10 * abs(hist[-1] - hist[-2]), 1e-9)
+        else:
+            span = max(0.25 * abs(hist[-1]), 0.05)
+        lo, hi = hist[-1] - span, hist[-1] + span
+        (n_lo, f_lo), (n_hi, f_hi) = _shoot(r, veff, lo), _shoot(r, veff, hi)
+        for _ in range(4):
+            if n_lo == 0 and n_hi >= 1:
+                return lo, f_lo, hi, f_hi
+            span *= 8.0
+            if n_lo > 0:  # the ground level lies below lo
+                hi, n_hi, f_hi = lo, n_lo, f_lo
+                lo = hist[-1] - span
+                n_lo, f_lo = _shoot(r, veff, lo)
+            else:  # ... or above hi
+                lo, n_lo, f_lo = hi, n_hi, f_hi
+                hi = hist[-1] + span
+                n_hi, f_hi = _shoot(r, veff, hi)
+    if bracket is not None:
+        lo, hi = bracket
+    else:
+        lo, hi = float(veff.min()) - 1.0, float(veff.max())
+    # grow hi until at least one node appears
+    for _ in range(60):
+        n_hi, f_hi = _shoot(r, veff, hi)
+        if n_hi >= 1:
+            break
+        hi += max(1.0, abs(hi))
+    else:
+        raise ConvergenceError("no node appeared while raising the bracket")
+    n_lo, f_lo = _shoot(r, veff, lo)
+    if n_lo != 0:
+        raise ConvergenceError("bracket floor already has nodes; "
+                               "no ground state in bracket")
+    return lo, f_lo, hi, f_hi
+
+
+def _ground_level(r, veff, lo, f_lo, hi, f_hi, tol):
+    """Energy of the 0 -> 1 node transition inside a node-count bracket.
+
+    Illinois (modified regula falsi) steps on the shooting function while
+    its end values change sign, bisection otherwise; the node count of
+    each shot decides which end it replaces, so the bracket always holds
+    the ground level. A step closer than half the stopping width to an
+    end is pushed to that distance, so the bracket closes from both sides.
+    """
+    side = 0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        width = max(tol, 1e-13) * max(1.0, abs(mid))
+        if hi - lo < width:
+            break
+        energy = mid
+        if f_lo > 0.0 > f_hi:
+            s = lo + f_lo * (hi - lo) / (f_lo - f_hi)
+            if lo <= s <= hi:
+                energy = min(max(s, lo + 0.5 * width), hi - 0.5 * width)
+        n, f = _shoot(r, veff, energy)
+        if n == 0:
+            lo, f_lo = energy, f
+            if side == -1:
+                f_hi *= 0.5
+            side = -1
+        else:
+            hi, f_hi = energy, f
+            if side == 1:
+                f_lo *= 0.5
+            side = 1
+    return 0.5 * (lo + hi)
+
+
 def sn_ground_radial_shoot(params: SNParams, grid: RadialGrid,
                            tol: float = 1e-10, *,
                            bracket: tuple[float, float] | None = None,
                            max_outer: int = 200, mixing: float = 0.5) -> RadialState:
-    """Shooting oracle: bisection on the node count of the outward RK4
-    integration isolates the nodeless ground state; the potential is
-    refreshed from the current u until the energy settles."""
+    """Shooting oracle, coded independently of `sn_ground_radial_scf`.
+
+    For a given potential, the node count of the outward RK4 integration
+    brackets the ground level (no node below it, at least one above), and
+    a safeguarded Illinois iteration on the continuous shooting function
+    converges on the 0 -> 1 node transition inside that bracket. The
+    potential is refreshed from the two-sided u under the Anderson
+    fixed-point driver until the energy settles.
+    """
     if params.background != 0.0:
         raise ValueError("radial solver is the background-free case")
     r = grid.nodes
     vext = params.external_potential(r)
-    v = np.zeros_like(r)
-    energy_prev = None
     hist = []
-    u = None
-    for it in range(max_outer):
+    last = {}
+
+    def update(v):
         veff = vext + v / r
-        lo = hi = None
-        if len(hist) >= 1:
-            # warm bracket around the previous energy
-            if len(hist) >= 2:
-                span = max(10 * abs(hist[-1] - hist[-2]), 1e-9)
-            else:
-                span = max(0.25 * abs(hist[-1]), 0.05)
-            lo, hi = hist[-1] - span, hist[-1] + span
-            if shoot_node_count(_rk4_shoot_u(r, veff, lo)) != 0 \
-                    or shoot_node_count(_rk4_shoot_u(r, veff, hi)) < 1:
-                lo = hi = None
-        if lo is None:
-            if bracket is not None:
-                lo, hi = bracket
-            else:
-                lo, hi = float(veff.min()) - 1.0, float(veff.max())
-        # grow hi until at least one node appears
-        for _ in range(60):
-            if shoot_node_count(_rk4_shoot_u(r, veff, hi)) >= 1:
-                break
-            hi += max(1.0, abs(hi))
-        else:
-            raise ConvergenceError("no node appeared while raising the bracket")
-        if shoot_node_count(_rk4_shoot_u(r, veff, lo)) != 0:
-            raise ConvergenceError("bracket floor already has nodes; "
-                                   "no ground state in bracket")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if shoot_node_count(_rk4_shoot_u(r, veff, mid)) == 0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < max(tol, 1e-13) * max(1.0, abs(mid)):
-                break
-        energy = 0.5 * (lo + hi)
+        energy = _ground_level(r, veff, *_ground_bracket(r, veff, hist, bracket),
+                               tol)
         hist.append(energy)
         u, mismatch = _assemble_two_sided(r, veff, energy)
-        if params.coupling == 0:
-            energy_prev = energy
-            break
-        v_new = _rk4_poisson_v(r, u, params.coupling)
-        v = (1.0 - mixing) * v + mixing * v_new
-        if energy_prev is not None and abs(energy - energy_prev) < 10 * tol:
-            energy_prev = energy
-            break
-        energy_prev = energy
+        last.update(u=u, mismatch=mismatch,
+                    v=_rk4_poisson_v(r, u, params.coupling))
+        return last["v"], energy
+
+    v0 = np.zeros_like(r)
+    if params.coupling == 0:
+        update(v0)
+        iterations = 1
     else:
-        raise ConvergenceError("shooting outer loop did not converge",
-                               residual=abs(energy - energy_prev))
-    return RadialState(grid, u, v, float(energy_prev), iterations=it + 1,
-                       residual=float(mismatch))
+        _, iterations, _ = fixed_point(update, v0, beta=mixing, tol=10 * tol,
+                                       res_tol=np.sqrt(tol), max_iter=max_outer,
+                                       name="shooting outer loop")
+    return RadialState(grid, last["u"], last["v"], float(hist[-1]),
+                       iterations=iterations, residual=float(last["mismatch"]))
 
 
 # ---------------------------------------------------------------- 1D line
-
-def _grid1d_weights(grid: UniformGrid1D) -> np.ndarray:
-    w = np.full(grid.count, grid.spacing)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
-
 
 def _neumann_tridiag(n: int, h: float):
     """Compact Neumann Laplacian rows (mirror ghosts) as banded storage."""
@@ -340,7 +388,7 @@ def poisson_1d_neumann(grid: UniformGrid1D, source: np.ndarray) -> np.ndarray:
     compatibility); the singular system is pinned at the first node and
     the mean subtracted afterwards.
     """
-    w = _grid1d_weights(grid)
+    w = grid.quad_weights()
     vol = grid.extent
     src = source - (w * source).sum() / vol
     n = grid.count
@@ -372,7 +420,7 @@ def line_hamiltonian_diag(grid: UniformGrid1D, params: SNParams,
 
 def _line_energy(grid, psi, vext, phi_grav, rho, params):
     h = grid.spacing
-    w = _grid1d_weights(grid)
+    w = grid.quad_weights()
     lap = np.zeros_like(psi)
     lap[1:-1] = (psi[2:] - 2 * psi[1:-1] + psi[:-2]) / h ** 2
     ekin = float(np.real((w * np.conj(psi) * (-0.5 * lap)).sum()))
@@ -411,7 +459,7 @@ def sn_evolve_1d(state: Line1DState, params: SNParams, dt: float, steps: int,
     conserving per step). Records t, norm, energy, and width sigma.
     """
     grid = state.grid
-    w = _grid1d_weights(grid)
+    w = grid.quad_weights()
     x = grid.nodes
     vext = params.external_potential(x)
     psi = state.psi.astype(complex).copy()
@@ -467,39 +515,33 @@ def line_ground_scf(grid: UniformGrid1D, vext_coeffs: tuple[float, ...],
     """
     x = grid.nodes
     h = grid.spacing
-    w = _grid1d_weights(grid)
+    w = grid.quad_weights()
     vext = np.zeros_like(x)
     for k in reversed(range(len(vext_coeffs))):
         vext = vext * x + vext_coeffs[k]
 
-    phi = np.zeros_like(x)
-    psi = np.exp(-0.5 * x * x)
-    omega_prev = None
-    for it in range(max_scf):
+    off = np.full(grid.count - 3, -0.5 / h ** 2)
+    last = {}
+
+    def update(phi):
         diag = (vext - phi)[1:-1] + 1.0 / h ** 2
-        off = np.full(grid.count - 3, -0.5 / h ** 2)
         vals, vecs = scipy.linalg.eigh_tridiagonal(
             diag, off, select="i", select_range=(0, 0))
-        omega = float(vals[0])
         psi = np.zeros_like(x)
         psi[1:-1] = vecs[:, 0]
         psi /= np.sqrt((w * psi * psi).sum())
         if psi[np.argmax(np.abs(psi))] < 0:
             psi = -psi
-        rho = psi * psi
+        last["psi"] = psi
         if coupling > 0:
-            phi_new = poisson_1d_neumann(grid, -coupling * (rho - background))
-            phi = (1.0 - mixing) * phi + mixing * phi_new
-        if omega_prev is not None and abs(omega - omega_prev) < tol:
-            omega_prev = omega
-            break
-        omega_prev = omega
-    else:
-        raise ConvergenceError("line SCF did not converge",
-                               residual=abs(omega - omega_prev))
-    if coupling > 0:
-        phi = poisson_1d_neumann(grid, -coupling * (rho - background))
-    return omega_prev, psi, phi
+            last["phi"] = poisson_1d_neumann(grid, -coupling * (psi * psi - background))
+        else:
+            last["phi"] = np.zeros_like(x)
+        return last["phi"], float(vals[0])
+
+    _, _, trace = fixed_point(update, np.zeros_like(x), beta=mixing, tol=tol,
+                              max_iter=max_scf, name="line SCF")
+    return trace[-1][1], last["psi"], last["phi"]
 
 
 @dataclass

@@ -26,6 +26,13 @@ def test_quadrature_integrates_constants_exactly():
     w = g.quad_weights()
     assert w.sum() == pytest.approx(g.volume, rel=0, abs=1e-13)
     assert g.integrate(np.ones(g.shape)) == pytest.approx(g.volume, abs=1e-13)
+    ax = UniformGrid1D(-1.5, 2.5, 31)
+    assert np.array_equal(ax.quad_weights(), TensorGrid((ax,)).quad_weights())
+    assert ax.quad_weights().sum() == pytest.approx(ax.extent, rel=0, abs=1e-13)
+    rg = RadialGrid(1e-6, 20.0, 400)
+    assert rg.quad_weights().sum() == pytest.approx(20.0 - 1e-6, rel=0, abs=1e-12)
+    assert rg.quad_weights() @ rg.nodes == pytest.approx(
+        0.5 * (20.0 ** 2 - 1e-12), rel=1e-14)
 
 
 def test_dimension_and_budget_limits():

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+import nlgauge.sn as sn
+from nlgauge.errors import ConvergenceError
 from nlgauge.grids import RadialGrid, TensorGrid, UniformGrid1D
 from nlgauge.model import HamiltonianSpec, ModelParams
 from nlgauge.sn import (Line1DState, SNParams, _rk4_shoot_u,
-                        limit_equivalence_check, poisson_1d_neumann,
+                        limit_equivalence_check, line_ground_scf,
+                        poisson_1d_neumann,
                         shoot_node_count, sn_evolve_1d, sn_ground_radial_scf,
                         sn_ground_radial_shoot, solve_phi_grav)
 
@@ -25,6 +28,40 @@ def test_radial_oscillator_both_methods():
     assert abs(st.energy - 1.5) < 1e-4
     assert abs(sh.energy - 1.5) < 1e-4
     assert abs(sh.u[-1]) < 1e-8  # clean tail from the two-sided assembly
+    assert shoot_node_count(sh.u) == 0
+
+
+def test_shooting_oracle_energy_and_shot_count(monkeypatch):
+    shots = []
+
+    def counted(r, veff, energy):
+        shots.append(energy)
+        return _rk4_shoot_u(r, veff, energy)
+    monkeypatch.setattr(sn, "_rk4_shoot_u", counted)
+    sh = sn_ground_radial_shoot(SNParams(coupling=1.0),
+                                RadialGrid(1e-6, 20.0, 2000), tol=1e-12)
+    # bisection on the node count under linear mixing gave this energy
+    # with 2986 shots
+    assert abs(sh.energy - (-0.16277699891135855)) < 1e-10
+    assert shoot_node_count(sh.u) == 0
+    assert len(shots) <= 900
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: sn_ground_radial_scf(SNParams(coupling=1.0),
+                                 RadialGrid(1e-6, 20.0, 400), tol=1e-12,
+                                 max_scf=3),
+    lambda: sn_ground_radial_shoot(SNParams(coupling=1.0),
+                                   RadialGrid(1e-6, 20.0, 400), tol=1e-12,
+                                   max_outer=3),
+    lambda: line_ground_scf(UniformGrid1D(-8.0, 8.0, 161), (0.0, 0.0, 0.5),
+                            1.0, 1.0 / 16.0, tol=1e-12, max_scf=3),
+], ids=["radial_scf", "radial_shoot", "line_scf"])
+def test_unconverged_solvers_raise_with_trace(solve):
+    with pytest.raises(ConvergenceError) as err:
+        solve()
+    assert len(err.value.trace) == 3
+    assert err.value.residual == err.value.trace[-1][2] > 0
 
 
 def test_cross_method_oracle_at_unit_coupling():
