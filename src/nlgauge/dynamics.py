@@ -5,9 +5,9 @@ The stationary loop alternates the ground eigenproblem
 
     omega psi = H psi - A_t psi        (psi real, links off)
 
-with the Gauss solve for A_t, under linear mixing. Real time uses
-Crank-Nicolson for psi with the midpoint connection, and leapfrog for the
-(A_phi, F) pair with
+with the Gauss solve for A_t, iterated on A_t by the Anderson
+fixed-point driver of `fixedpoint`. Real time uses Crank-Nicolson for psi
+with the midpoint connection, and leapfrog for the (A_phi, F) pair with
 
     d_t A_phi = F,      d_t F(.,x) = -(1/(l^2 a^3)) J_x .
 
@@ -25,6 +25,7 @@ import scipy.linalg
 
 from .errors import (ConstraintViolationError, ConvergenceError,
                      InsufficientDataError, IntegratorError)
+from .fixedpoint import fixed_point
 from .gaugeops import (apply_hamiltonian_raw, gauss_residual,
                        gauss_solve_stationary, link_current, link_divergence,
                        link_phases, project_dirichlet)
@@ -32,6 +33,14 @@ from .grids import BoundaryCondition, TensorGrid
 from .model import (GaugeState, HamiltonianSpec, ModelParams, StationaryState,
                     WaveFunctional, nonlinearity)
 from .numerics import laplacian_apply, smallest_eigenpair
+
+# eigen-solve tolerance inside the stationary SCF
+_EIG_TOL = 1e-9
+# relative residual and iteration cap of the CG solve in the nD CN step
+_CN_RTOL = 1e-12
+_CN_MAX_ITER = 500
+# largest dt * spectral-radius estimate the evolver accepts
+_STABILITY_MARGIN = 20.0
 
 
 def default_gaussian_guess(grid: TensorGrid) -> np.ndarray:
@@ -45,14 +54,15 @@ def default_gaussian_guess(grid: TensorGrid) -> np.ndarray:
 def stationary_solve(spec: HamiltonianSpec, params: ModelParams,
                      grid: TensorGrid, mixing: float = 0.5,
                      tol: float = 1e-10, *, max_scf: int = 200,
-                     eig_tol: float = 1e-9,
-                     guess: np.ndarray | None = None,
-                     mask: np.ndarray | None = None) -> StationaryState:
+                     guess: np.ndarray | None = None) -> StationaryState:
     """Ground-state solution of the coupled eigenvalue/constraint system.
 
-    Stops when successive omega values differ by < tol and the psi update
-    is < tol; the returned state carries both coupled residuals, each
-    required to be < 10*tol. Oscillation of omega halves the mixing.
+    The Anderson fixed-point driver iterates on A_t, with `mixing` as its
+    weight: each step solves the ground eigenproblem in the current A_t
+    (ARPACK warm-started from the previous psi) and returns the A_t that
+    its density sources. Stops when successive omega values differ by
+    < tol and max|A_t update| <= tol; the returned state carries both
+    coupled residuals, each required to be <= 10*tol.
     """
     if not 0.0 < mixing <= 1.0:
         raise ValueError("mixing must be in (0, 1]")
@@ -60,62 +70,42 @@ def stationary_solve(spec: HamiltonianSpec, params: ModelParams,
         raise ValueError("tol must be positive")
     w = grid.quad_weights()
     interior = grid.boundary_mask()
-    if mask is not None:
-        interior = interior & mask
     diag0 = spec.site_potential_total(grid)
     psi = default_gaussian_guess(grid) if guess is None else np.asarray(guess, dtype=float)
     # warm-start the multiplier from the guess density; breaks ties
     # deterministically when wells are degenerate
     rho_g = psi * psi
     rho_g = rho_g / float(np.real(grid.integrate(rho_g)))
-    a_t = gauss_solve_stationary(grid, rho_g, params)
-    omega_prev = None
-    domega_prev = None
-    trace = []
-    mix = mixing
+    a_t0 = gauss_solve_stationary(grid, rho_g, params)
+    last = {"psi": psi}
 
-    for it in range(max_scf):
-        diag = diag0 - a_t
+    def update(a_flat):
+        diag = diag0 - a_flat.reshape(grid.shape)
 
-        def op(v, _diag=diag):
-            return apply_hamiltonian_raw(grid, v, None, _diag, spec.lattice_spacing)
+        def op(v):
+            return apply_hamiltonian_raw(grid, v, None, diag, spec.lattice_spacing)
 
-        omega, psi = smallest_eigenpair(op, psi, tol=eig_tol, weights=w,
-                                        mask=interior)
-        rho = psi * psi
-        a_new = gauss_solve_stationary(grid, rho, params)
-        da = grid.norm(a_new - a_t)
-        a_t = (1.0 - mix) * a_t + mix * a_new
+        omega, psi_new = smallest_eigenpair(op, last["psi"], tol=_EIG_TOL,
+                                            weights=w, mask=interior)
+        last.update(psi=psi_new,
+                    a_t=gauss_solve_stationary(grid, psi_new * psi_new, params))
+        return last["a_t"].ravel(), omega
 
-        if omega_prev is not None:
-            domega = omega - omega_prev
-            trace.append((it, omega, da))
-            if abs(domega) < tol and da * mix < tol:
-                omega_prev = omega
-                break
-            if domega_prev is not None and domega * domega_prev < 0 \
-                    and abs(domega) > 0.5 * abs(domega_prev):
-                mix = max(0.05, 0.5 * mix)  # damp detected oscillation
-            domega_prev = domega
-        else:
-            trace.append((it, omega, da))
-        omega_prev = omega
-    else:
-        raise ConvergenceError(
-            f"stationary SCF did not converge in {max_scf} iterations "
-            f"(mixing ended at {mix}); smaller mixing may help",
-            residual=da, trace=trace)
-
-    a_t = gauss_solve_stationary(grid, rho, params)
+    _, iterations, trace = fixed_point(update, a_t0.ravel(), beta=mixing,
+                                       tol=tol, res_tol=tol, max_iter=max_scf,
+                                       name="stationary SCF")
+    omega = trace[-1][1]
+    psi, a_t = last["psi"], last["a_t"]
+    rho = psi * psi
     hpsi = apply_hamiltonian_raw(grid, psi + 0j, None, diag0 - a_t,
                                  spec.lattice_spacing)
     hpsi = project_dirichlet(grid, hpsi)
-    eig_res = grid.norm(np.real(hpsi) - omega_prev * psi)
+    eig_res = grid.norm(np.real(hpsi) - omega * psi)
     gres = _stationary_gauss_residual(grid, a_t, rho, params)
     state = StationaryState(
-        omega_eig=float(omega_prev),
+        omega_eig=float(omega),
         psi=WaveFunctional(grid, psi.astype(complex)),
-        a_t=a_t, iterations=len(trace),
+        a_t=a_t, iterations=iterations,
         eig_residual=float(eig_res), gauss_residual=float(gres))
     if eig_res > 10 * tol or gres > 10 * tol:
         raise ConvergenceError(
@@ -177,7 +167,7 @@ def _cn_step_1d(grid, psi, phases, diag, a_lat, dt):
     return out
 
 
-def _cn_step_nd(grid, psi, phases, diag, a_lat, dt, rtol=1e-12, max_iter=500):
+def _cn_step_nd(grid, psi, phases, diag, a_lat, dt):
     """Matrix-free CN step: CG on the Hermitian system (I + a^2 H^2)."""
     alpha = 0.5 * dt
     interior = grid.boundary_mask()
@@ -198,8 +188,8 @@ def _cn_step_nd(grid, psi, phases, diag, a_lat, dt, rtol=1e-12, max_iter=500):
     p = r.copy()
     rr = float(np.real(np.vdot(r, r)))
     bnorm = float(np.real(np.vdot(b2, b2)))
-    tol2 = (rtol ** 2) * bnorm
-    for _ in range(max_iter):
+    tol2 = (_CN_RTOL ** 2) * bnorm
+    for _ in range(_CN_MAX_ITER):
         if rr <= tol2:
             break
         Ap = apply_A(p)
@@ -220,14 +210,14 @@ def evolve_temporal_gauge(psi0: WaveFunctional, gauge0: GaugeState,
                           spec: HamiltonianSpec, params: ModelParams,
                           dt: float, steps: int, *, record_every: int = 1,
                           scheme: str = "cn", norm_tol: float = 1e-6,
-                          gauss_blowup: float = 1.0,
-                          stability_margin: float = 20.0) -> Trajectory:
+                          gauss_blowup: float = 1.0) -> Trajectory:
     """Advance (psi, A_phi, F) from Gauss-consistent initial data.
 
     Records a snapshot every `record_every` steps (the initial state is
     snapshot 0). Diagnostics per recorded step: norm, total charge, Gauss
     residual, continuity residual (between this step and the one before
-    it; 0 at the initial snapshot), matter and field energy.
+    it; 0 at the initial snapshot), matter and field energy, and the
+    root-mean-square width sigma = sqrt(sum_x Var phi_x) of the density.
     """
     grid = psi0.grid
     if np.any(gauge0.a_t):
@@ -238,12 +228,13 @@ def evolve_temporal_gauge(psi0: WaveFunctional, gauge0: GaugeState,
     # crude spectral radius bound for the accuracy precondition
     specrad = float(np.max(np.abs(diag))) + sum(
         2.0 / (spec.lattice_spacing ** 3 * h * h) for h in grid.spacings)
-    if dt * specrad > stability_margin:
+    if dt * specrad > _STABILITY_MARGIN:
         raise IntegratorError(
             f"dt * spectral-radius estimate = {dt * specrad:.2f} exceeds "
-            f"{stability_margin}; reduce dt")
+            f"{_STABILITY_MARGIN}; reduce dt")
 
     w = grid.quad_weights()
+    coords = [grid.coordinate(x) for x in range(grid.ndim)]
     inv_l2a3 = params.inv_l2 / spec.lattice_spacing ** 3
     psi = project_dirichlet(grid, psi0.values.astype(complex))
     a = [ax.copy() for ax in gauge0.a_phi]
@@ -282,11 +273,11 @@ def evolve_temporal_gauge(psi0: WaveFunctional, gauge0: GaugeState,
             cres = continuity_residual(grid, prev, here, spec, params)
         else:
             cres = 0.0
-        sigma = np.nan
-        if grid.ndim == 1:
-            xs = grid.axes[0].nodes
+        var = 0.0
+        for xs in coords:
             mean = float((w * xs * rho).sum()) / nrm
-            sigma = float(np.sqrt(max((w * (xs - mean) ** 2 * rho).sum() / nrm, 0.0)))
+            var += (w * (xs - mean) ** 2 * rho).sum() / nrm
+        sigma = float(np.sqrt(max(var, 0.0)))
         for key, val in (("time", t), ("norm", nrm), ("charge", charge),
                          ("gauss_residual", gres), ("continuity_residual", cres),
                          ("energy", e_mat + e_fld), ("sigma", sigma)):

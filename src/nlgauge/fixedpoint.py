@@ -1,9 +1,9 @@
 """Anderson-accelerated fixed-point driver for the self-consistent loops.
 
-The radial SCF, the outer loop of the radial shooting oracle and the 1D
-line SCF all solve x = G(x) for a potential vector x, where G solves the
-eigenproblem in the potential x and returns the potential its density
-sources, together with the eigenvalue. `fixed_point` runs that iteration
+The configuration-space stationary SCF, the radial SCF, the outer loop of
+the radial shooting oracle and the 1D line SCF all solve x = G(x) for a
+potential vector x, where G solves the eigenproblem in the potential x and
+returns the potential its density sources, together with the eigenvalue. `fixed_point` runs that iteration
 with type-II Anderson mixing (Anderson 1965, J. ACM 12, 547; Walker & Ni
 2011, SIAM J. Numer. Anal. 49, 1715): the next input combines the last
 `m` differences of inputs and residuals, weighted by a least-squares fit

@@ -34,6 +34,9 @@ from .model import (GaugeState, GaugeTransform, HamiltonianSpec, ModelParams,
                     WaveFunctional, check_omega_matches, nonlinearity)
 from .numerics import poisson_solve
 
+# largest |integral(rho) - 1| the Gauss solves accept as a unit charge
+_COMPAT_TOL = 1e-8
+
 
 def _sl(ndim: int, axis: int, s) -> tuple:
     idx = [slice(None)] * ndim
@@ -193,8 +196,7 @@ def link_current(grid: TensorGrid, values: np.ndarray,
 
 
 def gauss_solve_stationary(grid: TensorGrid, rho: np.ndarray,
-                           params: ModelParams, *,
-                           compat_tol: float = 1e-8) -> np.ndarray:
+                           params: ModelParams) -> np.ndarray:
     """Solve for the stationary multiplier potential A_t from the density.
 
     sum_x d^2 A_t / dphi_x^2 = -(1/l^2) (rho - 1/Omega), zero mean, by the
@@ -205,17 +207,17 @@ def gauss_solve_stationary(grid: TensorGrid, rho: np.ndarray,
     """
     check_omega_matches(grid, params)
     norm = float(np.real(grid.integrate(rho)))
-    if abs(norm - 1.0) > compat_tol:
+    if abs(norm - 1.0) > _COMPAT_TOL:
         raise UnsolvableConstraintError(
             f"density integrates to {norm:.6g}, not 1; total charge would not vanish")
     if params.inv_l2 == 0.0:
         return np.zeros(grid.shape)
     source = -params.inv_l2 * nonlinearity(rho, params)
-    return poisson_solve(grid, source, compat_tol=params.inv_l2 * compat_tol + 1e-300)
+    return poisson_solve(grid, source, compat_tol=params.inv_l2 * _COMPAT_TOL + 1e-300)
 
 
-def initialize_constraint(psi0: WaveFunctional, params: ModelParams, *,
-                          compat_tol: float = 1e-8) -> list[np.ndarray]:
+def initialize_constraint(psi0: WaveFunctional,
+                          params: ModelParams) -> list[np.ndarray]:
     """Gradient-form initial data for the field strength.
 
     Solves sum_x d^2 chi/dphi_x^2 = +(1/l^2)(rho - 1/Omega) (Neumann, zero
@@ -227,7 +229,7 @@ def initialize_constraint(psi0: WaveFunctional, params: ModelParams, *,
     check_omega_matches(grid, params)
     rho = np.abs(psi0.values) ** 2
     norm = float(np.real(grid.integrate(rho)))
-    if abs(norm - 1.0) > compat_tol:
+    if abs(norm - 1.0) > _COMPAT_TOL:
         raise UnsolvableConstraintError(
             f"initial density integrates to {norm:.6g}, not 1")
     if params.inv_l2 == 0.0:
@@ -238,7 +240,7 @@ def initialize_constraint(psi0: WaveFunctional, params: ModelParams, *,
             zeros.append(np.zeros(s))
         return zeros
     source = params.inv_l2 * nonlinearity(rho, params)
-    chi = poisson_solve(grid, source, compat_tol=params.inv_l2 * compat_tol + 1e-300)
+    chi = poisson_solve(grid, source, compat_tol=params.inv_l2 * _COMPAT_TOL + 1e-300)
     return [link_diff(grid, chi, x) for x in range(grid.ndim)]
 
 

@@ -111,25 +111,12 @@ class TensorGrid:
 
     def quad_weights(self) -> np.ndarray:
         """Trapezoid weights; sum equals `volume` exactly."""
-        ws = []
-        for ax in self.axes:
-            w = np.full(ax.count, ax.spacing)
-            w[0] *= 0.5
-            w[-1] *= 0.5
-            ws.append(w)
-        return reduce(np.multiply.outer, ws)
+        return reduce(np.multiply.outer, [ax.quad_weights() for ax in self.axes])
 
     def link_weights(self, axis: int) -> np.ndarray:
         """Quadrature weights on the link lattice (midpoints along `axis`)."""
-        ws = []
-        for k, ax in enumerate(self.axes):
-            if k == axis:
-                ws.append(np.full(ax.count - 1, ax.spacing))
-            else:
-                w = np.full(ax.count, ax.spacing)
-                w[0] *= 0.5
-                w[-1] *= 0.5
-                ws.append(w)
+        ws = [ax.quad_weights() for ax in self.axes]
+        ws[axis] = np.full(self.axes[axis].count - 1, self.axes[axis].spacing)
         return reduce(np.multiply.outer, ws)
 
     def check_field(self, values: np.ndarray) -> None:

@@ -18,6 +18,10 @@ import scipy.sparse.linalg as spla
 from .errors import ConvergenceError, UnsolvableConstraintError
 from .grids import BoundaryCondition, TensorGrid
 
+# relative size and seed of the perturbation added to an eigen-solve guess
+_PERTURB = 1e-8
+_PERTURB_SEED = 20170
+
 
 def _axis_second_diff(values: np.ndarray, axis: int, spacing: float,
                       bc: BoundaryCondition) -> np.ndarray:
@@ -121,10 +125,7 @@ def poisson_solve(grid: TensorGrid, source: np.ndarray, *,
 
 def smallest_eigenpair(op_apply, guess: np.ndarray, tol: float = 1e-9, *,
                        weights: np.ndarray | None = None,
-                       mask: np.ndarray | None = None,
-                       max_iter: int | None = None,
-                       perturb: float = 1e-8,
-                       seed: int = 20170 ) -> tuple[float, np.ndarray]:
+                       mask: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """Algebraically smallest eigenpair of a symmetric operator.
 
     `op_apply` must be symmetric under the inner product sum(conj(a)*b*weights).
@@ -144,12 +145,12 @@ def smallest_eigenpair(op_apply, guess: np.ndarray, tol: float = 1e-9, *,
     flat_mask = mask.ravel()
     sqw = np.sqrt(weights.ravel()[flat_mask])
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_PERTURB_SEED)
     g = guess.ravel()[flat_mask].astype(float)
     gnorm = np.linalg.norm(g)
     if gnorm == 0.0:
         raise ValueError("guess must be nonzero")
-    g = g + perturb * gnorm * rng.standard_normal(g.size)
+    g = g + _PERTURB * gnorm * rng.standard_normal(g.size)
 
     n = g.size
 
@@ -165,8 +166,7 @@ def smallest_eigenpair(op_apply, guess: np.ndarray, tol: float = 1e-9, *,
     v0 = sqw * g
     try:
         vals, vecs = spla.eigsh(lin_op, k=1, which="SA", v0=v0,
-                                maxiter=max_iter, tol=0,
-                                ncv=min(n, 48))
+                                tol=0, ncv=min(n, 48))
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceError("eigenpair iteration did not converge",
                                residual=None) from exc

@@ -8,8 +8,12 @@ Three solvers live here:
   integrating the ODEs with RK4, bracketing the ground level by the node
   count and converging on the node transition by safeguarded Illinois
   steps;
-* a 1D line evolver (Crank-Nicolson) with the self-consistent potential,
-  including the uniform background term of the parent theory.
+* a 1D line evolver with the self-consistent potential, including the
+  uniform background term of the parent theory; its Crank-Nicolson step
+  is the banded step of `dynamics` with the links switched off.
+
+The radial SCF, the oracle's outer loop and the independent line SCF all
+run on the Anderson fixed-point driver of `fixedpoint`.
 
 Dimensionless units hbar = m = 1 throughout; `coupling` is the single
 gravitational parameter (G*m^2 after rescaling; the 4*pi belongs to the
@@ -34,6 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from .dynamics import _cn_step_1d, stationary_solve
 from .errors import ConvergenceError, IntegratorError
 from .fixedpoint import fixed_point
 from .grids import RadialGrid, TensorGrid, UniformGrid1D
@@ -244,12 +249,12 @@ def _shoot(r, veff, energy):
     return shoot_node_count(u), float(u[-2] / np.linalg.norm(u))
 
 
-def _ground_bracket(r, veff, hist, bracket):
+def _ground_bracket(r, veff, hist):
     """(lo, f_lo, hi, f_hi): shots with 0 nodes at lo and >= 1 node at hi.
 
     Starts around the previous energy and widens that bracket
     geometrically, reusing every shot as the end it is valid for; falls
-    back to the cold bracket [min veff - 1, max veff] (or `bracket`).
+    back to the cold bracket [min veff - 1, max veff].
     """
     if hist:
         if len(hist) >= 2:
@@ -270,10 +275,7 @@ def _ground_bracket(r, veff, hist, bracket):
                 lo, n_lo, f_lo = hi, n_hi, f_hi
                 hi = hist[-1] + span
                 n_hi, f_hi = _shoot(r, veff, hi)
-    if bracket is not None:
-        lo, hi = bracket
-    else:
-        lo, hi = float(veff.min()) - 1.0, float(veff.max())
+    lo, hi = float(veff.min()) - 1.0, float(veff.max())
     # grow hi until at least one node appears
     for _ in range(60):
         n_hi, f_hi = _shoot(r, veff, hi)
@@ -324,9 +326,8 @@ def _ground_level(r, veff, lo, f_lo, hi, f_hi, tol):
 
 
 def sn_ground_radial_shoot(params: SNParams, grid: RadialGrid,
-                           tol: float = 1e-10, *,
-                           bracket: tuple[float, float] | None = None,
-                           max_outer: int = 200, mixing: float = 0.5) -> RadialState:
+                           tol: float = 1e-10, *, max_outer: int = 200,
+                           mixing: float = 0.5) -> RadialState:
     """Shooting oracle, coded independently of `sn_ground_radial_scf`.
 
     For a given potential, the node count of the outward RK4 integration
@@ -345,8 +346,7 @@ def sn_ground_radial_shoot(params: SNParams, grid: RadialGrid,
 
     def update(v):
         veff = vext + v / r
-        energy = _ground_level(r, veff, *_ground_bracket(r, veff, hist, bracket),
-                               tol)
+        energy = _ground_level(r, veff, *_ground_bracket(r, veff, hist), tol)
         hist.append(energy)
         u, mismatch = _assemble_two_sided(r, veff, energy)
         last.update(u=u, mismatch=mismatch,
@@ -429,36 +429,17 @@ def _line_energy(grid, psi, vext, phi_grav, rho, params):
     return ekin + eext + eint
 
 
-def _cn_banded_step(grid, psi, diag, dt):
-    n = grid.count
-    h = grid.spacing
-    coef = 1.0 / (2.0 * h * h)
-    alpha = 0.5j * dt
-    lap = np.zeros_like(psi)
-    lap[1:-1] = (psi[2:] - 2 * psi[1:-1] + psi[:-2]) / h ** 2
-    hpsi = -0.5 * lap + diag * psi
-    hpsi[0] = hpsi[-1] = 0.0
-    rhs = (psi - alpha * hpsi)[1:-1]
-    d = 1.0 + alpha * (2.0 * coef + diag[1:-1])
-    ab = np.zeros((3, n - 2), dtype=complex)
-    ab[0, 1:] = -alpha * coef
-    ab[1, :] = d
-    ab[2, :-1] = -alpha * coef
-    sol = scipy.linalg.solve_banded((1, 1), ab, rhs)
-    out = np.zeros_like(psi)
-    out[1:-1] = sol
-    return out
-
-
 def sn_evolve_1d(state: Line1DState, params: SNParams, dt: float, steps: int,
                  *, record_every: int = 1, norm_tol: float = 1e-6) -> dict:
     """Crank-Nicolson evolution with the self-consistent potential.
 
     Each step predicts the midpoint density with a half step, rebuilds the
     potential there, and takes the full step with it (second order, norm
-    conserving per step). Records t, norm, energy, and width sigma.
+    conserving per step). Records t, norm, energy, and width sigma every
+    `record_every` steps; returns those series and the final state.
     """
     grid = state.grid
+    tgrid = TensorGrid((grid,))
     w = grid.quad_weights()
     x = grid.nodes
     vext = params.external_potential(x)
@@ -467,7 +448,6 @@ def sn_evolve_1d(state: Line1DState, params: SNParams, dt: float, steps: int,
     norm0 = float((w * np.abs(psi) ** 2).sum())
 
     out = {k: [] for k in ("t", "norm", "energy", "sigma")}
-    snapshots = [(state.time, psi.copy())]
 
     def record(t, psi_v, phi_v):
         rho = np.abs(psi_v) ** 2
@@ -483,22 +463,20 @@ def sn_evolve_1d(state: Line1DState, params: SNParams, dt: float, steps: int,
     record(state.time, psi, phi)
     for k in range(1, steps + 1):
         if params.coupling > 0:
-            half = _cn_banded_step(grid, psi, vext - phi, 0.5 * dt)
+            half = _cn_step_1d(tgrid, psi, None, vext - phi, 1.0, 0.5 * dt)
             phi_mid = solve_phi_grav(grid, np.abs(half) ** 2, params)
         else:
             phi_mid = phi
-        psi = _cn_banded_step(grid, psi, vext - phi_mid, dt)
+        psi = _cn_step_1d(tgrid, psi, None, vext - phi_mid, 1.0, dt)
         t = state.time + k * dt
         if params.coupling > 0:
             phi = solve_phi_grav(grid, np.abs(psi) ** 2, params)
         if k % record_every == 0 or k == steps:
             record(t, psi, phi)
-            snapshots.append((t, psi.copy()))
             if abs(out["norm"][-1] - norm0) > norm_tol:
                 raise IntegratorError(
                     f"norm drifted to {out['norm'][-1]:.12f} at step {k}")
     return {"series": {k: np.array(v) for k, v in out.items()},
-            "snapshots": snapshots,
             "final": Line1DState(grid, psi, phi, state.time + steps * dt)}
 
 
@@ -567,8 +545,6 @@ def limit_equivalence_check(spec: HamiltonianSpec, params: ModelParams,
     uniform background the constraint source flips sign and the potential
     curvature turns locally repulsive.
     """
-    from .dynamics import stationary_solve
-
     if grid.ndim != 1 or spec.sites != 1:
         raise ValueError("the limit check is the single-site case")
     st = stationary_solve(spec, params, grid, tol=tol * 100)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from nlgauge.dynamics import (_cn_step_1d, _cn_step_nd, evolve_temporal_gauge,
                               stationary_solve)
@@ -284,6 +285,59 @@ def test_evolve_2d_conserves():
     d = traj.diagnostics
     assert np.abs(d["norm"] - 1.0).max() < 1e-9
     assert np.abs(d["charge"]).max() < 1e-12
+
+
+def test_sigma_is_rms_width_on_two_sites():
+    grid = TensorGrid.cube(-5.0, 5.0, 25, 2)
+    spec = HamiltonianSpec(sites=2, potential_coeffs=(0.0, 0.0, 0.5),
+                           gradient_coupling=0.2)
+    params = ModelParams.for_grid(grid, l=2.0)
+    X = grid.meshes()
+    # squeezed packet: its width breathes in the harmonic wells
+    psi = np.exp(-(X[0] - 0.8) ** 2 - X[1] ** 2) + 0j
+    psi[~grid.boundary_mask()] = 0.0
+    psi /= np.sqrt(np.real(grid.integrate(np.abs(psi) ** 2)))
+    pw = WaveFunctional(grid, psi)
+    traj = evolve_temporal_gauge(pw, gauss_consistent_gauge(pw, params), spec,
+                                 params, dt=0.02, steps=40, record_every=5)
+    sigma = traj.diagnostics["sigma"]
+    for snap, sig in zip(traj.snapshots, sigma, strict=True):
+        rho = np.abs(snap.psi) ** 2
+        n = np.real(grid.integrate(rho))
+        var = sum(np.real(grid.integrate(c * c * rho)) / n
+                  - (np.real(grid.integrate(c * rho)) / n) ** 2 for c in X)
+        assert sig == pytest.approx(np.sqrt(var), rel=1e-10)
+    assert np.ptp(sigma) > 1e-2
+
+
+# forward-back cases: (grid, with link phases). The 1D step without links
+# is the one the sn line evolver takes.
+CN_REVERSIBLE = {
+    "1d": (TensorGrid.cube(-8.0, 8.0, 81, 1), False),
+    "1d_links": (TensorGrid.cube(-8.0, 8.0, 81, 1), True),
+    "2d_links": (TensorGrid.cube(-4.0, 4.0, 9, 2), True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CN_REVERSIBLE))
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 31 - 1), dt=st.floats(1e-3, 0.2))
+def test_cn_step_forward_then_back_returns_psi(case, seed, dt):
+    grid, links = CN_REVERSIBLE[case]
+    rng = np.random.default_rng(seed)
+    psi = np.where(grid.boundary_mask(), rng.standard_normal(grid.shape)
+                   + 1j * rng.standard_normal(grid.shape), 0.0)
+    diag = rng.uniform(0.0, 2.0, grid.shape)
+    phases = None
+    if links:
+        phases = link_phases(grid, [rng.standard_normal(
+            tuple(n - (k == x) for k, n in enumerate(grid.shape)))
+            for x in range(grid.ndim)])
+    step = _cn_step_1d if grid.ndim == 1 else _cn_step_nd
+    fwd = step(grid, psi, phases, diag, 1.0, dt)
+    back = step(grid, fwd, phases, diag, 1.0, -dt)
+    assert np.abs(fwd - psi).max() > 1e-3
+    assert np.abs(back - psi).max() < 1e-10
 
 
 def test_cn_nd_step_matches_banded_step_on_one_site():

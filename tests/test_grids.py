@@ -28,6 +28,14 @@ def test_quadrature_integrates_constants_exactly():
     assert g.integrate(np.ones(g.shape)) == pytest.approx(g.volume, abs=1e-13)
     ax = UniformGrid1D(-1.5, 2.5, 31)
     assert np.array_equal(ax.quad_weights(), TensorGrid((ax,)).quad_weights())
+    ay = UniformGrid1D(0.0, 3.0, 7)
+    g2 = TensorGrid((ax, ay))
+    assert np.array_equal(g2.quad_weights(),
+                          np.multiply.outer(ax.quad_weights(), ay.quad_weights()))
+    assert np.array_equal(g2.link_weights(0), np.multiply.outer(
+        np.full(30, ax.spacing), ay.quad_weights()))
+    assert np.array_equal(g2.link_weights(1), np.multiply.outer(
+        ax.quad_weights(), np.full(6, ay.spacing)))
     assert ax.quad_weights().sum() == pytest.approx(ax.extent, rel=0, abs=1e-13)
     rg = RadialGrid(1e-6, 20.0, 400)
     assert rg.quad_weights().sum() == pytest.approx(20.0 - 1e-6, rel=0, abs=1e-12)

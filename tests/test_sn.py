@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import nlgauge.sn as sn
+from nlgauge.dynamics import stationary_solve
 from nlgauge.errors import ConvergenceError
 from nlgauge.grids import RadialGrid, TensorGrid, UniformGrid1D
 from nlgauge.model import HamiltonianSpec, ModelParams
@@ -12,6 +13,7 @@ from nlgauge.sn import (Line1DState, SNParams, _rk4_shoot_u,
                         sn_ground_radial_shoot, solve_phi_grav)
 
 HARM3D = SNParams(coupling=0.0, external_potential_coeffs=(0.0, 0.0, 0.5))
+CUBE9 = TensorGrid.cube(-5.0, 5.0, 9, 3)
 
 
 def line_weights(grid):
@@ -56,11 +58,15 @@ def test_shooting_oracle_energy_and_shot_count(monkeypatch):
                                    max_outer=3),
     lambda: line_ground_scf(UniformGrid1D(-8.0, 8.0, 161), (0.0, 0.0, 0.5),
                             1.0, 1.0 / 16.0, tol=1e-12, max_scf=3),
-], ids=["radial_scf", "radial_shoot", "line_scf"])
+    lambda: stationary_solve(HamiltonianSpec(sites=3, potential_coeffs=(0.0, 0.0, 0.5)),
+                             ModelParams.for_grid(CUBE9, l=1.0), CUBE9,
+                             tol=1e-12, max_scf=3),
+], ids=["radial_scf", "radial_shoot", "line_scf", "stationary"])
 def test_unconverged_solvers_raise_with_trace(solve):
     with pytest.raises(ConvergenceError) as err:
         solve()
     assert len(err.value.trace) == 3
+    assert [t[0] for t in err.value.trace] == [1, 2, 3]
     assert err.value.residual == err.value.trace[-1][2] > 0
 
 
