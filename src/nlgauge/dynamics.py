@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import zgtsv as _zgtsv
 
 from .errors import (ConstraintViolationError, ConvergenceError,
                      InsufficientDataError, IntegratorError)
@@ -122,7 +122,10 @@ def _stationary_gauss_residual(grid, a_t, rho, params):
 
 @dataclass
 class Snapshot:
-    """One recorded instant of a temporal-gauge trajectory."""
+    """One recorded instant of a temporal-gauge trajectory.
+
+    Snapshots recorded by `evolve_temporal_gauge` hold read-only arrays.
+    """
 
     time: float
     psi: np.ndarray
@@ -146,7 +149,12 @@ class Trajectory:
 
 
 def _cn_step_1d(grid, psi, phases, diag, a_lat, dt):
-    """Direct tridiagonal Crank-Nicolson step (interior unknowns)."""
+    """Direct tridiagonal Crank-Nicolson step (interior unknowns).
+
+    The system is handed straight to LAPACK `zgtsv`, the routine that
+    `scipy.linalg.solve_banded((1, 1), ...)` calls after validating its
+    inputs; the result is bitwise the same.
+    """
     n = grid.shape[0]
     h = grid.spacings[0]
     coef = 1.0 / (2.0 * a_lat ** 3 * h * h)
@@ -157,11 +165,9 @@ def _cn_step_1d(grid, psi, phases, diag, a_lat, dt):
     d = 1.0 + alpha * (2.0 * coef + diag[1:-1])
     upper = alpha * (-coef * U[1:-1])
     lower = alpha * (-coef * np.conj(U[1:-1]))
-    ab = np.zeros((3, n - 2), dtype=complex)
-    ab[0, 1:] = upper
-    ab[1, :] = d
-    ab[2, :-1] = lower
-    sol = scipy.linalg.solve_banded((1, 1), ab, rhs_full[1:-1])
+    _, _, _, sol, info = _zgtsv(lower, d, upper, rhs_full[1:-1], 1, 1, 1, 1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"zgtsv failed in the CN step (info={info})")
     out = np.zeros_like(psi)
     out[1:-1] = sol
     return out
@@ -216,8 +222,16 @@ def evolve_temporal_gauge(psi0: WaveFunctional, gauge0: GaugeState,
     Records a snapshot every `record_every` steps (the initial state is
     snapshot 0). Diagnostics per recorded step: norm, total charge, Gauss
     residual, continuity residual (between this step and the one before
-    it; 0 at the initial snapshot), matter and field energy, and the
-    root-mean-square width sigma = sqrt(sum_x Var phi_x) of the density.
+    it, by the formula of `continuity_residual`; 0 at the initial
+    snapshot), matter and field energy, and the root-mean-square width
+    sigma = sqrt(sum_x Var phi_x) of the density.
+
+    Snapshots hold the step's own arrays, not copies: psi, the links and
+    f_bar are flagged read-only, and every snapshot shares one read-only
+    zero a_t. The caller's psi0 and gauge0 arrays are copied first and
+    never written. The link phases and currents of each step are computed
+    once and serve the field update, the energy and the continuity
+    residual.
     """
     grid = psi0.grid
     if np.any(gauge0.a_t):
@@ -225,30 +239,32 @@ def evolve_temporal_gauge(psi0: WaveFunctional, gauge0: GaugeState,
     if dt <= 0 or steps < 1:
         raise ValueError("need dt > 0 and steps >= 1")
     diag = spec.site_potential_total(grid)
+    a_lat = spec.lattice_spacing
     # crude spectral radius bound for the accuracy precondition
     specrad = float(np.max(np.abs(diag))) + sum(
-        2.0 / (spec.lattice_spacing ** 3 * h * h) for h in grid.spacings)
+        2.0 / (a_lat ** 3 * h * h) for h in grid.spacings)
     if dt * specrad > _STABILITY_MARGIN:
         raise IntegratorError(
             f"dt * spectral-radius estimate = {dt * specrad:.2f} exceeds "
             f"{_STABILITY_MARGIN}; reduce dt")
 
+    nd = grid.ndim
     w = grid.quad_weights()
-    coords = [grid.coordinate(x) for x in range(grid.ndim)]
-    inv_l2a3 = params.inv_l2 / spec.lattice_spacing ** 3
+    lw = [grid.link_weights(x) for x in range(nd)]
+    coords = [grid.coordinate(x) for x in range(nd)]
+    inv_l2a3 = params.inv_l2 / a_lat ** 3
+    zero_a_t = np.zeros(grid.shape)
+    zero_a_t.flags.writeable = False
     psi = project_dirichlet(grid, psi0.values.astype(complex))
     a = [ax.copy() for ax in gauge0.a_phi]
     f0 = [fx.copy() for fx in gauge0.f]
 
-    def current(psi_v, a_links):
+    def phases_and_currents(psi_v, a_links):
         ph = link_phases(grid, a_links)
-        return [link_current(grid, psi_v, ph, x) for x in range(grid.ndim)]
+        return ph, [link_current(grid, psi_v, ph, x) for x in range(nd)]
 
-    def f_rhs(psi_v, a_links):
-        return [-inv_l2a3 * j for j in current(psi_v, a_links)]
-
-    rhs0 = f_rhs(psi, a)
-    f_half = [f0[x] + 0.5 * dt * rhs0[x] for x in range(grid.ndim)]
+    ph, j = phases_and_currents(psi, a)
+    f_half = [f0[x] + 0.5 * dt * (-inv_l2a3 * j[x]) for x in range(nd)]
     f_half_prev = None
 
     traj = Trajectory(grid, spec, params, dt * record_every)
@@ -256,21 +272,24 @@ def evolve_temporal_gauge(psi0: WaveFunctional, gauge0: GaugeState,
                              "continuity_residual", "energy", "sigma")}
     norm0 = float(np.real((w * np.abs(psi) ** 2).sum()))
 
-    def record(k, psi_v, a_links, f_bar, prev=None):
+    def record(k, psi_v, a_links, ph, j, f_bar, prev=None):
         t = k * dt
         rho = np.abs(psi_v) ** 2
         nrm = float((w * rho).sum())
         charge = params.inv_l2 * float((w * nonlinearity(rho, params)).sum())
         gres = gauss_residual(grid, f_bar, rho, params)
-        ph = link_phases(grid, a_links)
-        hpsi = apply_hamiltonian_raw(grid, psi_v, ph, diag, spec.lattice_spacing)
+        hpsi = apply_hamiltonian_raw(grid, psi_v, ph, diag, a_lat)
         e_mat = float(np.real((w * np.conj(psi_v) * hpsi).sum()))
         e_fld = -0.5 * params.l ** 2 * sum(
-            float((grid.link_weights(x) * f_bar[x] ** 2).sum())
-            for x in range(grid.ndim)) if params.inv_l2 > 0 else 0.0
+            float((lw[x] * f_bar[x] ** 2).sum())
+            for x in range(nd)) if params.inv_l2 > 0 else 0.0
         if prev is not None:
-            here = Snapshot(t, psi_v, a_links, f_bar, np.zeros(grid.shape))
-            cres = continuity_residual(grid, prev, here, spec, params)
+            # continuity_residual between step k-1 (psi, current) and k
+            psi_p, j_p = prev
+            ddt = (rho - np.abs(psi_p) ** 2) / (t - (k - 1) * dt)
+            div = link_divergence(grid, [0.5 * (j_p[x] + j[x])
+                                         for x in range(nd)]) / a_lat ** 3
+            cres = grid.norm(ddt + div)
         else:
             cres = 0.0
         var = 0.0
@@ -282,45 +301,40 @@ def evolve_temporal_gauge(psi0: WaveFunctional, gauge0: GaugeState,
                          ("gauss_residual", gres), ("continuity_residual", cres),
                          ("energy", e_mat + e_fld), ("sigma", sigma)):
             diags[key].append(val)
-        snap = Snapshot(t, psi_v.copy(), [ax.copy() for ax in a_links],
-                        [fx.copy() for fx in f_bar], np.zeros(grid.shape))
-        traj.snapshots.append(snap)
+        for arr in (psi_v, *a_links, *f_bar):
+            arr.flags.writeable = False
+        traj.snapshots.append(Snapshot(t, psi_v, a_links, f_bar, zero_a_t))
         return nrm, gres
 
-    _, gres0 = record(0, psi, a, f0)
+    _, gres0 = record(0, psi, a, ph, j, f0)
     gauss_floor = max(gres0, 1e-12)
+    cn_step = _cn_step_1d if nd == 1 else _cn_step_nd
 
     for k in range(1, steps + 1):
         # psi and the links are rebound below, never mutated in place
-        psi_prev, a_prev = psi, a
-        a_mid = [a[x] + 0.5 * dt * f_half[x] for x in range(grid.ndim)]
+        psi_prev, j_prev = psi, j
+        a_mid = [a[x] + 0.5 * dt * f_half[x] for x in range(nd)]
         phases_mid = link_phases(grid, a_mid)
         if scheme == "cn":
-            if grid.ndim == 1:
-                psi = _cn_step_1d(grid, psi, phases_mid, diag,
-                                  spec.lattice_spacing, dt)
-            else:
-                psi = _cn_step_nd(grid, psi, phases_mid, diag,
-                                  spec.lattice_spacing, dt)
+            psi = cn_step(grid, psi, phases_mid, diag, a_lat, dt)
         elif scheme == "euler":
-            hpsi = apply_hamiltonian_raw(grid, psi, phases_mid, diag,
-                                         spec.lattice_spacing)
+            hpsi = apply_hamiltonian_raw(grid, psi, phases_mid, diag, a_lat)
             psi = project_dirichlet(grid, psi - 1j * dt * hpsi)
         else:
             raise ValueError(f"unknown scheme {scheme!r}")
-        a = [a_mid[x] + 0.5 * dt * f_half[x] for x in range(grid.ndim)]
-        rhs = f_rhs(psi, a)
+        a = [a_mid[x] + 0.5 * dt * f_half[x] for x in range(nd)]
+        ph, j = phases_and_currents(psi, a)
         f_half_prev = f_half
-        f_half = [f_half[x] + dt * rhs[x] for x in range(grid.ndim)]
+        f_half = [f_half[x] + dt * (-inv_l2a3 * j[x]) for x in range(nd)]
 
         if k % record_every == 0 or k == steps:
-            f_bar = [0.5 * (f_half_prev[x] + f_half[x]) for x in range(grid.ndim)]
-            nrm, gres = record(k, psi, a, f_bar, Snapshot(
-                (k - 1) * dt, psi_prev, a_prev, [], np.zeros(grid.shape)))
-            if abs(nrm - norm0) > norm_tol:
+            f_bar = [0.5 * (f_half_prev[x] + f_half[x]) for x in range(nd)]
+            nrm, gres = record(k, psi, a, ph, j, f_bar, (psi_prev, j_prev))
+            # written so that a NaN fails each guard
+            if not abs(nrm - norm0) <= norm_tol:
                 raise IntegratorError(
                     f"norm drifted to {nrm:.12f} at step {k} (tol {norm_tol})")
-            if gres > gauss_blowup and gres > 1e4 * gauss_floor:
+            if not (gres <= gauss_blowup or gres <= 1e4 * gauss_floor):
                 raise ConstraintViolationError(
                     f"Gauss residual {gres:.3e} blew up at step {k}")
 

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dgtsv as _dgtsv
 
 from .dynamics import _cn_step_1d, stationary_solve
 from .errors import ConvergenceError, IntegratorError
@@ -367,18 +368,10 @@ def sn_ground_radial_shoot(params: SNParams, grid: RadialGrid,
 
 # ---------------------------------------------------------------- 1D line
 
-def _neumann_tridiag(n: int, h: float):
-    """Compact Neumann Laplacian rows (mirror ghosts) as banded storage."""
-    d = np.full(n, -2.0)
-    off_up = np.ones(n - 1)
-    off_lo = np.ones(n - 1)
-    off_up[0] = 2.0
-    off_lo[-1] = 2.0
-    return d / h ** 2, off_up / h ** 2, off_lo / h ** 2
-
-
 def poisson_1d_neumann(grid: UniformGrid1D, source: np.ndarray) -> np.ndarray:
-    """Direct banded solve of u'' = source, zero-gradient ends, zero mean.
+    """Direct tridiagonal solve of u'' = source, zero-gradient ends, zero
+    mean, by one LAPACK `dgtsv` call (the routine behind
+    `scipy.linalg.solve_banded((1, 1), ...)`, without its input checks).
 
     This is the solver of the independent `line_ground_scf` oracle and of
     the line evolver; it is kept apart from `numerics.poisson_solve` so
@@ -390,19 +383,21 @@ def poisson_1d_neumann(grid: UniformGrid1D, source: np.ndarray) -> np.ndarray:
     """
     w = grid.quad_weights()
     vol = grid.extent
-    src = source - (w * source).sum() / vol
+    rhs = source - (w * source).sum() / vol
     n = grid.count
-    d, up, lo = _neumann_tridiag(n, grid.spacing)
-    # pin u[0] = 0: replace first equation
-    ab = np.zeros((3, n))
-    ab[0, 1:] = up
-    ab[1, :] = d
-    ab[2, :-1] = lo
-    ab[0, 1] = 0.0
-    ab[1, 0] = 1.0
-    rhs = src.copy()
+    h2 = grid.spacing ** 2
+    # compact Neumann Laplacian rows (mirror ghosts): the last row's lower
+    # entry is doubled; the first row is replaced by the pin u[0] = 0
+    d = np.full(n, -2.0) / h2
+    up = np.ones(n - 1) / h2
+    lo = np.ones(n - 1) / h2
+    lo[-1] = 2.0 / h2
+    d[0] = 1.0
+    up[0] = 0.0
     rhs[0] = 0.0
-    u = scipy.linalg.solve_banded((1, 1), ab, rhs)
+    _, _, _, u, info = _dgtsv(lo, d, up, rhs, 1, 1, 1, 1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dgtsv failed in the Poisson solve (info={info})")
     u -= (w * u).sum() / vol
     return u
 
@@ -473,7 +468,8 @@ def sn_evolve_1d(state: Line1DState, params: SNParams, dt: float, steps: int,
             phi = solve_phi_grav(grid, np.abs(psi) ** 2, params)
         if k % record_every == 0 or k == steps:
             record(t, psi, phi)
-            if abs(out["norm"][-1] - norm0) > norm_tol:
+            # written so that a NaN norm fails the guard
+            if not abs(out["norm"][-1] - norm0) <= norm_tol:
                 raise IntegratorError(
                     f"norm drifted to {out['norm'][-1]:.12f} at step {k}")
     return {"series": {k: np.array(v) for k, v in out.items()},

@@ -3,8 +3,8 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from nlgauge.dynamics import (_cn_step_1d, _cn_step_nd, evolve_temporal_gauge,
-                              stationary_solve)
+from nlgauge.dynamics import (_cn_step_1d, _cn_step_nd, continuity_residual,
+                              evolve_temporal_gauge, stationary_solve)
 from nlgauge.errors import IntegratorError
 from nlgauge.gaugeops import (apply_hamiltonian_raw, initialize_constraint,
                               link_phases)
@@ -395,3 +395,106 @@ def test_continuity_residual_is_computed_at_every_recorded_step():
     assert np.all(cres > 0.0)
     np.testing.assert_allclose(cres, every["continuity_residual"][picked],
                                rtol=1e-12, atol=0.0)
+
+
+def _solve_banded_cn_reference(grid, psi, phases, diag, a_lat, dt):
+    """The CN step as it was written on `scipy.linalg.solve_banded`."""
+    n = grid.shape[0]
+    h = grid.spacings[0]
+    coef = 1.0 / (2.0 * a_lat ** 3 * h * h)
+    alpha = 0.5j * dt
+    rhs = psi - alpha * apply_hamiltonian_raw(grid, psi, phases, diag, a_lat)
+    U = np.ones(n - 1, dtype=complex) if phases is None else phases[0]
+    ab = np.zeros((3, n - 2), dtype=complex)
+    ab[0, 1:] = alpha * (-coef * U[1:-1])
+    ab[1, :] = 1.0 + alpha * (2.0 * coef + diag[1:-1])
+    ab[2, :-1] = alpha * (-coef * np.conj(U[1:-1]))
+    out = np.zeros_like(psi)
+    out[1:-1] = scipy.linalg.solve_banded((1, 1), ab, rhs[1:-1])
+    return out
+
+
+@pytest.mark.parametrize("links", [False, True])
+@pytest.mark.parametrize("count", [201, 1201])
+def test_cn_step_1d_equals_solve_banded_bitwise(count, links):
+    grid = TensorGrid.cube(-8.0, 8.0, count, 1)
+    rng = np.random.default_rng(count)
+    psi = np.where(grid.boundary_mask(), rng.standard_normal(count)
+                   + 1j * rng.standard_normal(count), 0.0)
+    diag = rng.uniform(0.0, 2.0, count)
+    phases = link_phases(grid, [rng.standard_normal(count - 1)]) if links else None
+    step = _cn_step_1d(grid, psi, phases, diag, 1.0, 0.01)
+    ref = _solve_banded_cn_reference(grid, psi, phases, diag, 1.0, 0.01)
+    assert np.array_equal(step, ref)
+    assert np.abs(step - psi).max() > 1e-3
+
+
+def _two_site_packet(count=9):
+    grid = TensorGrid.cube(-4.0, 4.0, count, 2)
+    spec = HamiltonianSpec(sites=2, potential_coeffs=(0.0, 0.0, 0.5),
+                           gradient_coupling=0.2)
+    X = grid.meshes()
+    psi = np.exp(-(X[0] - 0.6) ** 2 - X[1] ** 2) + 0j
+    psi[~grid.boundary_mask()] = 0.0
+    psi /= np.sqrt(np.real(grid.integrate(np.abs(psi) ** 2)))
+    return grid, spec, WaveFunctional(grid, psi)
+
+
+@pytest.mark.parametrize("sites", [1, 2])
+def test_inline_continuity_residual_equals_continuity_residual(sites):
+    if sites == 1:
+        grid = TensorGrid.cube(-8.0, 8.0, 201, 1)
+        spec, psi0 = HARMONIC, normalized_packet(grid, center=1.0)
+    else:
+        grid, spec, psi0 = _two_site_packet()
+    params = ModelParams.for_grid(grid, l=1.0)
+    traj = evolve_temporal_gauge(psi0, gauss_consistent_gauge(psi0, params),
+                                 spec, params, dt=0.01, steps=12)
+    snaps = traj.snapshots
+    cres = traj.diagnostics["continuity_residual"]
+    # finite l: the links move, so the currents carry link phases
+    assert np.abs(snaps[-1].a_phi[0]).max() > 1e-6
+    assert cres[0] == 0.0
+    for k in range(1, len(snaps)):
+        assert cres[k] == continuity_residual(grid, snaps[k - 1], snaps[k],
+                                              spec, params)
+        assert cres[k] > 0.0
+
+
+def test_snapshots_are_read_only_and_do_not_alias_the_inputs():
+    grid = TensorGrid.cube(-8.0, 8.0, 101, 1)
+    params = ModelParams.for_grid(grid, l=1.0)
+    psi0 = normalized_packet(grid, center=1.0)
+    g0 = gauss_consistent_gauge(psi0, params)
+    g0.a_phi = [0.01 * np.sin(np.arange(grid.shape[0] - 1.0))]
+    inputs = [psi0.values, g0.a_t, *g0.a_phi, *g0.f]
+    before = [v.copy() for v in inputs]
+    traj = evolve_temporal_gauge(psi0, g0, HARMONIC, params, dt=0.01,
+                                 steps=6, record_every=2)
+    snaps = traj.snapshots
+    for snap in snaps:
+        for arr in (snap.psi, snap.a_phi[0], snap.f_bar[0], snap.a_t):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[1] = 1.0
+            assert not any(np.shares_memory(arr, v) for v in inputs)
+        assert snap.a_t is snaps[0].a_t
+        assert not snap.a_t.any()
+    for old, new in zip(snaps, snaps[1:]):
+        assert not np.shares_memory(old.psi, new.psi)
+        assert np.abs(new.psi - old.psi).max() > 0.0
+    for v, b in zip(inputs, before):
+        assert v.flags.writeable
+        assert np.array_equal(v, b)
+
+
+def test_evolve_rejects_a_nan_state_with_integrator_error():
+    grid = TensorGrid.cube(-8.0, 8.0, 101, 1)
+    params = ModelParams.for_grid(grid, l=1.0)
+    psi0 = normalized_packet(grid, center=1.0)
+    g0 = gauss_consistent_gauge(psi0, params)
+    bad = psi0.values.copy()
+    bad[40] = np.nan
+    with pytest.raises(IntegratorError, match="step 1 "):
+        evolve_temporal_gauge(WaveFunctional(grid, bad), g0, HARMONIC, params,
+                              dt=0.01, steps=5)

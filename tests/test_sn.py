@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import nlgauge.sn as sn
 from nlgauge.dynamics import stationary_solve
-from nlgauge.errors import ConvergenceError
+from nlgauge.errors import ConvergenceError, IntegratorError
 from nlgauge.grids import RadialGrid, TensorGrid, UniformGrid1D
 from nlgauge.model import HamiltonianSpec, ModelParams
 from nlgauge.sn import (Line1DState, SNParams, _rk4_shoot_u,
@@ -237,3 +238,38 @@ def test_sn_params_validation():
     with pytest.raises(ValueError):
         sn_ground_radial_scf(SNParams(coupling=1.0, background=0.2),
                              RadialGrid(1e-6, 10.0, 100))
+
+
+@pytest.mark.parametrize("count", [201, 1201])
+def test_poisson_1d_neumann_equals_solve_banded_bitwise(count):
+    grid = UniformGrid1D(-30.0, 30.0, count)
+    rng = np.random.default_rng(count)
+    source = rng.standard_normal(count)
+    # reference: the pinned Neumann system on scipy.linalg.solve_banded
+    w = line_weights(grid)
+    src = source - (w * source).sum() / grid.extent
+    h2 = grid.spacing ** 2
+    ab = np.zeros((3, count))
+    ab[0, 1:] = 1.0 / h2
+    ab[1, :] = -2.0 / h2
+    ab[2, :-1] = 1.0 / h2
+    ab[2, -2] = 2.0 / h2
+    ab[0, 1] = 0.0
+    ab[1, 0] = 1.0
+    rhs = src.copy()
+    rhs[0] = 0.0
+    ref = scipy.linalg.solve_banded((1, 1), ab, rhs)
+    ref -= (w * ref).sum() / grid.extent
+    assert np.array_equal(poisson_1d_neumann(grid, source), ref)
+
+
+@pytest.mark.parametrize("coupling", [0.0, 2.0])
+def test_sn_evolve_rejects_a_nan_state_with_integrator_error(coupling):
+    grid = UniformGrid1D(-10.0, 10.0, 201)
+    x = grid.nodes
+    psi = np.exp(-x ** 2 / 4) + 0j
+    psi /= np.sqrt((line_weights(grid) * np.abs(psi) ** 2).sum())
+    psi[60] = np.nan
+    with pytest.raises(IntegratorError, match="step 1$"):
+        sn_evolve_1d(Line1DState(grid, psi, np.zeros_like(x)),
+                     SNParams(coupling=coupling), dt=0.01, steps=5)
