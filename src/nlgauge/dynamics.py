@@ -284,12 +284,9 @@ def evolve_temporal_gauge(psi0: WaveFunctional, gauge0: GaugeState,
             float((lw[x] * f_bar[x] ** 2).sum())
             for x in range(nd)) if params.inv_l2 > 0 else 0.0
         if prev is not None:
-            # continuity_residual between step k-1 (psi, current) and k
             psi_p, j_p = prev
-            ddt = (rho - np.abs(psi_p) ** 2) / (t - (k - 1) * dt)
-            div = link_divergence(grid, [0.5 * (j_p[x] + j[x])
-                                         for x in range(nd)]) / a_lat ** 3
-            cres = grid.norm(ddt + div)
+            cres = _continuity_residual(grid, psi_p, j_p, psi_v, j,
+                                        t - (k - 1) * dt, a_lat)
         else:
             cres = 0.0
         var = 0.0
@@ -342,6 +339,14 @@ def evolve_temporal_gauge(psi0: WaveFunctional, gauge0: GaugeState,
     return traj
 
 
+def _continuity_residual(grid, psi0, j0, psi1, j1, dt, a_lat):
+    """The residual of `continuity_residual` from the two states' currents."""
+    ddt = (np.abs(psi1) ** 2 - np.abs(psi0) ** 2) / dt
+    div = link_divergence(grid, [0.5 * (j0[x] + j1[x])
+                                 for x in range(grid.ndim)]) / a_lat ** 3
+    return grid.norm(ddt + div)
+
+
 def continuity_residual(grid: TensorGrid, snap0: Snapshot, snap1: Snapshot,
                         spec: HamiltonianSpec, params: ModelParams) -> float:
     """Grid norm of d_t(rho N) + (1/a^3) div J between two snapshots.
@@ -354,15 +359,10 @@ def continuity_residual(grid: TensorGrid, snap0: Snapshot, snap1: Snapshot,
     dt = snap1.time - snap0.time
     if dt <= 0:
         raise InsufficientDataError("snapshots must be consecutive in time")
-    rho0 = np.abs(snap0.psi) ** 2
-    rho1 = np.abs(snap1.psi) ** 2
-    ddt = (rho1 - rho0) / dt
-    ph0 = link_phases(grid, snap0.a_phi)
-    ph1 = link_phases(grid, snap1.a_phi)
     js = []
-    for x in range(grid.ndim):
-        j0 = link_current(grid, snap0.psi, ph0, x)
-        j1 = link_current(grid, snap1.psi, ph1, x)
-        js.append(0.5 * (j0 + j1))
-    div = link_divergence(grid, js) / spec.lattice_spacing ** 3
-    return grid.norm(ddt + div)
+    for snap in (snap0, snap1):
+        ph = link_phases(grid, snap.a_phi)
+        js.append([link_current(grid, snap.psi, ph, x)
+                   for x in range(grid.ndim)])
+    return _continuity_residual(grid, snap0.psi, js[0], snap1.psi, js[1], dt,
+                                spec.lattice_spacing)

@@ -380,13 +380,25 @@ def test_cn_nd_step_matches_dense_reference():
     assert np.abs(nd - psi).max() > 1e-2
 
 
+def _two_site_packet(count=9):
+    grid = TensorGrid.cube(-4.0, 4.0, count, 2)
+    spec = HamiltonianSpec(sites=2, potential_coeffs=(0.0, 0.0, 0.5),
+                           gradient_coupling=0.2)
+    X = grid.meshes()
+    psi = np.exp(-(X[0] - 0.6) ** 2 - X[1] ** 2) + 0j
+    psi[~grid.boundary_mask()] = 0.0
+    psi /= np.sqrt(np.real(grid.integrate(np.abs(psi) ** 2)))
+    return grid, spec, WaveFunctional(grid, psi)
+
+
 def test_continuity_residual_is_computed_at_every_recorded_step():
     grid = TensorGrid.cube(-8.0, 8.0, 201, 1)
     params = ModelParams.for_grid(grid, l=1.0)
     psi0 = normalized_packet(grid, center=1.0)
     g0 = gauss_consistent_gauge(psi0, params)
-    every = evolve_temporal_gauge(psi0, g0, HARMONIC, params, dt=0.01,
-                                  steps=35).diagnostics
+    full = evolve_temporal_gauge(psi0, g0, HARMONIC, params, dt=0.01,
+                                 steps=35)
+    every = full.diagnostics
     sparse = evolve_temporal_gauge(psi0, g0, HARMONIC, params, dt=0.01,
                                    steps=35, record_every=10).diagnostics
     picked = [10, 20, 30, 35]
@@ -395,6 +407,22 @@ def test_continuity_residual_is_computed_at_every_recorded_step():
     assert np.all(cres > 0.0)
     np.testing.assert_allclose(cres, every["continuity_residual"][picked],
                                rtol=1e-12, atol=0.0)
+    # with record_every = 1 the recorded residual is exactly the one of
+    # continuity_residual between consecutive snapshots; finite l moves the
+    # links, so the currents carry link phases
+    grid2, spec2, psi2 = _two_site_packet()
+    params2 = ModelParams.for_grid(grid2, l=1.0)
+    two = evolve_temporal_gauge(psi2, gauss_consistent_gauge(psi2, params2),
+                                spec2, params2, dt=0.01, steps=12)
+    for traj, g, spec, p in ((full, grid, HARMONIC, params),
+                             (two, grid2, spec2, params2)):
+        snaps = traj.snapshots
+        rec = traj.diagnostics["continuity_residual"]
+        assert np.abs(snaps[-1].a_phi[0]).max() > 1e-6
+        assert rec[0] == 0.0
+        for k in range(1, len(snaps)):
+            assert rec[k] == continuity_residual(g, snaps[k - 1], snaps[k],
+                                                 spec, p)
 
 
 def _solve_banded_cn_reference(grid, psi, phases, diag, a_lat, dt):
@@ -427,38 +455,6 @@ def test_cn_step_1d_equals_solve_banded_bitwise(count, links):
     ref = _solve_banded_cn_reference(grid, psi, phases, diag, 1.0, 0.01)
     assert np.array_equal(step, ref)
     assert np.abs(step - psi).max() > 1e-3
-
-
-def _two_site_packet(count=9):
-    grid = TensorGrid.cube(-4.0, 4.0, count, 2)
-    spec = HamiltonianSpec(sites=2, potential_coeffs=(0.0, 0.0, 0.5),
-                           gradient_coupling=0.2)
-    X = grid.meshes()
-    psi = np.exp(-(X[0] - 0.6) ** 2 - X[1] ** 2) + 0j
-    psi[~grid.boundary_mask()] = 0.0
-    psi /= np.sqrt(np.real(grid.integrate(np.abs(psi) ** 2)))
-    return grid, spec, WaveFunctional(grid, psi)
-
-
-@pytest.mark.parametrize("sites", [1, 2])
-def test_inline_continuity_residual_equals_continuity_residual(sites):
-    if sites == 1:
-        grid = TensorGrid.cube(-8.0, 8.0, 201, 1)
-        spec, psi0 = HARMONIC, normalized_packet(grid, center=1.0)
-    else:
-        grid, spec, psi0 = _two_site_packet()
-    params = ModelParams.for_grid(grid, l=1.0)
-    traj = evolve_temporal_gauge(psi0, gauss_consistent_gauge(psi0, params),
-                                 spec, params, dt=0.01, steps=12)
-    snaps = traj.snapshots
-    cres = traj.diagnostics["continuity_residual"]
-    # finite l: the links move, so the currents carry link phases
-    assert np.abs(snaps[-1].a_phi[0]).max() > 1e-6
-    assert cres[0] == 0.0
-    for k in range(1, len(snaps)):
-        assert cres[k] == continuity_residual(grid, snaps[k - 1], snaps[k],
-                                              spec, params)
-        assert cres[k] > 0.0
 
 
 def test_snapshots_are_read_only_and_do_not_alias_the_inputs():
