@@ -99,18 +99,24 @@ def scale_grid(grid: TensorGrid, s: float) -> TensorGrid:
     return TensorGrid(axes)
 
 
+def _scaled_model(grid: TensorGrid, spec: HamiltonianSpec, params: ModelParams,
+                  c0: float, a: float):
+    """(s, grid', spec', params') of the scale family at (c0, a)."""
+    s = scale_factor(c0, a)
+    grid2 = scale_grid(grid, s)
+    spec2 = replace(spec, lattice_spacing=spec.lattice_spacing * s)
+    params2 = ModelParams(l=params.l * s ** ((grid.ndim - 1) / 2.0),
+                          omega=grid2.volume)
+    return s, grid2, spec2, params2
+
+
 def scale_transform(traj: Trajectory, c0: float, a: float) -> Trajectory:
     """Image of a trajectory (with its spec and params) under the scale
     family; action_evaluate of the result equals that of the input exactly
     for scale-free Hamiltonians."""
-    s = scale_factor(c0, a)
-    grid = traj.grid
-    d = grid.ndim
-    grid2 = scale_grid(grid, s)
-    spec2 = replace(traj.spec, lattice_spacing=traj.spec.lattice_spacing * s)
-    params2 = ModelParams(l=traj.params.l * s ** ((d - 1) / 2.0),
-                          omega=grid2.volume)
-    psi_fac = s ** (d / 2.0)
+    s, grid2, spec2, params2 = _scaled_model(traj.grid, traj.spec, traj.params,
+                                             c0, a)
+    psi_fac = s ** (traj.grid.ndim / 2.0)
     snaps2 = []
     for sn in traj.snapshots:
         snaps2.append(Snapshot(
@@ -129,10 +135,5 @@ def scale_transform_state(grid: TensorGrid, psi: np.ndarray, a_t: np.ndarray,
     """State-level scale image: (grid', psi', a_t', spec', params').
 
     Frequencies transform as omega' = omega / s (time stretches by s)."""
-    s = scale_factor(c0, a)
-    d = grid.ndim
-    grid2 = scale_grid(grid, s)
-    spec2 = replace(spec, lattice_spacing=spec.lattice_spacing * s)
-    params2 = ModelParams(l=params.l * s ** ((d - 1) / 2.0),
-                          omega=grid2.volume)
-    return grid2, s ** (d / 2.0) * psi, a_t / s, spec2, params2
+    s, grid2, spec2, params2 = _scaled_model(grid, spec, params, c0, a)
+    return grid2, s ** (grid.ndim / 2.0) * psi, a_t / s, spec2, params2

@@ -59,10 +59,12 @@ def stationary_solve(spec: HamiltonianSpec, params: ModelParams,
 
     The Anderson fixed-point driver iterates on A_t, with `mixing` as its
     weight: each step solves the ground eigenproblem in the current A_t
-    (ARPACK warm-started from the previous psi) and returns the A_t that
-    its density sources. Stops when successive omega values differ by
-    < tol and max|A_t update| <= tol; the returned state carries both
-    coupled residuals, each required to be <= 10*tol.
+    and returns the A_t that its density sources. The eigen solve starts
+    from the previous psi. That fixes ARPACK's start vector but saves no
+    operator applies: ARPACK converges to machine precision whatever the
+    start. Stops when successive omega values differ by < tol and
+    max|A_t update| <= tol; the returned state carries both coupled
+    residuals, each required to be <= 10*tol.
     """
     if not 0.0 < mixing <= 1.0:
         raise ValueError("mixing must be in (0, 1]")

@@ -52,12 +52,6 @@ def link_diff(grid: TensorGrid, node_field: np.ndarray, axis: int) -> np.ndarray
     return (node_field[a] - node_field[b]) / h
 
 
-def link_average(grid: TensorGrid, node_field: np.ndarray, axis: int) -> np.ndarray:
-    a = _sl(grid.ndim, axis, slice(1, None))
-    b = _sl(grid.ndim, axis, slice(0, -1))
-    return 0.5 * (node_field[a] + node_field[b])
-
-
 def link_divergence(grid: TensorGrid, link_fields: list[np.ndarray]) -> np.ndarray:
     """Adjoint-consistent divergence of a link field family.
 
@@ -96,12 +90,15 @@ def apply_hamiltonian_raw(grid: TensorGrid, values: np.ndarray,
     """H psi for psi already in the Dirichlet subspace.
 
     H = sum_x -(1/(2 a^3 h_x^2)) [U psi_+ - 2 psi + U* psi_-] + diag * psi
+
+    The kinetic diagonal sum_x 1/(a^3 h_x^2) is added to `diag` before
+    psi is scaled, once; each axis then adds only its two off-diagonals.
     """
     nd = grid.ndim
-    out = diag * values
+    coefs = [1.0 / (2.0 * a_lat ** 3 * h * h) for h in grid.spacings]
+    out = (diag + 2.0 * sum(coefs)) * values
     for x in range(nd):
-        h = grid.spacings[x]
-        coef = 1.0 / (2.0 * a_lat ** 3 * h * h)
+        coef = coefs[x]
         lo = _sl(nd, x, slice(0, -1))
         hi = _sl(nd, x, slice(1, None))
         if phases is None:
@@ -110,7 +107,6 @@ def apply_hamiltonian_raw(grid: TensorGrid, values: np.ndarray,
         else:
             up = phases[x] * values[hi]
             down = np.conj(phases[x]) * values[lo]
-        out = out + 2.0 * coef * values
         out[lo] -= coef * up
         out[hi] -= coef * down
     return out

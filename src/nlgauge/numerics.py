@@ -135,6 +135,13 @@ def smallest_eigenpair(op_apply, guess: np.ndarray, tol: float = 1e-9, *,
     guess guarantees convergence to the ground state even from a guess
     orthogonal to it. The eigenvector comes back normalized to unit norm
     under the grid measure, with a deterministic sign.
+
+    ARPACK runs on scipy's default 20-vector Lanczos basis with `tol=0`,
+    i.e. to machine precision, and `tol` is checked on the residual
+    afterwards. An ARPACK tolerance taken from `tol` would be cheaper,
+    but it bounds only the residual norm; the eigenvector error it leaves
+    in the far tails, where psi is tiny, is amplified by anything that
+    divides by rho, such as the time-derivative term of the action.
     """
     guess = np.asarray(guess, dtype=float)
     shape = guess.shape
@@ -165,8 +172,7 @@ def smallest_eigenpair(op_apply, guess: np.ndarray, tol: float = 1e-9, *,
     lin_op = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
     v0 = sqw * g
     try:
-        vals, vecs = spla.eigsh(lin_op, k=1, which="SA", v0=v0,
-                                tol=0, ncv=min(n, 48))
+        vals, vecs = spla.eigsh(lin_op, k=1, which="SA", v0=v0, tol=0)
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceError("eigenpair iteration did not converge",
                                residual=None) from exc

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from nlgauge.errors import UnsolvableConstraintError
-from nlgauge.gaugeops import (covariant_phi_derivative, gauge_transform,
-                              gauss_residual, gauss_solve_stationary,
-                              hamiltonian_apply, initialize_constraint,
-                              link_diff, link_divergence)
-from nlgauge.grids import TensorGrid
+from nlgauge.gaugeops import (apply_hamiltonian_raw, covariant_phi_derivative,
+                              gauge_transform, gauss_residual,
+                              gauss_solve_stationary, hamiltonian_apply,
+                              initialize_constraint, link_diff,
+                              link_divergence, link_phases)
+from nlgauge.grids import TensorGrid, UniformGrid1D
 from nlgauge.model import (GaugeState, GaugeTransform, HamiltonianSpec,
                            ModelParams, WaveFunctional)
 
@@ -151,6 +152,57 @@ def test_hamiltonian_2d_separability():
     e2 = np.real(g2.inner(prod, hamiltonian_apply(
         WaveFunctional(g2, prod + 0j), GaugeState.zero(g2), spec2)))
     assert abs(e2 - 2 * e1) < 1e-11
+
+
+def _stencil_matrix(grid, phases, diag, a_lat):
+    """Dense H over all nodes, entry by entry from the stencil
+    -(1/(2 a^3 h_x^2)) [U psi_+ - 2 psi + U* psi_-] + diag psi with zero
+    ghosts beyond the grid; U on axis x is the phase of the link from a
+    node to its + neighbour."""
+    n = int(np.prod(grid.shape))
+    mat = np.zeros((n, n), dtype=complex)
+    for node in np.ndindex(grid.shape):
+        row = np.ravel_multi_index(node, grid.shape)
+        mat[row, row] += diag[node]
+        for x, h in enumerate(grid.spacings):
+            coef = 1.0 / (2.0 * a_lat ** 3 * h * h)
+            mat[row, row] += 2.0 * coef
+            up = list(node)
+            up[x] += 1
+            if up[x] < grid.shape[x]:
+                u = 1.0 if phases is None else phases[x][node]
+                mat[row, np.ravel_multi_index(up, grid.shape)] -= coef * u
+            down = list(node)
+            down[x] -= 1
+            if down[x] >= 0:
+                u = 1.0 if phases is None else phases[x][tuple(down)]
+                mat[row, np.ravel_multi_index(down, grid.shape)] -= coef * np.conj(u)
+    return mat
+
+
+@pytest.mark.parametrize("with_phases", [False, True], ids=["no-phases", "phases"])
+@pytest.mark.parametrize("axes", [((-2.0, 2.0, 9),),
+                                  ((-2.0, 2.0, 6), (-1.0, 3.0, 5)),
+                                  ((-2.0, 2.0, 5), (-1.0, 1.5, 4), (0.0, 3.0, 6))],
+                         ids=["1d", "2d", "3d"])
+def test_apply_hamiltonian_raw_matches_stencil_matrix(axes, with_phases):
+    grid = TensorGrid(tuple(UniformGrid1D(*ax) for ax in axes))
+    rng = np.random.default_rng(11)
+    diag = rng.standard_normal(grid.shape)
+    phases = None
+    if with_phases:
+        a_phi = []
+        for x in range(grid.ndim):
+            s = list(grid.shape)
+            s[x] -= 1
+            a_phi.append(rng.standard_normal(s))
+        phases = link_phases(grid, a_phi)
+    a_lat = 0.8
+    mat = _stencil_matrix(grid, phases, diag, a_lat)
+    psi = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    ref = (mat @ psi.ravel()).reshape(grid.shape)
+    out = apply_hamiltonian_raw(grid, psi, phases, diag, a_lat)
+    assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 # ----------------------------------------------------- gauss law

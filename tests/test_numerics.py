@@ -182,17 +182,21 @@ def test_odd_guess_still_reaches_ground_state():
     assert np.abs(vec - vec[::-1]).max() < 1e-6
 
 
-def test_eigenvalue_matches_dense_oracle_and_residual_contract():
-    g = TensorGrid.cube(-6.0, 6.0, 401, 1)
-    x = g.axes[0].nodes
+@pytest.mark.parametrize("g", [TensorGrid.cube(-6.0, 6.0, 401, 1),
+                               TensorGrid.cube(-4.0, 4.0, 9, 3)],
+                         ids=["1d", "3d"])
+def test_eigenvalue_matches_dense_oracle_and_residual_contract(g):
+    xs = g.meshes()
     mask = g.boundary_mask()
-    pot = 0.25 * x ** 4 - x ** 2  # double well
+    pot = sum(0.25 * x ** 4 - x ** 2 for x in xs)  # double well per axis
+    # neighbouring axes coupled, so in D > 1 the potential does not separate
+    pot = pot + sum(0.3 * xs[k] * xs[k + 1] for k in range(g.ndim - 1))
 
     def op(v):
         return -0.5 * laplacian_apply(g, v, DIR) + np.where(mask, pot * v, 0.0)
 
     tol = 1e-9
-    lam, vec = smallest_eigenpair(op, np.exp(-x ** 2), tol=tol,
+    lam, vec = smallest_eigenpair(op, np.exp(-sum(x ** 2 for x in xs)), tol=tol,
                                   weights=g.quad_weights(), mask=mask)
     oracle = _dense_oracle(op, g, mask)
     assert abs(lam - oracle) < 1e-8
