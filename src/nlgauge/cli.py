@@ -179,12 +179,11 @@ def validate(text: str) -> tuple[SolverConfig | None, list[str]]:
 
 
 def _write_csv(path: str, columns: dict) -> None:
-    keys = list(columns.keys())
-    n = len(next(iter(columns.values())))
+    rows = zip(*(np.asarray(col).tolist() for col in columns.values()), strict=True)
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w") as fh:
-        fh.write(",".join(keys) + "\n")
-        for i in range(n):
-            fh.write(",".join("%.17g" % columns[k][i] for k in keys) + "\n")
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(line % row for row in rows)
 
 
 def _json_safe(obj):

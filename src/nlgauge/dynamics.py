@@ -233,7 +233,12 @@ def evolve_temporal_gauge(psi0: WaveFunctional, gauge0: GaugeState,
     zero a_t. The caller's psi0 and gauge0 arrays are copied first and
     never written. The link phases and currents of each step are computed
     once and serve the field update, the energy and the continuity
-    residual.
+    residual. The density rho = |psi|^2 of a recorded step is computed
+    once and serves the norm, the charge, the Gauss source, sigma and the
+    continuity residual (of this step and, at record_every = 1, of the
+    next); the products w * phi_x of the sigma means are formed once per
+    evolve. Every recorded value is bitwise the one of the public
+    formulas applied to the snapshot.
     """
     grid = psi0.grid
     if np.any(gauge0.a_t):
@@ -254,6 +259,7 @@ def evolve_temporal_gauge(psi0: WaveFunctional, gauge0: GaugeState,
     w = grid.quad_weights()
     lw = [grid.link_weights(x) for x in range(nd)]
     coords = [grid.coordinate(x) for x in range(nd)]
+    w_coords = [w * xs for xs in coords]
     inv_l2a3 = params.inv_l2 / a_lat ** 3
     zero_a_t = np.zeros(grid.shape)
     zero_a_t.flags.writeable = False
@@ -272,11 +278,9 @@ def evolve_temporal_gauge(psi0: WaveFunctional, gauge0: GaugeState,
     traj = Trajectory(grid, spec, params, dt * record_every)
     diags = {k: [] for k in ("time", "norm", "charge", "gauss_residual",
                              "continuity_residual", "energy", "sigma")}
-    norm0 = float(np.real((w * np.abs(psi) ** 2).sum()))
 
-    def record(k, psi_v, a_links, ph, j, f_bar, prev=None):
+    def record(k, psi_v, rho, a_links, ph, j, f_bar, prev=None):
         t = k * dt
-        rho = np.abs(psi_v) ** 2
         nrm = float((w * rho).sum())
         charge = params.inv_l2 * float((w * nonlinearity(rho, params)).sum())
         gres = gauss_residual(grid, f_bar, rho, params)
@@ -286,14 +290,14 @@ def evolve_temporal_gauge(psi0: WaveFunctional, gauge0: GaugeState,
             float((lw[x] * f_bar[x] ** 2).sum())
             for x in range(nd)) if params.inv_l2 > 0 else 0.0
         if prev is not None:
-            psi_p, j_p = prev
-            cres = _continuity_residual(grid, psi_p, j_p, psi_v, j,
+            rho_p, j_p = prev
+            cres = _continuity_residual(grid, rho_p, j_p, rho, j,
                                         t - (k - 1) * dt, a_lat)
         else:
             cres = 0.0
         var = 0.0
-        for xs in coords:
-            mean = float((w * xs * rho).sum()) / nrm
+        for xs, wxs in zip(coords, w_coords):
+            mean = float((wxs * rho).sum()) / nrm
             var += (w * (xs - mean) ** 2 * rho).sum() / nrm
         sigma = float(np.sqrt(max(var, 0.0)))
         for key, val in (("time", t), ("norm", nrm), ("charge", charge),
@@ -305,9 +309,11 @@ def evolve_temporal_gauge(psi0: WaveFunctional, gauge0: GaugeState,
         traj.snapshots.append(Snapshot(t, psi_v, a_links, f_bar, zero_a_t))
         return nrm, gres
 
-    _, gres0 = record(0, psi, a, ph, j, f0)
+    rho = np.abs(psi) ** 2
+    norm0, gres0 = record(0, psi, rho, a, ph, j, f0)
     gauss_floor = max(gres0, 1e-12)
     cn_step = _cn_step_1d if nd == 1 else _cn_step_nd
+    rho_step = 0  # the step whose density `rho` holds
 
     for k in range(1, steps + 1):
         # psi and the links are rebound below, never mutated in place
@@ -328,7 +334,9 @@ def evolve_temporal_gauge(psi0: WaveFunctional, gauge0: GaugeState,
 
         if k % record_every == 0 or k == steps:
             f_bar = [0.5 * (f_half_prev[x] + f_half[x]) for x in range(nd)]
-            nrm, gres = record(k, psi, a, ph, j, f_bar, (psi_prev, j_prev))
+            rho_prev = rho if rho_step == k - 1 else np.abs(psi_prev) ** 2
+            rho, rho_step = np.abs(psi) ** 2, k
+            nrm, gres = record(k, psi, rho, a, ph, j, f_bar, (rho_prev, j_prev))
             # written so that a NaN fails each guard
             if not abs(nrm - norm0) <= norm_tol:
                 raise IntegratorError(
@@ -341,9 +349,11 @@ def evolve_temporal_gauge(psi0: WaveFunctional, gauge0: GaugeState,
     return traj
 
 
-def _continuity_residual(grid, psi0, j0, psi1, j1, dt, a_lat):
-    """The residual of `continuity_residual` from the two states' currents."""
-    ddt = (np.abs(psi1) ** 2 - np.abs(psi0) ** 2) / dt
+def _continuity_residual(grid, rho0, j0, rho1, j1, dt, a_lat):
+    """The residual of `continuity_residual` from the two states' densities
+    rho = |psi|^2 and link currents; the evolver passes the ones it has
+    already computed."""
+    ddt = (rho1 - rho0) / dt
     div = link_divergence(grid, [0.5 * (j0[x] + j1[x])
                                  for x in range(grid.ndim)]) / a_lat ** 3
     return grid.norm(ddt + div)
@@ -366,5 +376,6 @@ def continuity_residual(grid: TensorGrid, snap0: Snapshot, snap1: Snapshot,
         ph = link_phases(grid, snap.a_phi)
         js.append([link_current(grid, snap.psi, ph, x)
                    for x in range(grid.ndim)])
-    return _continuity_residual(grid, snap0.psi, js[0], snap1.psi, js[1], dt,
+    return _continuity_residual(grid, np.abs(snap0.psi) ** 2, js[0],
+                                np.abs(snap1.psi) ** 2, js[1], dt,
                                 spec.lattice_spacing)

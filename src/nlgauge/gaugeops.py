@@ -59,19 +59,25 @@ def link_divergence(grid: TensorGrid, link_fields: list[np.ndarray]) -> np.ndarr
     measure, so that link_divergence(link_diff(chi)) equals the compact
     Neumann Laplacian exactly. Ghost links outside the cutoff are zero.
     """
-    out = np.zeros(grid.shape)
-    for axis in range(grid.ndim):
+    nd = grid.ndim
+    out = None
+    for axis, h in enumerate(grid.spacings):
         u = link_fields[axis]
-        h = grid.spacings[axis]
-        nd = grid.ndim
-        d = np.zeros(grid.shape)
-        d[_sl(nd, axis, slice(0, -1))] += u
-        d[_sl(nd, axis, slice(1, None))] -= u
+        first, last = _sl(nd, axis, 0), _sl(nd, axis, -1)
+        d = np.empty(grid.shape)
+        d[first] = u[first]
+        np.subtract(u[_sl(nd, axis, slice(1, None))],
+                    u[_sl(nd, axis, slice(0, -1))],
+                    out=d[_sl(nd, axis, slice(1, -1))])
+        d[last] = -u[last]
         d /= h
         # trapezoid half-weights on the faces double the boundary rows
-        d[_sl(nd, axis, 0)] *= 2.0
-        d[_sl(nd, axis, -1)] *= 2.0
-        out += d
+        d[first] *= 2.0
+        d[last] *= 2.0
+        if out is None:
+            out = d
+        else:
+            out += d
     return out
 
 

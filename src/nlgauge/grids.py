@@ -5,10 +5,19 @@ amplitude axes, one per lattice site, each truncated at a finite cutoff.
 Integrals over configuration space are trapezoid sums, so the integral of
 the constant 1 equals the geometric volume exactly; that identity is what
 makes the discrete charge identity hold to machine precision.
+
+Grids are immutable, so their metadata (shape, spacings, quadrature
+weights, boundary mask) is built once per grid and returned read-only.
+It is kept in private instance attributes set with `object.__setattr__`,
+outside the dataclass fields, so equality, hashing and `repr` still see
+only the axes. The public members stay plain methods and properties,
+not `functools.cached_property`: a cached value would move into the
+instance dict and bypass anything that wraps the class member.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import reduce
@@ -21,11 +30,16 @@ from .errors import GridShapeError
 MAX_POINTS = 4_000_000
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def _trapezoid_weights(count: int, spacing: float) -> np.ndarray:
     w = np.full(count, spacing)
     w[0] *= 0.5
     w[-1] *= 0.5
-    return w
+    return _read_only(w)
 
 
 class BoundaryCondition(Enum):
@@ -46,6 +60,8 @@ class UniformGrid1D:
             raise ValueError(f"count must be >= 3, got {self.count}")
         if not self.upper > self.lower:
             raise ValueError("upper must exceed lower")
+        object.__setattr__(self, "_weights",
+                           _trapezoid_weights(self.count, self.spacing))
 
     @property
     def spacing(self) -> float:
@@ -60,8 +76,8 @@ class UniformGrid1D:
         return self.upper - self.lower
 
     def quad_weights(self) -> np.ndarray:
-        """Trapezoid weights; they sum to `extent`."""
-        return _trapezoid_weights(self.count, self.spacing)
+        """Trapezoid weights (read-only); they sum to `extent`."""
+        return self._weights
 
 
 @dataclass(frozen=True)
@@ -73,11 +89,21 @@ class TensorGrid:
     def __post_init__(self):
         if not 1 <= len(self.axes) <= 4:
             raise ValueError(f"need 1..4 axes, got {len(self.axes)}")
-        npts = 1
-        for ax in self.axes:
-            npts *= ax.count
+        shape = tuple(ax.count for ax in self.axes)
+        npts = math.prod(shape)
         if npts > MAX_POINTS:
             raise ValueError(f"{npts} grid points exceeds budget {MAX_POINTS}")
+        mask = np.zeros(shape, dtype=bool)
+        mask[(slice(1, -1),) * len(shape)] = True
+        weights = reduce(np.multiply.outer, [ax.quad_weights() for ax in self.axes])
+        for name, value in (
+                ("_shape", shape),
+                ("_spacings", tuple(ax.spacing for ax in self.axes)),
+                ("_weights", _read_only(weights)),
+                ("_mask", _read_only(mask)),
+                # built on first request: the stationary path never asks
+                ("_link_weights", {})):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def cube(cls, lower: float, upper: float, count: int, dim: int) -> "TensorGrid":
@@ -89,11 +115,11 @@ class TensorGrid:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return tuple(ax.count for ax in self.axes)
+        return self._shape
 
     @property
     def spacings(self) -> tuple[float, ...]:
-        return tuple(ax.spacing for ax in self.axes)
+        return self._spacings
 
     @property
     def volume(self) -> float:
@@ -110,39 +136,42 @@ class TensorGrid:
         return [np.broadcast_to(self.coordinate(k), self.shape) for k in range(self.ndim)]
 
     def quad_weights(self) -> np.ndarray:
-        """Trapezoid weights; sum equals `volume` exactly."""
-        return reduce(np.multiply.outer, [ax.quad_weights() for ax in self.axes])
+        """Trapezoid weights (read-only); sum equals `volume` exactly."""
+        return self._weights
 
     def link_weights(self, axis: int) -> np.ndarray:
-        """Quadrature weights on the link lattice (midpoints along `axis`)."""
-        ws = [ax.quad_weights() for ax in self.axes]
-        ws[axis] = np.full(self.axes[axis].count - 1, self.axes[axis].spacing)
-        return reduce(np.multiply.outer, ws)
+        """Quadrature weights on the link lattice (midpoints along `axis`),
+        read-only."""
+        lw = self._link_weights.get(axis)
+        if lw is None:
+            ws = [ax.quad_weights() for ax in self.axes]
+            ws[axis] = np.full(self.axes[axis].count - 1, self.axes[axis].spacing)
+            lw = self._link_weights[axis] = _read_only(reduce(np.multiply.outer, ws))
+        return lw
 
     def check_field(self, values: np.ndarray) -> None:
-        if values.shape != self.shape:
-            raise GridShapeError(f"field shape {values.shape} != grid shape {self.shape}")
+        if values.shape != self._shape:
+            raise GridShapeError(f"field shape {values.shape} != grid shape {self._shape}")
 
     def integrate(self, values: np.ndarray) -> complex | float:
         self.check_field(np.asarray(values))
-        return (self.quad_weights() * values).sum()
+        return (self._weights * values).sum()
 
     def inner(self, a: np.ndarray, b: np.ndarray) -> complex | float:
-        return (self.quad_weights() * np.conj(a) * b).sum()
+        """Weighted sum of conj(a) * b; only complex `a` is conjugated."""
+        a = np.asarray(a)
+        b = np.asarray(b)
+        self.check_field(a)
+        if b is not a:
+            self.check_field(b)
+        return (self._weights * (np.conj(a) if np.iscomplexobj(a) else a) * b).sum()
 
     def norm(self, a: np.ndarray) -> float:
         return float(np.sqrt(np.real(self.inner(a, a))))
 
     def boundary_mask(self) -> np.ndarray:
-        """True on interior points, False on the cutoff faces."""
-        mask = np.ones(self.shape, dtype=bool)
-        for k in range(self.ndim):
-            idx = [slice(None)] * self.ndim
-            idx[k] = 0
-            mask[tuple(idx)] = False
-            idx[k] = -1
-            mask[tuple(idx)] = False
-        return mask
+        """True on interior points, False on the cutoff faces (read-only)."""
+        return self._mask
 
 
 @dataclass(frozen=True)
@@ -160,6 +189,8 @@ class RadialGrid:
             raise ValueError("r_min must be small compared to r_max")
         if self.count < 16:
             raise ValueError("radial grid too coarse")
+        object.__setattr__(self, "_weights",
+                           _trapezoid_weights(self.count, self.spacing))
 
     @property
     def spacing(self) -> float:
@@ -170,5 +201,5 @@ class RadialGrid:
         return np.linspace(self.r_min, self.r_max, self.count)
 
     def quad_weights(self) -> np.ndarray:
-        """Trapezoid weights; they sum to `r_max - r_min`."""
-        return _trapezoid_weights(self.count, self.spacing)
+        """Trapezoid weights (read-only); they sum to `r_max - r_min`."""
+        return self._weights

@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 from nlgauge.dynamics import (_cn_step_1d, _cn_step_nd, continuity_residual,
                               evolve_temporal_gauge, stationary_solve)
 from nlgauge.errors import IntegratorError
-from nlgauge.gaugeops import (apply_hamiltonian_raw, initialize_constraint,
-                              link_phases)
+from nlgauge.gaugeops import (apply_hamiltonian_raw, gauss_residual,
+                              initialize_constraint, link_phases)
 from nlgauge.grids import TensorGrid
 from nlgauge.model import (GaugeState, HamiltonianSpec, ModelParams,
-                           WaveFunctional)
+                           WaveFunctional, total_charge)
 
 HARMONIC = HamiltonianSpec(sites=1, potential_coeffs=(0.0, 0.0, 0.5))
 
@@ -407,8 +407,9 @@ def test_continuity_residual_is_computed_at_every_recorded_step():
     assert np.all(cres > 0.0)
     np.testing.assert_allclose(cres, every["continuity_residual"][picked],
                                rtol=1e-12, atol=0.0)
-    # with record_every = 1 the recorded residual is exactly the one of
-    # continuity_residual between consecutive snapshots; finite l moves the
+    # with record_every = 1 every recorded value is exactly the one of the
+    # public formulas applied to the snapshots, although the evolver squares
+    # each psi once and shares the density between them; finite l moves the
     # links, so the currents carry link phases
     grid2, spec2, psi2 = _two_site_packet()
     params2 = ModelParams.for_grid(grid2, l=1.0)
@@ -417,12 +418,30 @@ def test_continuity_residual_is_computed_at_every_recorded_step():
     for traj, g, spec, p in ((full, grid, HARMONIC, params),
                              (two, grid2, spec2, params2)):
         snaps = traj.snapshots
-        rec = traj.diagnostics["continuity_residual"]
+        rec = traj.diagnostics
+        w = g.quad_weights()
         assert np.abs(snaps[-1].a_phi[0]).max() > 1e-6
-        assert rec[0] == 0.0
-        for k in range(1, len(snaps)):
-            assert rec[k] == continuity_residual(g, snaps[k - 1], snaps[k],
-                                                 spec, p)
+        assert rec["continuity_residual"][0] == 0.0
+        for k, s in enumerate(snaps):
+            if k > 0:
+                assert rec["continuity_residual"][k] == continuity_residual(
+                    g, snaps[k - 1], s, spec, p)
+            rho = np.abs(s.psi) ** 2
+            # the norm is the integral of rho, i.e. grid.norm(psi) ** 2 up
+            # to the rounding of the square root
+            nrm = float(g.integrate(rho))
+            assert rec["norm"][k] == nrm
+            assert rec["norm"][k] == pytest.approx(g.norm(s.psi) ** 2,
+                                                   rel=1e-14, abs=0.0)
+            assert rec["charge"][k] == total_charge(g, rho, p)
+            assert rec["gauss_residual"][k] == gauss_residual(g, s.f_bar, rho, p)
+            # sigma = sqrt(sum_x Var phi_x) of the density
+            var = 0.0
+            for x in range(g.ndim):
+                xs = g.coordinate(x)
+                mean = float((w * xs * rho).sum()) / nrm
+                var += (w * (xs - mean) ** 2 * rho).sum() / nrm
+            assert rec["sigma"][k] == float(np.sqrt(max(var, 0.0)))
 
 
 def _solve_banded_cn_reference(grid, psi, phases, diag, a_lat, dt):
