@@ -30,7 +30,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .dynamics import Snapshot, Trajectory
+from .dynamics import Snapshot, Trajectory, _field_energy
 from .errors import InsufficientDataError
 from .gaugeops import apply_hamiltonian_raw, link_phases
 from .grids import TensorGrid, UniformGrid1D
@@ -78,11 +78,7 @@ def action_evaluate(traj: Trajectory) -> float:
                                      spec.lattice_spacing)
         t2 = np.real(np.conj(s1.psi) * hpsi)
 
-        slice_val = float((w * (t1 - t2)).sum())
-        if params.inv_l2 > 0:
-            slice_val -= 0.5 * params.l ** 2 * sum(
-                float((wl[x] * s1.f_bar[x] ** 2).sum())
-                for x in range(grid.ndim))
+        slice_val = float((w * (t1 - t2)).sum()) + _field_energy(params, wl, s1.f_bar)
         total += dt * slice_val
     return total
 

@@ -164,15 +164,20 @@ def validate(text: str) -> tuple[SolverConfig | None, list[str]]:
         (("physics", "l"), lambda v: v > 0, "must be > 0 (inf allowed)"),
         (("physics", "coupling"), lambda v: v >= 0, "must be >= 0"),
         (("physics", "background"), lambda v: v >= 0, "must be >= 0"),
+        (("physics", "gradient_coupling"), lambda v: v >= 0, "must be >= 0"),
+        (("physics", "lattice_spacing"), lambda v: v > 0, "must be > 0"),
         (("radial", "count"), lambda v: v >= 16, "must be >= 16"),
     ]
     for (section, key), ok, msg in checks:
         if (section, key) in values and not ok(values[(section, key)]):
             errors.append(f"[{section}] {key} {msg} (got {values[(section, key)]})")
     try:
-        cfg.potential_coeffs()
+        coeffs = cfg.potential_coeffs()
     except ValueError:
         errors.append("[physics] potential_coeffs: not a list of numbers")
+    else:
+        if not all(math.isfinite(c) for c in coeffs):
+            errors.append(f"[physics] potential_coeffs must be finite (got {coeffs})")
     if errors:
         return None, errors
     return cfg, []

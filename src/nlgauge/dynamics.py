@@ -27,12 +27,12 @@ from .errors import (ConstraintViolationError, ConvergenceError,
                      InsufficientDataError, IntegratorError)
 from .fixedpoint import fixed_point
 from .gaugeops import (apply_hamiltonian_raw, gauss_residual,
-                       gauss_solve_stationary, link_current, link_divergence,
-                       link_phases, project_dirichlet)
-from .grids import BoundaryCondition, TensorGrid
+                       gauss_solve_stationary, link_current, link_diff,
+                       link_divergence, link_phases, project_dirichlet)
+from .grids import TensorGrid
 from .model import (GaugeState, HamiltonianSpec, ModelParams, StationaryState,
                     WaveFunctional, nonlinearity)
-from .numerics import laplacian_apply, smallest_eigenpair
+from .numerics import smallest_eigenpair
 
 # eigen-solve tolerance inside the stationary SCF
 _EIG_TOL = 1e-9
@@ -103,7 +103,9 @@ def stationary_solve(spec: HamiltonianSpec, params: ModelParams,
                                  spec.lattice_spacing)
     hpsi = project_dirichlet(grid, hpsi)
     eig_res = grid.norm(np.real(hpsi) - omega * psi)
-    gres = _stationary_gauss_residual(grid, a_t, rho, params)
+    # Gauss law for the static field strength F = -grad A_t
+    gres = gauss_residual(grid, [-link_diff(grid, a_t, x) for x in range(grid.ndim)],
+                          rho, params)
     state = StationaryState(
         omega_eig=float(omega),
         psi=WaveFunctional(grid, psi.astype(complex)),
@@ -115,11 +117,6 @@ def stationary_solve(spec: HamiltonianSpec, params: ModelParams,
             f"above 10*tol={10 * tol:.3e}", residual=max(eig_res, gres),
             trace=trace)
     return state
-
-
-def _stationary_gauss_residual(grid, a_t, rho, params):
-    lap = laplacian_apply(grid, a_t, BoundaryCondition.NEUMANN_ZERO)
-    return grid.norm(lap + params.inv_l2 * nonlinearity(rho, params))
 
 
 @dataclass
@@ -286,23 +283,17 @@ def evolve_temporal_gauge(psi0: WaveFunctional, gauge0: GaugeState,
         gres = gauss_residual(grid, f_bar, rho, params)
         hpsi = apply_hamiltonian_raw(grid, psi_v, ph, diag, a_lat)
         e_mat = float(np.real((w * np.conj(psi_v) * hpsi).sum()))
-        e_fld = -0.5 * params.l ** 2 * sum(
-            float((lw[x] * f_bar[x] ** 2).sum())
-            for x in range(nd)) if params.inv_l2 > 0 else 0.0
         if prev is not None:
             rho_p, j_p = prev
             cres = _continuity_residual(grid, rho_p, j_p, rho, j,
                                         t - (k - 1) * dt, a_lat)
         else:
             cres = 0.0
-        var = 0.0
-        for xs, wxs in zip(coords, w_coords):
-            mean = float((wxs * rho).sum()) / nrm
-            var += (w * (xs - mean) ** 2 * rho).sum() / nrm
-        sigma = float(np.sqrt(max(var, 0.0)))
+        sigma = _rms_width(w, coords, w_coords, rho, nrm)
         for key, val in (("time", t), ("norm", nrm), ("charge", charge),
                          ("gauss_residual", gres), ("continuity_residual", cres),
-                         ("energy", e_mat + e_fld), ("sigma", sigma)):
+                         ("energy", e_mat + _field_energy(params, lw, f_bar)),
+                         ("sigma", sigma)):
             diags[key].append(val)
         for arr in (psi_v, *a_links, *f_bar):
             arr.flags.writeable = False
@@ -347,6 +338,23 @@ def evolve_temporal_gauge(psi0: WaveFunctional, gauge0: GaugeState,
 
     traj.diagnostics = {k: np.array(v) for k, v in diags.items()}
     return traj
+
+
+def _field_energy(params, link_w, f_links):
+    """-(l^2/2) sum_x sum_links W_l F_x^2; 0 in the linear limit."""
+    if params.inv_l2 == 0:
+        return 0.0
+    return -0.5 * params.l ** 2 * sum(float((lw * fx ** 2).sum())
+                                      for lw, fx in zip(link_w, f_links))
+
+
+def _rms_width(w, coords, w_coords, rho, nrm):
+    """sigma = sqrt(sum_x Var phi_x) of rho; w_coords holds w * phi_x."""
+    var = 0.0
+    for xs, wxs in zip(coords, w_coords):
+        mean = float((wxs * rho).sum()) / nrm
+        var += (w * (xs - mean) ** 2 * rho).sum() / nrm
+    return float(np.sqrt(max(var, 0.0)))
 
 
 def _continuity_residual(grid, rho0, j0, rho1, j1, dt, a_lat):

@@ -235,12 +235,7 @@ def initialize_constraint(psi0: WaveFunctional,
         raise UnsolvableConstraintError(
             f"initial density integrates to {norm:.6g}, not 1")
     if params.inv_l2 == 0.0:
-        zeros = []
-        for x in range(grid.ndim):
-            s = list(grid.shape)
-            s[x] -= 1
-            zeros.append(np.zeros(s))
-        return zeros
+        return GaugeState.zero(grid).f
     source = params.inv_l2 * nonlinearity(rho, params)
     chi = poisson_solve(grid, source, compat_tol=params.inv_l2 * _COMPAT_TOL + 1e-300)
     return [link_diff(grid, chi, x) for x in range(grid.ndim)]

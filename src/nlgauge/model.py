@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .grids import TensorGrid
 
@@ -35,7 +36,7 @@ class ModelParams:
     def __post_init__(self):
         if not self.l > 0:
             raise ValueError("l must be positive (l = inf allowed)")
-        if self.omega <= 0:
+        if not self.omega > 0:
             raise ValueError("omega must be positive")
 
     @classmethod
@@ -67,16 +68,14 @@ class HamiltonianSpec:
     def __post_init__(self):
         if self.sites < 1:
             raise ValueError("need at least one site")
-        if self.gradient_coupling < 0:
+        # written so that a NaN fails each check
+        if not self.gradient_coupling >= 0:
             raise ValueError("gradient_coupling must be >= 0")
-        if self.lattice_spacing <= 0:
+        if not self.lattice_spacing > 0:
             raise ValueError("lattice_spacing must be positive")
 
     def potential(self, phi: np.ndarray) -> np.ndarray:
-        v = np.zeros_like(phi)
-        for k in reversed(range(len(self.potential_coeffs))):
-            v = v * phi + self.potential_coeffs[k]
-        return v
+        return polyval(phi, self.potential_coeffs or (0.0,))
 
     def site_potential_total(self, grid: TensorGrid) -> np.ndarray:
         """a^3 * sum_x V(phi_x) plus the gradient term, as a diagonal field."""
@@ -137,25 +136,21 @@ class GaugeState:
         self.a_phi = [np.asarray(a, dtype=float) for a in self.a_phi]
         self.f = [np.asarray(a, dtype=float) for a in self.f]
         for x in range(self.grid.ndim):
-            want = self._link_shape(x)
+            want = self._link_shape(self.grid, x)
             if self.a_phi[x].shape != want or self.f[x].shape != want:
                 raise ValueError(f"link field along axis {x} must have shape {want}")
 
-    def _link_shape(self, axis: int) -> tuple[int, ...]:
-        s = list(self.grid.shape)
+    @staticmethod
+    def _link_shape(grid: TensorGrid, axis: int) -> tuple[int, ...]:
+        s = list(grid.shape)
         s[axis] -= 1
         return tuple(s)
 
     @classmethod
     def zero(cls, grid: TensorGrid) -> "GaugeState":
-        a_phi = []
-        f = []
-        for x in range(grid.ndim):
-            s = list(grid.shape)
-            s[x] -= 1
-            a_phi.append(np.zeros(s))
-            f.append(np.zeros(s))
-        return cls(grid, np.zeros(grid.shape), a_phi, f)
+        shapes = [cls._link_shape(grid, x) for x in range(grid.ndim)]
+        return cls(grid, np.zeros(grid.shape), [np.zeros(s) for s in shapes],
+                   [np.zeros(s) for s in shapes])
 
     def copy(self) -> "GaugeState":
         return GaugeState(self.grid, self.a_t.copy(),

@@ -37,11 +37,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from numpy.polynomial.polynomial import polyval
 from scipy.linalg.lapack import dgtsv as _dgtsv
 
-from .dynamics import _cn_step_1d, stationary_solve
+from .dynamics import _cn_step_1d, _rms_width, stationary_solve
 from .errors import ConvergenceError, IntegratorError
 from .fixedpoint import fixed_point
+from .gaugeops import apply_hamiltonian_raw
 from .grids import RadialGrid, TensorGrid, UniformGrid1D
 from .model import HamiltonianSpec, ModelParams
 
@@ -53,14 +55,12 @@ class SNParams:
     external_potential_coeffs: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.coupling < 0 or self.background < 0:
+        # written so that a NaN fails
+        if not (self.coupling >= 0 and self.background >= 0):
             raise ValueError("coupling and background must be >= 0")
 
     def external_potential(self, r: np.ndarray) -> np.ndarray:
-        v = np.zeros_like(r)
-        for k in reversed(range(len(self.external_potential_coeffs))):
-            v = v * r + self.external_potential_coeffs[k]
-        return v
+        return polyval(r, self.external_potential_coeffs or (0.0,))
 
 
 @dataclass
@@ -408,22 +408,6 @@ def solve_phi_grav(grid: UniformGrid1D, rho: np.ndarray,
     return poisson_1d_neumann(grid, -params.coupling * (rho - params.background))
 
 
-def line_hamiltonian_diag(grid: UniformGrid1D, params: SNParams,
-                          phi_grav: np.ndarray) -> np.ndarray:
-    return params.external_potential(grid.nodes) - phi_grav
-
-
-def _line_energy(grid, psi, vext, phi_grav, rho, params):
-    h = grid.spacing
-    w = grid.quad_weights()
-    lap = np.zeros_like(psi)
-    lap[1:-1] = (psi[2:] - 2 * psi[1:-1] + psi[:-2]) / h ** 2
-    ekin = float(np.real((w * np.conj(psi) * (-0.5 * lap)).sum()))
-    eext = float((w * vext * rho).sum())
-    eint = -0.5 * float((w * phi_grav * rho).sum())
-    return ekin + eext + eint
-
-
 def sn_evolve_1d(state: Line1DState, params: SNParams, dt: float, steps: int,
                  *, record_every: int = 1, norm_tol: float = 1e-6) -> dict:
     """Crank-Nicolson evolution with the self-consistent potential.
@@ -431,31 +415,35 @@ def sn_evolve_1d(state: Line1DState, params: SNParams, dt: float, steps: int,
     Each step predicts the midpoint density with a half step, rebuilds the
     potential there, and takes the full step with it (second order, norm
     conserving per step). Records t, norm, energy, and width sigma every
-    `record_every` steps; returns those series and the final state.
+    `record_every` steps; returns those series and the final state. The
+    energy is Re<psi, H psi> - 1/2 <phi_grav, rho> with H = -1/2 d^2 + V_ext
+    on the stencil of the CN step.
     """
     grid = state.grid
     tgrid = TensorGrid((grid,))
     w = grid.quad_weights()
     x = grid.nodes
+    wx = w * x
     vext = params.external_potential(x)
     psi = state.psi.astype(complex).copy()
     psi[0] = psi[-1] = 0.0
-    norm0 = float((w * np.abs(psi) ** 2).sum())
 
     out = {k: [] for k in ("t", "norm", "energy", "sigma")}
 
-    def record(t, psi_v, phi_v):
-        rho = np.abs(psi_v) ** 2
+    def record(t, psi_v, rho, phi_v):
         nrm = float((w * rho).sum())
-        mean = float((w * x * rho).sum()) / nrm
-        sig = float(np.sqrt(max((w * (x - mean) ** 2 * rho).sum() / nrm, 0.0)))
-        en = _line_energy(grid, psi_v, vext, phi_v, rho, params)
+        hpsi = apply_hamiltonian_raw(tgrid, psi_v, None, vext, 1.0)
+        en = (float(np.real((w * np.conj(psi_v) * hpsi).sum()))
+              - 0.5 * float((w * phi_v * rho).sum()))
+        sig = _rms_width(w, (x,), (wx,), rho, nrm)
         for key, val in (("t", t), ("norm", nrm), ("energy", en), ("sigma", sig)):
             out[key].append(val)
+        return nrm
 
-    phi = solve_phi_grav(grid, np.abs(psi) ** 2, params) if params.coupling > 0 \
+    rho = np.abs(psi) ** 2
+    phi = solve_phi_grav(grid, rho, params) if params.coupling > 0 \
         else np.zeros_like(x)
-    record(state.time, psi, phi)
+    norm0 = record(state.time, psi, rho, phi)
     for k in range(1, steps + 1):
         if params.coupling > 0:
             half = _cn_step_1d(tgrid, psi, None, vext - phi, 1.0, 0.5 * dt)
@@ -464,14 +452,14 @@ def sn_evolve_1d(state: Line1DState, params: SNParams, dt: float, steps: int,
             phi_mid = phi
         psi = _cn_step_1d(tgrid, psi, None, vext - phi_mid, 1.0, dt)
         t = state.time + k * dt
+        rho = np.abs(psi) ** 2
         if params.coupling > 0:
-            phi = solve_phi_grav(grid, np.abs(psi) ** 2, params)
+            phi = solve_phi_grav(grid, rho, params)
         if k % record_every == 0 or k == steps:
-            record(t, psi, phi)
+            nrm = record(t, psi, rho, phi)
             # written so that a NaN norm fails the guard
-            if not abs(out["norm"][-1] - norm0) <= norm_tol:
-                raise IntegratorError(
-                    f"norm drifted to {out['norm'][-1]:.12f} at step {k}")
+            if not abs(nrm - norm0) <= norm_tol:
+                raise IntegratorError(f"norm drifted to {nrm:.12f} at step {k}")
     return {"series": {k: np.array(v) for k, v in out.items()},
             "final": Line1DState(grid, psi, phi, state.time + steps * dt)}
 
@@ -488,30 +476,19 @@ def line_ground_scf(grid: UniformGrid1D, vext_coeffs: tuple[float, ...],
     the two fixed points coincide to solver tolerance.
     """
     x = grid.nodes
-    h = grid.spacing
     w = grid.quad_weights()
-    vext = np.zeros_like(x)
-    for k in reversed(range(len(vext_coeffs))):
-        vext = vext * x + vext_coeffs[k]
-
-    off = np.full(grid.count - 3, -0.5 / h ** 2)
+    vext = polyval(x, vext_coeffs or (0.0,))
     last = {}
 
     def update(phi):
-        diag = (vext - phi)[1:-1] + 1.0 / h ** 2
-        vals, vecs = scipy.linalg.eigh_tridiagonal(
-            diag, off, select="i", select_range=(0, 0))
-        psi = np.zeros_like(x)
-        psi[1:-1] = vecs[:, 0]
+        omega, psi = _tridiag_ground(grid.spacing, vext - phi)
         psi /= np.sqrt((w * psi * psi).sum())
-        if psi[np.argmax(np.abs(psi))] < 0:
-            psi = -psi
         last["psi"] = psi
         if coupling > 0:
             last["phi"] = poisson_1d_neumann(grid, -coupling * (psi * psi - background))
         else:
             last["phi"] = np.zeros_like(x)
-        return last["phi"], float(vals[0])
+        return last["phi"], omega
 
     _, _, trace = fixed_point(update, np.zeros_like(x), beta=mixing, tol=tol,
                               max_iter=max_scf, name="line SCF")

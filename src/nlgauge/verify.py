@@ -21,6 +21,7 @@ from .gaugeops import (apply_hamiltonian_raw, gauss_solve_stationary,
                        initialize_constraint, link_diff)
 from .grids import TensorGrid, UniformGrid1D
 from .model import GaugeState, HamiltonianSpec, ModelParams, WaveFunctional
+from .numerics import poisson_solve
 
 
 @dataclass
@@ -45,9 +46,11 @@ def stationarity_residual(grid: TensorGrid, psi: np.ndarray,
     the charge density (source rho - norm/Omega), so sums of unit-norm
     solutions are probed in the theory they belong to; for a normalized
     state this is the standard system. Returned per unit norm.
-    """
-    from .numerics import poisson_solve
 
+    An independent check: it shares neither the Gauss solve nor the
+    Rayleigh quotient of `stationary_solve`, whose unit-norm source
+    rho - 1/Omega it generalizes.
+    """
     w = grid.quad_weights()
     psi = np.asarray(psi, dtype=complex)
     rho = np.abs(psi) ** 2

@@ -52,6 +52,18 @@ def test_error_collection_is_exhaustive():
     assert len(errors) >= 4
 
 
+def test_invalid_physics_parameters_are_all_reported():
+    head = "[experiment]\nkind = functional-stationary\n[physics]\n"
+    cfg, errors = validate(head + "lattice_spacing = -1\ngradient_coupling = -2\n")
+    assert cfg is None
+    assert any("[physics] lattice_spacing" in e for e in errors)
+    assert any("[physics] gradient_coupling" in e for e in errors)
+    cfg, errors = validate(head + "lattice_spacing = nan\npotential_coeffs = 0, inf\n")
+    assert cfg is None
+    assert any("[physics] lattice_spacing" in e for e in errors)
+    assert any("[physics] potential_coeffs" in e for e in errors)
+
+
 def test_cli_validate_and_run_harmonic_oscillator(tmp_path, capsys):
     text = patch_output((CONFIGS / "sn_ground_harmonic.ini").read_text(),
                         str(tmp_path))

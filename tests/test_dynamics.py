@@ -7,10 +7,11 @@ from nlgauge.dynamics import (_cn_step_1d, _cn_step_nd, continuity_residual,
                               evolve_temporal_gauge, stationary_solve)
 from nlgauge.errors import IntegratorError
 from nlgauge.gaugeops import (apply_hamiltonian_raw, gauss_residual,
-                              initialize_constraint, link_phases)
-from nlgauge.grids import TensorGrid
+                              initialize_constraint, link_diff, link_phases)
+from nlgauge.grids import BoundaryCondition, TensorGrid
 from nlgauge.model import (GaugeState, HamiltonianSpec, ModelParams,
-                           WaveFunctional, total_charge)
+                           WaveFunctional, nonlinearity, total_charge)
+from nlgauge.numerics import laplacian_apply
 
 HARMONIC = HamiltonianSpec(sites=1, potential_coeffs=(0.0, 0.0, 0.5))
 
@@ -94,6 +95,14 @@ def test_stationary_coupled_matches_dense_reference():
     assert st.omega_eig < 0.5  # the induced potential binds
     assert st.eig_residual < 1e-10
     assert st.gauss_residual < 1e-10
+    # the residual is the Gauss law of the static field strength F = -grad A_t,
+    # and agrees with the Neumann-Laplacian form of the same equation
+    rho = np.real(st.psi.values) ** 2
+    f_static = [-link_diff(grid, st.a_t, x) for x in range(grid.ndim)]
+    assert st.gauss_residual == gauss_residual(grid, f_static, rho, params)
+    lap = laplacian_apply(grid, st.a_t, BoundaryCondition.NEUMANN_ZERO)
+    assert abs(st.gauss_residual
+               - grid.norm(lap + params.inv_l2 * nonlinearity(rho, params))) < 1e-13
 
 
 def test_stationary_rejects_bad_mixing():

@@ -84,6 +84,15 @@ def test_hamiltonian_spec_potential_and_gradient():
     expected = (1.0 + 0.5 * x[:, None] ** 2) + (1.0 + 0.5 * x[None, :] ** 2) \
         + 1.0 * (x[None, :] - x[:, None]) ** 2
     assert np.abs(diag - expected).max() < 1e-14
+    phi = np.linspace(-3.0, 3.0, 41)
+    assert np.array_equal(HamiltonianSpec(sites=1, potential_coeffs=()).potential(phi),
+                          np.zeros_like(phi))
+    coeffs = tuple(np.random.default_rng(5).standard_normal(5))
+    horner = np.zeros_like(phi)
+    for c in reversed(coeffs):
+        horner = horner * phi + c
+    assert np.array_equal(HamiltonianSpec(sites=1, potential_coeffs=coeffs).potential(phi),
+                          horner)
 
 
 def test_hamiltonian_spec_validation():
@@ -93,6 +102,12 @@ def test_hamiltonian_spec_validation():
         HamiltonianSpec(sites=1, gradient_coupling=-1.0)
     with pytest.raises(ValueError):
         HamiltonianSpec(sites=1, lattice_spacing=0.0)
+    with pytest.raises(ValueError):
+        HamiltonianSpec(sites=1, gradient_coupling=np.nan)
+    with pytest.raises(ValueError):
+        HamiltonianSpec(sites=1, lattice_spacing=np.nan)
+    with pytest.raises(ValueError):
+        ModelParams(omega=np.nan)
 
 
 def test_omega_must_match_grid_volume():

@@ -193,6 +193,22 @@ def test_energy_drift_second_order():
     assert 2.7 < drifts[0] / drifts[1] < 6.0
     assert 2.7 < drifts[1] / drifts[2] < 6.0
 
+    # each recorded energy is <psi, -1/2 psi'' + V psi> - 1/2 <phi, rho>
+    p = SNParams(coupling=2.0, external_potential_coeffs=(0.0, 0.0, 0.01))
+    state = Line1DState(grid, psi.copy(), np.zeros_like(x))
+    state.psi[0] = state.psi[-1] = 0.0
+    for _ in range(3):
+        out = sn_evolve_1d(state, p, dt=0.02, steps=1)
+        for psi_k, e_k in zip((state.psi, out["final"].psi), out["series"]["energy"]):
+            lap = np.zeros_like(psi_k)
+            lap[1:-1] = (psi_k[2:] - 2 * psi_k[1:-1] + psi_k[:-2]) / grid.spacing ** 2
+            rho = np.abs(psi_k) ** 2
+            expect = (float(np.real((w * np.conj(psi_k) * (-0.5 * lap + 0.01 * x * x
+                                                            * psi_k)).sum()))
+                      - 0.5 * float((w * solve_phi_grav(grid, rho, p) * rho).sum()))
+            assert abs(e_k - expect) <= 1e-13 * abs(expect)
+        state = out["final"]
+
 
 def test_poisson_1d_neumann_matches_cg_path():
     from nlgauge.grids import TensorGrid
@@ -235,6 +251,10 @@ def test_sn_params_validation():
         SNParams(coupling=-1.0)
     with pytest.raises(ValueError):
         SNParams(background=-0.5)
+    with pytest.raises(ValueError):
+        SNParams(coupling=np.nan)
+    with pytest.raises(ValueError):
+        SNParams(background=np.nan)
     with pytest.raises(ValueError):
         sn_ground_radial_scf(SNParams(coupling=1.0, background=0.2),
                              RadialGrid(1e-6, 10.0, 100))
