@@ -23,8 +23,8 @@ def main():
     args = ap.parse_args()
 
     grid = TensorGrid.cube(-8.0, 8.0, args.count, 1)
-    spec = HamiltonianSpec(sites=1, potential_coeffs=(0.0, 0.0, 0.5))
-    params = ModelParams.for_grid(grid, l=args.l)
+    spec = HamiltonianSpec(potential_coeffs=(0.0, 0.0, 0.5))
+    params = ModelParams(l=args.l)
     x = grid.axes[0].nodes
     psi = np.exp(-0.5 * (x - 1.0) ** 2) + 0j
     psi[0] = psi[-1] = 0.0

@@ -61,7 +61,7 @@ def action_evaluate(traj: Trajectory) -> float:
     w = grid.quad_weights()
     wl = [grid.link_weights(x) for x in range(grid.ndim)]
     diag = spec.site_potential_total(grid)
-    inv_omega = 1.0 / params.omega
+    inv_omega = 1.0 / grid.volume
     total = 0.0
     for k in range(1, len(snaps) - 1):
         s0, s1, s2 = snaps[k - 1], snaps[k], snaps[k + 1]
@@ -101,8 +101,7 @@ def _scaled_model(grid: TensorGrid, spec: HamiltonianSpec, params: ModelParams,
     s = scale_factor(c0, a)
     grid2 = scale_grid(grid, s)
     spec2 = replace(spec, lattice_spacing=spec.lattice_spacing * s)
-    params2 = ModelParams(l=params.l * s ** ((grid.ndim - 1) / 2.0),
-                          omega=grid2.volume)
+    params2 = ModelParams(l=params.l * s ** ((grid.ndim - 1) / 2.0))
     return s, grid2, spec2, params2
 
 

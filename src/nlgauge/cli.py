@@ -159,18 +159,25 @@ def validate(text: str) -> tuple[SolverConfig | None, list[str]]:
         (("solver", "tol"), lambda v: v > 0, "must be > 0"),
         (("solver", "mixing"), lambda v: 0 < v <= 1, "must be in (0, 1]"),
         (("solver", "record_every"), lambda v: v >= 1, "must be >= 1"),
-        (("grid", "count"), lambda v: v >= 3, "must be >= 3"),
         (("grid", "dim"), lambda v: 1 <= v <= 4, "must be in 1..4"),
         (("physics", "l"), lambda v: v > 0, "must be > 0 (inf allowed)"),
         (("physics", "coupling"), lambda v: v >= 0, "must be >= 0"),
         (("physics", "background"), lambda v: v >= 0, "must be >= 0"),
         (("physics", "gradient_coupling"), lambda v: v >= 0, "must be >= 0"),
-        (("physics", "lattice_spacing"), lambda v: v > 0, "must be > 0"),
-        (("radial", "count"), lambda v: v >= 16, "must be >= 16"),
+        (("physics", "lattice_spacing"), lambda v: 0 < v < math.inf,
+         "must be finite and > 0"),
     ]
     for (section, key), ok, msg in checks:
         if (section, key) in values and not ok(values[(section, key)]):
             errors.append(f"[{section}] {key} {msg} (got {values[(section, key)]})")
+    # bounds and node counts are checked by the grid constructors themselves
+    grid_keys = (("grid", UniformGrid1D, ("lower", "upper", "count")),
+                 ("radial", RadialGrid, ("r_min", "r_max", "count")))
+    for section, grid_type, keys in grid_keys:
+        try:
+            grid_type(*(values[(section, key)] for key in keys))
+        except ValueError as exc:
+            errors.append(f"[{section}] {exc}")
     try:
         coeffs = cfg.potential_coeffs()
     except ValueError:
@@ -274,14 +281,12 @@ def _run_sn_evolve(cfg: SolverConfig):
 
 
 def _functional_setup(cfg: SolverConfig):
-    dim = cfg[("grid", "dim")]
     grid = TensorGrid.cube(cfg[("grid", "lower")], cfg[("grid", "upper")],
-                           cfg[("grid", "count")], dim)
-    spec = HamiltonianSpec(sites=dim,
-                           potential_coeffs=cfg.potential_coeffs(),
+                           cfg[("grid", "count")], cfg[("grid", "dim")])
+    spec = HamiltonianSpec(potential_coeffs=cfg.potential_coeffs(),
                            gradient_coupling=cfg[("physics", "gradient_coupling")],
                            lattice_spacing=cfg[("physics", "lattice_spacing")])
-    params = ModelParams.for_grid(grid, l=cfg[("physics", "l")])
+    params = ModelParams(l=cfg[("physics", "l")])
     return grid, spec, params
 
 
@@ -373,7 +378,7 @@ _RUNNERS = {
 }
 
 
-def run(cfg: SolverConfig, *, stamp: bool = True) -> int:
+def run(cfg: SolverConfig) -> int:
     """Execute the configured experiment; writes summary.json, CSVs, and
     config.echo into the output directory. Returns the exit status."""
     outdir = cfg[("output", "directory")]
@@ -388,9 +393,8 @@ def run(cfg: SolverConfig, *, stamp: bool = True) -> int:
         "experiment": cfg.experiment,
         "seed": cfg[("experiment", "seed")],
         "results": _json_safe(summary),
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
-    if stamp:
-        payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     if "json" in formats:
         with open(os.path.join(outdir, "summary.json"), "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)

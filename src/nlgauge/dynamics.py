@@ -279,7 +279,7 @@ def evolve_temporal_gauge(psi0: WaveFunctional, gauge0: GaugeState,
     def record(k, psi_v, rho, a_links, ph, j, f_bar, prev=None):
         t = k * dt
         nrm = float((w * rho).sum())
-        charge = params.inv_l2 * float((w * nonlinearity(rho, params)).sum())
+        charge = params.inv_l2 * float((w * nonlinearity(rho, grid)).sum())
         gres = gauss_residual(grid, f_bar, rho, params)
         hpsi = apply_hamiltonian_raw(grid, psi_v, ph, diag, a_lat)
         e_mat = float(np.real((w * np.conj(psi_v) * hpsi).sum()))

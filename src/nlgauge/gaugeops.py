@@ -31,7 +31,7 @@ import numpy as np
 from .errors import UnsolvableConstraintError
 from .grids import TensorGrid
 from .model import (GaugeState, GaugeTransform, HamiltonianSpec, ModelParams,
-                    WaveFunctional, check_omega_matches, nonlinearity)
+                    WaveFunctional, nonlinearity)
 from .numerics import poisson_solve
 
 # largest |integral(rho) - 1| the Gauss solves accept as a unit charge
@@ -207,14 +207,13 @@ def gauss_solve_stationary(grid: TensorGrid, rho: np.ndarray,
     The source integrates to zero only for a normalized density; anything
     else violates the vanishing-total-charge constraint and raises.
     """
-    check_omega_matches(grid, params)
     norm = float(np.real(grid.integrate(rho)))
     if abs(norm - 1.0) > _COMPAT_TOL:
         raise UnsolvableConstraintError(
             f"density integrates to {norm:.6g}, not 1; total charge would not vanish")
     if params.inv_l2 == 0.0:
         return np.zeros(grid.shape)
-    source = -params.inv_l2 * nonlinearity(rho, params)
+    source = -params.inv_l2 * nonlinearity(rho, grid)
     return poisson_solve(grid, source, compat_tol=params.inv_l2 * _COMPAT_TOL + 1e-300)
 
 
@@ -222,27 +221,17 @@ def initialize_constraint(psi0: WaveFunctional,
                           params: ModelParams) -> list[np.ndarray]:
     """Gradient-form initial data for the field strength.
 
-    Solves sum_x d^2 chi/dphi_x^2 = +(1/l^2)(rho - 1/Omega) (Neumann, zero
-    mean) exactly by the cosine-transform Poisson solve and returns
-    F(.,x) = dchi/dphi_x on links, so the adjoint divergence of F
-    satisfies the Gauss law to roundoff.
+    F(.,x) = -dA_t/dphi_x on links, with A_t the stationary Gauss solve
+    for |psi0|^2; the adjoint divergence of F then satisfies the Gauss law
+    to roundoff. The density must integrate to 1.
     """
     grid = psi0.grid
-    check_omega_matches(grid, params)
-    rho = np.abs(psi0.values) ** 2
-    norm = float(np.real(grid.integrate(rho)))
-    if abs(norm - 1.0) > _COMPAT_TOL:
-        raise UnsolvableConstraintError(
-            f"initial density integrates to {norm:.6g}, not 1")
-    if params.inv_l2 == 0.0:
-        return GaugeState.zero(grid).f
-    source = params.inv_l2 * nonlinearity(rho, params)
-    chi = poisson_solve(grid, source, compat_tol=params.inv_l2 * _COMPAT_TOL + 1e-300)
-    return [link_diff(grid, chi, x) for x in range(grid.ndim)]
+    a_t = gauss_solve_stationary(grid, np.abs(psi0.values) ** 2, params)
+    return [-link_diff(grid, a_t, x) for x in range(grid.ndim)]
 
 
 def gauss_residual(grid: TensorGrid, f_links: list[np.ndarray],
                    rho: np.ndarray, params: ModelParams) -> float:
     """Grid norm of div F - (1/l^2)(rho - 1/Omega)."""
-    g = link_divergence(grid, f_links) - params.inv_l2 * nonlinearity(rho, params)
+    g = link_divergence(grid, f_links) - params.inv_l2 * nonlinearity(rho, grid)
     return grid.norm(g)

@@ -6,8 +6,9 @@ Integrals over configuration space are trapezoid sums, so the integral of
 the constant 1 equals the geometric volume exactly; that identity is what
 makes the discrete charge identity hold to machine precision.
 
-Grids are immutable, so their metadata (shape, spacings, quadrature
-weights, boundary mask) is built once per grid and returned read-only.
+Grids are immutable, so their metadata (shape, spacings, volume,
+quadrature weights, boundary mask) is built once per grid and returned
+read-only.
 It is kept in private instance attributes set with `object.__setattr__`,
 outside the dataclass fields, so equality, hashing and `repr` still see
 only the axes. The public members stay plain methods and properties,
@@ -99,6 +100,7 @@ class TensorGrid:
         for name, value in (
                 ("_shape", shape),
                 ("_spacings", tuple(ax.spacing for ax in self.axes)),
+                ("_volume", float(np.prod([ax.extent for ax in self.axes]))),
                 ("_weights", _read_only(weights)),
                 ("_mask", _read_only(mask)),
                 # built on first request: the stationary path never asks
@@ -124,7 +126,7 @@ class TensorGrid:
     @property
     def volume(self) -> float:
         """Geometric volume of the amplitude box; the discretized Omega."""
-        return float(np.prod([ax.extent for ax in self.axes]))
+        return self._volume
 
     def coordinate(self, axis: int) -> np.ndarray:
         """Broadcastable node coordinates along one axis."""

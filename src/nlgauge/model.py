@@ -12,7 +12,7 @@ the trapezoid integral of 1 equals the grid volume Omega exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
@@ -27,21 +27,15 @@ class ModelParams:
     l is the fundamental length; 1/l^2 multiplies every charge source, and
     l = inf switches the gauge coupling off (the linear limit). The
     solvers implement the normalized theory, in which both normalization
-    constants equal 1.
+    constants equal 1. The regularized volume Omega is not a parameter:
+    it is the volume of the grid a state lives on.
     """
 
     l: float = 1.0
-    omega: float = 1.0
 
     def __post_init__(self):
         if not self.l > 0:
             raise ValueError("l must be positive (l = inf allowed)")
-        if not self.omega > 0:
-            raise ValueError("omega must be positive")
-
-    @classmethod
-    def for_grid(cls, grid: TensorGrid, l: float = 1.0) -> "ModelParams":
-        return cls(l=l, omega=grid.volume)
 
     @property
     def inv_l2(self) -> float:
@@ -50,8 +44,9 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """Lattice Hamiltonian: D sites, polynomial on-site potential, and an
-    optional nearest-neighbour (phi_{x+1} - phi_x)^2 coupling.
+    """Lattice Hamiltonian: polynomial on-site potential and an optional
+    nearest-neighbour (phi_{x+1} - phi_x)^2 coupling. The site count D is
+    the dimension of the grid it is applied on.
 
     The kinetic, potential, and gradient terms carry lattice_spacing
     factors (1/a^3, a^3, a) inherited from the spatial measure; at the
@@ -60,27 +55,22 @@ class HamiltonianSpec:
         sum_x { -1/2 d^2/dphi_x^2 + V(phi_x) } + (g/2) sum_x (phi_{x+1}-phi_x)^2
     """
 
-    sites: int
     potential_coeffs: tuple[float, ...] = (0.0, 0.0, 0.5)  # default V = phi^2/2
     gradient_coupling: float = 0.0
     lattice_spacing: float = 1.0
 
     def __post_init__(self):
-        if self.sites < 1:
-            raise ValueError("need at least one site")
         # written so that a NaN fails each check
         if not self.gradient_coupling >= 0:
             raise ValueError("gradient_coupling must be >= 0")
-        if not self.lattice_spacing > 0:
-            raise ValueError("lattice_spacing must be positive")
+        if not 0 < self.lattice_spacing < math.inf:
+            raise ValueError("lattice_spacing must be finite and positive")
 
     def potential(self, phi: np.ndarray) -> np.ndarray:
         return polyval(phi, self.potential_coeffs or (0.0,))
 
     def site_potential_total(self, grid: TensorGrid) -> np.ndarray:
         """a^3 * sum_x V(phi_x) plus the gradient term, as a diagonal field."""
-        if grid.ndim != self.sites:
-            raise ValueError(f"spec has {self.sites} sites, grid has {grid.ndim}")
         a = self.lattice_spacing
         out = np.zeros(grid.shape)
         for x in range(grid.ndim):
@@ -177,17 +167,9 @@ class StationaryState:
     omega_eig: float
     psi: WaveFunctional
     a_t: np.ndarray
-    iterations: int = 0
-    eig_residual: float = 0.0
-    gauss_residual: float = 0.0
-
-
-def check_omega_matches(grid: TensorGrid, params: ModelParams) -> None:
-    """The regularized volume in the params must be the grid volume."""
-    if abs(params.omega - grid.volume) > 1e-12 * grid.volume:
-        raise ValueError(
-            f"params.omega = {params.omega} does not match the grid volume "
-            f"{grid.volume}; build params with ModelParams.for_grid")
+    iterations: int
+    eig_residual: float
+    gauss_residual: float
 
 
 def density(psi: WaveFunctional) -> np.ndarray:
@@ -195,13 +177,13 @@ def density(psi: WaveFunctional) -> np.ndarray:
     return np.abs(psi.values) ** 2
 
 
-def nonlinearity(rho: np.ndarray, params: ModelParams) -> np.ndarray:
-    """The charge density rho*N(rho) = rho - 1/Omega (normalized theory)."""
-    return rho - 1.0 / params.omega
+def nonlinearity(rho: np.ndarray, grid: TensorGrid) -> np.ndarray:
+    """The charge density rho*N(rho) = rho - 1/Omega (normalized theory),
+    with Omega the grid volume."""
+    return rho - 1.0 / grid.volume
 
 
 def total_charge(grid: TensorGrid, rho: np.ndarray, params: ModelParams) -> float:
     """Q = (1/l^2) * integral of rho*N(rho); vanishes for normalized rho."""
-    check_omega_matches(grid, params)
-    src = nonlinearity(rho, params)
+    src = nonlinearity(rho, grid)
     return params.inv_l2 * float(np.real(grid.integrate(src)))

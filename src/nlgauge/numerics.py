@@ -124,8 +124,8 @@ def poisson_solve(grid: TensorGrid, source: np.ndarray, *,
 
 
 def smallest_eigenpair(op_apply, guess: np.ndarray, tol: float = 1e-9, *,
-                       weights: np.ndarray | None = None,
-                       mask: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+                       weights: np.ndarray,
+                       mask: np.ndarray) -> tuple[float, np.ndarray]:
     """Algebraically smallest eigenpair of a symmetric operator.
 
     `op_apply` must be symmetric under the inner product sum(conj(a)*b*weights).
@@ -145,10 +145,6 @@ def smallest_eigenpair(op_apply, guess: np.ndarray, tol: float = 1e-9, *,
     """
     guess = np.asarray(guess, dtype=float)
     shape = guess.shape
-    if weights is None:
-        weights = np.ones(shape)
-    if mask is None:
-        mask = np.ones(shape, dtype=bool)
     flat_mask = mask.ravel()
     sqw = np.sqrt(weights.ravel()[flat_mask])
 

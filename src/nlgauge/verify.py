@@ -56,7 +56,7 @@ def stationarity_residual(grid: TensorGrid, psi: np.ndarray,
     rho = np.abs(psi) ** 2
     c0 = float(np.real((w * rho).sum()))
     if params.inv_l2 > 0:
-        source = -params.inv_l2 * (rho - c0 / params.omega)
+        source = -params.inv_l2 * (rho - c0 / grid.volume)
         a_t = poisson_solve(grid, source, compat_tol=1e-8)
     else:
         a_t = np.zeros(grid.shape)
@@ -74,8 +74,8 @@ def _packet_trajectory(l: float, steps: int, dt: float, *, count: int = 161,
                        half: float = 7.0, offset: float = 1.0,
                        coeffs=(0.0, 0.0, 0.5), scheme: str = "cn"):
     grid = TensorGrid.cube(-half, half, count, 1)
-    spec = HamiltonianSpec(sites=1, potential_coeffs=tuple(coeffs))
-    params = ModelParams.for_grid(grid, l=l)
+    spec = HamiltonianSpec(potential_coeffs=tuple(coeffs))
+    params = ModelParams(l=l)
     x = grid.axes[0].nodes
     psi = np.exp(-0.5 * (x - offset) ** 2) + 0j
     psi /= np.sqrt(np.real(grid.integrate(np.abs(psi) ** 2)))
@@ -291,8 +291,8 @@ def check_born_homogeneity(seed: int = 0) -> CheckReport:
     A massive Hamiltonian breaks the latter by a reportable amount."""
     rng = np.random.default_rng(seed)
     grid = TensorGrid.cube(-7.0, 7.0, 201, 1)
-    quartic = HamiltonianSpec(sites=1, potential_coeffs=(0.0, 0.0, 0.0, 0.0, 0.5))
-    params = ModelParams.for_grid(grid, l=1.0)
+    quartic = HamiltonianSpec(potential_coeffs=(0.0, 0.0, 0.0, 0.0, 0.5))
+    params = ModelParams(l=1.0)
     st = stationary_solve(quartic, params, grid, tol=1e-11)
     w = grid.quad_weights()
     psi = st.psi.values
@@ -322,7 +322,7 @@ def check_born_homogeneity(seed: int = 0) -> CheckReport:
                            guess=np.real(psi2))
     scale_dev = abs(st2.omega_eig * s / st.omega_eig - 1.0)
 
-    harmonic = HamiltonianSpec(sites=1, potential_coeffs=(0.0, 0.0, 0.845))
+    harmonic = HamiltonianSpec(potential_coeffs=(0.0, 0.0, 0.845))
     sth = stationary_solve(harmonic, params, grid, tol=1e-11)
     grid3, psi3, at3, spec3, params3 = scale_transform_state(
         grid, sth.psi.values, sth.a_t, harmonic, params, c0, a)
@@ -353,8 +353,8 @@ def _half_well_solution(full_grid: TensorGrid, coeffs, l: float, side: int):
         sub = TensorGrid((UniformGrid1D(ax.lower, 0.0, n_half),))
     else:
         sub = TensorGrid((UniformGrid1D(0.0, ax.upper, n_half),))
-    spec = HamiltonianSpec(sites=1, potential_coeffs=tuple(coeffs))
-    params = ModelParams.for_grid(sub, l=l)
+    spec = HamiltonianSpec(potential_coeffs=tuple(coeffs))
+    params = ModelParams(l=l)
     x = sub.axes[0].nodes
     center = x[np.argmin(spec.potential(x))]
     guess = np.exp(-2.0 * (x - center) ** 2)
@@ -381,8 +381,8 @@ def superposition_residual_sweep(separations, *, l: float = 1e3,
     for d in separations:
         coeffs = _double_well_coeffs(d)
         grid = TensorGrid.cube(-(d + 7.0), d + 7.0, count, 1)
-        spec = HamiltonianSpec(sites=1, potential_coeffs=coeffs)
-        params = ModelParams.for_grid(grid, l=l)
+        spec = HamiltonianSpec(potential_coeffs=coeffs)
+        params = ModelParams(l=l)
         left = _half_well_solution(grid, coeffs, l, -1)
         right = left[::-1].copy()
         out.append((d, stationarity_residual(grid, left + right, spec, params)))
@@ -405,8 +405,8 @@ def check_superposition_failure(*, l: float = 1e3,
     d = wide_sep
     coeffs = _double_well_coeffs(d)
     grid = TensorGrid.cube(-(d + 7.0), d + 7.0, count, 1)
-    spec = HamiltonianSpec(sites=1, potential_coeffs=coeffs)
-    params = ModelParams.for_grid(grid, l=l)
+    spec = HamiltonianSpec(potential_coeffs=coeffs)
+    params = ModelParams(l=l)
     x = grid.axes[0].nodes
     guess = np.exp(-0.5 * (x + d) ** 2)
     st = stationary_solve(spec, params, grid, tol=1e-11, guess=guess)

@@ -41,7 +41,7 @@ def _packet(grid, center=1.0, width=1.0):
 def test_criterion_01_charge_identity():
     t0 = time.time()
     grid = TensorGrid.cube(-8.0, 8.0, 201, 1)
-    params = ModelParams.for_grid(grid, l=1.0)
+    params = ModelParams(l=1.0)
     rng = np.random.default_rng(42)
     worst = 0.0
     for _ in range(100):
@@ -59,8 +59,8 @@ def test_criterion_01_charge_identity():
 def test_criterion_02_norm_conservation():
     t0 = time.time()
     grid = TensorGrid.cube(-8.0, 8.0, 201, 1)
-    params = ModelParams.for_grid(grid, l=1.0)
-    spec = HamiltonianSpec(sites=1, potential_coeffs=HARMONIC)
+    params = ModelParams(l=1.0)
+    spec = HamiltonianSpec(potential_coeffs=HARMONIC)
     psi0 = _packet(grid)
     g0 = GaugeState.zero(grid)
     g0.f = initialize_constraint(psi0, params)
@@ -74,8 +74,8 @@ def test_criterion_02_norm_conservation():
 def test_criterion_03_residuals_second_order():
     t0 = time.time()
     grid = TensorGrid.cube(-8.0, 8.0, 201, 1)
-    params = ModelParams.for_grid(grid, l=1.0)
-    spec = HamiltonianSpec(sites=1, potential_coeffs=HARMONIC)
+    params = ModelParams(l=1.0)
+    spec = HamiltonianSpec(potential_coeffs=HARMONIC)
     psi0 = _packet(grid)
     T = 0.8
     finals = []
@@ -133,8 +133,8 @@ def test_criterion_06_limit_equivalence():
     for name, coeffs in potentials.items():
         t1 = time.time()
         grid = TensorGrid.cube(-8.0, 8.0, 401, 1)
-        spec = HamiltonianSpec(sites=1, potential_coeffs=coeffs)
-        params = ModelParams.for_grid(grid, l=1.0)
+        spec = HamiltonianSpec(potential_coeffs=coeffs)
+        params = ModelParams(l=1.0)
         rep = limit_equivalence_check(spec, params, grid, tol=1e-13)
         each = time.time() - t1
         ok &= rep.omega_diff < 1e-8 and rep.max_psi_diff < 1e-7 and each < 60
@@ -183,8 +183,8 @@ def test_criterion_07_sn_cross_method_and_scaling():
 def test_criterion_08_linear_limit_sanity():
     t0 = time.time()
     grid = TensorGrid.cube(-10.0, 10.0, 2001, 1)
-    params = ModelParams.for_grid(grid, l=np.inf)
-    spec = HamiltonianSpec(sites=1, potential_coeffs=HARMONIC)
+    params = ModelParams(l=np.inf)
+    spec = HamiltonianSpec(potential_coeffs=HARMONIC)
     st1d = stationary_solve(spec, params, grid, tol=1e-11)
     rg = RadialGrid(1e-6, 12.0, 3000)
     st3d = sn_ground_radial_scf(

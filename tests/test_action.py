@@ -11,13 +11,13 @@ from nlgauge.model import GaugeState, HamiltonianSpec, ModelParams, \
     WaveFunctional
 from nlgauge.verify import transform_trajectory, _smooth_functional
 
-QUARTIC = HamiltonianSpec(sites=1, potential_coeffs=(0.0, 0.0, 0.0, 0.0, 0.5))
-HARMONIC = HamiltonianSpec(sites=1, potential_coeffs=(0.0, 0.0, 0.845))
+QUARTIC = HamiltonianSpec(potential_coeffs=(0.0, 0.0, 0.0, 0.0, 0.5))
+HARMONIC = HamiltonianSpec(potential_coeffs=(0.0, 0.0, 0.845))
 
 
 def packet_traj(spec, l=1.0, steps=32, dt=0.004, count=241, half=7.0):
     grid = TensorGrid.cube(-half, half, count, 1)
-    params = ModelParams.for_grid(grid, l=l)
+    params = ModelParams(l=l)
     x = grid.axes[0].nodes
     psi = np.exp(-0.5 * (x - 1.0) ** 2) + 0j
     psi[0] = psi[-1] = 0.0
@@ -30,8 +30,8 @@ def packet_traj(spec, l=1.0, steps=32, dt=0.004, count=241, half=7.0):
 
 def test_zero_state_zero_action():
     grid = TensorGrid.cube(-3.0, 3.0, 41, 1)
-    spec = HamiltonianSpec(sites=1)
-    params = ModelParams.for_grid(grid, l=1.0)
+    spec = HamiltonianSpec()
+    params = ModelParams(l=1.0)
     z = np.zeros(grid.shape, dtype=complex)
     zf = [np.zeros(grid.shape[0] - 1)]
     snaps = [Snapshot(k * 0.1, z.copy(), [zf[0].copy()], [zf[0].copy()],
@@ -42,8 +42,8 @@ def test_zero_state_zero_action():
 
 def test_insufficient_slices_raises():
     grid = TensorGrid.cube(-3.0, 3.0, 41, 1)
-    spec = HamiltonianSpec(sites=1)
-    params = ModelParams.for_grid(grid, l=1.0)
+    spec = HamiltonianSpec()
+    params = ModelParams(l=1.0)
     z = np.zeros(grid.shape, dtype=complex)
     snaps = [Snapshot(0.0, z, [np.zeros(40)], [np.zeros(40)], np.zeros(41)),
              Snapshot(0.1, z, [np.zeros(40)], [np.zeros(40)], np.zeros(41))]
@@ -53,8 +53,8 @@ def test_insufficient_slices_raises():
 
 def test_stationary_action_scales_with_segment_length():
     grid = TensorGrid.cube(-8.0, 8.0, 241, 1)
-    spec = HamiltonianSpec(sites=1, potential_coeffs=(0.0, 0.0, 0.5))
-    params = ModelParams.for_grid(grid, l=1.0)
+    spec = HamiltonianSpec(potential_coeffs=(0.0, 0.0, 0.5))
+    params = ModelParams(l=1.0)
     st = stationary_solve(spec, params, grid, tol=1e-11)
     g0 = GaugeState.zero(grid)
     g0.f = initialize_constraint(st.psi, params)

@@ -62,6 +62,19 @@ def test_invalid_physics_parameters_are_all_reported():
     assert cfg is None
     assert any("[physics] lattice_spacing" in e for e in errors)
     assert any("[physics] potential_coeffs" in e for e in errors)
+    cfg, errors = validate(head + "lattice_spacing = inf\n")
+    assert cfg is None
+    assert any("[physics] lattice_spacing" in e for e in errors)
+
+
+def test_swapped_grid_bounds_name_their_section():
+    head = "[experiment]\nkind = functional-stationary\n"
+    cfg, errors = validate(head + "[grid]\nlower = 8\nupper = -8\n")
+    assert cfg is None
+    assert len(errors) == 1 and errors[0].startswith("[grid] ")
+    cfg, errors = validate(head + "[radial]\nr_min = 5\nr_max = 1\n")
+    assert cfg is None
+    assert len(errors) == 1 and errors[0].startswith("[radial] ")
 
 
 def test_cli_validate_and_run_harmonic_oscillator(tmp_path, capsys):

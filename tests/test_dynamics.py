@@ -13,7 +13,7 @@ from nlgauge.model import (GaugeState, HamiltonianSpec, ModelParams,
                            WaveFunctional, nonlinearity, total_charge)
 from nlgauge.numerics import laplacian_apply
 
-HARMONIC = HamiltonianSpec(sites=1, potential_coeffs=(0.0, 0.0, 0.5))
+HARMONIC = HamiltonianSpec(potential_coeffs=(0.0, 0.0, 0.5))
 
 
 def normalized_packet(grid, center=0.0, width=1.0, momentum=0.0):
@@ -34,7 +34,7 @@ def gauss_consistent_gauge(psi, params):
 
 def test_stationary_linear_limit_harmonic():
     grid = TensorGrid.cube(-10.0, 10.0, 2001, 1)
-    params = ModelParams.for_grid(grid, l=np.inf)
+    params = ModelParams(l=np.inf)
     st = stationary_solve(HARMONIC, params, grid, tol=1e-11)
     assert abs(st.omega_eig - 0.5) < 1e-4
     assert np.abs(st.a_t).max() == 0.0
@@ -70,7 +70,7 @@ def _dense_reference_scf(grid, coeffs, params, mixing=0.5, iters=300,
         psi[1:-1] = vecs[:, 0]
         psi /= np.sqrt((w * psi * psi).sum())
         rho = psi * psi
-        src = -params.inv_l2 * (rho - 1.0 / params.omega)
+        src = -params.inv_l2 * (rho - 1.0 / grid.volume)
         m = lap.copy()
         rhs = src.copy()
         m[0, :] = 0.0
@@ -88,7 +88,7 @@ def _dense_reference_scf(grid, coeffs, params, mixing=0.5, iters=300,
 
 def test_stationary_coupled_matches_dense_reference():
     grid = TensorGrid.cube(-8.0, 8.0, 321, 1)
-    params = ModelParams.for_grid(grid, l=1.0)
+    params = ModelParams(l=1.0)
     st = stationary_solve(HARMONIC, params, grid, tol=1e-12)
     omega_ref, _ = _dense_reference_scf(grid, (0.0, 0.0, 0.5), params)
     assert abs(st.omega_eig - omega_ref) < 1e-6
@@ -102,12 +102,12 @@ def test_stationary_coupled_matches_dense_reference():
     assert st.gauss_residual == gauss_residual(grid, f_static, rho, params)
     lap = laplacian_apply(grid, st.a_t, BoundaryCondition.NEUMANN_ZERO)
     assert abs(st.gauss_residual
-               - grid.norm(lap + params.inv_l2 * nonlinearity(rho, params))) < 1e-13
+               - grid.norm(lap + params.inv_l2 * nonlinearity(rho, grid))) < 1e-13
 
 
 def test_stationary_rejects_bad_mixing():
     grid = TensorGrid.cube(-6.0, 6.0, 61, 1)
-    params = ModelParams.for_grid(grid, l=1.0)
+    params = ModelParams(l=1.0)
     with pytest.raises(ValueError):
         stationary_solve(HARMONIC, params, grid, mixing=1.5)
 
@@ -116,7 +116,7 @@ def test_stationary_rejects_bad_mixing():
 
 def test_coherent_state_period():
     grid = TensorGrid.cube(-10.0, 10.0, 501, 1)
-    params = ModelParams.for_grid(grid, l=np.inf)
+    params = ModelParams(l=np.inf)
     psi0 = normalized_packet(grid, center=1.0)
     traj = evolve_temporal_gauge(psi0, GaugeState.zero(grid), HARMONIC,
                                  params, dt=0.005, steps=1400)
@@ -135,7 +135,7 @@ def test_coherent_state_period():
 
 def test_stationary_state_stays_stationary():
     grid = TensorGrid.cube(-8.0, 8.0, 321, 1)
-    params = ModelParams.for_grid(grid, l=1.0)
+    params = ModelParams(l=1.0)
     st = stationary_solve(HARMONIC, params, grid, tol=1e-11)
     g0 = gauss_consistent_gauge(st.psi, params)
     traj = evolve_temporal_gauge(st.psi, g0, HARMONIC, params,
@@ -149,7 +149,7 @@ def test_stationary_state_stays_stationary():
 
 def test_norm_and_charge_conservation():
     grid = TensorGrid.cube(-8.0, 8.0, 201, 1)
-    params = ModelParams.for_grid(grid, l=1.0)
+    params = ModelParams(l=1.0)
     psi0 = normalized_packet(grid, center=1.0)
     g0 = gauss_consistent_gauge(psi0, params)
     traj = evolve_temporal_gauge(psi0, g0, HARMONIC, params, dt=0.005,
@@ -161,7 +161,7 @@ def test_norm_and_charge_conservation():
 
 def test_residuals_converge_second_order_in_dt():
     grid = TensorGrid.cube(-8.0, 8.0, 201, 1)
-    params = ModelParams.for_grid(grid, l=1.0)
+    params = ModelParams(l=1.0)
     psi0 = normalized_packet(grid, center=1.0)
     T = 0.8
     finals = []
@@ -180,7 +180,7 @@ def test_residuals_converge_second_order_in_dt():
 
 def test_euler_scheme_loses_norm():
     grid = TensorGrid.cube(-8.0, 8.0, 201, 1)
-    params = ModelParams.for_grid(grid, l=2.0)
+    params = ModelParams(l=2.0)
     psi0 = normalized_packet(grid, center=1.0)
     g0 = gauss_consistent_gauge(psi0, params)
     traj = evolve_temporal_gauge(psi0, g0, HARMONIC, params, dt=0.01,
@@ -194,7 +194,7 @@ def test_euler_scheme_loses_norm():
 
 def test_evolve_requires_temporal_gauge():
     grid = TensorGrid.cube(-8.0, 8.0, 101, 1)
-    params = ModelParams.for_grid(grid, l=1.0)
+    params = ModelParams(l=1.0)
     psi0 = normalized_packet(grid)
     g0 = GaugeState.zero(grid)
     g0.a_t = np.ones(grid.shape)
@@ -204,7 +204,7 @@ def test_evolve_requires_temporal_gauge():
 
 def test_evolve_stability_precondition():
     grid = TensorGrid.cube(-8.0, 8.0, 801, 1)
-    params = ModelParams.for_grid(grid, l=np.inf)
+    params = ModelParams(l=np.inf)
     psi0 = normalized_packet(grid)
     with pytest.raises(IntegratorError):
         evolve_temporal_gauge(psi0, GaugeState.zero(grid), HARMONIC, params,
@@ -219,7 +219,7 @@ def test_evolve_commutes_with_static_gauge_transform():
     from nlgauge.model import GaugeTransform
 
     grid = TensorGrid.cube(-8.0, 8.0, 161, 1)
-    params = ModelParams.for_grid(grid, l=1.2)
+    params = ModelParams(l=1.2)
     psi0 = normalized_packet(grid, center=0.8)
     g0 = gauss_consistent_gauge(psi0, params)
     x = grid.axes[0].nodes
@@ -243,12 +243,12 @@ def test_evolve_commutes_with_static_gauge_transform():
 def test_stationary_solve_in_three_dimensions():
     # desk-scale D=3 grid: the linear limit separates into three axes
     grid = TensorGrid.cube(-4.5, 4.5, 19, 3)
-    spec3 = HamiltonianSpec(sites=3, potential_coeffs=(0.0, 0.0, 0.5))
-    params = ModelParams.for_grid(grid, l=np.inf)
+    spec3 = HamiltonianSpec(potential_coeffs=(0.0, 0.0, 0.5))
+    params = ModelParams(l=np.inf)
     st = stationary_solve(spec3, params, grid, tol=1e-10)
     g1 = TensorGrid.cube(-4.5, 4.5, 19, 1)
-    spec1 = HamiltonianSpec(sites=1, potential_coeffs=(0.0, 0.0, 0.5))
-    st1 = stationary_solve(spec1, ModelParams.for_grid(g1, l=np.inf), g1,
+    spec1 = HamiltonianSpec(potential_coeffs=(0.0, 0.0, 0.5))
+    st1 = stationary_solve(spec1, ModelParams(l=np.inf), g1,
                            tol=1e-10)
     assert abs(st.omega_eig - 3 * st1.omega_eig) < 1e-9
 
@@ -257,7 +257,7 @@ def test_superposed_stationary_states_do_not_stay_stationary():
     # a sum of two overlapping stationary solutions is not a solution:
     # its density moves, unlike the single state's
     grid = TensorGrid.cube(-8.0, 8.0, 241, 1)
-    params = ModelParams.for_grid(grid, l=1.0)
+    params = ModelParams(l=1.0)
     st = stationary_solve(HARMONIC, params, grid, tol=1e-11)
     single = np.real(st.psi.values)
     shifted = np.roll(single, 30)
@@ -281,9 +281,9 @@ def test_superposed_stationary_states_do_not_stay_stationary():
 
 def test_evolve_2d_conserves():
     grid = TensorGrid.cube(-5.0, 5.0, 33, 2)
-    spec = HamiltonianSpec(sites=2, potential_coeffs=(0.0, 0.0, 0.5),
+    spec = HamiltonianSpec(potential_coeffs=(0.0, 0.0, 0.5),
                            gradient_coupling=0.2)
-    params = ModelParams.for_grid(grid, l=2.0)
+    params = ModelParams(l=2.0)
     X = grid.meshes()
     psi = np.exp(-0.5 * ((X[0] - 0.4) ** 2 + X[1] ** 2)) + 0j
     psi[~grid.boundary_mask()] = 0.0
@@ -298,9 +298,9 @@ def test_evolve_2d_conserves():
 
 def test_sigma_is_rms_width_on_two_sites():
     grid = TensorGrid.cube(-5.0, 5.0, 25, 2)
-    spec = HamiltonianSpec(sites=2, potential_coeffs=(0.0, 0.0, 0.5),
+    spec = HamiltonianSpec(potential_coeffs=(0.0, 0.0, 0.5),
                            gradient_coupling=0.2)
-    params = ModelParams.for_grid(grid, l=2.0)
+    params = ModelParams(l=2.0)
     X = grid.meshes()
     # squeezed packet: its width breathes in the harmonic wells
     psi = np.exp(-(X[0] - 0.8) ** 2 - X[1] ** 2) + 0j
@@ -363,7 +363,7 @@ def test_cn_nd_step_matches_banded_step_on_one_site():
 
 def test_cn_nd_step_matches_dense_reference():
     grid = TensorGrid.cube(-4.0, 4.0, 13, 2)
-    spec = HamiltonianSpec(sites=2, potential_coeffs=(0.0, 0.0, 0.5),
+    spec = HamiltonianSpec(potential_coeffs=(0.0, 0.0, 0.5),
                            gradient_coupling=0.2)
     rng = np.random.default_rng(5)
     interior = grid.boundary_mask()
@@ -391,7 +391,7 @@ def test_cn_nd_step_matches_dense_reference():
 
 def _two_site_packet(count=9):
     grid = TensorGrid.cube(-4.0, 4.0, count, 2)
-    spec = HamiltonianSpec(sites=2, potential_coeffs=(0.0, 0.0, 0.5),
+    spec = HamiltonianSpec(potential_coeffs=(0.0, 0.0, 0.5),
                            gradient_coupling=0.2)
     X = grid.meshes()
     psi = np.exp(-(X[0] - 0.6) ** 2 - X[1] ** 2) + 0j
@@ -402,7 +402,7 @@ def _two_site_packet(count=9):
 
 def test_continuity_residual_is_computed_at_every_recorded_step():
     grid = TensorGrid.cube(-8.0, 8.0, 201, 1)
-    params = ModelParams.for_grid(grid, l=1.0)
+    params = ModelParams(l=1.0)
     psi0 = normalized_packet(grid, center=1.0)
     g0 = gauss_consistent_gauge(psi0, params)
     full = evolve_temporal_gauge(psi0, g0, HARMONIC, params, dt=0.01,
@@ -421,7 +421,7 @@ def test_continuity_residual_is_computed_at_every_recorded_step():
     # each psi once and shares the density between them; finite l moves the
     # links, so the currents carry link phases
     grid2, spec2, psi2 = _two_site_packet()
-    params2 = ModelParams.for_grid(grid2, l=1.0)
+    params2 = ModelParams(l=1.0)
     two = evolve_temporal_gauge(psi2, gauss_consistent_gauge(psi2, params2),
                                 spec2, params2, dt=0.01, steps=12)
     for traj, g, spec, p in ((full, grid, HARMONIC, params),
@@ -487,7 +487,7 @@ def test_cn_step_1d_equals_solve_banded_bitwise(count, links):
 
 def test_snapshots_are_read_only_and_do_not_alias_the_inputs():
     grid = TensorGrid.cube(-8.0, 8.0, 101, 1)
-    params = ModelParams.for_grid(grid, l=1.0)
+    params = ModelParams(l=1.0)
     psi0 = normalized_packet(grid, center=1.0)
     g0 = gauss_consistent_gauge(psi0, params)
     g0.a_phi = [0.01 * np.sin(np.arange(grid.shape[0] - 1.0))]
@@ -514,7 +514,7 @@ def test_snapshots_are_read_only_and_do_not_alias_the_inputs():
 
 def test_evolve_rejects_a_nan_state_with_integrator_error():
     grid = TensorGrid.cube(-8.0, 8.0, 101, 1)
-    params = ModelParams.for_grid(grid, l=1.0)
+    params = ModelParams(l=1.0)
     psi0 = normalized_packet(grid, center=1.0)
     g0 = gauss_consistent_gauge(psi0, params)
     bad = psi0.values.copy()

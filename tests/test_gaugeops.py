@@ -123,7 +123,7 @@ def test_hamiltonian_harmonic_ground_action():
         x = grid.axes[0].nodes
         psi0 = np.exp(-0.5 * x ** 2) / np.pi ** 0.25
         psi = WaveFunctional(grid, psi0 + 0j)
-        spec = HamiltonianSpec(sites=1, potential_coeffs=(0.0, 0.0, 0.5))
+        spec = HamiltonianSpec(potential_coeffs=(0.0, 0.0, 0.5))
         h = hamiltonian_apply(psi, GaugeState.zero(grid), spec)
         errs.append(np.abs(h - 0.5 * psi0)[1:-1].max())
     assert errs[0] / errs[1] > 3.0
@@ -133,7 +133,7 @@ def test_hamiltonian_harmonic_ground_action():
 def test_hamiltonian_zero_state():
     grid = TensorGrid.cube(-2.0, 2.0, 31, 1)
     psi = WaveFunctional(grid, np.zeros(grid.shape, dtype=complex))
-    spec = HamiltonianSpec(sites=1)
+    spec = HamiltonianSpec()
     assert np.abs(hamiltonian_apply(psi, GaugeState.zero(grid), spec)).max() == 0.0
 
 
@@ -142,11 +142,11 @@ def test_hamiltonian_2d_separability():
     x = g1.axes[0].nodes
     f = np.exp(-0.5 * x ** 2)
     f /= np.sqrt(np.real(g1.integrate(f * f)))
-    spec1 = HamiltonianSpec(sites=1, potential_coeffs=(0.0, 0.0, 0.5))
+    spec1 = HamiltonianSpec(potential_coeffs=(0.0, 0.0, 0.5))
     e1 = np.real(g1.inner(f, hamiltonian_apply(
         WaveFunctional(g1, f + 0j), GaugeState.zero(g1), spec1)))
     g2 = TensorGrid.cube(-5.0, 5.0, 61, 2)
-    spec2 = HamiltonianSpec(sites=2, potential_coeffs=(0.0, 0.0, 0.5),
+    spec2 = HamiltonianSpec(potential_coeffs=(0.0, 0.0, 0.5),
                             gradient_coupling=0.0)
     prod = np.outer(f, f)
     e2 = np.real(g2.inner(prod, hamiltonian_apply(
@@ -209,8 +209,8 @@ def test_apply_hamiltonian_raw_matches_stencil_matrix(axes, with_phases):
 
 def test_gauss_uniform_density_gives_zero_potential():
     grid = TensorGrid.cube(-3.0, 3.0, 121, 1)
-    p = ModelParams.for_grid(grid, l=1.0)
-    rho = np.full(grid.shape, 1.0 / p.omega)
+    p = ModelParams(l=1.0)
+    rho = np.full(grid.shape, 1.0 / grid.volume)
     a_t = gauss_solve_stationary(grid, rho, p)
     assert np.abs(a_t).max() < 1e-14
 
@@ -221,11 +221,11 @@ def test_gauss_cosine_density_analytic():
     errs = []
     for n in (201, 401):
         grid = TensorGrid.cube(-2.0, 2.0, n, 1)
-        p = ModelParams.for_grid(grid, l=1.5)
+        p = ModelParams(l=1.5)
         x = grid.axes[0].nodes
-        rho = (1.0 + np.cos(np.pi * x / 2.0)) / p.omega
+        rho = (1.0 + np.cos(np.pi * x / 2.0)) / grid.volume
         a_t = gauss_solve_stationary(grid, rho, p)
-        exact = p.inv_l2 * (2.0 / np.pi) ** 2 * np.cos(np.pi * x / 2.0) / p.omega
+        exact = p.inv_l2 * (2.0 / np.pi) ** 2 * np.cos(np.pi * x / 2.0) / grid.volume
         errs.append(np.abs(a_t - exact).max())
         assert abs(grid.integrate(a_t)) < 1e-12
     assert errs[0] / errs[1] > 3.0
@@ -233,7 +233,7 @@ def test_gauss_cosine_density_analytic():
 
 def test_gauss_unnormalized_density_raises():
     grid = TensorGrid.cube(-3.0, 3.0, 121, 1)
-    p = ModelParams.for_grid(grid, l=1.0)
+    p = ModelParams(l=1.0)
     x = grid.axes[0].nodes
     rho = np.exp(-x ** 2)
     rho *= 1.5 / np.real(grid.integrate(rho))
@@ -243,7 +243,7 @@ def test_gauss_unnormalized_density_raises():
 
 def test_gauss_linear_limit_returns_zero():
     grid = TensorGrid.cube(-3.0, 3.0, 61, 1)
-    p = ModelParams.for_grid(grid, l=np.inf)
+    p = ModelParams(l=np.inf)
     x = grid.axes[0].nodes
     rho = np.exp(-x ** 2)
     rho /= np.real(grid.integrate(rho))
@@ -254,8 +254,8 @@ def test_gauss_linear_limit_returns_zero():
 
 def test_initialize_constraint_uniform_is_zero():
     grid = TensorGrid.cube(-3.0, 3.0, 121, 1)
-    p = ModelParams.for_grid(grid, l=1.0)
-    psi = np.full(grid.shape, np.sqrt(1.0 / p.omega), dtype=complex)
+    p = ModelParams(l=1.0)
+    psi = np.full(grid.shape, np.sqrt(1.0 / grid.volume), dtype=complex)
     f = initialize_constraint(WaveFunctional(grid, psi), p)
     assert np.abs(f[0]).max() < 1e-14
 
@@ -264,19 +264,19 @@ def test_initialize_constraint_cosine_profile():
     errs = []
     for n in (201, 401):
         grid = TensorGrid.cube(-2.0, 2.0, n, 1)
-        p = ModelParams.for_grid(grid, l=1.0)
+        p = ModelParams(l=1.0)
         x = grid.axes[0].nodes
-        psi = np.sqrt((1.0 + np.cos(np.pi * x / 2.0)) / p.omega).astype(complex)
+        psi = np.sqrt((1.0 + np.cos(np.pi * x / 2.0)) / grid.volume).astype(complex)
         f = initialize_constraint(WaveFunctional(grid, psi), p)
         mid = 0.5 * (x[1:] + x[:-1])
-        exact = p.inv_l2 * (2.0 / np.pi) * np.sin(np.pi * mid / 2.0) / p.omega
+        exact = p.inv_l2 * (2.0 / np.pi) * np.sin(np.pi * mid / 2.0) / grid.volume
         errs.append(np.abs(f[0] - exact).max())
     assert errs[0] / errs[1] > 3.0
 
 
 def test_initialize_constraint_defining_property():
     grid = TensorGrid.cube(-4.0, 4.0, 161, 1)
-    p = ModelParams.for_grid(grid, l=0.8)
+    p = ModelParams(l=0.8)
     x = grid.axes[0].nodes
     psi = (np.exp(-0.5 * (x - 0.7) ** 2) + 0j)
     psi[0] = psi[-1] = 0.0
@@ -289,7 +289,7 @@ def test_initialize_constraint_defining_property():
 
 def test_initialize_constraint_requires_normalization():
     grid = TensorGrid.cube(-4.0, 4.0, 81, 1)
-    p = ModelParams.for_grid(grid, l=1.0)
+    p = ModelParams(l=1.0)
     x = grid.axes[0].nodes
     psi = np.exp(-0.5 * x ** 2) + 0j
     with pytest.raises(UnsolvableConstraintError):

@@ -59,8 +59,8 @@ def test_shooting_oracle_energy_and_shot_count(monkeypatch):
                                    max_outer=3),
     lambda: line_ground_scf(UniformGrid1D(-8.0, 8.0, 161), (0.0, 0.0, 0.5),
                             1.0, 1.0 / 16.0, tol=1e-12, max_scf=3),
-    lambda: stationary_solve(HamiltonianSpec(sites=3, potential_coeffs=(0.0, 0.0, 0.5)),
-                             ModelParams.for_grid(CUBE9, l=1.0), CUBE9,
+    lambda: stationary_solve(HamiltonianSpec(potential_coeffs=(0.0, 0.0, 0.5)),
+                             ModelParams(l=1.0), CUBE9,
                              tol=1e-12, max_scf=3),
 ], ids=["radial_scf", "radial_shoot", "line_scf", "stationary"])
 def test_unconverged_solvers_raise_with_trace(solve):
@@ -228,8 +228,8 @@ def test_poisson_1d_neumann_matches_cg_path():
                                     (0.0, 0.0, 0.0, 0.0, 0.25)])
 def test_limit_equivalence(coeffs):
     grid = TensorGrid.cube(-8.0, 8.0, 321, 1)
-    spec = HamiltonianSpec(sites=1, potential_coeffs=coeffs)
-    params = ModelParams.for_grid(grid, l=1.0)
+    spec = HamiltonianSpec(potential_coeffs=coeffs)
+    params = ModelParams(l=1.0)
     rep = limit_equivalence_check(spec, params, grid, tol=1e-13)
     assert rep.omega_diff < 1e-8
     assert rep.max_psi_diff < 1e-7
@@ -238,8 +238,8 @@ def test_limit_equivalence(coeffs):
 
 def test_limit_equivalence_linear_limit():
     grid = TensorGrid.cube(-8.0, 8.0, 321, 1)
-    spec = HamiltonianSpec(sites=1, potential_coeffs=(0.0, 0.0, 0.5))
-    params = ModelParams.for_grid(grid, l=np.inf)
+    spec = HamiltonianSpec(potential_coeffs=(0.0, 0.0, 0.5))
+    params = ModelParams(l=np.inf)
     rep = limit_equivalence_check(spec, params, grid, tol=1e-13)
     assert rep.omega_diff < 1e-10
     assert abs(rep.omega_functional - 0.5) < 1e-3
