@@ -11,7 +11,7 @@ from nlgauge.sn import Line1DState, SNParams, sn_evolve_1d
 
 
 def sigma_series(coupling, axis, psi0, dt, steps):
-    out = sn_evolve_1d(Line1DState(axis, psi0.copy(), np.zeros(axis.count)),
+    out = sn_evolve_1d(Line1DState(axis, psi0.copy()),
                        SNParams(coupling=coupling), dt=dt, steps=steps)
     return out["series"]["sigma"]
 

@@ -83,23 +83,14 @@ def action_evaluate(traj: Trajectory) -> float:
     return total
 
 
-def scale_factor(c0: float, a: float) -> float:
-    if c0 <= 0:
-        raise ValueError("c0 must be positive")
-    return c0 ** (a / 2.0)
-
-
-def scale_grid(grid: TensorGrid, s: float) -> TensorGrid:
-    axes = tuple(UniformGrid1D(ax.lower / s, ax.upper / s, ax.count)
-                 for ax in grid.axes)
-    return TensorGrid(axes)
-
-
 def _scaled_model(grid: TensorGrid, spec: HamiltonianSpec, params: ModelParams,
                   c0: float, a: float):
     """(s, grid', spec', params') of the scale family at (c0, a)."""
-    s = scale_factor(c0, a)
-    grid2 = scale_grid(grid, s)
+    if c0 <= 0:
+        raise ValueError("c0 must be positive")
+    s = c0 ** (a / 2.0)
+    grid2 = TensorGrid(tuple(UniformGrid1D(ax.lower / s, ax.upper / s, ax.count)
+                             for ax in grid.axes))
     spec2 = replace(spec, lattice_spacing=spec.lattice_spacing * s)
     params2 = ModelParams(l=params.l * s ** ((grid.ndim - 1) / 2.0))
     return s, grid2, spec2, params2

@@ -170,12 +170,19 @@ def validate(text: str) -> tuple[SolverConfig | None, list[str]]:
     for (section, key), ok, msg in checks:
         if (section, key) in values and not ok(values[(section, key)]):
             errors.append(f"[{section}] {key} {msg} (got {values[(section, key)]})")
-    # bounds and node counts are checked by the grid constructors themselves
-    grid_keys = (("grid", UniformGrid1D, ("lower", "upper", "count")),
-                 ("radial", RadialGrid, ("r_min", "r_max", "count")))
-    for section, grid_type, keys in grid_keys:
+    # bounds, node counts and the point budget are checked by the grid
+    # constructors themselves; `cube` builds `dim` axes before it checks
+    # `dim`, so it only sees a dim that passed above
+    lower, upper, count, dim = (values[("grid", key)]
+                                for key in ("lower", "upper", "count", "dim"))
+    grid_builds = (
+        ("grid", lambda: TensorGrid.cube(lower, upper, count, dim)
+         if 1 <= dim <= 4 else UniformGrid1D(lower, upper, count)),
+        ("radial", lambda: RadialGrid(*(values[("radial", key)]
+                                        for key in ("r_min", "r_max", "count")))))
+    for section, build in grid_builds:
         try:
-            grid_type(*(values[(section, key)] for key in keys))
+            build()
         except ValueError as exc:
             errors.append(f"[{section}] {exc}")
     try:
@@ -263,7 +270,7 @@ def _run_sn_evolve(cfg: SolverConfig):
                            cfg[("initial", "momentum")])
     w = axis.quad_weights()
     psi /= np.sqrt((w * np.abs(psi) ** 2).sum())
-    res = sn_evolve_1d(Line1DState(axis, psi, np.zeros_like(x)), params,
+    res = sn_evolve_1d(Line1DState(axis, psi), params,
                        dt=cfg[("solver", "dt")], steps=cfg[("solver", "steps")],
                        record_every=cfg[("solver", "record_every")])
     s = res["series"]

@@ -37,6 +37,8 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def _trapezoid_weights(count: int, spacing: float) -> np.ndarray:
+    if count > MAX_POINTS:  # before the allocation
+        raise ValueError(f"{count} nodes exceeds budget {MAX_POINTS}")
     w = np.full(count, spacing)
     w[0] *= 0.5
     w[-1] *= 0.5

@@ -93,17 +93,6 @@ class WaveFunctional:
         self.values = np.asarray(self.values, dtype=complex)
         self.grid.check_field(self.values)
 
-    @property
-    def norm(self) -> float:
-        """The conserved normalization integral(|psi|^2)."""
-        return float(np.real(self.grid.integrate(np.abs(self.values) ** 2)))
-
-    def normalized(self) -> "WaveFunctional":
-        n = self.norm
-        if n <= 0:
-            raise ValueError("cannot normalize a null state")
-        return WaveFunctional(self.grid, self.values / np.sqrt(n))
-
 
 @dataclass
 class GaugeState:
@@ -141,11 +130,6 @@ class GaugeState:
         shapes = [cls._link_shape(grid, x) for x in range(grid.ndim)]
         return cls(grid, np.zeros(grid.shape), [np.zeros(s) for s in shapes],
                    [np.zeros(s) for s in shapes])
-
-    def copy(self) -> "GaugeState":
-        return GaugeState(self.grid, self.a_t.copy(),
-                          [a.copy() for a in self.a_phi],
-                          [a.copy() for a in self.f])
 
 
 @dataclass

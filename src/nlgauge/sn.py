@@ -80,8 +80,7 @@ class RadialState:
 class Line1DState:
     grid: UniformGrid1D
     psi: np.ndarray
-    phi_grav: np.ndarray
-    time: float = 0.0
+    time: float = field(default=0.0, kw_only=True)
 
 
 # ---------------------------------------------------------------- radial
@@ -415,12 +414,14 @@ def sn_evolve_1d(state: Line1DState, params: SNParams, dt: float, steps: int,
                  *, record_every: int = 1) -> dict:
     """Crank-Nicolson evolution with the self-consistent potential.
 
-    Each step predicts the midpoint density with a half step, rebuilds the
-    potential there, and takes the full step with it (second order, norm
-    conserving per step). Records t, norm, energy, and width sigma every
-    `record_every` steps; returns those series and the final state. The
-    energy is Re<psi, H psi> - 1/2 <phi_grav, rho> with H = -1/2 d^2 + V_ext
-    on the stencil of the CN step.
+    The potential is solved from |psi|^2 of the initial state, so a
+    state carries only the grid, psi and its time. Each step predicts the
+    midpoint density with a half step, rebuilds the potential there, and
+    takes the full step with it (second order, norm conserving per step).
+    Records t, norm, energy, and width sigma every `record_every` steps;
+    returns those series and the final state. The energy is
+    Re<psi, H psi> - 1/2 <phi_grav, rho> with H = -1/2 d^2 + V_ext on the
+    stencil of the CN step.
     """
     grid = state.grid
     tgrid = TensorGrid((grid,))
@@ -464,12 +465,12 @@ def sn_evolve_1d(state: Line1DState, params: SNParams, dt: float, steps: int,
             if not abs(nrm - norm0) <= _NORM_TOL:
                 raise IntegratorError(f"norm drifted to {nrm:.12f} at step {k}")
     return {"series": {k: np.array(v) for k, v in out.items()},
-            "final": Line1DState(grid, psi, phi, state.time + steps * dt)}
+            "final": Line1DState(grid, psi, time=state.time + steps * dt)}
 
 
 def line_ground_scf(grid: UniformGrid1D, vext_coeffs: tuple[float, ...],
                     coupling: float, background: float, tol: float = 1e-12,
-                    *, mixing: float = 0.5, max_scf: int = 400):
+                    *, max_scf: int = 400):
     """Stationary 1D solver, independently coded against the functional
     path: dense tridiagonal eigensolve plus direct banded Poisson.
 
@@ -493,7 +494,7 @@ def line_ground_scf(grid: UniformGrid1D, vext_coeffs: tuple[float, ...],
             last["phi"] = np.zeros_like(x)
         return last["phi"], omega
 
-    _, _, trace = fixed_point(update, np.zeros_like(x), beta=mixing, tol=tol,
+    _, _, trace = fixed_point(update, np.zeros_like(x), beta=0.5, tol=tol,
                               max_iter=max_scf, name="line SCF")
     return trace[-1][1], last["psi"], last["phi"]
 

@@ -198,7 +198,7 @@ def test_criterion_08_linear_limit_sanity():
     sig0 = 1.0
     psi = np.exp(-x ** 2 / (4 * sig0 ** 2)) + 0j
     psi /= np.sqrt((w * np.abs(psi) ** 2).sum())
-    out = sn_evolve_1d(Line1DState(axis, psi, np.zeros_like(x)),
+    out = sn_evolve_1d(Line1DState(axis, psi),
                        SNParams(coupling=0.0), dt=0.01, steps=400)
     s = out["series"]
     T = s["t"][-1]
@@ -223,7 +223,7 @@ def test_criterion_09_wave_packet_shrinking():
     psi0 /= np.sqrt((w * np.abs(psi0) ** 2).sum())
 
     def final_sigma(c):
-        out = sn_evolve_1d(Line1DState(axis, psi0.copy(), np.zeros_like(x)),
+        out = sn_evolve_1d(Line1DState(axis, psi0.copy()),
                            SNParams(coupling=c), dt=0.005, steps=600)
         return out["series"]["sigma"]
 

@@ -77,6 +77,22 @@ def test_swapped_grid_bounds_name_their_section():
     assert len(errors) == 1 and errors[0].startswith("[radial] ")
 
 
+def test_grid_budget_is_checked_before_allocation(tmp_path, capsys):
+    head = "[experiment]\nkind = functional-stationary\n"
+    for section, body in (("grid", "dim = 4\ncount = 201\n"),
+                          ("grid", "count = 10000000000000\n"),
+                          ("radial", "count = 10000000000000\n")):
+        path = tmp_path / f"{section}.ini"
+        path.write_text(f"{head}[{section}]\n{body}")
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: [{section}] ")
+        assert "exceeds budget" in err[0]
+    # `cube` never sees a dim outside 1..4, so that dim is reported once
+    cfg, errors = validate(head + "[grid]\ndim = 9\n")
+    assert len(errors) == 1 and errors[0].startswith("[grid] dim ")
+
+
 def test_cli_validate_and_run_harmonic_oscillator(tmp_path, capsys):
     text = patch_output((CONFIGS / "sn_ground_harmonic.ini").read_text(),
                         str(tmp_path))

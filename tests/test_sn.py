@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -131,7 +133,7 @@ def test_free_gaussian_spreading_law():
     sig0 = 1.0
     psi = np.exp(-x ** 2 / (4 * sig0 ** 2)) + 0j
     psi /= np.sqrt((w * np.abs(psi) ** 2).sum())
-    out = sn_evolve_1d(Line1DState(grid, psi, np.zeros_like(x)),
+    out = sn_evolve_1d(Line1DState(grid, psi),
                        SNParams(coupling=0.0), dt=0.01, steps=400)
     s = out["series"]
     T = s["t"][-1]
@@ -169,12 +171,34 @@ def test_shrinking_at_strong_coupling():
     w = line_weights(grid)
     psi = np.exp(-x ** 2 / 4.0) + 0j
     psi /= np.sqrt((w * np.abs(psi) ** 2).sum())
-    strong = sn_evolve_1d(Line1DState(grid, psi.copy(), np.zeros_like(x)),
+    strong = sn_evolve_1d(Line1DState(grid, psi.copy()),
                           SNParams(coupling=2.0), dt=0.005, steps=400)
-    weak = sn_evolve_1d(Line1DState(grid, psi.copy(), np.zeros_like(x)),
+    weak = sn_evolve_1d(Line1DState(grid, psi.copy()),
                         SNParams(coupling=0.0), dt=0.005, steps=400)
     assert strong["series"]["sigma"].min() < 1.0
     assert np.all(np.diff(weak["series"]["sigma"]) > 0)
+
+
+def test_line_evolver_conserves_norm_when_coupled():
+    grid = UniformGrid1D(-15.0, 15.0, 401)
+    x = grid.nodes
+    psi = np.exp(-x ** 2 / 4.0) + 0j
+    psi /= np.sqrt((line_weights(grid) * np.abs(psi) ** 2).sum())
+    norm = sn_evolve_1d(Line1DState(grid, psi), SNParams(coupling=1.0),
+                        dt=0.01, steps=100)["series"]["norm"]
+    assert np.abs(norm - norm[0]).max() < 1e-8
+
+
+def test_line_state_is_grid_psi_and_keyword_only_time():
+    fields = dataclasses.fields(Line1DState)
+    assert [f.name for f in fields] == ["grid", "psi", "time"]
+    assert fields[-1].kw_only
+    grid = UniformGrid1D(-1.0, 1.0, 5)
+    psi = np.zeros(5, complex)
+    assert Line1DState(grid, psi, time=0.5).time == 0.5
+    # a stale call with the old potential argument must not bind it to time
+    with pytest.raises(TypeError):
+        Line1DState(grid, psi, np.zeros(5))
 
 
 def test_energy_drift_second_order():
@@ -186,7 +210,7 @@ def test_energy_drift_second_order():
     p = SNParams(coupling=2.0)
     drifts = []
     for dt in (0.02, 0.01, 0.005):
-        out = sn_evolve_1d(Line1DState(grid, psi.copy(), np.zeros_like(x)), p,
+        out = sn_evolve_1d(Line1DState(grid, psi.copy()), p,
                            dt=dt, steps=int(2.0 / dt))
         e = out["series"]["energy"]
         drifts.append(np.abs(e - e[0]).max())
@@ -195,7 +219,7 @@ def test_energy_drift_second_order():
 
     # each recorded energy is <psi, -1/2 psi'' + V psi> - 1/2 <phi, rho>
     p = SNParams(coupling=2.0, external_potential_coeffs=(0.0, 0.0, 0.01))
-    state = Line1DState(grid, psi.copy(), np.zeros_like(x))
+    state = Line1DState(grid, psi.copy())
     state.psi[0] = state.psi[-1] = 0.0
     for _ in range(3):
         out = sn_evolve_1d(state, p, dt=0.02, steps=1)
@@ -291,5 +315,5 @@ def test_sn_evolve_rejects_a_nan_state_with_integrator_error(coupling):
     psi /= np.sqrt((line_weights(grid) * np.abs(psi) ** 2).sum())
     psi[60] = np.nan
     with pytest.raises(IntegratorError, match="step 1$"):
-        sn_evolve_1d(Line1DState(grid, psi, np.zeros_like(x)),
+        sn_evolve_1d(Line1DState(grid, psi),
                      SNParams(coupling=coupling), dt=0.01, steps=5)

@@ -20,25 +20,6 @@ def test_conservation_check_passes():
     assert drift < 1e-10
 
 
-def test_conservation_check_accepts_line_evolver_output():
-    import numpy as np
-    from nlgauge.grids import UniformGrid1D
-    from nlgauge.sn import Line1DState, SNParams, sn_evolve_1d
-
-    axis = UniformGrid1D(-15.0, 15.0, 401)
-    x = axis.nodes
-    w = np.full(axis.count, axis.spacing)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    psi = np.exp(-x ** 2 / 4.0) + 0j
-    psi /= np.sqrt((w * np.abs(psi) ** 2).sum())
-    out = sn_evolve_1d(Line1DState(axis, psi, np.zeros_like(x)),
-                       SNParams(coupling=1.0), dt=0.01, steps=100)
-    rep = check_conservation(out)
-    assert rep.passed
-    assert dict(rep.measured)["max_norm_drift"] < 1e-8
-
-
 def test_conservation_negative_control_detects_euler():
     rep = control_conservation_euler()
     assert rep.passed
