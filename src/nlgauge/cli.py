@@ -333,7 +333,8 @@ def _run_functional_evolve(cfg: SolverConfig):
     traj = evolve_temporal_gauge(pw, g0, spec, params,
                                  dt=cfg[("solver", "dt")],
                                  steps=cfg[("solver", "steps")],
-                                 record_every=cfg[("solver", "record_every")])
+                                 record_every=cfg[("solver", "record_every")],
+                                 keep_snapshots=False)
     d = traj.diagnostics
     summary = {
         "norm_drift": float(np.abs(d["norm"] - 1.0).max()),

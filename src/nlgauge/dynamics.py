@@ -26,7 +26,7 @@ from scipy.linalg.lapack import zgtsv as _zgtsv
 from .errors import (ConstraintViolationError, ConvergenceError,
                      InsufficientDataError, IntegratorError)
 from .fixedpoint import fixed_point
-from .gaugeops import (apply_hamiltonian_raw, gauss_residual,
+from .gaugeops import (_grid_norms, apply_hamiltonian_raw, gauss_residual,
                        gauss_solve_stationary, link_current, link_diff,
                        link_divergence, link_phases, project_dirichlet)
 from .grids import TensorGrid
@@ -164,11 +164,17 @@ def _cn_step_1d(grid, psi, phases, diag, a_lat, dt):
     coef = 1.0 / (2.0 * a_lat ** 3 * h * h)
     alpha = 0.5j * dt
     rhs_full = psi - alpha * apply_hamiltonian_raw(grid, psi, phases, diag, a_lat)
-    U = np.ones(n - 1, dtype=complex) if phases is None else phases[0]
     # interior nodes 1..n-2; link j connects nodes j and j+1
     d = 1.0 + alpha * (2.0 * coef + diag[1:-1])
-    upper = alpha * (-coef * U[1:-1])
-    lower = alpha * (-coef * np.conj(U[1:-1]))
+    if phases is None:
+        # unit links: both off-diagonals hold the one value alpha * (-coef);
+        # zgtsv overwrites them, so each is its own array
+        upper = np.full(n - 3, alpha * (-coef))
+        lower = np.full(n - 3, alpha * (-coef))
+    else:
+        U = phases[0][1:-1]
+        upper = alpha * (-coef * U)
+        lower = alpha * (-coef * np.conj(U))
     _, _, _, sol, info = _zgtsv(lower, d, upper, rhs_full[1:-1], 1, 1, 1, 1)
     if info != 0:
         raise np.linalg.LinAlgError(f"zgtsv failed in the CN step (info={info})")
@@ -216,24 +222,45 @@ def _cn_step_nd(grid, psi, phases, diag, a_lat, dt):
     return np.where(interior, x, 0.0)
 
 
+def _block_rows(size: int) -> int:
+    """Recorded steps whose diagnostics are computed together, for states
+    of `size` grid values: at most 256, and at most 2**12 values per
+    stacked array. The block's temporaries set the evolvers' peak
+    memory: at 2**16 values the 1201-node sn line evolve peaked 12%
+    higher than with per-step diagnostics; at 2**12 it does not."""
+    return max(1, min(256, 2 ** 12 // size))
+
+
 def evolve_temporal_gauge(psi0: WaveFunctional, gauge0: GaugeState,
                           spec: HamiltonianSpec, params: ModelParams,
                           dt: float, steps: int, *, record_every: int = 1,
-                          scheme: str = "cn") -> Trajectory:
+                          scheme: str = "cn",
+                          keep_snapshots: bool = True) -> Trajectory:
     """Advance (psi, A_phi, F) from Gauss-consistent initial data.
 
-    Records a snapshot every `record_every` steps (the initial state is
-    snapshot 0). Diagnostics per recorded step: norm, total charge, Gauss
-    residual, continuity residual (between this step and the one before
-    it, by the formula of `continuity_residual`; NaN at the initial
-    snapshot, which no step precedes), matter and field energy, and the
-    root-mean-square width sigma = sqrt(sum_x Var phi_x) of the density.
+    Records the diagnostics every `record_every` steps, and at the last
+    step (the initial state is row 0): norm, total charge, Gauss residual,
+    continuity residual (between this step and the one before it, by the
+    formula of `continuity_residual`; NaN at the initial state, which no
+    step precedes), matter and field energy, and the root-mean-square
+    width sigma = sqrt(sum_x Var phi_x) of the density. A snapshot is kept
+    at every recorded step, or, with `keep_snapshots=False`, only of the
+    initial and the final state; the diagnostics are the same either way.
+
+    The diagnostics are computed in blocks of recorded steps (`_block_rows`
+    of the grid size): the block's states are stacked and each diagnostic
+    is one reduction over the trailing grid axes, bitwise the value of the
+    public formula applied to each state alone.
 
     `scheme` is "cn" (Crank-Nicolson) or "euler", the deliberately
     non-unitary step of the conservation negative control. A "cn" run
     fails when the norm drifts by more than 1e-6 (IntegratorError) or the
     Gauss residual blows up (ConstraintViolationError); an "euler" run
-    records without either guard.
+    records without either guard. The guards are checked when a block is
+    complete, row by row in step order, the norm guard first, so the run
+    may go on up to one block past the first failing step; the error
+    names that step. A step that raises first has the rows before it
+    checked, so a guard failure that came earlier is the one reported.
 
     Snapshots hold the step's own arrays, not copies: psi, the links and
     f_bar are flagged read-only, and every snapshot shares one read-only
@@ -244,8 +271,7 @@ def evolve_temporal_gauge(psi0: WaveFunctional, gauge0: GaugeState,
     once and serves the norm, the charge, the Gauss source, sigma and the
     continuity residual (of this step and, at record_every = 1, of the
     next); the products w * phi_x of the sigma means are formed once per
-    evolve. Every recorded value is bitwise the one of the public
-    formulas applied to the snapshot.
+    evolve.
     """
     grid = psi0.grid
     if np.any(gauge0.a_t):
@@ -265,6 +291,7 @@ def evolve_temporal_gauge(psi0: WaveFunctional, gauge0: GaugeState,
             f"{_STABILITY_MARGIN}; reduce dt")
 
     nd = grid.ndim
+    axes = tuple(range(1, nd + 1))  # the grid axes of a stack of states
     w = grid.quad_weights()
     lw = [grid.link_weights(x) for x in range(nd)]
     coords = [grid.coordinate(x) for x in range(nd)]
@@ -282,101 +309,136 @@ def evolve_temporal_gauge(psi0: WaveFunctional, gauge0: GaugeState,
 
     ph, j = phases_and_currents(psi, a)
     f_half = [f0[x] + 0.5 * dt * (-inv_l2a3 * j[x]) for x in range(nd)]
-    f_half_prev = None
 
     traj = Trajectory(grid, spec, params, dt * record_every)
-    diags = {k: [] for k in ("time", "norm", "charge", "gauss_residual",
-                             "continuity_residual", "energy", "sigma")}
+    n_rec = len(range(0, steps, record_every)) + 1
+    diags = traj.diagnostics = {
+        k: np.empty(n_rec) for k in ("time", "norm", "charge", "gauss_residual",
+                                     "continuity_residual", "energy", "sigma")}
+    done = 0  # rows of diags filled
+    block = _block_rows(w.size)
+    # one row per recorded step not yet reduced: (k, psi, rho, link phases,
+    # currents, f_bar, and rho and the currents of step k - 1)
+    rows = []
 
-    def record(k, psi_v, rho, a_links, ph, j, f_bar, prev=None):
-        t = k * dt
-        nrm = float((w * rho).sum())
-        charge = params.inv_l2 * float((w * nonlinearity(rho, grid)).sum())
+    def snapshot(k, psi_v, a_links, f_bar):
+        for arr in (psi_v, *a_links, *f_bar):
+            arr.flags.writeable = False
+        traj.snapshots.append(Snapshot(k * dt, psi_v, a_links, f_bar, zero_a_t))
+
+    def flush():
+        nonlocal done
+        if not rows:
+            return
+        ks, psi_b, rho, ph_b, j_b, f_bar, rho_p, j_p = zip(*rows)
+        rows.clear()
+        new = slice(done, done + len(ks))
+        done = new.stop
+        ks = np.array(ks)
+        psi_b, rho, rho_p = np.stack(psi_b), np.stack(rho), np.stack(rho_p)
+        ph_b, j_b, f_bar, j_p = ([np.stack(c) for c in zip(*links)]
+                                 for links in (ph_b, j_b, f_bar, j_p))
+        t = ks * dt
+        nrm = (w * rho).sum(axis=axes)
+        charge = params.inv_l2 * (w * nonlinearity(rho, grid)).sum(axis=axes)
         gres = gauss_residual(grid, f_bar, rho, params)
-        hpsi = apply_hamiltonian_raw(grid, psi_v, ph, diag, a_lat)
-        e_mat = float(np.real((w * np.conj(psi_v) * hpsi).sum()))
-        if prev is not None:
-            rho_p, j_p = prev
-            cres = _continuity_residual(grid, rho_p, j_p, rho, j,
-                                        t - (k - 1) * dt, a_lat)
-        else:
-            cres = np.nan
-        sigma = _rms_width(w, coords, w_coords, rho, nrm)
+        hpsi = apply_hamiltonian_raw(grid, psi_b, ph_b, diag, a_lat)
+        e_mat = np.real((w * np.conj(psi_b) * hpsi).sum(axis=axes))
+        # row 0 of the run has no step before it: its own (rho, J) stand in
+        # for the previous ones, and its residual is NaN
+        step_dt = (t - (ks - 1) * dt).reshape(-1, *(1,) * nd)
+        cres = _continuity_residual(grid, rho_p, j_p, rho, j_b, step_dt, a_lat)
+        cres[ks == 0] = np.nan
         for key, val in (("time", t), ("norm", nrm), ("charge", charge),
                          ("gauss_residual", gres), ("continuity_residual", cres),
                          ("energy", e_mat + _field_energy(params, lw, f_bar)),
-                         ("sigma", sigma)):
-            diags[key].append(val)
-        for arr in (psi_v, *a_links, *f_bar):
-            arr.flags.writeable = False
-        traj.snapshots.append(Snapshot(t, psi_v, a_links, f_bar, zero_a_t))
-        return nrm, gres
+                         ("sigma", _rms_width(w, coords, w_coords, rho, nrm))):
+            diags[key][new] = val
+        if scheme != "cn":  # the Euler step is unguarded
+            return
+        norm0 = diags["norm"][0]
+        gauss_floor = max(diags["gauss_residual"][0], 1e-12)
+        # written so that a NaN fails each guard
+        norm_bad = ~(np.abs(nrm - norm0) <= _NORM_TOL)
+        gauss_bad = ~((gres <= _GAUSS_BLOWUP) | (gres <= 1e4 * gauss_floor))
+        for i in np.flatnonzero((norm_bad | gauss_bad) & (ks > 0))[:1]:
+            if norm_bad[i]:
+                raise IntegratorError(f"norm drifted to {nrm[i]:.12f} at step "
+                                      f"{ks[i]} (tol {_NORM_TOL})")
+            raise ConstraintViolationError(
+                f"Gauss residual {gres[i]:.3e} blew up at step {ks[i]}")
 
     rho = np.abs(psi) ** 2
-    norm0, gres0 = record(0, psi, rho, a, ph, j, f0)
-    gauss_floor = max(gres0, 1e-12)
+    rows.append((0, psi, rho, ph, j, f0, rho, j))
+    snapshot(0, psi, a, f0)
     cn_step = _cn_step_1d if nd == 1 else _cn_step_nd
     rho_step = 0  # the step whose density `rho` holds
 
     for k in range(1, steps + 1):
-        # psi and the links are rebound below, never mutated in place
-        psi_prev, j_prev = psi, j
-        a_mid = [a[x] + 0.5 * dt * f_half[x] for x in range(nd)]
-        phases_mid = link_phases(grid, a_mid)
-        if scheme == "cn":
-            psi = cn_step(grid, psi, phases_mid, diag, a_lat, dt)
-        else:
-            hpsi = apply_hamiltonian_raw(grid, psi, phases_mid, diag, a_lat)
-            psi = project_dirichlet(grid, psi - 1j * dt * hpsi)
-        a = [a_mid[x] + 0.5 * dt * f_half[x] for x in range(nd)]
-        ph, j = phases_and_currents(psi, a)
-        f_half_prev = f_half
-        f_half = [f_half[x] + dt * (-inv_l2a3 * j[x]) for x in range(nd)]
+        try:
+            # psi and the links are rebound below, never mutated in place
+            psi_prev, j_prev = psi, j
+            a_mid = [a[x] + 0.5 * dt * f_half[x] for x in range(nd)]
+            phases_mid = link_phases(grid, a_mid)
+            if scheme == "cn":
+                psi = cn_step(grid, psi, phases_mid, diag, a_lat, dt)
+            else:
+                hpsi = apply_hamiltonian_raw(grid, psi, phases_mid, diag, a_lat)
+                psi = project_dirichlet(grid, psi - 1j * dt * hpsi)
+            a = [a_mid[x] + 0.5 * dt * f_half[x] for x in range(nd)]
+            ph, j = phases_and_currents(psi, a)
+            f_half_prev = f_half
+            f_half = [f_half[x] + dt * (-inv_l2a3 * j[x]) for x in range(nd)]
 
-        if k % record_every == 0 or k == steps:
-            f_bar = [0.5 * (f_half_prev[x] + f_half[x]) for x in range(nd)]
-            rho_prev = rho if rho_step == k - 1 else np.abs(psi_prev) ** 2
-            rho, rho_step = np.abs(psi) ** 2, k
-            nrm, gres = record(k, psi, rho, a, ph, j, f_bar, (rho_prev, j_prev))
-            # the Euler step is unguarded; written so that a NaN fails
-            # each guard of the CN step
-            if scheme == "cn" and not abs(nrm - norm0) <= _NORM_TOL:
-                raise IntegratorError(
-                    f"norm drifted to {nrm:.12f} at step {k} (tol {_NORM_TOL})")
-            if scheme == "cn" and not (gres <= _GAUSS_BLOWUP
-                                       or gres <= 1e4 * gauss_floor):
-                raise ConstraintViolationError(
-                    f"Gauss residual {gres:.3e} blew up at step {k}")
-
-    traj.diagnostics = {k: np.array(v) for k, v in diags.items()}
+            if k % record_every == 0 or k == steps:
+                f_bar = [0.5 * (f_half_prev[x] + f_half[x]) for x in range(nd)]
+                rho_prev = rho if rho_step == k - 1 else np.abs(psi_prev) ** 2
+                rho, rho_step = np.abs(psi) ** 2, k
+                rows.append((k, psi, rho, ph, j, f_bar, rho_prev, j_prev))
+                if keep_snapshots or k == steps:
+                    snapshot(k, psi, a, f_bar)
+        except Exception:
+            # a step taken from a state that already failed a guard may
+            # raise on its own; the guard failure is the one to report
+            flush()
+            raise
+        if len(rows) >= block:
+            flush()
+    flush()
     return traj
 
 
 def _field_energy(params, link_w, f_links):
-    """-(l^2/2) sum_x sum_links W_l F_x^2; 0 in the linear limit."""
+    """-(l^2/2) sum_x sum_links W_l F_x^2; 0 in the linear limit. Leading
+    axes of the link fields are a stack, with one energy per entry."""
     if params.inv_l2 == 0:
         return 0.0
-    return -0.5 * params.l ** 2 * sum(float((lw * fx ** 2).sum())
+    axes = tuple(range(-link_w[0].ndim, 0))
+    return -0.5 * params.l ** 2 * sum((lw * fx ** 2).sum(axis=axes)
                                       for lw, fx in zip(link_w, f_links))
 
 
 def _rms_width(w, coords, w_coords, rho, nrm):
-    """sigma = sqrt(sum_x Var phi_x) of rho; w_coords holds w * phi_x."""
+    """sigma = sqrt(sum_x Var phi_x) of each density of a stack rho
+    (leading axis) with norms nrm; w_coords holds w * phi_x."""
+    axes = tuple(range(1, rho.ndim))
     var = 0.0
     for xs, wxs in zip(coords, w_coords):
-        mean = float((wxs * rho).sum()) / nrm
-        var += (w * (xs - mean) ** 2 * rho).sum() / nrm
-    return float(np.sqrt(max(var, 0.0)))
+        mean = (wxs * rho).sum(axis=axes) / nrm
+        var += (w * (xs - mean.reshape(-1, *(1,) * w.ndim)) ** 2
+                * rho).sum(axis=axes) / nrm
+    return np.sqrt(np.maximum(var, 0.0))
 
 
 def _continuity_residual(grid, rho0, j0, rho1, j1, dt, a_lat):
     """The residual of `continuity_residual` from the two states' densities
     rho = |psi|^2 and link currents; the evolver passes the ones it has
-    already computed."""
+    already computed. Leading axes are a stack of state pairs, with dt
+    broadcast against the densities."""
     ddt = (rho1 - rho0) / dt
     div = link_divergence(grid, [0.5 * (j0[x] + j1[x])
                                  for x in range(grid.ndim)]) / a_lat ** 3
-    return grid.norm(ddt + div)
+    return _grid_norms(grid, ddt + div)
 
 
 def continuity_residual(grid: TensorGrid, snap0: Snapshot, snap1: Snapshot,

@@ -26,6 +26,8 @@ with J the link current Im(psi* U psi_+)/h.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from .errors import UnsolvableConstraintError
@@ -38,18 +40,24 @@ from .numerics import poisson_solve
 _COMPAT_TOL = 1e-8
 
 
-def _sl(ndim: int, axis: int, s) -> tuple:
-    idx = [slice(None)] * ndim
-    idx[axis] = s
-    return tuple(idx)
+@cache
+def _sl(ndim: int, axis: int) -> tuple[tuple, ...]:
+    """Index tuples (lo, hi, first, last, inner) along `axis` of an
+    `ndim`-axis grid field: nodes 0..n-2, 1..n-1, 0, n-1 and 1..n-2.
+
+    They index from the right, so leading axes of a stack of fields pass
+    through. Cached on the two ints (a slice is unhashable on Python 3.11).
+    """
+    tail = (slice(None),) * (ndim - 1 - axis)
+    return tuple((Ellipsis, s) + tail
+                 for s in (slice(0, -1), slice(1, None), 0, -1, slice(1, -1)))
 
 
 def link_diff(grid: TensorGrid, node_field: np.ndarray, axis: int) -> np.ndarray:
     """(f[i+1] - f[i]) / h on the links of `axis` (centered at midpoints)."""
     h = grid.spacings[axis]
-    a = _sl(grid.ndim, axis, slice(1, None))
-    b = _sl(grid.ndim, axis, slice(0, -1))
-    return (node_field[a] - node_field[b]) / h
+    lo, hi = _sl(grid.ndim, axis)[:2]
+    return (node_field[hi] - node_field[lo]) / h
 
 
 def link_divergence(grid: TensorGrid, link_fields: list[np.ndarray]) -> np.ndarray:
@@ -58,17 +66,17 @@ def link_divergence(grid: TensorGrid, link_fields: list[np.ndarray]) -> np.ndarr
     Defined as minus the adjoint of link_diff under the trapezoid node
     measure, so that link_divergence(link_diff(chi)) equals the compact
     Neumann Laplacian exactly. Ghost links outside the cutoff are zero.
+    Leading axes of the link fields are a stack of families, and the
+    result has them too.
     """
     nd = grid.ndim
     out = None
     for axis, h in enumerate(grid.spacings):
         u = link_fields[axis]
-        first, last = _sl(nd, axis, 0), _sl(nd, axis, -1)
-        d = np.empty(grid.shape)
+        lo, hi, first, last, inner = _sl(nd, axis)
+        d = np.empty(u.shape[:u.ndim - nd] + grid.shape)
         d[first] = u[first]
-        np.subtract(u[_sl(nd, axis, slice(1, None))],
-                    u[_sl(nd, axis, slice(0, -1))],
-                    out=d[_sl(nd, axis, slice(1, -1))])
+        np.subtract(u[hi], u[lo], out=d[inner])
         d[last] = -u[last]
         d /= h
         # trapezoid half-weights on the faces double the boundary rows
@@ -99,14 +107,15 @@ def apply_hamiltonian_raw(grid: TensorGrid, values: np.ndarray,
 
     The kinetic diagonal sum_x 1/(a^3 h_x^2) is added to `diag` before
     psi is scaled, once; each axis then adds only its two off-diagonals.
+    Leading axes of `values` and the phases are a stack of states, each
+    applied on its own.
     """
     nd = grid.ndim
     coefs = [1.0 / (2.0 * a_lat ** 3 * h * h) for h in grid.spacings]
     out = (diag + 2.0 * sum(coefs)) * values
     for x in range(nd):
         coef = coefs[x]
-        lo = _sl(nd, x, slice(0, -1))
-        hi = _sl(nd, x, slice(1, None))
+        lo, hi = _sl(nd, x)[:2]
         if phases is None:
             up = values[hi]
             down = values[lo]
@@ -149,21 +158,21 @@ def covariant_phi_derivative(psi: WaveFunctional, gauge: GaugeState,
     grid = psi.grid
     if not 0 <= site < grid.ndim:
         raise IndexError(f"site {site} out of range for {grid.ndim} axes")
-    nd = grid.ndim
     h = grid.spacings[site]
+    lo, hi, first, last, _ = _sl(grid.ndim, site)
     values = project_dirichlet(grid, psi.values)
     dpsi = np.zeros_like(values)
-    dpsi[_sl(nd, site, slice(0, -1))] += values[_sl(nd, site, slice(1, None))]
-    dpsi[_sl(nd, site, slice(1, None))] -= values[_sl(nd, site, slice(0, -1))]
+    dpsi[lo] += values[hi]
+    dpsi[hi] -= values[lo]
     dpsi /= 2.0 * h
 
     a_link = gauge.a_phi[site]
     a_node = np.zeros(grid.shape)
-    a_node[_sl(nd, site, slice(0, -1))] += 0.5 * a_link
-    a_node[_sl(nd, site, slice(1, None))] += 0.5 * a_link
+    a_node[lo] += 0.5 * a_link
+    a_node[hi] += 0.5 * a_link
     # faces see a single link; undo the half weight there
-    a_node[_sl(nd, site, 0)] *= 2.0
-    a_node[_sl(nd, site, -1)] *= 2.0
+    a_node[first] *= 2.0
+    a_node[last] *= 2.0
     return dpsi - 1j * a_node * values
 
 
@@ -185,11 +194,10 @@ def gauge_transform(psi: WaveFunctional, gauge: GaugeState,
 def link_current(grid: TensorGrid, values: np.ndarray,
                  phases: list[np.ndarray] | None, axis: int) -> np.ndarray:
     """J_x = Im(psi_i* U psi_{i+1}) / h on links; exactly gauge invariant,
-    and its adjoint divergence telescopes exactly against d(rho)/dt."""
+    and its adjoint divergence telescopes exactly against d(rho)/dt.
+    Leading axes of `values` and the phases are a stack of states."""
     h = grid.spacings[axis]
-    nd = grid.ndim
-    lo = values[_sl(nd, axis, slice(0, -1))]
-    hi = values[_sl(nd, axis, slice(1, None))]
+    lo, hi = (values[s] for s in _sl(grid.ndim, axis)[:2])
     if phases is None:
         prod = np.conj(lo) * hi
     else:
@@ -231,7 +239,22 @@ def initialize_constraint(psi0: WaveFunctional,
 
 
 def gauss_residual(grid: TensorGrid, f_links: list[np.ndarray],
-                   rho: np.ndarray, params: ModelParams) -> float:
-    """Grid norm of div F - (1/l^2)(rho - 1/Omega)."""
+                   rho: np.ndarray, params: ModelParams) -> float | np.ndarray:
+    """Grid norm of div F - (1/l^2)(rho - 1/Omega).
+
+    Leading axes of rho and the link fields are a stack of states; the
+    result is then one residual per state.
+    """
     g = link_divergence(grid, f_links) - params.inv_l2 * nonlinearity(rho, grid)
-    return grid.norm(g)
+    return _grid_norms(grid, g)
+
+
+def _grid_norms(grid: TensorGrid, values: np.ndarray) -> float | np.ndarray:
+    """`grid.norm` of a real field, or of each field of a stack of them
+    (leading axes). Both are one weighted sum over the trailing grid axes,
+    so each norm of a stack is bitwise the norm of its field alone."""
+    lead = values.ndim - grid.ndim
+    grid.check_field(values[(0,) * lead])
+    axes = tuple(range(lead, values.ndim))
+    norms = np.sqrt((grid.quad_weights() * values * values).sum(axis=axes))
+    return norms if lead else float(norms)

@@ -45,6 +45,14 @@ def _trapezoid_weights(count: int, spacing: float) -> np.ndarray:
     return _read_only(w)
 
 
+def _require_finite(obj, *names: str) -> None:
+    """Reject a non-finite bound; written so that a NaN fails too."""
+    for name in names:
+        value = getattr(obj, name)
+        if not -math.inf < value < math.inf:
+            raise ValueError(f"{name} must be finite (got {value})")
+
+
 class BoundaryCondition(Enum):
     DIRICHLET_ZERO = "dirichlet_zero"
     NEUMANN_ZERO = "neumann_zero"
@@ -61,6 +69,7 @@ class UniformGrid1D:
     def __post_init__(self):
         if self.count < 3:
             raise ValueError(f"count must be >= 3, got {self.count}")
+        _require_finite(self, "lower", "upper")
         if not self.upper > self.lower:
             raise ValueError("upper must exceed lower")
         object.__setattr__(self, "_weights",
@@ -187,6 +196,7 @@ class RadialGrid:
     count: int
 
     def __post_init__(self):
+        _require_finite(self, "r_min", "r_max")
         if not 0 < self.r_min < self.r_max:
             raise ValueError("need 0 < r_min < r_max")
         if self.r_min > 1e-2 * self.r_max:

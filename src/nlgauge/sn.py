@@ -34,13 +34,15 @@ background = 1/volume).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
 from numpy.polynomial.polynomial import polyval
-from scipy.linalg.lapack import dgtsv as _dgtsv
+from scipy.linalg.lapack import dgttrf as _dgttrf
+from scipy.linalg.lapack import dgttrs as _dgttrs
 
-from .dynamics import _cn_step_1d, _rms_width, stationary_solve
+from .dynamics import _block_rows, _cn_step_1d, _rms_width, stationary_solve
 from .errors import ConvergenceError, IntegratorError
 from .fixedpoint import fixed_point
 from .gaugeops import apply_hamiltonian_raw
@@ -370,10 +372,33 @@ def sn_ground_radial_shoot(params: SNParams, grid: RadialGrid,
 
 # ---------------------------------------------------------------- 1D line
 
+@lru_cache(maxsize=8)
+def _neumann_factors(n: int, h2: float) -> tuple[np.ndarray, ...]:
+    """LU factors (`dgttrf`, read-only) of the pinned compact Neumann
+    Laplacian on n nodes of squared spacing h2.
+
+    Its rows are the mirror-ghost ones, with the last row's lower entry
+    doubled; the first row is replaced by the pin u[0] = 0.
+    """
+    d = np.full(n, -2.0) / h2
+    up = np.ones(n - 1) / h2
+    lo = np.ones(n - 1) / h2
+    lo[-1] = 2.0 / h2
+    d[0] = 1.0
+    up[0] = 0.0
+    *factors, info = _dgttrf(lo, d, up)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dgttrf failed on the Poisson matrix (info={info})")
+    for a in factors:
+        a.flags.writeable = False
+    return tuple(factors)
+
+
 def poisson_1d_neumann(grid: UniformGrid1D, source: np.ndarray) -> np.ndarray:
     """Direct tridiagonal solve of u'' = source, zero-gradient ends, zero
-    mean, by one LAPACK `dgtsv` call (the routine behind
-    `scipy.linalg.solve_banded((1, 1), ...)`, without its input checks).
+    mean, by LAPACK `dgttrs` on the `dgttrf` factors of the grid's matrix,
+    factored once per grid; bitwise the `dgtsv` solve behind
+    `scipy.linalg.solve_banded((1, 1), ...)`.
 
     This is the solver of the independent `line_ground_scf` oracle and of
     the line evolver; it is kept apart from `numerics.poisson_solve` so
@@ -386,20 +411,11 @@ def poisson_1d_neumann(grid: UniformGrid1D, source: np.ndarray) -> np.ndarray:
     w = grid.quad_weights()
     vol = grid.extent
     rhs = source - (w * source).sum() / vol
-    n = grid.count
-    h2 = grid.spacing ** 2
-    # compact Neumann Laplacian rows (mirror ghosts): the last row's lower
-    # entry is doubled; the first row is replaced by the pin u[0] = 0
-    d = np.full(n, -2.0) / h2
-    up = np.ones(n - 1) / h2
-    lo = np.ones(n - 1) / h2
-    lo[-1] = 2.0 / h2
-    d[0] = 1.0
-    up[0] = 0.0
     rhs[0] = 0.0
-    _, _, _, u, info = _dgtsv(lo, d, up, rhs, 1, 1, 1, 1)
+    u, info = _dgttrs(*_neumann_factors(grid.count, grid.spacing ** 2), rhs,
+                      overwrite_b=1)
     if info != 0:
-        raise np.linalg.LinAlgError(f"dgtsv failed in the Poisson solve (info={info})")
+        raise np.linalg.LinAlgError(f"dgttrs failed in the Poisson solve (info={info})")
     u -= (w * u).sum() / vol
     return u
 
@@ -418,10 +434,18 @@ def sn_evolve_1d(state: Line1DState, params: SNParams, dt: float, steps: int,
     state carries only the grid, psi and its time. Each step predicts the
     midpoint density with a half step, rebuilds the potential there, and
     takes the full step with it (second order, norm conserving per step).
-    Records t, norm, energy, and width sigma every `record_every` steps;
-    returns those series and the final state. The energy is
-    Re<psi, H psi> - 1/2 <phi_grav, rho> with H = -1/2 d^2 + V_ext on the
-    stencil of the CN step.
+    Records t, norm, energy, and width sigma every `record_every` steps
+    and at the last one; returns those series and the final state. The
+    energy is Re<psi, H psi> - 1/2 <phi_grav, rho> with H = -1/2 d^2 +
+    V_ext on the stencil of the CN step.
+
+    The series are computed in blocks of recorded steps
+    (`dynamics._block_rows` of the node count), each value one reduction
+    over the stacked states. The norm guard (drift above 1e-6 raises
+    IntegratorError) is checked when a block is complete, row by row in
+    step order, so the run may go on up to one block past the first
+    failing step; the error names that step, also when a later step
+    raises first.
     """
     grid = state.grid
     tgrid = TensorGrid((grid,))
@@ -432,39 +456,60 @@ def sn_evolve_1d(state: Line1DState, params: SNParams, dt: float, steps: int,
     psi = state.psi.astype(complex).copy()
     psi[0] = psi[-1] = 0.0
 
-    out = {k: [] for k in ("t", "norm", "energy", "sigma")}
+    n_rec = len(range(0, steps, record_every)) + 1
+    out = {k: np.empty(n_rec) for k in ("t", "norm", "energy", "sigma")}
+    done = 0  # rows of out filled
+    block = _block_rows(grid.count)
+    rows = []  # (k, t, psi, rho, phi) per recorded step not yet reduced
 
-    def record(t, psi_v, rho, phi_v):
-        nrm = float((w * rho).sum())
-        hpsi = apply_hamiltonian_raw(tgrid, psi_v, None, vext, 1.0)
-        en = (float(np.real((w * np.conj(psi_v) * hpsi).sum()))
-              - 0.5 * float((w * phi_v * rho).sum()))
-        sig = _rms_width(w, (x,), (wx,), rho, nrm)
-        for key, val in (("t", t), ("norm", nrm), ("energy", en), ("sigma", sig)):
-            out[key].append(val)
-        return nrm
+    def flush():
+        nonlocal done
+        if not rows:
+            return
+        ks, t, psi_b, rho, phi_b = zip(*rows)
+        rows.clear()
+        new = slice(done, done + len(ks))
+        done = new.stop
+        psi_b, rho, phi_b = np.stack(psi_b), np.stack(rho), np.stack(phi_b)
+        nrm = (w * rho).sum(axis=1)
+        hpsi = apply_hamiltonian_raw(tgrid, psi_b, None, vext, 1.0)
+        en = (np.real((w * np.conj(psi_b) * hpsi).sum(axis=1))
+              - 0.5 * (w * phi_b * rho).sum(axis=1))
+        for key, val in (("t", np.array(t)), ("norm", nrm), ("energy", en),
+                         ("sigma", _rms_width(w, (x,), (wx,), rho, nrm))):
+            out[key][new] = val
+        norm0 = out["norm"][0]
+        # written so that a NaN norm fails the guard
+        bad = ~(np.abs(nrm - norm0) <= _NORM_TOL) & (np.array(ks) > 0)
+        for i in np.flatnonzero(bad)[:1]:
+            raise IntegratorError(f"norm drifted to {nrm[i]:.12f} at step {ks[i]}")
 
     rho = np.abs(psi) ** 2
     phi = solve_phi_grav(grid, rho, params) if params.coupling > 0 \
         else np.zeros_like(x)
-    norm0 = record(state.time, psi, rho, phi)
+    rows.append((0, state.time, psi, rho, phi))
     for k in range(1, steps + 1):
-        if params.coupling > 0:
-            half = _cn_step_1d(tgrid, psi, None, vext - phi, 1.0, 0.5 * dt)
-            phi_mid = solve_phi_grav(grid, np.abs(half) ** 2, params)
-        else:
-            phi_mid = phi
-        psi = _cn_step_1d(tgrid, psi, None, vext - phi_mid, 1.0, dt)
-        t = state.time + k * dt
-        rho = np.abs(psi) ** 2
-        if params.coupling > 0:
-            phi = solve_phi_grav(grid, rho, params)
+        try:
+            if params.coupling > 0:
+                half = _cn_step_1d(tgrid, psi, None, vext - phi, 1.0, 0.5 * dt)
+                phi_mid = solve_phi_grav(grid, np.abs(half) ** 2, params)
+            else:
+                phi_mid = phi
+            psi = _cn_step_1d(tgrid, psi, None, vext - phi_mid, 1.0, dt)
+            rho = np.abs(psi) ** 2
+            if params.coupling > 0:
+                phi = solve_phi_grav(grid, rho, params)
+        except Exception:
+            # a step taken from a state that already failed the guard may
+            # raise on its own; the guard failure is the one to report
+            flush()
+            raise
         if k % record_every == 0 or k == steps:
-            nrm = record(t, psi, rho, phi)
-            # written so that a NaN norm fails the guard
-            if not abs(nrm - norm0) <= _NORM_TOL:
-                raise IntegratorError(f"norm drifted to {nrm:.12f} at step {k}")
-    return {"series": {k: np.array(v) for k, v in out.items()},
+            rows.append((k, state.time + k * dt, psi, rho, phi))
+            if len(rows) >= block:
+                flush()
+    flush()
+    return {"series": out,
             "final": Line1DState(grid, psi, time=state.time + steps * dt)}
 
 

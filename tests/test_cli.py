@@ -77,6 +77,29 @@ def test_swapped_grid_bounds_name_their_section():
     assert len(errors) == 1 and errors[0].startswith("[radial] ")
 
 
+def _validate_errors(tmp_path, capsys, text):
+    path = tmp_path / "cfg.ini"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 1
+    return capsys.readouterr().err.splitlines()
+
+
+def test_non_finite_grid_bounds_are_grid_errors(tmp_path, capsys):
+    head = "[experiment]\nkind = functional-stationary\n[grid]\ncount = 31\n"
+    assert _validate_errors(tmp_path, capsys, head + "lower = -inf\n") == [
+        "config error: [grid] lower must be finite (got -inf)"]
+    assert _validate_errors(tmp_path, capsys, head + "upper = nan\n") == [
+        "config error: [grid] upper must be finite (got nan)"]
+
+
+def test_non_finite_radial_bounds_are_radial_errors(tmp_path, capsys):
+    head = "[experiment]\nkind = sn-ground\n[radial]\ncount = 100\n"
+    assert _validate_errors(tmp_path, capsys, head + "r_max = inf\n") == [
+        "config error: [radial] r_max must be finite (got inf)"]
+    assert _validate_errors(tmp_path, capsys, head + "r_min = nan\n") == [
+        "config error: [radial] r_min must be finite (got nan)"]
+
+
 def test_grid_budget_is_checked_before_allocation(tmp_path, capsys):
     head = "[experiment]\nkind = functional-stationary\n"
     for section, body in (("grid", "dim = 4\ncount = 201\n"),

@@ -3,9 +3,11 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from nlgauge.dynamics import (_cn_step_1d, _cn_step_nd, continuity_residual,
-                              evolve_temporal_gauge, stationary_solve)
-from nlgauge.errors import IntegratorError
+import nlgauge.dynamics as dynamics
+from nlgauge.dynamics import (_block_rows, _cn_step_1d, _cn_step_nd,
+                              continuity_residual, evolve_temporal_gauge,
+                              stationary_solve)
+from nlgauge.errors import ConstraintViolationError, IntegratorError
 from nlgauge.gaugeops import (apply_hamiltonian_raw, gauss_residual,
                               initialize_constraint, link_diff, link_phases)
 from nlgauge.grids import BoundaryCondition, TensorGrid
@@ -427,33 +429,100 @@ def test_continuity_residual_is_computed_at_every_recorded_step():
     params2 = ModelParams(l=1.0)
     two = evolve_temporal_gauge(psi2, gauss_consistent_gauge(psi2, params2),
                                 spec2, params2, dt=0.01, steps=12)
-    for traj, g, spec, p in ((full, grid, HARMONIC, params),
-                             (two, grid2, spec2, params2)):
-        snaps = traj.snapshots
-        rec = traj.diagnostics
-        w = g.quad_weights()
-        assert np.abs(snaps[-1].a_phi[0]).max() > 1e-6
-        assert np.isnan(rec["continuity_residual"][0])
-        for k, s in enumerate(snaps):
-            if k > 0:
-                assert rec["continuity_residual"][k] == continuity_residual(
-                    g, snaps[k - 1], s, spec, p)
-            rho = np.abs(s.psi) ** 2
-            # the norm is the integral of rho, i.e. grid.norm(psi) ** 2 up
-            # to the rounding of the square root
-            nrm = float(g.integrate(rho))
-            assert rec["norm"][k] == nrm
-            assert rec["norm"][k] == pytest.approx(g.norm(s.psi) ** 2,
-                                                   rel=1e-14, abs=0.0)
-            assert rec["charge"][k] == total_charge(g, rho, p)
-            assert rec["gauss_residual"][k] == gauss_residual(g, s.f_bar, rho, p)
-            # sigma = sqrt(sum_x Var phi_x) of the density
-            var = 0.0
-            for x in range(g.ndim):
-                xs = g.coordinate(x)
-                mean = float((w * xs * rho).sum()) / nrm
-                var += (w * (xs - mean) ** 2 * rho).sum() / nrm
-            assert rec["sigma"][k] == float(np.sqrt(max(var, 0.0)))
+    for traj in (full, two):
+        _assert_recorded_values_are_the_public_formulas(traj)
+
+
+def _assert_recorded_values_are_the_public_formulas(traj):
+    """Every diagnostic of a record_every = 1 run, bitwise, from its
+    snapshots by the public per-state formulas."""
+    g, spec, p = traj.grid, traj.spec, traj.params
+    snaps = traj.snapshots
+    rec = traj.diagnostics
+    w = g.quad_weights()
+    diag = spec.site_potential_total(g)
+    assert np.abs(snaps[-1].a_phi[0]).max() > 1e-6
+    assert np.isnan(rec["continuity_residual"][0])
+    for k, s in enumerate(snaps):
+        assert rec["time"][k] == s.time
+        if k > 0:
+            assert rec["continuity_residual"][k] == continuity_residual(
+                g, snaps[k - 1], s, spec, p)
+        rho = np.abs(s.psi) ** 2
+        # the norm is the integral of rho, i.e. grid.norm(psi) ** 2 up
+        # to the rounding of the square root
+        nrm = float(g.integrate(rho))
+        assert rec["norm"][k] == nrm
+        assert rec["norm"][k] == pytest.approx(g.norm(s.psi) ** 2,
+                                               rel=1e-14, abs=0.0)
+        assert rec["charge"][k] == total_charge(g, rho, p)
+        assert rec["gauss_residual"][k] == gauss_residual(g, s.f_bar, rho, p)
+        # matter energy Re<psi, H psi> on the step's links, plus the field
+        # energy -(l^2/2) sum_x <F_x, F_x> on the link lattice
+        hpsi = apply_hamiltonian_raw(g, s.psi, link_phases(g, s.a_phi), diag,
+                                     spec.lattice_spacing)
+        e_field = sum(float((g.link_weights(x) * s.f_bar[x] ** 2).sum())
+                      for x in range(g.ndim))
+        assert rec["energy"][k] == (float(np.real((w * np.conj(s.psi) * hpsi).sum()))
+                                    - 0.5 * p.l ** 2 * e_field)
+        # sigma = sqrt(sum_x Var phi_x) of the density
+        var = 0.0
+        for x in range(g.ndim):
+            xs = g.coordinate(x)
+            mean = float((w * xs * rho).sum()) / nrm
+            var += (w * (xs - mean) ** 2 * rho).sum() / nrm
+        assert rec["sigma"][k] == float(np.sqrt(max(var, 0.0)))
+
+
+@pytest.mark.parametrize("record_every", [1, 3])
+@pytest.mark.parametrize("sites", [1, 2])
+def test_diagnostics_across_block_boundaries(sites, record_every):
+    # the diagnostics are reduced in blocks of recorded steps; runs over
+    # more than two blocks, ending on a step off the record_every grid
+    if sites == 1:
+        grid, spec = TensorGrid.cube(-8.0, 8.0, 201, 1), HARMONIC
+        psi0 = normalized_packet(grid, center=1.0, momentum=0.5)
+    else:
+        grid, spec, psi0 = _two_site_packet(17)
+    params = ModelParams(l=1.0)
+    g0 = gauss_consistent_gauge(psi0, params)
+    block = _block_rows(grid.quad_weights().size)
+    steps = record_every * (2 * block + 1) + 2
+    dense = evolve_temporal_gauge(psi0, g0, spec, params, dt=0.01, steps=steps)
+    _assert_recorded_values_are_the_public_formulas(dense)
+    picked = sorted(set(range(0, steps + 1, record_every)) | {steps})
+    assert len(picked) > 2 * block
+    sparse = evolve_temporal_gauge(psi0, g0, spec, params, dt=0.01,
+                                   steps=steps, record_every=record_every)
+    for key, series in dense.diagnostics.items():
+        assert np.array_equal(sparse.diagnostics[key], series[picked],
+                              equal_nan=True), key
+    for snap, k in zip(sparse.snapshots, picked, strict=True):
+        assert np.array_equal(snap.psi, dense.snapshots[k].psi)
+        assert np.array_equal(snap.f_bar[0], dense.snapshots[k].f_bar[0])
+
+
+def test_keep_snapshots_false_keeps_the_end_states_and_the_diagnostics():
+    grid, spec, psi0 = _two_site_packet()
+    params = ModelParams(l=1.0)
+    g0 = gauss_consistent_gauge(psi0, params)
+    steps = _block_rows(grid.quad_weights().size) + 7
+    dense = evolve_temporal_gauge(psi0, g0, spec, params, dt=0.01, steps=steps,
+                                  record_every=2)
+    ends = evolve_temporal_gauge(psi0, g0, spec, params, dt=0.01, steps=steps,
+                                 record_every=2, keep_snapshots=False)
+    assert len(ends.snapshots) == 2
+    for snap, ref in zip(ends.snapshots, dense.snapshots[::len(dense.snapshots) - 1],
+                         strict=True):
+        assert snap.time == ref.time
+        for a, b in ((snap.psi, ref.psi), (snap.a_phi[1], ref.a_phi[1]),
+                     (snap.f_bar[1], ref.f_bar[1])):
+            assert np.array_equal(a, b)
+            assert not a.flags.writeable
+    assert ends.snapshots[-1].time == steps * 0.01
+    assert ends.diagnostics.keys() == dense.diagnostics.keys()
+    for key, series in dense.diagnostics.items():
+        assert np.array_equal(ends.diagnostics[key], series, equal_nan=True)
 
 
 def _solve_banded_cn_reference(grid, psi, phases, diag, a_lat, dt):
@@ -522,6 +591,60 @@ def test_evolve_rejects_a_nan_state_with_integrator_error():
     g0 = gauss_consistent_gauge(psi0, params)
     bad = psi0.values.copy()
     bad[40] = np.nan
+    # the guards are checked per block of recorded steps; the run goes on
+    # past step 1 on NaN states, but the error still names step 1
+    for steps in (5, 2 * _block_rows(grid.shape[0]) + 5):
+        with pytest.raises(IntegratorError, match="step 1 "):
+            evolve_temporal_gauge(WaveFunctional(grid, bad), g0, HARMONIC,
+                                  params, dt=0.01, steps=steps)
+
+
+def test_guards_name_the_first_failing_step_norm_guard_first(monkeypatch):
+    grid = TensorGrid.cube(-8.0, 8.0, 101, 1)
+    params = ModelParams(l=1.0)
+    psi0 = normalized_packet(grid, center=1.0)
+    g0 = gauss_consistent_gauge(psi0, params)
+    real_gauss = dynamics.gauss_residual
+
+    def blown_up_from_row_4(*args):
+        res = real_gauss(*args)
+        res[4:] = 2.0
+        return res
+
+    monkeypatch.setattr(dynamics, "gauss_residual", blown_up_from_row_4)
+    assert _block_rows(grid.shape[0]) > 11  # one block holds steps 0..10
+    with pytest.raises(ConstraintViolationError,
+                       match=r"^Gauss residual 2\.000e\+00 blew up at step 4$"):
+        evolve_temporal_gauge(psi0, g0, HARMONIC, params, dt=0.01, steps=10)
+    with pytest.raises(ConstraintViolationError, match="at step 8$"):
+        evolve_temporal_gauge(psi0, g0, HARMONIC, params, dt=0.01, steps=10,
+                              record_every=2)
+    # where both guards fail on a row, the norm guard is the one raised
+    bad = WaveFunctional(grid, np.where(np.arange(101) == 40, np.nan, psi0.values))
     with pytest.raises(IntegratorError, match="step 1 "):
-        evolve_temporal_gauge(WaveFunctional(grid, bad), g0, HARMONIC, params,
-                              dt=0.01, steps=5)
+        evolve_temporal_gauge(bad, g0, HARMONIC, params, dt=0.01, steps=10)
+
+
+def test_a_step_that_raises_after_a_guard_failure_reports_the_guard(monkeypatch):
+    # the NaN state fails the norm guard at step 1, which is only checked
+    # when its block is reduced; a later step that raises on its own must
+    # not hide that failure
+    grid = TensorGrid.cube(-8.0, 8.0, 101, 1)
+    params = ModelParams(l=1.0)
+    psi0 = normalized_packet(grid, center=1.0)
+    g0 = gauss_consistent_gauge(psi0, params)
+    bad = WaveFunctional(grid, np.where(np.arange(101) == 40, np.nan, psi0.values))
+    calls = []
+
+    def failing_third_step(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise np.linalg.LinAlgError("zgtsv failed in the CN step (info=7)")
+        return _cn_step_1d(*args)
+
+    monkeypatch.setattr(dynamics, "_cn_step_1d", failing_third_step)
+    with pytest.raises(IntegratorError, match="step 1 "):
+        evolve_temporal_gauge(bad, g0, HARMONIC, params, dt=0.01, steps=10)
+    calls.clear()
+    with pytest.raises(np.linalg.LinAlgError, match="info=7"):
+        evolve_temporal_gauge(psi0, g0, HARMONIC, params, dt=0.01, steps=10)

@@ -5,7 +5,7 @@ from nlgauge.errors import UnsolvableConstraintError
 from nlgauge.gaugeops import (apply_hamiltonian_raw, covariant_phi_derivative,
                               gauge_transform, gauss_residual,
                               gauss_solve_stationary, hamiltonian_apply,
-                              initialize_constraint, link_diff,
+                              initialize_constraint, link_current, link_diff,
                               link_divergence, link_phases)
 from nlgauge.grids import TensorGrid, UniformGrid1D
 from nlgauge.model import (GaugeState, GaugeTransform, HamiltonianSpec,
@@ -306,3 +306,35 @@ def test_div_grad_is_compact_laplacian():
         f = [link_diff(grid, chi, x) for x in range(dim)]
         lap = laplacian_apply(grid, chi, BoundaryCondition.NEUMANN_ZERO)
         assert np.abs(link_divergence(grid, f) - lap).max() < 1e-12
+
+
+@pytest.mark.parametrize("axes", [(11,), (7, 5)])
+def test_stacked_states_equal_the_single_state_calls(axes):
+    # leading axes pass through the stencils: each entry of a stack is
+    # bitwise the call on that state alone
+    grid = TensorGrid(tuple(UniformGrid1D(-2.0, 2.0 + k, n)
+                            for k, n in enumerate(axes)))
+    rng = np.random.default_rng(len(axes))
+    stack = 3
+    link_shapes = [(stack,) + GaugeState._link_shape(grid, x)
+                   for x in range(grid.ndim)]
+    psi = (rng.standard_normal((stack,) + grid.shape)
+           + 1j * rng.standard_normal((stack,) + grid.shape))
+    phases = link_phases(grid, [rng.standard_normal(s) for s in link_shapes])
+    f = [rng.standard_normal(s) for s in link_shapes]
+    diag = rng.uniform(0.0, 2.0, grid.shape)
+    rho = np.abs(psi) ** 2
+    params = ModelParams(l=0.7)
+    hpsi = apply_hamiltonian_raw(grid, psi, phases, diag, 0.8)
+    div = link_divergence(grid, f)
+    gres = gauss_residual(grid, f, rho, params)
+    currents = [link_current(grid, psi, phases, x) for x in range(grid.ndim)]
+    for b in range(stack):
+        ph_b, f_b = [p[b] for p in phases], [fx[b] for fx in f]
+        assert np.array_equal(hpsi[b], apply_hamiltonian_raw(grid, psi[b], ph_b,
+                                                             diag, 0.8))
+        assert np.array_equal(div[b], link_divergence(grid, f_b))
+        assert gres[b] == gauss_residual(grid, f_b, rho[b], params)
+        for x in range(grid.ndim):
+            assert np.array_equal(currents[x][b],
+                                  link_current(grid, psi[b], ph_b, x))

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 import nlgauge.sn as sn
-from nlgauge.dynamics import stationary_solve
+from nlgauge.dynamics import _block_rows, stationary_solve
 from nlgauge.errors import ConvergenceError, IntegratorError
 from nlgauge.grids import RadialGrid, TensorGrid, UniformGrid1D
 from nlgauge.model import HamiltonianSpec, ModelParams
@@ -314,6 +314,77 @@ def test_sn_evolve_rejects_a_nan_state_with_integrator_error(coupling):
     psi = np.exp(-x ** 2 / 4) + 0j
     psi /= np.sqrt((line_weights(grid) * np.abs(psi) ** 2).sum())
     psi[60] = np.nan
+    # the guard is checked per block of recorded steps; the run goes on
+    # past step 1 on NaN states, but the error still names step 1
+    for steps in (5, 2 * _block_rows(grid.count) + 5):
+        with pytest.raises(IntegratorError, match="step 1$"):
+            sn_evolve_1d(Line1DState(grid, psi),
+                         SNParams(coupling=coupling), dt=0.01, steps=steps)
+
+
+
+def test_sn_step_that_raises_after_the_guard_failed_reports_the_guard(monkeypatch):
+    # the guard is checked when the block is reduced; a later step that
+    # raises on its own must not hide the norm failure of step 1
+    grid = UniformGrid1D(-10.0, 10.0, 201)
+    x = grid.nodes
+    psi = np.exp(-x ** 2 / 4) + 0j
+    psi /= np.sqrt((line_weights(grid) * np.abs(psi) ** 2).sum())
+    real_step = sn._cn_step_1d
+    calls = []
+
+    def failing_fourth_call(*args):
+        calls.append(args)
+        if len(calls) == 4:
+            raise np.linalg.LinAlgError("zgtsv failed in the CN step (info=7)")
+        return real_step(*args)
+
+    monkeypatch.setattr(sn, "_cn_step_1d", failing_fourth_call)
+    bad = np.where(np.arange(201) == 60, np.nan, psi)
     with pytest.raises(IntegratorError, match="step 1$"):
-        sn_evolve_1d(Line1DState(grid, psi),
-                     SNParams(coupling=coupling), dt=0.01, steps=5)
+        sn_evolve_1d(Line1DState(grid, bad), SNParams(coupling=2.0), dt=0.01,
+                     steps=10)
+    calls.clear()
+    with pytest.raises(np.linalg.LinAlgError, match="info=7"):
+        sn_evolve_1d(Line1DState(grid, psi), SNParams(coupling=2.0), dt=0.01,
+                     steps=10)
+
+def test_sn_series_across_block_boundaries():
+    grid = UniformGrid1D(-20.0, 20.0, 401)
+    x = grid.nodes
+    w = line_weights(grid)
+    psi = np.exp(-(x - 0.5) ** 2 / 4.0) + 0j
+    psi /= np.sqrt((w * np.abs(psi) ** 2).sum())
+    p = SNParams(coupling=2.0, external_potential_coeffs=(0.0, 0.0, 0.01))
+    block = _block_rows(grid.count)
+    steps = 3 * (2 * block + 1) + 2
+    dense = sn_evolve_1d(Line1DState(grid, psi, time=0.25), p, dt=0.005,
+                         steps=steps)
+    sparse = sn_evolve_1d(Line1DState(grid, psi, time=0.25), p, dt=0.005,
+                          steps=steps, record_every=3)
+    picked = sorted(set(range(0, steps + 1, 3)) | {steps})
+    assert len(picked) > 2 * block
+    for key, series in dense["series"].items():
+        assert len(series) == steps + 1
+        assert np.array_equal(sparse["series"][key], series[picked])
+    assert np.array_equal(sparse["final"].psi, dense["final"].psi)
+    # no step: the series is the initial row alone
+    none = sn_evolve_1d(Line1DState(grid, psi, time=0.25), p, dt=0.005, steps=0)
+    for key, series in dense["series"].items():
+        assert np.array_equal(none["series"][key], series[:1])
+    # the last row, of the final state, by the per-state formulas
+    fin = dense["final"].psi
+    rho = np.abs(fin) ** 2
+    nrm = (w * rho).sum()
+    lap = np.zeros_like(fin)
+    lap[1:-1] = (fin[2:] - 2 * fin[1:-1] + fin[:-2]) / grid.spacing ** 2
+    energy = (np.real((w * np.conj(fin) * (-0.5 * lap + 0.01 * x * x * fin)).sum())
+              - 0.5 * (w * solve_phi_grav(grid, rho, p) * rho).sum())
+    mean = (w * x * rho).sum() / nrm
+    sigma = np.sqrt((w * (x - mean) ** 2 * rho).sum() / nrm)
+    s = dense["series"]
+    assert s["t"][-1] == 0.25 + steps * 0.005
+    assert s["norm"][-1] == nrm
+    assert s["sigma"][-1] == sigma
+    assert abs(s["energy"][-1] - energy) <= 1e-13 * abs(energy)
+    assert np.ptp(s["sigma"]) > 1e-3
