@@ -206,7 +206,9 @@ def _cn_step_nd(grid, psi, phases, diag, a_lat, dt):
     bnorm = float(np.real(np.vdot(b2, b2)))
     tol2 = (_CN_RTOL ** 2) * bnorm
     for _ in range(_CN_MAX_ITER):
-        if rr <= tol2:
+        # written so that a NaN residual ends the loop: the non-finite
+        # state then reaches the evolver's norm guard
+        if not rr > tol2:
             break
         Ap = apply_A(p)
         denom = float(np.real(np.vdot(p, Ap)))

@@ -7,7 +7,9 @@ Three solvers live here:
 * an independent shooting-method oracle for the same radial problem,
   integrating the ODEs with RK4, bracketing the ground level by the node
   count and converging on the node transition by safeguarded Illinois
-  steps;
+  steps; each shot is linear in (u, u'), so its RK4 steps are 2x2
+  matrices, multiplied out by a doubling scan within blocks of 64 steps
+  and carried across the blocks (with the amplitude rescaled there);
 * a 1D line evolver with the self-consistent potential, including the
   uniform background term of the parent theory; its Crank-Nicolson step
   is the banded step of `dynamics` with the links switched off.
@@ -51,6 +53,10 @@ from .model import HamiltonianSpec, ModelParams
 
 # largest drift of the norm from its initial value that sn_evolve_1d accepts
 _NORM_TOL = 1e-6
+# RK4 steps per block of the shot's prefix-product scan; 64 and 128 time
+# the same at 2000 and 4000 nodes, and the shorter block bounds how far
+# the values grow between two rescalings
+_SHOT_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -153,42 +159,73 @@ def sn_ground_radial_scf(params: SNParams, grid: RadialGrid, tol: float = 1e-10,
     return RadialState(grid, u, v, energy, iterations=iterations, residual=res)
 
 
+def _rk4_step(u, up, k0, km, k1, h):
+    """One RK4 step of (u, u')' = (u', k u) from (u, up), with k0, km, k1
+    the coefficient at the step's start, midpoint and end."""
+    h6 = h / 6.0
+    a1u, a1p = up, k0 * u
+    y2u = u + 0.5 * h * a1u
+    y2p = up + 0.5 * h * a1p
+    a2u, a2p = y2p, km * y2u
+    y3u = u + 0.5 * h * a2u
+    y3p = up + 0.5 * h * a2p
+    a3u, a3p = y3p, km * y3u
+    y4u = u + h * a3u
+    y4p = up + h * a3p
+    a4u, a4p = y4p, k1 * y4u
+    return (u + h6 * (a1u + 2.0 * a2u + 2.0 * a3u + a4u),
+            up + h6 * (a1p + 2.0 * a2p + 2.0 * a3p + a4p))
+
+
 def _rk4_shoot_u(r, veff, energy):
-    """Integrate u'' = 2 (veff - E) u outward; returns u on the grid.
+    """Integrate u'' = 2 (veff - E) u outward from (u, u') = (0, 1);
+    returns u on the grid, u[0] = 0, up to a positive factor.
 
     Coefficient values at RK4 half steps are linear interpolants of the
-    tabulated effective potential. Scalar loop on plain floats; the
-    amplitude is rescaled when it grows huge (zeros are unaffected).
+    tabulated effective potential. The ODE is linear, so each RK4 step is
+    a 2x2 matrix on (u, u'): `_rk4_step` applied to the basis vectors
+    (1, 0) and (0, 1) builds all of them at once. Within blocks of
+    `_SHOT_BLOCK` steps, a log-depth doubling scan forms the prefix
+    products; a short loop carries (u, u') across the block boundaries
+    and rescales there when max(|u|, |u'|) exceeds 1e12, dividing the
+    values already integrated as well (zeros are unaffected). A block
+    product that is not finite raises ConvergenceError: the step is then
+    far outside RK4's stability range.
     """
     n = r.size
     h = float(r[1] - r[0])
-    kk = (2.0 * (veff - energy)).tolist()
+    nb = -(-(n - 1) // _SHOT_BLOCK)
+    k = np.zeros(nb * _SHOT_BLOCK + 1)
+    k[:n] = 2.0 * (veff - energy)
+    k0, k1 = k[:-1], k[1:]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        # p[i, j, s]: entry (i, j) of step s's matrix; padding steps are identity
+        p = np.stack(_rk4_step(np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]),
+                               k0, 0.5 * (k0 + k1), k1, h))
+        p[:, :, n - 1:] = np.eye(2)[:, :, None]
+        p = p.reshape(2, 2, nb, _SHOT_BLOCK)
+        s = 1
+        while s < _SHOT_BLOCK:
+            later, earlier = p[..., s:], p[..., :-s]
+            p[..., s:] = later[:, :1] * earlier[:1] + later[:, 1:] * earlier[1:]
+            s *= 2
+    if not np.isfinite(p).all():
+        raise ConvergenceError(f"RK4 shot at energy {energy!r} overflowed "
+                               "within a block of steps")
+    start = np.empty((2, nb, 1))  # (u, u') at the start of each block
+    u, up = 0.0, 1.0
+    ends = zip(*p[..., -1].reshape(4, nb).tolist())
+    for b, (m00, m01, m10, m11) in enumerate(ends):
+        start[:, b, 0] = u, up
+        u, up = m00 * u + m01 * up, m10 * u + m11 * up
+        big = max(abs(u), abs(up))
+        if big > 1e12:
+            u /= big
+            up /= big
+            start[:, :b + 1] /= big
     u_out = np.empty(n)
     u_out[0] = 0.0
-    u, up = 0.0, 1.0
-    h6 = h / 6.0
-    for i in range(n - 1):
-        k0 = kk[i]
-        k1 = kk[i + 1]
-        km = 0.5 * (k0 + k1)
-        a1u, a1p = up, k0 * u
-        y2u = u + 0.5 * h * a1u
-        y2p = up + 0.5 * h * a1p
-        a2u, a2p = y2p, km * y2u
-        y3u = u + 0.5 * h * a2u
-        y3p = up + 0.5 * h * a2p
-        a3u, a3p = y3p, km * y3u
-        y4u = u + h * a3u
-        y4p = up + h * a3p
-        a4u, a4p = y4p, k1 * y4u
-        u = u + h6 * (a1u + 2.0 * a2u + 2.0 * a3u + a4u)
-        up = up + h6 * (a1p + 2.0 * a2p + 2.0 * a3p + a4p)
-        m = max(abs(u), abs(up))
-        if m > 1e12:
-            u /= m
-            up /= m
-            u_out[: i + 1] /= m
-        u_out[i + 1] = u
+    u_out[1:] = (p[0, 0] * start[0] + p[0, 1] * start[1]).ravel()[:n - 1]
     return u_out
 
 
@@ -221,25 +258,27 @@ def _assemble_two_sided(r, veff, energy):
 
 
 def _rk4_poisson_v(r, u, coupling):
-    """v'' = 4 pi coupling u^2 / r via RK4 with the monopole outer value."""
-    n = r.size
+    """v'' = 4 pi coupling u^2 / r via RK4 with the monopole outer value.
+
+    The source does not depend on v, so each RK4 increment of v' is known
+    up front and v' is their running sum; the increments of v then follow
+    from that prefix. Both sums run in step order (`np.cumsum`), which is
+    bitwise the step-by-step loop.
+    """
     h = float(r[1] - r[0])
-    src = (4.0 * np.pi * coupling * u * u / r).tolist()
-    part = np.empty(n)
-    part[0] = 0.0
-    vv, vp = 0.0, 0.0
+    src = 4.0 * np.pi * coupling * u * u / r
     h6 = h / 6.0
-    for i in range(n - 1):
-        s0 = src[i]
-        s1 = src[i + 1]
-        sm = 0.5 * (s0 + s1)
-        a1v, a1p = vp, s0
-        a2v = vp + 0.5 * h * a1p
-        a3v = vp + 0.5 * h * sm
-        a4v = vp + h * sm
-        vv = vv + h6 * (a1v + 2.0 * a2v + 2.0 * a3v + a4v)
-        vp = vp + h6 * (s0 + 4.0 * sm + s1)
-        part[i + 1] = vv
+    s0, s1 = src[:-1], src[1:]
+    sm = 0.5 * (s0 + s1)
+    vp = np.zeros(r.size)
+    np.cumsum(h6 * (s0 + 4.0 * sm + s1), out=vp[1:])
+    vp = vp[:-1]  # v' at the start of each step
+    a1v = vp
+    a2v = vp + 0.5 * h * s0
+    a3v = vp + 0.5 * h * sm
+    a4v = vp + h * sm
+    part = np.zeros(r.size)
+    np.cumsum(h6 * (a1v + 2.0 * a2v + 2.0 * a3v + a4v), out=part[1:])
     target = -coupling * _radial_norm(r, u)
     slope = (target - part[-1]) / r[-1]
     return part + slope * r
@@ -304,6 +343,8 @@ def _ground_level(r, veff, lo, f_lo, hi, f_hi, tol):
     each shot decides which end it replaces, so the bracket always holds
     the ground level. A step closer than half the stopping width to an
     end is pushed to that distance, so the bracket closes from both sides.
+    A bracket still wider than that after 200 steps raises
+    ConvergenceError with the width as its residual.
     """
     side = 0
     for _ in range(200):
@@ -327,6 +368,10 @@ def _ground_level(r, veff, lo, f_lo, hi, f_hi, tol):
             if side == 1:
                 f_lo *= 0.5
             side = 1
+    else:
+        raise ConvergenceError(f"ground level not bracketed to {width:.3g} in "
+                               f"200 steps: bracket [{lo!r}, {hi!r}]",
+                               residual=hi - lo)
     return 0.5 * (lo + hi)
 
 

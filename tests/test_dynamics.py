@@ -599,6 +599,19 @@ def test_evolve_rejects_a_nan_state_with_integrator_error():
                                   params, dt=0.01, steps=steps)
 
 
+def test_evolve_rejects_a_nan_two_site_state_with_integrator_error():
+    # a NaN residual ends the nD CN inner solve, so the state reaches the
+    # norm guard instead of spinning the solver to its iteration cap
+    grid, spec, psi = _two_site_packet()
+    params = ModelParams(l=1.0)
+    g0 = gauss_consistent_gauge(psi, params)
+    bad = psi.values.copy()
+    bad[4, 4] = np.nan
+    with pytest.raises(IntegratorError, match="step 1 "):
+        evolve_temporal_gauge(WaveFunctional(grid, bad), g0, spec, params,
+                              dt=0.01, steps=5)
+
+
 def test_guards_name_the_first_failing_step_norm_guard_first(monkeypatch):
     grid = TensorGrid.cube(-8.0, 8.0, 101, 1)
     params = ModelParams(l=1.0)

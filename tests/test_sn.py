@@ -126,6 +126,128 @@ def test_node_count_monotone_in_energy():
     assert shoot_node_count(above) >= 1
 
 
+def _scalar_rk4_shoot_u(r, veff, energy):
+    """Reference: the step-by-step RK4 shot on plain floats, rescaling
+    whenever the amplitude exceeds 1e12. Returns (u, rescale count)."""
+    n = r.size
+    h = float(r[1] - r[0])
+    kk = (2.0 * (veff - energy)).tolist()
+    u_out = np.empty(n)
+    u_out[0] = 0.0
+    u, up = 0.0, 1.0
+    h6 = h / 6.0
+    rescales = 0
+    for i in range(n - 1):
+        k0 = kk[i]
+        k1 = kk[i + 1]
+        km = 0.5 * (k0 + k1)
+        a1u, a1p = up, k0 * u
+        y2u = u + 0.5 * h * a1u
+        y2p = up + 0.5 * h * a1p
+        a2u, a2p = y2p, km * y2u
+        y3u = u + 0.5 * h * a2u
+        y3p = up + 0.5 * h * a2p
+        a3u, a3p = y3p, km * y3u
+        y4u = u + h * a3u
+        y4p = up + h * a3p
+        a4u, a4p = y4p, k1 * y4u
+        u = u + h6 * (a1u + 2.0 * a2u + 2.0 * a3u + a4u)
+        up = up + h6 * (a1p + 2.0 * a2p + 2.0 * a3p + a4p)
+        m = max(abs(u), abs(up))
+        if m > 1e12:
+            u /= m
+            up /= m
+            u_out[: i + 1] /= m
+            rescales += 1
+        u_out[i + 1] = u
+    return u_out, rescales
+
+
+@pytest.fixture(scope="module")
+def sn_effective_potential():
+    """veff = v/r of the coupling-1 SN ground state on 2000 nodes, and
+    its ground level."""
+    rg = RadialGrid(1e-6, 20.0, 2000)
+    st = sn_ground_radial_scf(SNParams(coupling=1.0), rg, tol=1e-12)
+    return rg.nodes, st.v / rg.nodes, st.energy
+
+
+@pytest.mark.parametrize("kind, arg", [
+    ("sn", -0.05), ("sn", 0.0), ("sn", 0.05),  # energy offset from the level
+    ("harmonic", 3), ("harmonic", 65), ("harmonic", 66), ("harmonic", 2000),
+])
+def test_blocked_shot_matches_the_scalar_loop(kind, arg, sn_effective_potential):
+    if kind == "sn":
+        r, veff, level = sn_effective_potential
+        energy = level + arg
+    else:
+        # 2, 64 and 65 steps: part of a block, one block, one and a step
+        r = np.linspace(1e-6, 12.0, arg)  # RadialGrid rejects 3 nodes
+        veff, energy = 0.5 * r ** 2, -1.0
+    ref, rescales = _scalar_rk4_shoot_u(r, veff, energy)
+    u = _rk4_shoot_u(r, veff, energy)
+    assert u[0] == 0.0
+    assert shoot_node_count(u) == shoot_node_count(ref)
+    assert np.abs(u / np.linalg.norm(u) - ref / np.linalg.norm(ref)).max() < 1e-13
+    if kind == "harmonic" and arg > 3:
+        assert rescales >= 2  # the amplitude crosses the rescale threshold
+
+
+def test_shot_far_outside_rk4_stability_raises():
+    # k h^2 ~ 1e6: the per-step loop stays finite by rescaling every
+    # step, a 64-step block product overflows; either answer is noise
+    r = np.arange(1, 401) * 0.01
+    with pytest.raises(ConvergenceError, match="energy 0.5"):
+        _rk4_shoot_u(r, np.full(r.size, 5e9), 0.5)
+
+
+def test_ground_level_raises_when_the_bracket_does_not_close(monkeypatch):
+    # a shooting function that is 0 everywhere leaves only bisection, and
+    # 200 halvings of a 2e60 bracket stay far wider than the tolerance
+    monkeypatch.setattr(sn, "_shoot",
+                        lambda r, veff, e: (int(e > 0.123), 0.0))
+    r = np.linspace(0.1, 1.0, 10)
+    with pytest.raises(ConvergenceError, match="bracket") as err:
+        sn._ground_level(r, r, -1e60, 0.0, 1e60, 0.0, 1e-12)
+    assert err.value.residual > 1.0
+
+
+def _scalar_rk4_poisson_v(r, u, coupling):
+    """Reference: RK4 for v'' = 4 pi coupling u^2 / r step by step."""
+    n = r.size
+    h = float(r[1] - r[0])
+    src = (4.0 * np.pi * coupling * u * u / r).tolist()
+    part = np.empty(n)
+    part[0] = 0.0
+    vv, vp = 0.0, 0.0
+    h6 = h / 6.0
+    for i in range(n - 1):
+        s0 = src[i]
+        s1 = src[i + 1]
+        sm = 0.5 * (s0 + s1)
+        a1v, a1p = vp, s0
+        a2v = vp + 0.5 * h * a1p
+        a3v = vp + 0.5 * h * sm
+        a4v = vp + h * sm
+        vv = vv + h6 * (a1v + 2.0 * a2v + 2.0 * a3v + a4v)
+        vp = vp + h6 * (s0 + 4.0 * sm + s1)
+        part[i + 1] = vv
+    target = -coupling * sn._radial_norm(r, u)
+    slope = (target - part[-1]) / r[-1]
+    return part + slope * r
+
+
+@pytest.mark.parametrize("count", [400, 2000, 4000])
+def test_rk4_poisson_v_is_the_scalar_loop_bitwise(count):
+    r = RadialGrid(1e-6, 20.0, count).nodes
+    rng = np.random.default_rng(count)
+    for _ in range(5):
+        u = r * np.exp(-rng.uniform(0.2, 2.0) * r) * (1 + 0.1 * rng.standard_normal(count))
+        coupling = rng.uniform(0.1, 3.0)
+        assert np.array_equal(sn._rk4_poisson_v(r, u, coupling),
+                              _scalar_rk4_poisson_v(r, u, coupling))
+
+
 def test_free_gaussian_spreading_law():
     grid = UniformGrid1D(-24.0, 24.0, 961)
     x = grid.nodes
