@@ -155,15 +155,19 @@ class Trajectory:
 def _cn_step_1d(grid, psi, phases, diag, a_lat, dt):
     """Direct tridiagonal Crank-Nicolson step (interior unknowns).
 
-    The system is handed straight to LAPACK `zgtsv`, the routine that
-    `scipy.linalg.solve_banded((1, 1), ...)` calls after validating its
-    inputs; the result is bitwise the same.
+    Uses the identity (I + i a H)^-1 (I - i a H) = 2 (I + i a H)^-1 - I,
+    a = dt/2 (Goldberg, Schey & Schwartz 1967): one tridiagonal solve
+    with psi itself as the right-hand side, then psi' = 2 y - psi, so the
+    step applies no Hamiltonian. The system is handed straight to LAPACK
+    `zgtsv`, which solves in place in the output's interior; that is the
+    routine `scipy.linalg.solve_banded((1, 1), ...)` calls after
+    validating its inputs, so the result is bitwise the `solve_banded`
+    solve of this one-solve form with the same bands.
     """
     n = grid.shape[0]
     h = grid.spacings[0]
     coef = 1.0 / (2.0 * a_lat ** 3 * h * h)
     alpha = 0.5j * dt
-    rhs_full = psi - alpha * apply_hamiltonian_raw(grid, psi, phases, diag, a_lat)
     # interior nodes 1..n-2; link j connects nodes j and j+1
     d = 1.0 + alpha * (2.0 * coef + diag[1:-1])
     if phases is None:
@@ -175,16 +179,21 @@ def _cn_step_1d(grid, psi, phases, diag, a_lat, dt):
         U = phases[0][1:-1]
         upper = alpha * (-coef * U)
         lower = alpha * (-coef * np.conj(U))
-    _, _, _, sol, info = _zgtsv(lower, d, upper, rhs_full[1:-1], 1, 1, 1, 1)
+    out = np.zeros_like(psi)
+    y = out[1:-1]
+    y[:] = psi[1:-1]
+    info = _zgtsv(lower, d, upper, y, 1, 1, 1, 1)[4]
     if info != 0:
         raise np.linalg.LinAlgError(f"zgtsv failed in the CN step (info={info})")
-    out = np.zeros_like(psi)
-    out[1:-1] = sol
+    y *= 2.0
+    y -= psi[1:-1]
     return out
 
 
 def _cn_step_nd(grid, psi, phases, diag, a_lat, dt):
-    """Matrix-free CN step: CG on the Hermitian system (I + a^2 H^2)."""
+    """Matrix-free CN step by the identity of `_cn_step_1d`: CG on the
+    normal equations (I + a^2 H^2) y = (I - i a H) psi of (I + i a H) y =
+    psi, then psi' = 2 y - psi."""
     alpha = 0.5 * dt
     interior = grid.boundary_mask()
 
@@ -194,16 +203,15 @@ def _cn_step_nd(grid, psi, phases, diag, a_lat, dt):
                                               phases, diag, a_lat), 0.0)
 
     b = psi - 1j * alpha * apply_h(psi)
-    b2 = b - 1j * alpha * apply_h(b)  # (I - i a H)^2 psi
 
     def apply_A(v):
         return v + alpha * alpha * apply_h(apply_h(v))
 
     x = psi.copy()
-    r = b2 - apply_A(x)
+    r = b - apply_A(x)
     p = r.copy()
     rr = float(np.real(np.vdot(r, r)))
-    bnorm = float(np.real(np.vdot(b2, b2)))
+    bnorm = float(np.real(np.vdot(b, b)))
     tol2 = (_CN_RTOL ** 2) * bnorm
     for _ in range(_CN_MAX_ITER):
         # written so that a NaN residual ends the loop: the non-finite
@@ -221,7 +229,15 @@ def _cn_step_nd(grid, psi, phases, diag, a_lat, dt):
     else:
         raise ConvergenceError("CN inner solve did not converge",
                                residual=np.sqrt(rr / bnorm))
-    return np.where(interior, x, 0.0)
+    return np.where(interior, 2.0 * x - psi, 0.0)
+
+
+def _check_step_args(dt, record_every):
+    """The evolvers' shared checks; written so that a NaN dt fails."""
+    if not dt > 0:
+        raise ValueError(f"dt must be > 0, got {dt}")
+    if record_every < 1:
+        raise ValueError(f"record_every must be >= 1, got {record_every}")
 
 
 def _block_rows(size: int) -> int:
@@ -269,17 +285,23 @@ def evolve_temporal_gauge(psi0: WaveFunctional, gauge0: GaugeState,
     zero a_t. The caller's psi0 and gauge0 arrays are copied first and
     never written. The link phases and currents of each step are computed
     once and serve the field update, the energy and the continuity
-    residual. The density rho = |psi|^2 of a recorded step is computed
-    once and serves the norm, the charge, the Gauss source, sigma and the
-    continuity residual (of this step and, at record_every = 1, of the
-    next); the products w * phi_x of the sigma means are formed once per
-    evolve.
+    residual. The density rho = |psi|^2 of each recorded step, the
+    density of the step before it and f_bar are computed in the diagnostic
+    block, from the stacked psi, the previous psi and the two f_half
+    arrays; they are elementwise, so each row is bitwise the value of its
+    step alone. rho serves the norm, the charge, the Gauss source, sigma
+    and the continuity residual; the products w * phi_x of the sigma means
+    are formed once per evolve.
+
+    Raises ValueError naming the argument unless dt > 0, steps >= 1 and
+    record_every >= 1.
     """
     grid = psi0.grid
     if np.any(gauge0.a_t):
         raise ValueError("temporal gauge requires a_t = 0")
-    if dt <= 0 or steps < 1:
-        raise ValueError("need dt > 0 and steps >= 1")
+    _check_step_args(dt, record_every)
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
     if scheme not in ("cn", "euler"):
         raise ValueError(f"unknown scheme {scheme!r}")
     diag = spec.site_potential_total(grid)
@@ -319,8 +341,9 @@ def evolve_temporal_gauge(psi0: WaveFunctional, gauge0: GaugeState,
                                      "continuity_residual", "energy", "sigma")}
     done = 0  # rows of diags filled
     block = _block_rows(w.size)
-    # one row per recorded step not yet reduced: (k, psi, rho, link phases,
-    # currents, f_bar, and rho and the currents of step k - 1)
+    # one row per recorded step not yet reduced: (k, psi, link phases,
+    # currents, the f_half on either side of the step, and psi and the
+    # currents of step k - 1)
     rows = []
 
     def snapshot(k, psi_v, a_links, f_bar):
@@ -332,14 +355,16 @@ def evolve_temporal_gauge(psi0: WaveFunctional, gauge0: GaugeState,
         nonlocal done
         if not rows:
             return
-        ks, psi_b, rho, ph_b, j_b, f_bar, rho_p, j_p = zip(*rows)
+        ks, psi_b, ph_b, j_b, fh_p, fh, psi_p, j_p = zip(*rows)
         rows.clear()
         new = slice(done, done + len(ks))
         done = new.stop
         ks = np.array(ks)
-        psi_b, rho, rho_p = np.stack(psi_b), np.stack(rho), np.stack(rho_p)
-        ph_b, j_b, f_bar, j_p = ([np.stack(c) for c in zip(*links)]
-                                 for links in (ph_b, j_b, f_bar, j_p))
+        psi_b = np.stack(psi_b)
+        rho, rho_p = np.abs(psi_b) ** 2, np.abs(np.stack(psi_p)) ** 2
+        ph_b, j_b, fh_p, fh, j_p = ([np.stack(c) for c in zip(*links)]
+                                    for links in (ph_b, j_b, fh_p, fh, j_p))
+        f_bar = [0.5 * (fh_p[x] + fh[x]) for x in range(nd)]
         t = ks * dt
         nrm = (w * rho).sum(axis=axes)
         charge = params.inv_l2 * (w * nonlinearity(rho, grid)).sum(axis=axes)
@@ -370,11 +395,10 @@ def evolve_temporal_gauge(psi0: WaveFunctional, gauge0: GaugeState,
             raise ConstraintViolationError(
                 f"Gauss residual {gres[i]:.3e} blew up at step {ks[i]}")
 
-    rho = np.abs(psi) ** 2
-    rows.append((0, psi, rho, ph, j, f0, rho, j))
+    # row 0: f_bar = (f0 + f0) / 2 is f0 exactly
+    rows.append((0, psi, ph, j, f0, f0, psi, j))
     snapshot(0, psi, a, f0)
     cn_step = _cn_step_1d if nd == 1 else _cn_step_nd
-    rho_step = 0  # the step whose density `rho` holds
 
     for k in range(1, steps + 1):
         try:
@@ -393,12 +417,10 @@ def evolve_temporal_gauge(psi0: WaveFunctional, gauge0: GaugeState,
             f_half = [f_half[x] + dt * (-inv_l2a3 * j[x]) for x in range(nd)]
 
             if k % record_every == 0 or k == steps:
-                f_bar = [0.5 * (f_half_prev[x] + f_half[x]) for x in range(nd)]
-                rho_prev = rho if rho_step == k - 1 else np.abs(psi_prev) ** 2
-                rho, rho_step = np.abs(psi) ** 2, k
-                rows.append((k, psi, rho, ph, j, f_bar, rho_prev, j_prev))
+                rows.append((k, psi, ph, j, f_half_prev, f_half, psi_prev, j_prev))
                 if keep_snapshots or k == steps:
-                    snapshot(k, psi, a, f_bar)
+                    snapshot(k, psi, a, [0.5 * (f_half_prev[x] + f_half[x])
+                                         for x in range(nd)])
         except Exception:
             # a step taken from a state that already failed a guard may
             # raise on its own; the guard failure is the one to report

@@ -90,8 +90,21 @@ def link_divergence(grid: TensorGrid, link_fields: list[np.ndarray]) -> np.ndarr
 
 
 def link_phases(grid: TensorGrid, a_phi: list[np.ndarray]) -> list[np.ndarray]:
-    """U = exp(-i h a) per link; the parallel transporters."""
-    return [np.exp(-1j * grid.spacings[x] * a_phi[x]) for x in range(grid.ndim)]
+    """U = exp(-i h a) per link; the parallel transporters.
+
+    cos(-h a) and sin(-h a) are written into the real and imaginary parts
+    of one complex array, which skips the complex exponential of a purely
+    imaginary argument; the result agrees with `np.exp(-1j * h * a)` to
+    roundoff (bitwise with numpy 2.4 on x86-64).
+    """
+    out = []
+    for h, a in zip(grid.spacings, a_phi):
+        theta = -h * a
+        u = np.empty(theta.shape, dtype=complex)
+        np.cos(theta, out=u.real)
+        np.sin(theta, out=u.imag)
+        out.append(u)
+    return out
 
 
 def project_dirichlet(grid: TensorGrid, values: np.ndarray) -> np.ndarray:

@@ -44,7 +44,8 @@ from numpy.polynomial.polynomial import polyval
 from scipy.linalg.lapack import dgttrf as _dgttrf
 from scipy.linalg.lapack import dgttrs as _dgttrs
 
-from .dynamics import _block_rows, _cn_step_1d, _rms_width, stationary_solve
+from .dynamics import (_block_rows, _check_step_args, _cn_step_1d, _rms_width,
+                       stationary_solve)
 from .errors import ConvergenceError, IntegratorError
 from .fixedpoint import fixed_point
 from .gaugeops import apply_hamiltonian_raw
@@ -490,8 +491,13 @@ def sn_evolve_1d(state: Line1DState, params: SNParams, dt: float, steps: int,
     IntegratorError) is checked when a block is complete, row by row in
     step order, so the run may go on up to one block past the first
     failing step; the error names that step, also when a later step
-    raises first.
+    raises first. Raises ValueError naming the argument unless dt > 0,
+    steps >= 0 and record_every >= 1; steps = 0 records the initial
+    state alone.
     """
+    _check_step_args(dt, record_every)
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     grid = state.grid
     tgrid = TensorGrid((grid,))
     w = grid.quad_weights()

@@ -206,6 +206,20 @@ def test_evolve_requires_temporal_gauge():
         evolve_temporal_gauge(psi0, g0, HARMONIC, params, dt=0.01, steps=10)
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    ({"dt": 0.0}, "dt"), ({"dt": -0.01}, "dt"), ({"dt": np.nan}, "dt"),
+    ({"record_every": 0}, "record_every"), ({"record_every": -1}, "record_every"),
+    ({"steps": 0}, "steps")])
+def test_evolve_rejects_bad_step_arguments(kwargs, name):
+    grid = TensorGrid.cube(-8.0, 8.0, 101, 1)
+    params = ModelParams(l=1.0)
+    psi0 = normalized_packet(grid)
+    args = {"dt": 0.01, "steps": 6, **kwargs}
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        evolve_temporal_gauge(psi0, gauss_consistent_gauge(psi0, params),
+                              HARMONIC, params, **args)
+
+
 def test_evolve_stability_precondition():
     grid = TensorGrid.cube(-8.0, 8.0, 801, 1)
     params = ModelParams(l=np.inf)
@@ -525,18 +539,35 @@ def test_keep_snapshots_false_keeps_the_end_states_and_the_diagnostics():
         assert np.array_equal(ends.diagnostics[key], series, equal_nan=True)
 
 
-def _solve_banded_cn_reference(grid, psi, phases, diag, a_lat, dt):
-    """The CN step as it was written on `scipy.linalg.solve_banded`."""
+def _cn_bands(grid, phases, diag, a_lat, dt):
+    """The banded matrix (I + i a H) of the interior nodes, a = dt/2, in
+    the layout of `scipy.linalg.solve_banded((1, 1), ...)`."""
     n = grid.shape[0]
     h = grid.spacings[0]
     coef = 1.0 / (2.0 * a_lat ** 3 * h * h)
     alpha = 0.5j * dt
-    rhs = psi - alpha * apply_hamiltonian_raw(grid, psi, phases, diag, a_lat)
     U = np.ones(n - 1, dtype=complex) if phases is None else phases[0]
     ab = np.zeros((3, n - 2), dtype=complex)
     ab[0, 1:] = alpha * (-coef * U[1:-1])
     ab[1, :] = 1.0 + alpha * (2.0 * coef + diag[1:-1])
     ab[2, :-1] = alpha * (-coef * np.conj(U[1:-1]))
+    return ab
+
+
+def _solve_banded_cn_reference(grid, psi, phases, diag, a_lat, dt):
+    """The CN step in its one-solve form 2 (I + i a H)^-1 psi - psi, on
+    `scipy.linalg.solve_banded`."""
+    ab = _cn_bands(grid, phases, diag, a_lat, dt)
+    out = np.zeros_like(psi)
+    out[1:-1] = 2.0 * scipy.linalg.solve_banded((1, 1), ab, psi[1:-1]) - psi[1:-1]
+    return out
+
+
+def _two_sided_cn_reference(grid, psi, phases, diag, a_lat, dt):
+    """The CN step as (I + i a H)^-1 (I - i a H) psi, on
+    `scipy.linalg.solve_banded`."""
+    ab = _cn_bands(grid, phases, diag, a_lat, dt)
+    rhs = psi - 0.5j * dt * apply_hamiltonian_raw(grid, psi, phases, diag, a_lat)
     out = np.zeros_like(psi)
     out[1:-1] = scipy.linalg.solve_banded((1, 1), ab, rhs[1:-1])
     return out
@@ -555,6 +586,9 @@ def test_cn_step_1d_equals_solve_banded_bitwise(count, links):
     ref = _solve_banded_cn_reference(grid, psi, phases, diag, 1.0, 0.01)
     assert np.array_equal(step, ref)
     assert np.abs(step - psi).max() > 1e-3
+    # the one-solve form and the two-sided one agree to roundoff
+    two_sided = _two_sided_cn_reference(grid, psi, phases, diag, 1.0, 0.01)
+    assert np.abs(step - two_sided).max() <= 1e-14 * np.abs(psi).max()
 
 
 def test_snapshots_are_read_only_and_do_not_alias_the_inputs():

@@ -338,3 +338,17 @@ def test_stacked_states_equal_the_single_state_calls(axes):
         for x in range(grid.ndim):
             assert np.array_equal(currents[x][b],
                                   link_current(grid, psi[b], ph_b, x))
+
+
+@pytest.mark.parametrize("axes", [(201,), (9, 13)])
+def test_link_phases_are_the_complex_exponential(axes):
+    grid = TensorGrid(tuple(UniformGrid1D(-3.0, 3.0 + k, n)
+                            for k, n in enumerate(axes)))
+    rng = np.random.default_rng(len(axes))
+    a_phi = [5.0 * rng.standard_normal(GaugeState._link_shape(grid, x))
+             for x in range(grid.ndim)]
+    phases = link_phases(grid, a_phi)
+    assert len(phases) == grid.ndim
+    for h, a, u in zip(grid.spacings, a_phi, phases):
+        assert u.dtype == complex and u.shape == a.shape
+        assert np.abs(u - np.exp(-1j * h * a)).max() <= 1e-15

@@ -444,6 +444,18 @@ def test_sn_evolve_rejects_a_nan_state_with_integrator_error(coupling):
                          SNParams(coupling=coupling), dt=0.01, steps=steps)
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    ({"dt": 0.0}, "dt"), ({"dt": -0.01}, "dt"), ({"dt": np.nan}, "dt"),
+    ({"record_every": 0}, "record_every"), ({"record_every": -1}, "record_every"),
+    ({"steps": -1}, "steps")])
+def test_sn_evolve_rejects_bad_step_arguments(kwargs, name):
+    grid = UniformGrid1D(-10.0, 10.0, 101)
+    psi = np.exp(-grid.nodes ** 2 / 4) + 0j
+    psi /= np.sqrt((line_weights(grid) * np.abs(psi) ** 2).sum())
+    args = {"dt": 0.01, "steps": 6, **kwargs}
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        sn_evolve_1d(Line1DState(grid, psi), SNParams(coupling=1.0), **args)
+
 
 def test_sn_step_that_raises_after_the_guard_failed_reports_the_guard(monkeypatch):
     # the guard is checked when the block is reduced; a later step that
