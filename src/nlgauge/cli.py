@@ -32,6 +32,8 @@ from .sn import (Line1DState, SNParams, limit_equivalence_check,
 
 EXPERIMENTS = ("sn-ground", "sn-evolve", "functional-stationary",
                "functional-evolve", "limit-check", "verify")
+# the experiments that start from the [initial] Gaussian packet
+_PACKET_KINDS = ("sn-evolve", "functional-evolve")
 
 # section -> key -> (type, default); None default means required
 _SCHEMA = {
@@ -167,6 +169,14 @@ def validate(text: str) -> tuple[SolverConfig | None, list[str]]:
         (("physics", "lattice_spacing"), lambda v: 0 < v < math.inf,
          "must be finite and > 0"),
     ]
+    packet = values.get(("experiment", "kind")) in _PACKET_KINDS
+    if packet:
+        checks += [
+            (("initial", "center"), math.isfinite, "must be finite"),
+            (("initial", "width"), lambda v: 0 < v < math.inf,
+             "must be finite and > 0"),
+            (("initial", "momentum"), math.isfinite, "must be finite"),
+        ]
     for (section, key), ok, msg in checks:
         if (section, key) in values and not ok(values[(section, key)]):
             errors.append(f"[{section}] {key} {msg} (got {values[(section, key)]})")
@@ -185,6 +195,18 @@ def validate(text: str) -> tuple[SolverConfig | None, list[str]]:
             build()
         except ValueError as exc:
             errors.append(f"[{section}] {exc}")
+    if packet and not any(e.startswith(("[grid]", "[initial]")) for e in errors):
+        axis = UniformGrid1D(lower, upper, count)
+        center, width, momentum = (values[("initial", key)]
+                                   for key in ("center", "width", "momentum"))
+        # the packet may underflow (or, for extreme widths, overflow) on the
+        # grid; what matters is whether the run can normalise it
+        with np.errstate(all="ignore"):
+            psi = _gaussian_packet(axis.nodes, center, width, momentum)
+            norm = (axis.quad_weights() * np.abs(psi) ** 2).sum()
+        if not norm > 0:
+            errors.append(f"[initial] packet at center {center}, width {width} "
+                          f"has zero norm on [{lower}, {upper}]")
     try:
         coeffs = cfg.potential_coeffs()
     except ValueError:

@@ -169,22 +169,27 @@ def _cn_step_1d(grid, psi, phases, diag, a_lat, dt):
     coef = 1.0 / (2.0 * a_lat ** 3 * h * h)
     alpha = 0.5j * dt
     # interior nodes 1..n-2; link j connects nodes j and j+1
-    d = 1.0 + alpha * (2.0 * coef + diag[1:-1])
+    d = alpha * (2.0 * coef + diag[1:-1])
+    d += 1.0
     if phases is None:
         # unit links: both off-diagonals hold the one value alpha * (-coef);
         # zgtsv overwrites them, so each is its own array
         upper = np.full(n - 3, alpha * (-coef))
-        lower = np.full(n - 3, alpha * (-coef))
+        lower = upper.copy()
     else:
         U = phases[0][1:-1]
         upper = alpha * (-coef * U)
         lower = alpha * (-coef * np.conj(U))
-    out = np.zeros_like(psi)
+    out = np.empty_like(psi)
+    out[0] = out[-1] = 0.0
     y = out[1:-1]
     y[:] = psi[1:-1]
-    info = _zgtsv(lower, d, upper, y, 1, 1, 1, 1)[4]
-    if info != 0:
-        raise np.linalg.LinAlgError(f"zgtsv failed in the CN step (info={info})")
+    if n == 3:  # one unknown, and zgtsv takes no empty off-diagonals
+        y /= d
+    else:
+        info = _zgtsv(lower, d, upper, y, 1, 1, 1, 1)[4]
+        if info != 0:
+            raise np.linalg.LinAlgError(f"zgtsv failed in the CN step (info={info})")
     y *= 2.0
     y -= psi[1:-1]
     return out
@@ -241,11 +246,12 @@ def _check_step_args(dt, record_every):
 
 
 def _block_rows(size: int) -> int:
-    """Recorded steps whose diagnostics are computed together, for states
-    of `size` grid values: at most 256, and at most 2**12 values per
-    stacked array. The block's temporaries set the evolvers' peak
-    memory: at 2**16 values the 1201-node sn line evolve peaked 12%
-    higher than with per-step diagnostics; at 2**12 it does not."""
+    """Recorded steps whose diagnostics `evolve_temporal_gauge` computes
+    together, for states of `size` grid values: at most 256, and at most
+    2**12 values per stacked array. The block's temporaries set the
+    evolver's peak memory: when the sn line evolver used these blocks
+    too, 2**16 values raised its 1201-node peak 12% above per-step
+    diagnostics; 2**12 did not."""
     return max(1, min(256, 2 ** 12 // size))
 
 
@@ -443,13 +449,14 @@ def _field_energy(params, link_w, f_links):
 
 
 def _rms_width(w, coords, w_coords, rho, nrm):
-    """sigma = sqrt(sum_x Var phi_x) of each density of a stack rho
-    (leading axis) with norms nrm; w_coords holds w * phi_x."""
-    axes = tuple(range(1, rho.ndim))
+    """sigma = sqrt(sum_x Var phi_x) of a density rho with norm nrm, or of
+    each density of a stack (leading axes); w_coords holds w * phi_x."""
+    axes = tuple(range(-w.ndim, 0))
+    tail = (1,) * w.ndim
     var = 0.0
     for xs, wxs in zip(coords, w_coords):
         mean = (wxs * rho).sum(axis=axes) / nrm
-        var += (w * (xs - mean.reshape(-1, *(1,) * w.ndim)) ** 2
+        var += (w * (xs - mean.reshape(mean.shape + tail)) ** 2
                 * rho).sum(axis=axes) / nrm
     return np.sqrt(np.maximum(var, 0.0))
 

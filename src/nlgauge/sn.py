@@ -12,7 +12,9 @@ Three solvers live here:
   and carried across the blocks (with the amplitude rescaled there);
 * a 1D line evolver with the self-consistent potential, including the
   uniform background term of the parent theory; its Crank-Nicolson step
-  is the banded step of `dynamics` with the links switched off.
+  is the banded step of `dynamics` with the links switched off, and it
+  records each step as it is taken, the energy by summation by parts
+  with no Hamiltonian apply.
 
 The radial SCF, the oracle's outer loop and the independent line SCF all
 run on the Anderson fixed-point driver of `fixedpoint`.
@@ -44,11 +46,9 @@ from numpy.polynomial.polynomial import polyval
 from scipy.linalg.lapack import dgttrf as _dgttrf
 from scipy.linalg.lapack import dgttrs as _dgttrs
 
-from .dynamics import (_block_rows, _check_step_args, _cn_step_1d, _rms_width,
-                       stationary_solve)
+from .dynamics import _check_step_args, _cn_step_1d, _rms_width, stationary_solve
 from .errors import ConvergenceError, IntegratorError
 from .fixedpoint import fixed_point
-from .gaugeops import apply_hamiltonian_raw
 from .grids import RadialGrid, TensorGrid, UniformGrid1D
 from .model import HamiltonianSpec, ModelParams
 
@@ -481,19 +481,21 @@ def sn_evolve_1d(state: Line1DState, params: SNParams, dt: float, steps: int,
     midpoint density with a half step, rebuilds the potential there, and
     takes the full step with it (second order, norm conserving per step).
     Records t, norm, energy, and width sigma every `record_every` steps
-    and at the last one; returns those series and the final state. The
-    energy is Re<psi, H psi> - 1/2 <phi_grav, rho> with H = -1/2 d^2 +
-    V_ext on the stencil of the CN step.
+    and at the last one, each written into the preallocated series as
+    the step is taken; returns those series and the final state.
 
-    The series are computed in blocks of recorded steps
-    (`dynamics._block_rows` of the node count), each value one reduction
-    over the stacked states. The norm guard (drift above 1e-6 raises
-    IntegratorError) is checked when a block is complete, row by row in
-    step order, so the run may go on up to one block past the first
-    failing step; the error names that step, also when a later step
-    raises first. Raises ValueError naming the argument unless dt > 0,
-    steps >= 0 and record_every >= 1; steps = 0 records the initial
-    state alone.
+    The energy is Re<psi, H psi> - 1/2 <phi_grav, rho> with H = -1/2 d^2 +
+    V_ext on the stencil of the CN step. With psi zero at both ends and
+    interior weights h, summation by parts turns the kinetic term into
+    sum_j |psi_{j+1} - psi_j|^2 / (2h), so the energy is that sum plus
+    sum w (V_ext - phi_grav/2) rho: no Hamiltonian apply, and no
+    cancellation of the diagonal against the hopping terms.
+
+    The norm guard (drift above 1e-6 raises IntegratorError) is checked
+    at each recorded step, so the run stops at the first one that fails
+    and the error names it. Raises ValueError naming the argument unless
+    dt > 0, steps >= 0 and record_every >= 1; steps = 0 records the
+    initial state alone.
     """
     _check_step_args(dt, record_every)
     if steps < 0:
@@ -503,63 +505,45 @@ def sn_evolve_1d(state: Line1DState, params: SNParams, dt: float, steps: int,
     w = grid.quad_weights()
     x = grid.nodes
     wx = w * x
+    two_h = 2.0 * grid.spacing
     vext = params.external_potential(x)
     psi = state.psi.astype(complex).copy()
     psi[0] = psi[-1] = 0.0
 
     n_rec = len(range(0, steps, record_every)) + 1
     out = {k: np.empty(n_rec) for k in ("t", "norm", "energy", "sigma")}
-    done = 0  # rows of out filled
-    block = _block_rows(grid.count)
-    rows = []  # (k, t, psi, rho, phi) per recorded step not yet reduced
 
-    def flush():
-        nonlocal done
-        if not rows:
-            return
-        ks, t, psi_b, rho, phi_b = zip(*rows)
-        rows.clear()
-        new = slice(done, done + len(ks))
-        done = new.stop
-        psi_b, rho, phi_b = np.stack(psi_b), np.stack(rho), np.stack(phi_b)
-        nrm = (w * rho).sum(axis=1)
-        hpsi = apply_hamiltonian_raw(tgrid, psi_b, None, vext, 1.0)
-        en = (np.real((w * np.conj(psi_b) * hpsi).sum(axis=1))
-              - 0.5 * (w * phi_b * rho).sum(axis=1))
-        for key, val in (("t", np.array(t)), ("norm", nrm), ("energy", en),
-                         ("sigma", _rms_width(w, (x,), (wx,), rho, nrm))):
-            out[key][new] = val
-        norm0 = out["norm"][0]
+    def record(k, psi, rho, phi):
+        # k / record_every on the stride; a last step off it takes the next row
+        row = -(-k // record_every)
+        w_rho = w * rho
+        nrm = w_rho.sum()
+        dpsi = psi[1:] - psi[:-1]
+        out["t"][row] = state.time + k * dt
+        out["norm"][row] = nrm
+        out["energy"][row] = (np.vdot(dpsi, dpsi).real / two_h + np.dot(w_rho, vext)
+                              - 0.5 * np.dot(w_rho, phi))
+        out["sigma"][row] = _rms_width(w, (x,), (wx,), rho, nrm)
         # written so that a NaN norm fails the guard
-        bad = ~(np.abs(nrm - norm0) <= _NORM_TOL) & (np.array(ks) > 0)
-        for i in np.flatnonzero(bad)[:1]:
-            raise IntegratorError(f"norm drifted to {nrm[i]:.12f} at step {ks[i]}")
+        if k > 0 and not abs(nrm - out["norm"][0]) <= _NORM_TOL:
+            raise IntegratorError(f"norm drifted to {nrm:.12f} at step {k}")
 
     rho = np.abs(psi) ** 2
     phi = solve_phi_grav(grid, rho, params) if params.coupling > 0 \
         else np.zeros_like(x)
-    rows.append((0, state.time, psi, rho, phi))
+    record(0, psi, rho, phi)
     for k in range(1, steps + 1):
-        try:
-            if params.coupling > 0:
-                half = _cn_step_1d(tgrid, psi, None, vext - phi, 1.0, 0.5 * dt)
-                phi_mid = solve_phi_grav(grid, np.abs(half) ** 2, params)
-            else:
-                phi_mid = phi
-            psi = _cn_step_1d(tgrid, psi, None, vext - phi_mid, 1.0, dt)
-            rho = np.abs(psi) ** 2
-            if params.coupling > 0:
-                phi = solve_phi_grav(grid, rho, params)
-        except Exception:
-            # a step taken from a state that already failed the guard may
-            # raise on its own; the guard failure is the one to report
-            flush()
-            raise
+        if params.coupling > 0:
+            half = _cn_step_1d(tgrid, psi, None, vext - phi, 1.0, 0.5 * dt)
+            phi_mid = solve_phi_grav(grid, np.abs(half) ** 2, params)
+        else:
+            phi_mid = phi
+        psi = _cn_step_1d(tgrid, psi, None, vext - phi_mid, 1.0, dt)
+        rho = np.abs(psi) ** 2
+        if params.coupling > 0:
+            phi = solve_phi_grav(grid, rho, params)
         if k % record_every == 0 or k == steps:
-            rows.append((k, state.time + k * dt, psi, rho, phi))
-            if len(rows) >= block:
-                flush()
-    flush()
+            record(k, psi, rho, phi)
     return {"series": out,
             "final": Line1DState(grid, psi, time=state.time + steps * dt)}
 

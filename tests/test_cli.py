@@ -254,3 +254,41 @@ directory = {tmp_path}/se
     summary = json.loads((tmp_path / "se" / "summary.json").read_text())
     assert summary["results"]["shrank"] is False
     assert summary["results"]["sigma_final"] > summary["results"]["sigma_initial"]
+
+
+def _evolve_text(kind, body, outdir="out/x"):
+    return (f"[experiment]\nkind = {kind}\n{body}"
+            f"[output]\ndirectory = {outdir}\n")
+
+
+def test_evolvers_run_and_conserve_the_norm_on_three_nodes(tmp_path):
+    # 3 nodes leave one interior unknown, the smallest grid validate accepts
+    for kind, physics in (("sn-evolve", "coupling = 2.0\npotential_coeffs = 0\n"),
+                          ("functional-evolve", "l = 1.0\n")):
+        body = (f"[grid]\ncount = 3\n[physics]\n{physics}"
+                "[solver]\ndt = 0.01\nsteps = 20\n")
+        cfg, errors = validate(_evolve_text(kind, body, tmp_path / kind))
+        assert errors == []
+        assert run(cfg) == 0, kind
+        lines = (tmp_path / kind / "evolution.csv").read_text().splitlines()
+        assert len(lines) == 22  # header + initial + 20 steps
+        norm = [float(line.split(",")[1]) for line in lines[1:]]
+        assert max(abs(v - norm[0]) for v in norm) <= 1e-13
+
+
+def test_initial_packet_errors_name_the_section(tmp_path, capsys):
+    grid = "[grid]\nlower = -30\nupper = 30\n"
+    for kind in ("sn-evolve", "functional-evolve"):
+        for initial, expect in (
+                ("width = 0", "width must be finite and > 0 (got 0.0)"),
+                ("center = nan", "center must be finite (got nan)"),
+                ("momentum = inf", "momentum must be finite (got inf)"),
+                ("center = 500", "has zero norm on [-30.0, 30.0]")):
+            err = _validate_errors(tmp_path, capsys, _evolve_text(
+                kind, f"{grid}[initial]\n{initial}\n"))
+            assert len(err) == 1, (kind, initial, err)
+            assert err[0].startswith("config error: [initial] ")
+            assert err[0].endswith(expect), (kind, initial, err)
+    # experiments that start from no packet do not check it
+    cfg, errors = validate(_evolve_text("sn-ground", "[initial]\nwidth = 0\n"))
+    assert errors == []

@@ -591,6 +591,20 @@ def test_cn_step_1d_equals_solve_banded_bitwise(count, links):
     assert np.abs(step - two_sided).max() <= 1e-14 * np.abs(psi).max()
 
 
+def test_cn_step_1d_on_one_unknown_is_the_scalar_cayley_factor():
+    # 3 nodes: one interior unknown and empty off-diagonals
+    grid = TensorGrid.cube(-1.0, 1.0, 3, 1)
+    psi = np.array([0.0, 0.6 - 0.8j, 0.0])
+    diag = np.array([5.0, 0.3, 7.0])
+    dt = 0.1
+    step = _cn_step_1d(grid, psi, None, diag, 1.0, dt)
+    e = 2.0 / (2.0 * grid.spacings[0] ** 2) + diag[1]
+    expect = psi[1] * (1 - 0.5j * dt * e) / (1 + 0.5j * dt * e)
+    assert step[0] == step[2] == 0.0
+    assert abs(step[1] - expect) <= 1e-15
+    assert abs(step[1] - psi[1]) > 1e-2
+
+
 def test_snapshots_are_read_only_and_do_not_alias_the_inputs():
     grid = TensorGrid.cube(-8.0, 8.0, 101, 1)
     params = ModelParams(l=1.0)

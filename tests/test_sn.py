@@ -436,8 +436,8 @@ def test_sn_evolve_rejects_a_nan_state_with_integrator_error(coupling):
     psi = np.exp(-x ** 2 / 4) + 0j
     psi /= np.sqrt((line_weights(grid) * np.abs(psi) ** 2).sum())
     psi[60] = np.nan
-    # the guard is checked per block of recorded steps; the run goes on
-    # past step 1 on NaN states, but the error still names step 1
+    # the guard is checked at each recorded step, so a short run and one
+    # longer than two of `evolve_temporal_gauge`'s blocks both name step 1
     for steps in (5, 2 * _block_rows(grid.count) + 5):
         with pytest.raises(IntegratorError, match="step 1$"):
             sn_evolve_1d(Line1DState(grid, psi),
@@ -458,8 +458,8 @@ def test_sn_evolve_rejects_bad_step_arguments(kwargs, name):
 
 
 def test_sn_step_that_raises_after_the_guard_failed_reports_the_guard(monkeypatch):
-    # the guard is checked when the block is reduced; a later step that
-    # raises on its own must not hide the norm failure of step 1
+    # the guard stops the run at step 1, so a later step that would raise
+    # on its own cannot hide the norm failure of step 1
     grid = UniformGrid1D(-10.0, 10.0, 201)
     x = grid.nodes
     psi = np.exp(-x ** 2 / 4) + 0j
@@ -484,6 +484,8 @@ def test_sn_step_that_raises_after_the_guard_failed_reports_the_guard(monkeypatc
                      steps=10)
 
 def test_sn_series_across_block_boundaries():
+    # runs over more than two of `evolve_temporal_gauge`'s blocks, which
+    # this evolver used to share, ending on a step off the stride
     grid = UniformGrid1D(-20.0, 20.0, 401)
     x = grid.nodes
     w = line_weights(grid)
@@ -522,3 +524,55 @@ def test_sn_series_across_block_boundaries():
     assert s["sigma"][-1] == sigma
     assert abs(s["energy"][-1] - energy) <= 1e-13 * abs(energy)
     assert np.ptp(s["sigma"]) > 1e-3
+
+
+def test_sn_evolve_stops_at_the_first_failing_step(monkeypatch):
+    grid = UniformGrid1D(-10.0, 10.0, 201)
+    x = grid.nodes
+    psi = np.exp(-x ** 2 / 4) + 0j
+    psi /= np.sqrt((line_weights(grid) * np.abs(psi) ** 2).sum())
+    psi[60] = np.nan
+    real_step = sn._cn_step_1d
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real_step(*args)
+
+    monkeypatch.setattr(sn, "_cn_step_1d", counted)
+    with pytest.raises(IntegratorError, match="step 1$"):
+        sn_evolve_1d(Line1DState(grid, psi), SNParams(coupling=2.0), dt=0.01,
+                     steps=50)
+    # the half and the full step of step 1, and no step after it
+    assert len(calls) == 2
+
+
+def test_sn_recorded_rows_are_the_per_state_formulas_on_a_moving_packet():
+    grid = UniformGrid1D(-30.0, 30.0, 1201)
+    x = grid.nodes
+    w = line_weights(grid)
+    psi = np.exp(-x ** 2 / 4.0 + 1.5j * x)
+    psi /= np.sqrt((w * np.abs(psi) ** 2).sum())
+    psi[0] = psi[-1] = 0.0  # as the evolver pins them
+    p = SNParams(coupling=2.0, external_potential_coeffs=(0.0, 0.0, 0.01))
+    steps = 20
+    s = sn_evolve_1d(Line1DState(grid, psi), p, dt=0.005, steps=steps)["series"]
+    # the states of the run, one step at a time (bitwise the same steps)
+    states = [Line1DState(grid, psi)]
+    for _ in range(steps):
+        states.append(sn_evolve_1d(states[-1], p, dt=0.005, steps=1)["final"])
+    for k, state in enumerate(states):
+        psi_k = state.psi
+        rho = np.abs(psi_k) ** 2
+        nrm = (w * rho).sum()
+        mean = (w * x * rho).sum() / nrm
+        lap = np.zeros_like(psi_k)
+        lap[1:-1] = (psi_k[2:] - 2 * psi_k[1:-1] + psi_k[:-2]) / grid.spacing ** 2
+        energy = (np.real((w * np.conj(psi_k) * (-0.5 * lap + 0.01 * x * x
+                                                  * psi_k)).sum())
+                  - 0.5 * (w * solve_phi_grav(grid, rho, p) * rho).sum())
+        assert s["norm"][k] == nrm
+        assert s["sigma"][k] == np.sqrt((w * (x - mean) ** 2 * rho).sum() / nrm)
+        assert abs(s["energy"][k] - energy) <= 1e-13 * abs(energy)
+    # the packet has moved: <x> went from 0 to about 1.5 t = 0.15
+    assert (w * x * np.abs(states[-1].psi) ** 2).sum() > 0.1
