@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 from nlgauge.cli import main, run, validate
@@ -10,6 +12,23 @@ CONFIGS = REPO / "configs"
 
 def patch_output(text: str, outdir: str) -> str:
     return text.replace("directory = out/", f"directory = {outdir}/")
+
+
+def test_cli_import_loads_only_the_scipy_subpackages_it_uses():
+    # the benchmark's setup time includes this import, so a heavy scipy
+    # subpackage such as scipy.fft would show there. A public subpackage
+    # has no leading underscore and is a package, not a module such as
+    # scipy.version
+    code = ("import sys, nlgauge.cli\n"
+            "subs = {name.split('.')[1] for name in sys.modules\n"
+            "        if name.startswith('scipy.')}\n"
+            "print(*sorted(s for s in subs if not s.startswith('_')\n"
+            "              and hasattr(sys.modules['scipy.' + s], '__path__')))")
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["linalg", "sparse"]
 
 
 def test_shipped_configs_all_validate():
@@ -164,6 +183,10 @@ directory = {tmp_path}/fe
     assert lines[0] == ("t,norm,charge,gauss_residual,continuity_residual,"
                         "energy,sigma")
     assert len(lines) == 42  # header + initial + 40 steps
+    # the drift is measured from row 0, the packet with its ends zeroed
+    norm = [float(line.split(",")[1]) for line in lines[1:]]
+    summary = json.loads((tmp_path / "fe" / "summary.json").read_text())
+    assert summary["results"]["norm_drift"] == max(abs(v - norm[0]) for v in norm)
 
 
 def test_cli_verify_subcommand(tmp_path, capsys):
@@ -274,6 +297,16 @@ def test_evolvers_run_and_conserve_the_norm_on_three_nodes(tmp_path):
         assert len(lines) == 22  # header + initial + 20 steps
         norm = [float(line.split(",")[1]) for line in lines[1:]]
         assert max(abs(v - norm[0]) for v in norm) <= 1e-13
+
+
+def test_multi_site_functional_evolve_is_a_grid_dim_error(tmp_path, capsys):
+    text = _evolve_text("functional-evolve", "[grid]\ncount = 21\ndim = 2\n")
+    assert _validate_errors(tmp_path, capsys, text) == [
+        "config error: [grid] dim must be 1 for functional-evolve (got 2)"]
+    # the other experiments on a 2-site grid still validate
+    for kind in ("functional-stationary", "limit-check"):
+        cfg, errors = validate(_evolve_text(kind, "[grid]\ncount = 21\ndim = 2\n"))
+        assert errors == [], kind
 
 
 def test_initial_packet_errors_name_the_section(tmp_path, capsys):

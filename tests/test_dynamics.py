@@ -7,7 +7,8 @@ import nlgauge.dynamics as dynamics
 from nlgauge.dynamics import (_block_rows, _cn_step_1d, _cn_step_nd,
                               continuity_residual, evolve_temporal_gauge,
                               stationary_solve)
-from nlgauge.errors import ConstraintViolationError, IntegratorError
+from nlgauge.errors import (ConstraintViolationError, ConvergenceError,
+                            IntegratorError)
 from nlgauge.gaugeops import (apply_hamiltonian_raw, gauss_residual,
                               initialize_constraint, link_diff, link_phases)
 from nlgauge.grids import BoundaryCondition, TensorGrid
@@ -302,17 +303,21 @@ def test_evolve_2d_conserves():
     grid = TensorGrid.cube(-5.0, 5.0, 33, 2)
     spec = HamiltonianSpec(potential_coeffs=(0.0, 0.0, 0.5),
                            gradient_coupling=0.2)
-    params = ModelParams(l=2.0)
     X = grid.meshes()
     psi = np.exp(-0.5 * ((X[0] - 0.4) ** 2 + X[1] ** 2)) + 0j
     psi[~grid.boundary_mask()] = 0.0
     psi /= np.sqrt(np.real(grid.integrate(np.abs(psi) ** 2)))
     pw = WaveFunctional(grid, psi)
-    g0 = gauss_consistent_gauge(pw, params)
-    traj = evolve_temporal_gauge(pw, g0, spec, params, dt=0.01, steps=50)
-    d = traj.diagnostics
-    assert np.abs(d["norm"] - 1.0).max() < 1e-9
-    assert np.abs(d["charge"]).max() < 1e-12
+    # (l, dt, steps). The norm bound is at roundoff: on the second case,
+    # a stronger field and a longer step, GMRES at rtol 1e-12 in place of
+    # the CG inner solve drifts 7.7e-14
+    for l, dt, steps in ((2.0, 0.01, 50), (1.0, 0.05, 100)):
+        params = ModelParams(l=l)
+        g0 = gauss_consistent_gauge(pw, params)
+        traj = evolve_temporal_gauge(pw, g0, spec, params, dt=dt, steps=steps)
+        d = traj.diagnostics
+        assert np.abs(d["norm"] - 1.0).max() < 2e-14
+        assert np.abs(d["charge"]).max() < 1e-12
 
 
 def test_sigma_is_rms_width_on_two_sites():
@@ -406,6 +411,22 @@ def test_cn_nd_step_matches_dense_reference():
     nd = _cn_step_nd(grid, psi, phases, diag, 1.0, dt)
     assert np.abs(nd - dense).max() < 1e-10
     assert np.abs(nd - psi).max() > 1e-2
+
+
+def test_cn_nd_step_at_its_iteration_cap_raises_with_the_residual(monkeypatch):
+    grid = TensorGrid.cube(-4.0, 4.0, 13, 2)
+    spec = HamiltonianSpec(potential_coeffs=(0.0, 0.0, 0.5),
+                           gradient_coupling=0.2)
+    rng = np.random.default_rng(5)
+    psi = np.where(grid.boundary_mask(), rng.standard_normal(grid.shape)
+                   + 1j * rng.standard_normal(grid.shape), 0.0)
+    phases = link_phases(grid, [0.4 * rng.standard_normal(s)
+                                for s in ((12, 13), (13, 12))])
+    monkeypatch.setattr(dynamics, "_CN_MAX_ITER", 2)
+    with pytest.raises(ConvergenceError, match="CN inner solve") as info:
+        _cn_step_nd(grid, psi, phases, spec.site_potential_total(grid), 1.0, 0.05)
+    assert np.isfinite(info.value.residual)
+    assert dynamics._CN_RTOL < info.value.residual < 1.0
 
 
 def _two_site_packet(count=9):
@@ -648,8 +669,9 @@ def test_evolve_rejects_a_nan_state_with_integrator_error():
 
 
 def test_evolve_rejects_a_nan_two_site_state_with_integrator_error():
-    # a NaN residual ends the nD CN inner solve, so the state reaches the
-    # norm guard instead of spinning the solver to its iteration cap
+    # the nD CN step skips the inner solve of a non-finite state, so the
+    # state reaches the norm guard instead of spinning the solver to its
+    # iteration cap
     grid, spec, psi = _two_site_packet()
     params = ModelParams(l=1.0)
     g0 = gauss_consistent_gauge(psi, params)
