@@ -6,12 +6,11 @@ from .errors import (ConstraintViolationError, ConvergenceError,
                      UnsolvableConstraintError)
 from .grids import (BoundaryCondition, RadialGrid, TensorGrid, UniformGrid1D)
 from .model import (GaugeState, GaugeTransform, HamiltonianSpec, ModelParams,
-                    StationaryState, WaveFunctional, density, nonlinearity,
+                    StationaryState, WaveFunctional, nonlinearity,
                     total_charge)
 from .numerics import laplacian_apply, poisson_solve, smallest_eigenpair
-from .gaugeops import (covariant_phi_derivative, gauge_transform,
-                       gauss_residual, gauss_solve_stationary,
-                       hamiltonian_apply, initialize_constraint)
+from .gaugeops import (gauge_transform, gauss_residual,
+                       gauss_solve_stationary, initialize_constraint)
 from .dynamics import (Snapshot, Trajectory, continuity_residual,
                        evolve_temporal_gauge, stationary_solve)
 from .action import action_evaluate, scale_transform, scale_transform_state
@@ -23,10 +22,10 @@ __all__ = [
     "BoundaryCondition", "RadialGrid", "TensorGrid", "UniformGrid1D",
     "GaugeState", "GaugeTransform", "HamiltonianSpec", "ModelParams",
     "StationaryState", "WaveFunctional",
-    "density", "nonlinearity", "total_charge",
+    "nonlinearity", "total_charge",
     "laplacian_apply", "poisson_solve", "smallest_eigenpair",
-    "covariant_phi_derivative", "gauge_transform", "gauss_residual",
-    "gauss_solve_stationary", "hamiltonian_apply", "initialize_constraint",
+    "gauge_transform", "gauss_residual", "gauss_solve_stationary",
+    "initialize_constraint",
     "Snapshot", "Trajectory", "continuity_residual", "evolve_temporal_gauge",
     "stationary_solve",
     "action_evaluate", "scale_transform", "scale_transform_state",

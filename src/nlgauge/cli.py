@@ -173,6 +173,9 @@ def validate(text: str) -> tuple[SolverConfig | None, list[str]]:
     if kind == "functional-evolve":
         checks.append((("grid", "dim"), lambda v: v == 1,
                        "must be 1 for functional-evolve"))
+    if kind == "sn-ground":
+        checks.append((("physics", "background"), lambda v: v == 0,
+                       "must be 0 for sn-ground"))
     packet = kind in _PACKET_KINDS
     if packet:
         checks += [
@@ -247,11 +250,14 @@ def _json_safe(obj):
 
 def _initial_packet(cfg: SolverConfig, axis: UniformGrid1D) -> np.ndarray:
     """The [initial] Gaussian packet on the nodes of `axis`, normalised by
-    its trapezoid norm; not finite when that norm is zero."""
+    its trapezoid norm; not finite when that norm is zero. A width whose
+    square overflows gives the flat plane wave."""
     center, width, momentum = (cfg[("initial", key)]
                                for key in ("center", "width", "momentum"))
     x = axis.nodes
-    psi = np.exp(-((x - center) ** 2) / (4.0 * width ** 2) + 1j * momentum * x)
+    with np.errstate(over="ignore"):  # the same pow as Python's, but no raise
+        width2 = np.float64(width) ** 2
+    psi = np.exp(-((x - center) ** 2) / (4.0 * width2) + 1j * momentum * x)
     return psi / np.sqrt((axis.quad_weights() * np.abs(psi) ** 2).sum())
 
 

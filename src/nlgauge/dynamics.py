@@ -148,10 +148,6 @@ class Trajectory:
     snapshots: list[Snapshot] = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.time for s in self.snapshots])
-
 
 def _cn_step_1d(grid, psi, phases, diag, a_lat, dt):
     """Direct tridiagonal Crank-Nicolson step (interior unknowns).

@@ -1,5 +1,5 @@
-"""Gauge transformations, covariant derivatives, the lattice Hamiltonian,
-and the Gauss-law solves.
+"""Gauge transformations, the lattice Hamiltonian, and the Gauss-law
+solves.
 
 The connection lives on amplitude links (midpoints between adjacent grid
 nodes). The kinetic term uses exponential link phases, which makes gauge
@@ -32,8 +32,8 @@ import numpy as np
 
 from .errors import UnsolvableConstraintError
 from .grids import TensorGrid
-from .model import (GaugeState, GaugeTransform, HamiltonianSpec, ModelParams,
-                    WaveFunctional, nonlinearity)
+from .model import (GaugeState, GaugeTransform, ModelParams, WaveFunctional,
+                    nonlinearity)
 from .numerics import poisson_solve
 
 # largest |integral(rho) - 1| the Gauss solves accept as a unit charge
@@ -138,55 +138,6 @@ def apply_hamiltonian_raw(grid: TensorGrid, values: np.ndarray,
         out[lo] -= coef * up
         out[hi] -= coef * down
     return out
-
-
-def hamiltonian_apply(psi: WaveFunctional, gauge: GaugeState,
-                      spec: HamiltonianSpec) -> np.ndarray:
-    """Minimal-coupling Hamiltonian applied to the wave functional.
-
-    At lattice_spacing 1 and vanishing connection this is
-    sum_x { -1/2 d^2/dphi_x^2 + V(phi_x) } psi plus the nearest-neighbour
-    gradient term for D > 1.
-    """
-    grid = psi.grid
-    if gauge.grid.shape != grid.shape:
-        raise ValueError("gauge state lives on a different grid")
-    values = project_dirichlet(grid, psi.values)
-    diag = spec.site_potential_total(grid)
-    phases = None
-    if any(np.any(a) for a in gauge.a_phi):
-        phases = link_phases(grid, gauge.a_phi)
-    out = apply_hamiltonian_raw(grid, values, phases, diag, spec.lattice_spacing)
-    return project_dirichlet(grid, out)
-
-
-def covariant_phi_derivative(psi: WaveFunctional, gauge: GaugeState,
-                             site: int) -> np.ndarray:
-    """(d/dphi_site - i A_phi(.,site)) psi, centered differences.
-
-    The connection is averaged from the two adjacent links onto nodes;
-    ghost values are zero (the functional vanishes at the amplitude
-    cutoff). Gauge covariant to O(spacing^2).
-    """
-    grid = psi.grid
-    if not 0 <= site < grid.ndim:
-        raise IndexError(f"site {site} out of range for {grid.ndim} axes")
-    h = grid.spacings[site]
-    lo, hi, first, last, _ = _sl(grid.ndim, site)
-    values = project_dirichlet(grid, psi.values)
-    dpsi = np.zeros_like(values)
-    dpsi[lo] += values[hi]
-    dpsi[hi] -= values[lo]
-    dpsi /= 2.0 * h
-
-    a_link = gauge.a_phi[site]
-    a_node = np.zeros(grid.shape)
-    a_node[lo] += 0.5 * a_link
-    a_node[hi] += 0.5 * a_link
-    # faces see a single link; undo the half weight there
-    a_node[first] *= 2.0
-    a_node[last] *= 2.0
-    return dpsi - 1j * a_node * values
 
 
 def gauge_transform(psi: WaveFunctional, gauge: GaugeState,

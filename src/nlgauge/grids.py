@@ -19,7 +19,7 @@ instance dict and bypass anything that wraps the class member.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 
@@ -146,6 +146,8 @@ class TensorGrid:
         return self.axes[axis].nodes.reshape(shape)
 
     def meshes(self) -> list[np.ndarray]:
+        """Full-shape coordinate arrays. Only tests call it; it stays because
+        perfbench/tracing.py traces it and fails on a missing member."""
         return [np.broadcast_to(self.coordinate(k), self.shape) for k in range(self.ndim)]
 
     def quad_weights(self) -> np.ndarray:

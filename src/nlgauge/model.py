@@ -156,11 +156,6 @@ class StationaryState:
     gauss_residual: float
 
 
-def density(psi: WaveFunctional) -> np.ndarray:
-    """rho = |psi|^2 pointwise."""
-    return np.abs(psi.values) ** 2
-
-
 def nonlinearity(rho: np.ndarray, grid: TensorGrid) -> np.ndarray:
     """The charge density rho*N(rho) = rho - 1/Omega (normalized theory),
     with Omega the grid volume."""
@@ -168,6 +163,7 @@ def nonlinearity(rho: np.ndarray, grid: TensorGrid) -> np.ndarray:
 
 
 def total_charge(grid: TensorGrid, rho: np.ndarray, params: ModelParams) -> float:
-    """Q = (1/l^2) * integral of rho*N(rho); vanishes for normalized rho."""
+    """Q = (1/l^2) * integral of rho*N(rho); vanishes for normalized rho.
+    The tests' bitwise reference for the evolver's `charge` diagnostic."""
     src = nonlinearity(rho, grid)
     return params.inv_l2 * float(np.real(grid.integrate(src)))

@@ -58,7 +58,8 @@ def laplacian_apply(grid: TensorGrid, values: np.ndarray,
 
     Dirichlet fields are projected onto the subspace vanishing at the
     cutoff before and after, so the operator is symmetric for arbitrary
-    input.
+    input. No solver calls it: it is the tests' reference for the Poisson
+    solve, for link_divergence(link_diff(.)) and for the Gauss law.
     """
     values = np.asarray(values)
     grid.check_field(values)

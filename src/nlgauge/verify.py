@@ -17,10 +17,12 @@ import numpy as np
 from .action import action_evaluate, scale_transform, scale_transform_state
 from .dynamics import (Snapshot, Trajectory, evolve_temporal_gauge,
                        stationary_solve)
-from .gaugeops import (apply_hamiltonian_raw, gauss_solve_stationary,
-                       initialize_constraint, link_diff)
+from .gaugeops import (apply_hamiltonian_raw, gauge_transform,
+                       gauss_solve_stationary, initialize_constraint,
+                       link_diff)
 from .grids import TensorGrid, UniformGrid1D
-from .model import GaugeState, HamiltonianSpec, ModelParams, WaveFunctional
+from .model import (GaugeState, GaugeTransform, HamiltonianSpec, ModelParams,
+                    WaveFunctional)
 from .numerics import poisson_solve
 
 
@@ -100,22 +102,18 @@ def _smooth_functional(grid: TensorGrid, rng: np.random.Generator) -> np.ndarray
 
 def transform_trajectory(traj: Trajectory, lam0: np.ndarray,
                          mu: np.ndarray) -> Trajectory:
-    """Apply the time-linear functional gauge transformation
-    Lambda(phi, t) = lam0(phi) + t mu(phi) to a temporal-gauge trajectory,
-    exactly at the link level."""
+    """Apply the gauge transformation Lambda(phi, t) = lam0(phi) + t mu(phi)
+    to a temporal-gauge trajectory, exactly at the link level: each snapshot
+    goes through `gauge_transform` with GaugeTransform(lam0 + t mu, mu)."""
     grid = traj.grid
-    d_lam0 = [link_diff(grid, lam0, x) for x in range(grid.ndim)]
-    d_mu = [link_diff(grid, mu, x) for x in range(grid.ndim)]
     snaps = []
     for sn in traj.snapshots:
-        lam = lam0 + sn.time * mu
-        snaps.append(Snapshot(
-            time=sn.time,
-            psi=np.exp(1j * lam) * sn.psi,
-            a_phi=[sn.a_phi[x] + d_lam0[x] + sn.time * d_mu[x]
-                   for x in range(grid.ndim)],
-            f_bar=[f.copy() for f in sn.f_bar],
-            a_t=sn.a_t + mu))
+        psi, gauge = gauge_transform(
+            WaveFunctional(grid, sn.psi),
+            GaugeState(grid, sn.a_t, sn.a_phi, sn.f_bar),
+            GaugeTransform(lam0 + sn.time * mu, mu))
+        snaps.append(Snapshot(sn.time, psi.values, gauge.a_phi, gauge.f,
+                              gauge.a_t))
     return Trajectory(grid, traj.spec, traj.params, traj.dt, snaps,
                       dict(traj.diagnostics))
 

@@ -4,7 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-from nlgauge.cli import main, run, validate
+import numpy as np
+
+from nlgauge.cli import _initial_packet, main, run, validate
+from nlgauge.grids import UniformGrid1D
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -307,6 +310,29 @@ def test_multi_site_functional_evolve_is_a_grid_dim_error(tmp_path, capsys):
     for kind in ("functional-stationary", "limit-check"):
         cfg, errors = validate(_evolve_text(kind, "[grid]\ncount = 21\ndim = 2\n"))
         assert errors == [], kind
+
+
+def test_sn_ground_with_a_background_is_a_physics_error(tmp_path, capsys):
+    # the radial solvers are the background-free case
+    text = "[experiment]\nkind = sn-ground\n[physics]\nbackground = 0.5\n"
+    assert _validate_errors(tmp_path, capsys, text) == [
+        "config error: [physics] background must be 0 for sn-ground (got 0.5)"]
+    cfg, errors = validate(_evolve_text("sn-evolve", "[physics]\nbackground = 0.5\n"))
+    assert errors == []
+
+
+def test_a_width_whose_square_overflows_is_the_flat_plane_wave(tmp_path):
+    for kind in ("sn-evolve", "functional-evolve"):
+        packets = []
+        for width in ("1e100", "1e200"):
+            body = (f"[grid]\ncount = 21\n[initial]\nwidth = {width}\n"
+                    "[solver]\nsteps = 2\n")
+            cfg, errors = validate(_evolve_text(kind, body, tmp_path / width))
+            assert errors == [], (kind, width)
+            assert run(cfg) == 0, (kind, width)
+            packets.append(_initial_packet(cfg, UniformGrid1D(-8.0, 8.0, 21)))
+        assert np.array_equal(packets[0], packets[1]), kind
+        assert np.ptp(np.abs(packets[1])) == 0.0
 
 
 def test_initial_packet_errors_name_the_section(tmp_path, capsys):

@@ -127,7 +127,7 @@ def test_coherent_state_period():
     w = grid.quad_weights()
     centers = np.array([float((w * x * np.abs(s.psi) ** 2).sum())
                         for s in traj.snapshots])
-    times = traj.times
+    times = np.array([s.time for s in traj.snapshots])
     # <x>(t) = cos t; locate the first return to maximum via zero crossings
     # of the discrete derivative around t = 2 pi
     sel = (times > 5.0) & (times < 7.0)

@@ -3,25 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlgauge.grids import TensorGrid
-from nlgauge.model import (HamiltonianSpec, ModelParams, WaveFunctional,
-                           density, nonlinearity, total_charge)
+from nlgauge.model import (HamiltonianSpec, ModelParams, nonlinearity,
+                           total_charge)
 
 
 @pytest.fixture
 def grid():
     return TensorGrid.cube(-4.0, 4.0, 81, 1)
-
-
-def test_density_zero_state(grid):
-    psi = WaveFunctional(grid, np.zeros(grid.shape, dtype=complex))
-    assert np.abs(density(psi)).max() == 0.0
-
-
-def test_density_is_phase_blind(grid):
-    x = grid.axes[0].nodes
-    g = np.exp(-x ** 2)
-    psi = WaveFunctional(grid, np.exp(1.3j) * g)
-    assert np.abs(density(psi) - g ** 2).max() < 1e-15
 
 
 def test_uniform_density_kills_nonlinearity(grid):
