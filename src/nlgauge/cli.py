@@ -2,7 +2,7 @@
 
 Configs are plain INI text (key = value under [section] headers), one
 experiment per invocation. Outputs land in the configured directory:
-`summary.json` (flat, no NaN), per-trajectory CSV with a header row and
+`summary.json` (no NaN or infinity), per-trajectory CSV with a header row and
 17-significant-digit floats, and `config.echo` with every default made
 explicit, so a run is reproducible from its own artifacts.
 """
@@ -130,12 +130,7 @@ def validate(text: str) -> tuple[SolverConfig | None, list[str]]:
                 continue
             typ, _ = _SCHEMA[section][key]
             try:
-                if typ is float:
-                    values[(section, key)] = float(raw)
-                elif typ is int:
-                    values[(section, key)] = int(raw)
-                else:
-                    values[(section, key)] = raw.strip()
+                values[(section, key)] = typ(raw)
             except ValueError:
                 errors.append(f"[{section}] {key}: cannot parse {raw!r} as "
                               f"{typ.__name__}")
@@ -148,20 +143,18 @@ def validate(text: str) -> tuple[SolverConfig | None, list[str]]:
                     values[(section, key)] = default
 
     cfg = SolverConfig(values)
-    if ("experiment", "kind") in values:
-        if values[("experiment", "kind")] not in EXPERIMENTS:
-            near = difflib.get_close_matches(values[("experiment", "kind")],
-                                             EXPERIMENTS, n=1)
-            hint = f"; did you mean '{near[0]}'?" if near else ""
-            errors.append(f"[experiment] kind must be one of "
-                          f"{', '.join(EXPERIMENTS)}{hint}")
+    kind = values.get(("experiment", "kind"))
+    if kind is not None and kind not in EXPERIMENTS:
+        near = difflib.get_close_matches(kind, EXPERIMENTS, n=1)
+        hint = f"; did you mean '{near[0]}'?" if near else ""
+        errors.append(f"[experiment] kind must be one of "
+                      f"{', '.join(EXPERIMENTS)}{hint}")
     checks = [
         (("solver", "dt"), lambda v: v > 0, "must be > 0"),
         (("solver", "steps"), lambda v: v >= 1, "must be >= 1"),
         (("solver", "tol"), lambda v: v > 0, "must be > 0"),
         (("solver", "mixing"), lambda v: 0 < v <= 1, "must be in (0, 1]"),
         (("solver", "record_every"), lambda v: v >= 1, "must be >= 1"),
-        (("grid", "dim"), lambda v: 1 <= v <= 4, "must be in 1..4"),
         (("physics", "l"), lambda v: v > 0, "must be > 0 (inf allowed)"),
         (("physics", "coupling"), lambda v: v >= 0, "must be >= 0"),
         (("physics", "background"), lambda v: v >= 0, "must be >= 0"),
@@ -169,10 +162,8 @@ def validate(text: str) -> tuple[SolverConfig | None, list[str]]:
         (("physics", "lattice_spacing"), lambda v: 0 < v < math.inf,
          "must be finite and > 0"),
     ]
-    kind = values.get(("experiment", "kind"))
-    if kind == "functional-evolve":
-        checks.append((("grid", "dim"), lambda v: v == 1,
-                       "must be 1 for functional-evolve"))
+    if kind in ("functional-evolve", "limit-check"):  # the single-site runs
+        checks.append((("grid", "dim"), lambda v: v == 1, f"must be 1 for {kind}"))
     if kind == "sn-ground":
         checks.append((("physics", "background"), lambda v: v == 0,
                        "must be 0 for sn-ground"))
@@ -184,33 +175,26 @@ def validate(text: str) -> tuple[SolverConfig | None, list[str]]:
              "must be finite and > 0"),
             (("initial", "momentum"), math.isfinite, "must be finite"),
         ]
-    for (section, key), ok, msg in checks:
-        if (section, key) in values and not ok(values[(section, key)]):
+    for (section, key), ok, msg in checks:  # every checked key has a default
+        if not ok(values[(section, key)]):
             errors.append(f"[{section}] {key} {msg} (got {values[(section, key)]})")
-    # bounds, node counts and the point budget are checked by the grid
-    # constructors themselves; `cube` builds `dim` axes before it checks
-    # `dim`, so it only sees a dim that passed above
-    lower, upper, count, dim = (values[("grid", key)]
-                                for key in ("lower", "upper", "count", "dim"))
-    grid_builds = (
-        ("grid", lambda: TensorGrid.cube(lower, upper, count, dim)
-         if 1 <= dim <= 4 else UniformGrid1D(lower, upper, count)),
-        ("radial", lambda: RadialGrid(*(values[("radial", key)]
-                                        for key in ("r_min", "r_max", "count")))))
-    for section, build in grid_builds:
+    # dim, bounds, node counts and the point budget are checked by the grid
+    # constructors themselves
+    for section, build in (("grid", _grid), ("radial", _radial_grid)):
         try:
-            build()
+            build(cfg)
         except ValueError as exc:
             errors.append(f"[{section}] {exc}")
     if packet and not any(e.startswith(("[grid]", "[initial]")) for e in errors):
         # the packet may underflow on the grid, and a zero norm divides by
         # zero; what matters is whether the run can normalise it
+        axis = _axis(cfg)
         with np.errstate(all="ignore"):
-            psi = _initial_packet(cfg, UniformGrid1D(lower, upper, count))
+            psi = _initial_packet(cfg, axis)
         if not np.isfinite(psi).all():
             errors.append(f"[initial] packet at center {values[('initial', 'center')]}, "
                           f"width {values[('initial', 'width')]} "
-                          f"has zero norm on [{lower}, {upper}]")
+                          f"has zero norm on [{axis.lower}, {axis.upper}]")
     try:
         coeffs = cfg.potential_coeffs()
     except ValueError:
@@ -231,23 +215,6 @@ def _write_csv(path: str, columns: dict) -> None:
         fh.writelines(line % row for row in rows)
 
 
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, (np.bool_, bool)):  # before int: bool is an int
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        if math.isnan(v):
-            raise ValueError("refusing to serialize NaN")
-        return v
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
-
-
 def _initial_packet(cfg: SolverConfig, axis: UniformGrid1D) -> np.ndarray:
     """The [initial] Gaussian packet on the nodes of `axis`, normalised by
     its trapezoid norm; not finite when that norm is zero. A width whose
@@ -261,14 +228,30 @@ def _initial_packet(cfg: SolverConfig, axis: UniformGrid1D) -> np.ndarray:
     return psi / np.sqrt((axis.quad_weights() * np.abs(psi) ** 2).sum())
 
 
+def _axis(cfg: SolverConfig) -> UniformGrid1D:
+    return UniformGrid1D(*(cfg[("grid", key)] for key in ("lower", "upper", "count")))
+
+
+def _grid(cfg: SolverConfig) -> TensorGrid:
+    return TensorGrid.cube(*(cfg[("grid", key)]
+                             for key in ("lower", "upper", "count", "dim")))
+
+
+def _radial_grid(cfg: SolverConfig) -> RadialGrid:
+    return RadialGrid(*(cfg[("radial", key)] for key in ("r_min", "r_max", "count")))
+
+
+def _sn_params(cfg: SolverConfig) -> SNParams:
+    return SNParams(coupling=cfg[("physics", "coupling")],
+                    background=cfg[("physics", "background")],
+                    external_potential_coeffs=cfg.potential_coeffs())
+
+
 # ------------------------------------------------------------ experiments
 
 def _run_sn_ground(cfg: SolverConfig):
-    grid = RadialGrid(cfg[("radial", "r_min")], cfg[("radial", "r_max")],
-                      cfg[("radial", "count")])
-    params = SNParams(coupling=cfg[("physics", "coupling")],
-                      background=cfg[("physics", "background")],
-                      external_potential_coeffs=cfg.potential_coeffs())
+    grid = _radial_grid(cfg)
+    params = _sn_params(cfg)
     tol = cfg[("solver", "tol")]
     scf = sn_ground_radial_scf(params, grid, tol=tol,
                                mixing=cfg[("solver", "mixing")],
@@ -292,12 +275,8 @@ def _run_sn_ground(cfg: SolverConfig):
 
 
 def _run_sn_evolve(cfg: SolverConfig):
-    axis = UniformGrid1D(cfg[("grid", "lower")], cfg[("grid", "upper")],
-                         cfg[("grid", "count")])
-    params = SNParams(coupling=cfg[("physics", "coupling")],
-                      background=cfg[("physics", "background")],
-                      external_potential_coeffs=cfg.potential_coeffs())
-    res = sn_evolve_1d(Line1DState(axis, _initial_packet(cfg, axis)), params,
+    axis = _axis(cfg)
+    res = sn_evolve_1d(Line1DState(axis, _initial_packet(cfg, axis)), _sn_params(cfg),
                        dt=cfg[("solver", "dt")], steps=cfg[("solver", "steps")],
                        record_every=cfg[("solver", "record_every")])
     s = res["series"]
@@ -315,8 +294,7 @@ def _run_sn_evolve(cfg: SolverConfig):
 
 
 def _functional_setup(cfg: SolverConfig):
-    grid = TensorGrid.cube(cfg[("grid", "lower")], cfg[("grid", "upper")],
-                           cfg[("grid", "count")], cfg[("grid", "dim")])
+    grid = _grid(cfg)
     spec = HamiltonianSpec(potential_coeffs=cfg.potential_coeffs(),
                            gradient_coupling=cfg[("physics", "gradient_coupling")],
                            lattice_spacing=cfg[("physics", "lattice_spacing")])
@@ -414,19 +392,19 @@ def run(cfg: SolverConfig) -> int:
     os.makedirs(outdir, exist_ok=True)
     try:
         summary, csvs = _RUNNERS[cfg.experiment](cfg)
+        # numpy scalars become Python ones; a NaN or infinity raises
+        text = json.dumps({
+            "experiment": cfg.experiment,
+            "seed": cfg[("experiment", "seed")],
+            "results": summary,
+            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        }, indent=2, sort_keys=True, allow_nan=False, default=lambda o: o.item())
     except Exception as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1
-    payload = {
-        "experiment": cfg.experiment,
-        "seed": cfg[("experiment", "seed")],
-        "results": _json_safe(summary),
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-    }
     if "json" in formats:
         with open(os.path.join(outdir, "summary.json"), "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text + "\n")
     if "csv" in formats:
         for name, cols in csvs.items():
             _write_csv(os.path.join(outdir, name), cols)

@@ -42,7 +42,8 @@ _CN_RTOL = 1e-12
 _CN_MAX_ITER = 500
 # largest dt * spectral-radius estimate the evolver accepts
 _STABILITY_MARGIN = 20.0
-# largest drift of the norm from its initial value the evolver accepts
+# largest drift of the norm from its initial value that this evolver and
+# sn.sn_evolve_1d accept
 _NORM_TOL = 1e-6
 # Gauss residual above which the evolver fails, unless it stays within
 # 1e4 times the initial residual

@@ -156,17 +156,12 @@ def gauge_transform(psi: WaveFunctional, gauge: GaugeState,
 
 
 def link_current(grid: TensorGrid, values: np.ndarray,
-                 phases: list[np.ndarray] | None, axis: int) -> np.ndarray:
+                 phases: list[np.ndarray], axis: int) -> np.ndarray:
     """J_x = Im(psi_i* U psi_{i+1}) / h on links; exactly gauge invariant,
     and its adjoint divergence telescopes exactly against d(rho)/dt.
     Leading axes of `values` and the phases are a stack of states."""
-    h = grid.spacings[axis]
     lo, hi = (values[s] for s in _sl(grid.ndim, axis)[:2])
-    if phases is None:
-        prod = np.conj(lo) * hi
-    else:
-        prod = np.conj(lo) * phases[axis] * hi
-    return np.imag(prod) / h
+    return np.imag(np.conj(lo) * phases[axis] * hi) / grid.spacings[axis]
 
 
 def gauss_solve_stationary(grid: TensorGrid, rho: np.ndarray,

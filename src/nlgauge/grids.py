@@ -120,6 +120,8 @@ class TensorGrid:
 
     @classmethod
     def cube(cls, lower: float, upper: float, count: int, dim: int) -> "TensorGrid":
+        if not 1 <= dim <= 4:  # before any axis is built
+            raise ValueError(f"dim must be in 1..4 (got {dim})")
         return cls(tuple(UniformGrid1D(lower, upper, count) for _ in range(dim)))
 
     @property

@@ -58,8 +58,9 @@ def laplacian_apply(grid: TensorGrid, values: np.ndarray,
 
     Dirichlet fields are projected onto the subspace vanishing at the
     cutoff before and after, so the operator is symmetric for arbitrary
-    input. No solver calls it: it is the tests' reference for the Poisson
-    solve, for link_divergence(link_diff(.)) and for the Gauss law.
+    input. No solver calls it: the limit check takes the curvature of A_t
+    with it, and the tests take it as the reference for the Poisson solve,
+    for link_divergence(link_diff(.)) and for the Gauss law.
     """
     values = np.asarray(values)
     grid.check_field(values)

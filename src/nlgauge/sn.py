@@ -46,14 +46,14 @@ from numpy.polynomial.polynomial import polyval
 from scipy.linalg.lapack import dgttrf as _dgttrf
 from scipy.linalg.lapack import dgttrs as _dgttrs
 
-from .dynamics import _check_step_args, _cn_step_1d, _rms_width, stationary_solve
+from .dynamics import (_NORM_TOL, _check_step_args, _cn_step_1d, _rms_width,
+                       stationary_solve)
 from .errors import ConvergenceError, IntegratorError
 from .fixedpoint import fixed_point
-from .grids import RadialGrid, TensorGrid, UniformGrid1D
+from .grids import BoundaryCondition, RadialGrid, TensorGrid, UniformGrid1D
 from .model import HamiltonianSpec, ModelParams
+from .numerics import laplacian_apply
 
-# largest drift of the norm from its initial value that sn_evolve_1d accepts
-_NORM_TOL = 1e-6
 # RK4 steps per block of the shot's prefix-product scan; 64 and 128 time
 # the same at 2000 and 4000 nodes, and the shorter block bounds how far
 # the values grow between two rescalings
@@ -615,11 +615,8 @@ def limit_equivalence_check(spec: HamiltonianSpec, params: ModelParams,
     dat = float(np.abs(st.a_t - phi_line).max())
 
     # sign experiment: curvature of A_t vs sign of (rho - background)
-    rho = psi_f * psi_f
-    h = axis.spacing
-    curv = np.zeros_like(rho)
-    curv[1:-1] = (st.a_t[2:] - 2 * st.a_t[1:-1] + st.a_t[:-2]) / h ** 2
-    src = rho - background
+    curv = laplacian_apply(grid, st.a_t, BoundaryCondition.NEUMANN_ZERO)
+    src = psi_f * psi_f - background
     sel = np.abs(src[1:-1]) > 1e-6 * np.abs(src).max()
     agree = np.sign(curv[1:-1][sel]) == -np.sign(src[1:-1][sel])
     consistent = bool(np.all(agree)) if coupling > 0 else True

@@ -325,15 +325,12 @@ def check_born_homogeneity(seed: int = 0) -> CheckReport:
                 "primed problem re-solved from scratch at (c0,a)=(2,1)")
 
 
-def _half_well_solution(full_grid: TensorGrid, coeffs, l: float, side: int):
-    """Stationary solution confined to one half of a double-well grid,
+def _left_well_solution(full_grid: TensorGrid, coeffs, l: float):
+    """Stationary solution confined to the left half of a double-well grid,
     solved on the half sub-grid and embedded (zero elsewhere)."""
     ax = full_grid.axes[0]
     n_half = (ax.count + 1) // 2
-    if side < 0:
-        sub = TensorGrid((UniformGrid1D(ax.lower, 0.0, n_half),))
-    else:
-        sub = TensorGrid((UniformGrid1D(0.0, ax.upper, n_half),))
+    sub = TensorGrid((UniformGrid1D(ax.lower, 0.0, n_half),))
     spec = HamiltonianSpec(potential_coeffs=tuple(coeffs))
     params = ModelParams(l=l)
     x = sub.axes[0].nodes
@@ -341,10 +338,7 @@ def _half_well_solution(full_grid: TensorGrid, coeffs, l: float, side: int):
     guess = np.exp(-2.0 * (x - center) ** 2)
     st = stationary_solve(spec, params, sub, tol=1e-11, guess=guess)
     full = np.zeros(full_grid.shape)
-    if side < 0:
-        full[:n_half] = np.real(st.psi.values)
-    else:
-        full[ax.count - n_half:] = np.real(st.psi.values)
+    full[:n_half] = np.real(st.psi.values)
     return full
 
 
@@ -364,7 +358,7 @@ def superposition_residual_sweep(separations, *, l: float = 1e3,
         grid = TensorGrid.cube(-(d + 7.0), d + 7.0, count, 1)
         spec = HamiltonianSpec(potential_coeffs=coeffs)
         params = ModelParams(l=l)
-        left = _half_well_solution(grid, coeffs, l, -1)
+        left = _left_well_solution(grid, coeffs, l)
         right = left[::-1].copy()
         out.append((d, stationarity_residual(grid, left + right, spec, params)))
     return out

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
+from nlgauge import cli, verify
 from nlgauge.cli import _initial_packet, main, run, validate
 from nlgauge.grids import UniformGrid1D
 
@@ -58,6 +59,26 @@ def test_unknown_experiment_gets_suggestion():
     text = "[experiment]\nkind = sn-gound\n"
     cfg, errors = validate(text)
     assert any("sn-ground" in e for e in errors)
+
+
+def test_unparsable_values_name_their_key():
+    head = "[experiment]\nkind = sn-evolve\n[solver]\n"
+    for key, raw, typ in (("steps", "1.5", "int"), ("dt", "fast", "float")):
+        cfg, errors = validate(f"{head}{key} = {raw}\n")
+        assert cfg is None
+        assert errors == [f"[solver] {key}: cannot parse {raw!r} as {typ}"]
+
+
+def test_unknown_section_gets_suggestion():
+    cfg, errors = validate("[experiment]\nkind = sn-ground\n[solvr]\ndt = 0.1\n")
+    assert cfg is None
+    assert errors == ["unknown section [solvr]; did you mean [solver]?"]
+
+
+def test_a_line_without_equals_is_a_parse_error():
+    cfg, errors = validate("[experiment]\nkind = sn-ground\nno equals sign\n")
+    assert cfg is None
+    assert len(errors) == 1 and errors[0].startswith("config parse error: ")
 
 
 def test_negative_dt_names_the_field():
@@ -133,7 +154,7 @@ def test_grid_budget_is_checked_before_allocation(tmp_path, capsys):
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"config error: [{section}] ")
         assert "exceeds budget" in err[0]
-    # `cube` never sees a dim outside 1..4, so that dim is reported once
+    # `cube` checks dim before it builds an axis, so that dim is reported once
     cfg, errors = validate(head + "[grid]\ndim = 9\n")
     assert len(errors) == 1 and errors[0].startswith("[grid] dim ")
 
@@ -306,10 +327,14 @@ def test_multi_site_functional_evolve_is_a_grid_dim_error(tmp_path, capsys):
     text = _evolve_text("functional-evolve", "[grid]\ncount = 21\ndim = 2\n")
     assert _validate_errors(tmp_path, capsys, text) == [
         "config error: [grid] dim must be 1 for functional-evolve (got 2)"]
-    # the other experiments on a 2-site grid still validate
-    for kind in ("functional-stationary", "limit-check"):
-        cfg, errors = validate(_evolve_text(kind, "[grid]\ncount = 21\ndim = 2\n"))
-        assert errors == [], kind
+    # the limit check is the one-site reduction too
+    text = _evolve_text("limit-check", "[grid]\ncount = 41\ndim = 2\n")
+    assert _validate_errors(tmp_path, capsys, text) == [
+        "config error: [grid] dim must be 1 for limit-check (got 2)"]
+    # the stationary solve on a 2-site grid still validates
+    cfg, errors = validate(_evolve_text("functional-stationary",
+                                        "[grid]\ncount = 21\ndim = 2\n"))
+    assert errors == []
 
 
 def test_sn_ground_with_a_background_is_a_physics_error(tmp_path, capsys):
@@ -351,3 +376,38 @@ def test_initial_packet_errors_name_the_section(tmp_path, capsys):
     # experiments that start from no packet do not check it
     cfg, errors = validate(_evolve_text("sn-ground", "[initial]\nwidth = 0\n"))
     assert errors == []
+
+
+def test_limit_check_runs_through_the_cli(tmp_path):
+    text = patch_output((CONFIGS / "limit_check.ini").read_text(), str(tmp_path))
+    cfg, errors = validate(text)
+    assert errors == []
+    assert run(cfg) == 0
+    results = json.loads((tmp_path / "limit_check" / "summary.json")
+                         .read_text())["results"]
+    assert results["omega_diff"] < 1e-9
+    assert isinstance(results["source_curvature_consistent"], bool)
+
+
+def test_a_failing_verify_report_exits_2(tmp_path, monkeypatch):
+    failing = verify.CheckReport("always-fails", False, [("x", 1.0)], 1e-9)
+    monkeypatch.setattr(verify, "run_all", lambda seed: [failing])
+    cfg, errors = validate(_evolve_text("verify", "", tmp_path / "v"))
+    assert errors == []
+    assert run(cfg) == 2
+    summary = json.loads((tmp_path / "v" / "summary.json").read_text())
+    assert summary["results"]["all_passed"] is False
+    assert summary["results"]["reports"] == [failing.to_dict()]
+
+
+def test_a_non_finite_result_is_an_error_with_no_summary(tmp_path, monkeypatch,
+                                                         capsys):
+    for value in (np.inf, np.nan):
+        monkeypatch.setitem(cli._RUNNERS, "sn-ground",
+                            lambda cfg, value=value: ({"energy": value}, {}))
+        outdir = tmp_path / str(value)
+        cfg, errors = validate(_evolve_text("sn-ground", "", outdir))
+        assert errors == []
+        assert run(cfg) == 1, value
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (outdir / "summary.json").exists()

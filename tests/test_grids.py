@@ -53,6 +53,12 @@ def test_dimension_and_budget_limits():
     assert 2000 ** 4 > MAX_POINTS
 
 
+@pytest.mark.parametrize("dim", [0, 5])
+def test_cube_checks_dim_first(dim):
+    with pytest.raises(ValueError, match=rf"^dim must be in 1\.\.4 \(got {dim}\)$"):
+        TensorGrid.cube(-1.0, 1.0, 5, dim)
+
+
 def test_field_shape_check():
     g = TensorGrid.cube(0.0, 1.0, 5, 2)
     with pytest.raises(GridShapeError):

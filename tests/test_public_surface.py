@@ -3,7 +3,8 @@
 A public top-level function or class, or a public member of a class,
 that nothing in `src/nlgauge` outside `__init__.py` refers to is either
 dead code or a test oracle. Dead code is deleted; an oracle is kept only
-on the allowlist below, with its reason.
+on the allowlist below, with its reason. A private top-level function
+that nothing in the package refers to is dead code, with no allowlist.
 """
 
 import ast
@@ -15,9 +16,6 @@ PACKAGE = Path(nlgauge.__file__).resolve().parent
 
 # name -> why it stays with no caller in the package
 KEEP = {
-    "laplacian_apply": "the tests' reference for the Poisson solve, for "
-                       "link_divergence(link_diff(.)) and for the stationary "
-                       "Gauss law",
     "total_charge": "the reference the evolver's charge diagnostic is "
                     "tested against, bitwise",
     "meshes": "perfbench/tracing.py lists TensorGrid.meshes as a traced "
@@ -35,13 +33,17 @@ def _class_members(cls: ast.ClassDef):
             yield from (t.id for t in node.targets if isinstance(t, ast.Name))
 
 
-def _unreferenced_public_names() -> set[str]:
-    defined, referenced = set(), set()
+def _unreferenced_names() -> tuple[set[str], set[str]]:
+    """(public names, private top-level functions) that nothing in the
+    package outside `__init__.py` refers to."""
+    defined, private_functions, referenced = set(), set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined.add(node.name)
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+                private_functions.add(node.name)
             if isinstance(node, ast.ClassDef):
                 defined.update(_class_members(node))
         if path.name != "__init__.py":
@@ -50,9 +52,14 @@ def _unreferenced_public_names() -> set[str]:
                     referenced.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     referenced.add(node.attr)
-    return {name for name in defined - referenced if not name.startswith("_")}
+    public = {name for name in defined - referenced if not name.startswith("_")}
+    return public, private_functions - referenced
 
 
 def test_every_public_name_has_a_caller_or_a_reason():
     # equality also drops an allowlisted name once the package calls it
-    assert _unreferenced_public_names() == set(KEEP)
+    assert _unreferenced_names()[0] == set(KEEP)
+
+
+def test_every_private_function_has_a_caller():
+    assert _unreferenced_names()[1] == set()
