@@ -178,9 +178,10 @@ def validate(text: str) -> tuple[SolverConfig | None, list[str]]:
     for (section, key), ok, msg in checks:  # every checked key has a default
         if not ok(values[(section, key)]):
             errors.append(f"[{section}] {key} {msg} (got {values[(section, key)]})")
-    # dim, bounds, node counts and the point budget are checked by the grid
-    # constructors themselves
-    for section, build in (("grid", _grid), ("radial", _radial_grid)):
+    # only the grid section the experiment reads is built; dim, bounds, node
+    # counts and the point budget are checked by the grid constructors
+    reads = {"sn-ground": (("radial", _radial_grid),), "verify": ()}
+    for section, build in reads.get(kind, (("grid", _grid),)):
         try:
             build(cfg)
         except ValueError as exc:

@@ -8,8 +8,9 @@ Three solvers live here:
   integrating the ODEs with RK4, bracketing the ground level by the node
   count and converging on the node transition by safeguarded Illinois
   steps; each shot is linear in (u, u'), so its RK4 steps are 2x2
-  matrices, multiplied out by a doubling scan within blocks of 64 steps
-  and carried across the blocks (with the amplitude rescaled there);
+  matrices, and the shot is a unit lower-triangular banded system that
+  LAPACK solves in chunks of steps (with the amplitude rescaled between
+  them);
 * a 1D line evolver with the self-consistent potential, including the
   uniform background term of the parent theory; its Crank-Nicolson step
   is the banded step of `dynamics` with the links switched off, and it
@@ -45,6 +46,7 @@ import scipy.linalg
 from numpy.polynomial.polynomial import polyval
 from scipy.linalg.lapack import dgttrf as _dgttrf
 from scipy.linalg.lapack import dgttrs as _dgttrs
+from scipy.linalg.lapack import dtbtrs as _dtbtrs
 
 from .dynamics import (_NORM_TOL, _check_step_args, _cn_step_1d, _rms_width,
                        stationary_solve)
@@ -54,10 +56,9 @@ from .grids import BoundaryCondition, RadialGrid, TensorGrid, UniformGrid1D
 from .model import HamiltonianSpec, ModelParams
 from .numerics import laplacian_apply
 
-# RK4 steps per block of the shot's prefix-product scan; 64 and 128 time
-# the same at 2000 and 4000 nodes, and the shorter block bounds how far
-# the values grow between two rescalings
-_SHOT_BLOCK = 64
+# RK4 steps per banded solve of a shot; the amplitude is rescaled only
+# between chunks, so a chunk bounds how far it grows unchecked
+_SHOT_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -160,73 +161,59 @@ def sn_ground_radial_scf(params: SNParams, grid: RadialGrid, tol: float = 1e-10,
     return RadialState(grid, u, v, energy, iterations=iterations, residual=res)
 
 
-def _rk4_step(u, up, k0, km, k1, h):
-    """One RK4 step of (u, u')' = (u', k u) from (u, up), with k0, km, k1
-    the coefficient at the step's start, midpoint and end."""
-    h6 = h / 6.0
-    a1u, a1p = up, k0 * u
-    y2u = u + 0.5 * h * a1u
-    y2p = up + 0.5 * h * a1p
-    a2u, a2p = y2p, km * y2u
-    y3u = u + 0.5 * h * a2u
-    y3p = up + 0.5 * h * a2p
-    a3u, a3p = y3p, km * y3u
-    y4u = u + h * a3u
-    y4p = up + h * a3p
-    a4u, a4p = y4p, k1 * y4u
-    return (u + h6 * (a1u + 2.0 * a2u + 2.0 * a3u + a4u),
-            up + h6 * (a1p + 2.0 * a2p + 2.0 * a3p + a4p))
-
-
 def _rk4_shoot_u(r, veff, energy):
     """Integrate u'' = 2 (veff - E) u outward from (u, u') = (0, 1);
     returns u on the grid, u[0] = 0, up to a positive factor.
 
     Coefficient values at RK4 half steps are linear interpolants of the
     tabulated effective potential. The ODE is linear, so each RK4 step is
-    a 2x2 matrix on (u, u'): `_rk4_step` applied to the basis vectors
-    (1, 0) and (0, 1) builds all of them at once. Within blocks of
-    `_SHOT_BLOCK` steps, a log-depth doubling scan forms the prefix
-    products; a short loop carries (u, u') across the block boundaries
-    and rescales there when max(|u|, |u'|) exceeds 1e12, dividing the
-    values already integrated as well (zeros are unaffected). A block
-    product that is not finite raises ConvergenceError: the step is then
-    far outside RK4's stability range.
+    a 2x2 matrix M on (u, u'), in closed form with k = 2 (veff - E) at the
+    step's ends, km their mean and a = h^2/6:
+
+        m00 = 1 + a (k0 + 2 km) + h^4 km k0 / 24,   m01 = h (1 + a km),
+        m10 = km m01 (as k0 + k1 = 2 km),   m11 = m00 with k0 and k1 swapped.
+
+    With the unknowns interleaved as (u_0, u'_0, u_1, u'_1, ...), the shot
+    is forward substitution in a unit lower-triangular system with three
+    sub-diagonals, -M per step, and right-hand side e_1. LAPACK `dtbtrs`
+    solves it in chunks of `_SHOT_CHUNK` steps, each starting from the
+    (u, u') the last one ended with. Between chunks, when max(|u|, |u'|)
+    exceeds 1e12, the values already integrated are divided by it (zeros
+    are unaffected). A chunk that is not finite raises ConvergenceError:
+    the step is then far outside RK4's stability range.
     """
     n = r.size
     h = float(r[1] - r[0])
-    nb = -(-(n - 1) // _SHOT_BLOCK)
-    k = np.zeros(nb * _SHOT_BLOCK + 1)
-    k[:n] = 2.0 * (veff - energy)
-    k0, k1 = k[:-1], k[1:]
+    a = h * h / 6.0
+    # band row i, column j holds the entry (j + i, j); step s fills the
+    # columns of u_s (2s) and u'_s (2s + 1)
+    ab = np.zeros((4, 2 * n), order="F")
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        # p[i, j, s]: entry (i, j) of step s's matrix; padding steps are identity
-        p = np.stack(_rk4_step(np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]),
-                               k0, 0.5 * (k0 + k1), k1, h))
-        p[:, :, n - 1:] = np.eye(2)[:, :, None]
-        p = p.reshape(2, 2, nb, _SHOT_BLOCK)
-        s = 1
-        while s < _SHOT_BLOCK:
-            later, earlier = p[..., s:], p[..., :-s]
-            p[..., s:] = later[:, :1] * earlier[:1] + later[:, 1:] * earlier[1:]
-            s *= 2
-    if not np.isfinite(p).all():
-        raise ConvergenceError(f"RK4 shot at energy {energy!r} overflowed "
-                               "within a block of steps")
-    start = np.empty((2, nb, 1))  # (u, u') at the start of each block
+        k = 2.0 * (veff - energy)
+        k0, k1 = k[:-1], k[1:]
+        km = 0.5 * (k0 + k1)
+        m01 = h * (1.0 + a * km)
+        ab[1, 1:-2:2] = -m01
+        ab[3, 0:-2:2] = -km * m01  # -m10
+        ab[2, 0:-2:2] = -1.0 - a * (k0 + km * (2.0 + 1.5 * a * k0))  # -m00
+        ab[2, 1:-2:2] = -1.0 - a * (k1 + km * (2.0 + 1.5 * a * k1))  # -m11
+    u_out = np.zeros(n)
     u, up = 0.0, 1.0
-    ends = zip(*p[..., -1].reshape(4, nb).tolist())
-    for b, (m00, m01, m10, m11) in enumerate(ends):
-        start[:, b, 0] = u, up
-        u, up = m00 * u + m01 * up, m10 * u + m11 * up
+    for s0 in range(0, n - 1, _SHOT_CHUNK):
+        s1 = min(s0 + _SHOT_CHUNK, n - 1)
+        rhs = np.zeros(2 * (s1 - s0 + 1))
+        rhs[:2] = u, up
+        x, _ = _dtbtrs(ab[:, 2 * s0:2 * s1 + 2], rhs, uplo="L", diag="U",
+                       overwrite_b=1)
+        if not np.isfinite(x).all():
+            raise ConvergenceError(f"RK4 shot at energy {energy!r} overflowed "
+                                   "within a chunk of steps")
+        u_out[s0 + 1:s1 + 1] = x[2::2]
+        u, up = x[-2:]
         big = max(abs(u), abs(up))
         if big > 1e12:
-            u /= big
-            up /= big
-            start[:, :b + 1] /= big
-    u_out = np.empty(n)
-    u_out[0] = 0.0
-    u_out[1:] = (p[0, 0] * start[0] + p[0, 1] * start[1]).ravel()[:n - 1]
+            u, up = u / big, up / big
+            u_out[:s1 + 1] /= big
     return u_out
 
 

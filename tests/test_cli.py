@@ -111,13 +111,21 @@ def test_invalid_physics_parameters_are_all_reported():
 
 
 def test_swapped_grid_bounds_name_their_section():
-    head = "[experiment]\nkind = functional-stationary\n"
-    cfg, errors = validate(head + "[grid]\nlower = 8\nupper = -8\n")
+    cfg, errors = validate("[experiment]\nkind = functional-stationary\n"
+                           "[grid]\nlower = 8\nupper = -8\n")
     assert cfg is None
     assert len(errors) == 1 and errors[0].startswith("[grid] ")
-    cfg, errors = validate(head + "[radial]\nr_min = 5\nr_max = 1\n")
+    cfg, errors = validate("[experiment]\nkind = sn-ground\n"
+                           "[radial]\nr_min = 5\nr_max = 1\n")
     assert cfg is None
     assert len(errors) == 1 and errors[0].startswith("[radial] ")
+
+
+def test_a_grid_section_the_experiment_does_not_read_is_not_checked():
+    for kind, body in (("verify", "[grid]\ndim = 4\ncount = 201\n"),
+                       ("functional-stationary", "[radial]\nr_min = 5\nr_max = 1\n")):
+        cfg, errors = validate(f"[experiment]\nkind = {kind}\n{body}")
+        assert errors == [] and cfg.experiment == kind
 
 
 def _validate_errors(tmp_path, capsys, text):
@@ -145,11 +153,12 @@ def test_non_finite_radial_bounds_are_radial_errors(tmp_path, capsys):
 
 def test_grid_budget_is_checked_before_allocation(tmp_path, capsys):
     head = "[experiment]\nkind = functional-stationary\n"
-    for section, body in (("grid", "dim = 4\ncount = 201\n"),
-                          ("grid", "count = 10000000000000\n"),
-                          ("radial", "count = 10000000000000\n")):
+    for kind, section, body in (
+            ("functional-stationary", "grid", "dim = 4\ncount = 201\n"),
+            ("functional-stationary", "grid", "count = 10000000000000\n"),
+            ("sn-ground", "radial", "count = 10000000000000\n")):
         path = tmp_path / f"{section}.ini"
-        path.write_text(f"{head}[{section}]\n{body}")
+        path.write_text(f"[experiment]\nkind = {kind}\n[{section}]\n{body}")
         assert main(["validate", str(path)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"config error: [{section}] ")

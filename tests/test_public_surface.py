@@ -5,14 +5,17 @@ that nothing in `src/nlgauge` outside `__init__.py` refers to is either
 dead code or a test oracle. Dead code is deleted; an oracle is kept only
 on the allowlist below, with its reason. A private top-level function
 that nothing in the package refers to is dead code, with no allowlist.
+Every member the benchmark's tracer patches by name exists.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import nlgauge
 
 PACKAGE = Path(nlgauge.__file__).resolve().parent
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 # name -> why it stays with no caller in the package
 KEEP = {
@@ -63,3 +66,21 @@ def test_every_public_name_has_a_caller_or_a_reason():
 
 def test_every_private_function_has_a_caller():
     assert _unreferenced_names()[1] == set()
+
+
+def _tracing_constant(name: str):
+    for node in ast.parse(TRACING.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise LookupError(f"{name} is not assigned in {TRACING.name}")
+
+
+def test_every_member_the_tracer_patches_exists():
+    # the tracer reads each from its owner's __dict__, so a renamed member
+    # would fail only in a traced benchmark run
+    for module, name in _tracing_constant("PRIVATE_FUNCTIONS"):
+        assert name in vars(importlib.import_module(f"nlgauge.{module}")), name
+    for module, cls, name in _tracing_constant("CLASS_MEMBERS"):
+        owner = getattr(importlib.import_module(f"nlgauge.{module}"), cls)
+        assert name in vars(owner), f"{cls}.{name}"

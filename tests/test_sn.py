@@ -172,18 +172,28 @@ def sn_effective_potential():
     return rg.nodes, st.v / rg.nodes, st.energy
 
 
+CHUNK = sn._SHOT_CHUNK
+
+
 @pytest.mark.parametrize("kind, arg", [
     ("sn", -0.05), ("sn", 0.0), ("sn", 0.05),  # energy offset from the level
-    ("harmonic", 3), ("harmonic", 65), ("harmonic", 66), ("harmonic", 2000),
+    ("sn-reversed", 0.0),
+    # node counts; CHUNK nodes are a chunk less one step
+    ("harmonic", 3), ("harmonic", 65), ("harmonic", 66), ("harmonic", CHUNK),
+    ("harmonic", CHUNK + 1), ("harmonic", CHUNK + 2), ("harmonic", 2000),
+    ("harmonic-reversed", 2000), ("harmonic-r40", 2000),
 ])
 def test_blocked_shot_matches_the_scalar_loop(kind, arg, sn_effective_potential):
-    if kind == "sn":
+    if kind.startswith("sn"):
         r, veff, level = sn_effective_potential
         energy = level + arg
     else:
-        # 2, 64 and 65 steps: part of a block, one block, one and a step
-        r = np.linspace(1e-6, 12.0, arg)  # RadialGrid rejects 3 nodes
+        r_max = 40.0 if kind == "harmonic-r40" else 12.0
+        r = np.linspace(1e-6, r_max, arg)  # RadialGrid rejects 3 nodes
         veff, energy = 0.5 * r ** 2, -1.0
+    if kind.endswith("reversed"):
+        # the inward pass of `_assemble_two_sided`: a negative step
+        r, veff = r[::-1].copy(), veff[::-1].copy()
     ref, rescales = _scalar_rk4_shoot_u(r, veff, energy)
     u = _rk4_shoot_u(r, veff, energy)
     assert u[0] == 0.0
@@ -191,11 +201,16 @@ def test_blocked_shot_matches_the_scalar_loop(kind, arg, sn_effective_potential)
     assert np.abs(u / np.linalg.norm(u) - ref / np.linalg.norm(ref)).max() < 1e-13
     if kind == "harmonic" and arg > 3:
         assert rescales >= 2  # the amplitude crosses the rescale threshold
+    if kind == "harmonic-r40":
+        # each rescale divides by more than 1e12: the total growth passes
+        # 1e308, so one pass with no rescale would overflow
+        assert rescales * 12 > 308
 
 
 def test_shot_far_outside_rk4_stability_raises():
     # k h^2 ~ 1e6: the per-step loop stays finite by rescaling every
-    # step, a 64-step block product overflows; either answer is noise
+    # step, but the growth within one chunk of steps overflows; either
+    # answer is noise
     r = np.arange(1, 401) * 0.01
     with pytest.raises(ConvergenceError, match="energy 0.5"):
         _rk4_shoot_u(r, np.full(r.size, 5e9), 0.5)
