@@ -32,6 +32,8 @@ from .sn import (Line1DState, SNParams, limit_equivalence_check,
 
 EXPERIMENTS = ("sn-ground", "sn-evolve", "functional-stationary",
                "functional-evolve", "limit-check", "verify")
+# the [output] formats tokens
+_FORMATS = ("csv", "json")
 # the experiments that start from the [initial] Gaussian packet
 _PACKET_KINDS = ("sn-evolve", "functional-evolve")
 
@@ -95,6 +97,10 @@ class SolverConfig:
         raw = self.values[("physics", "potential_coeffs")]
         return tuple(float(tok) for tok in raw.replace(",", " ").split())
 
+    def formats(self) -> set[str]:
+        raw = self.values[("output", "formats")]
+        return {tok.strip() for tok in raw.split(",") if tok.strip()}
+
     def echo_text(self) -> str:
         cp = configparser.ConfigParser()
         for section in _SCHEMA:
@@ -149,16 +155,21 @@ def validate(text: str) -> tuple[SolverConfig | None, list[str]]:
         hint = f"; did you mean '{near[0]}'?" if near else ""
         errors.append(f"[experiment] kind must be one of "
                       f"{', '.join(EXPERIMENTS)}{hint}")
+    # written so that NaN fails every check
+    def finite_nonneg(v):
+        return 0 <= v < math.inf
+
     checks = [
-        (("solver", "dt"), lambda v: v > 0, "must be > 0"),
+        (("solver", "dt"), lambda v: 0 < v < math.inf, "must be finite and > 0"),
         (("solver", "steps"), lambda v: v >= 1, "must be >= 1"),
-        (("solver", "tol"), lambda v: v > 0, "must be > 0"),
+        (("solver", "tol"), lambda v: 0 < v < math.inf, "must be finite and > 0"),
         (("solver", "mixing"), lambda v: 0 < v <= 1, "must be in (0, 1]"),
+        (("solver", "max_scf"), lambda v: v >= 1, "must be >= 1"),
         (("solver", "record_every"), lambda v: v >= 1, "must be >= 1"),
         (("physics", "l"), lambda v: v > 0, "must be > 0 (inf allowed)"),
-        (("physics", "coupling"), lambda v: v >= 0, "must be >= 0"),
-        (("physics", "background"), lambda v: v >= 0, "must be >= 0"),
-        (("physics", "gradient_coupling"), lambda v: v >= 0, "must be >= 0"),
+        (("physics", "coupling"), finite_nonneg, "must be finite and >= 0"),
+        (("physics", "background"), finite_nonneg, "must be finite and >= 0"),
+        (("physics", "gradient_coupling"), finite_nonneg, "must be finite and >= 0"),
         (("physics", "lattice_spacing"), lambda v: 0 < v < math.inf,
          "must be finite and > 0"),
     ]
@@ -196,6 +207,13 @@ def validate(text: str) -> tuple[SolverConfig | None, list[str]]:
             errors.append(f"[initial] packet at center {values[('initial', 'center')]}, "
                           f"width {values[('initial', 'width')]} "
                           f"has zero norm on [{axis.lower}, {axis.upper}]")
+    formats = cfg.formats()
+    for fmt in sorted(formats - set(_FORMATS)):
+        near = difflib.get_close_matches(fmt, _FORMATS, n=1)
+        hint = f"; did you mean '{near[0]}'?" if near else ""
+        errors.append(f"[output] formats: unknown format '{fmt}'{hint}")
+    if not formats:
+        errors.append("[output] formats names no format; use csv and/or json")
     try:
         coeffs = cfg.potential_coeffs()
     except ValueError:
@@ -389,7 +407,7 @@ def run(cfg: SolverConfig) -> int:
     """Execute the configured experiment; writes summary.json, CSVs, and
     config.echo into the output directory. Returns the exit status."""
     outdir = cfg[("output", "directory")]
-    formats = {f.strip() for f in cfg[("output", "formats")].split(",") if f.strip()}
+    formats = cfg.formats()
     os.makedirs(outdir, exist_ok=True)
     try:
         summary, csvs = _RUNNERS[cfg.experiment](cfg)

@@ -28,8 +28,9 @@ from .errors import (ConstraintViolationError, ConvergenceError,
                      InsufficientDataError, IntegratorError)
 from .fixedpoint import fixed_point
 from .gaugeops import (_grid_norms, apply_hamiltonian_raw, gauss_residual,
-                       gauss_solve_stationary, link_current, link_diff,
-                       link_divergence, link_phases, project_dirichlet)
+                       gauss_solve_stationary, hamiltonian, link_current,
+                       link_diff, link_divergence, link_phases,
+                       project_dirichlet)
 from .grids import TensorGrid
 from .model import (GaugeState, HamiltonianSpec, ModelParams, StationaryState,
                     WaveFunctional, nonlinearity)
@@ -66,19 +67,22 @@ def stationary_solve(spec: HamiltonianSpec, params: ModelParams,
 
     The Anderson fixed-point driver iterates on A_t, with `mixing` as its
     weight: each step solves the ground eigenproblem in the current A_t
-    and returns the A_t that its density sources. The eigen solve starts
-    from the previous psi. That fixes ARPACK's start vector but saves no
-    operator applies: ARPACK converges to machine precision whatever the
-    start. Stops when successive omega values differ by < tol and
-    max|A_t update| <= tol; the returned state carries both coupled
-    residuals, each required to be <= 10*tol.
+    and returns the A_t that its density sources. The eigen solve runs on
+    the interior unknowns alone, with the Hamiltonian prepared once per
+    step from the interior of diag0 - A_t, and psi is embedded back with
+    zero faces. It starts from the previous psi. That fixes ARPACK's
+    start vector but saves no operator applies: ARPACK converges to
+    machine precision whatever the start. Stops when successive omega
+    values differ by < tol and max|A_t update| <= tol; the returned state
+    carries both coupled residuals, each required to be <= 10*tol, taken
+    on the whole grid.
     """
     if not 0.0 < mixing <= 1.0:
         raise ValueError("mixing must be in (0, 1]")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    w = grid.quad_weights()
-    interior = grid.boundary_mask()
+    inner = (slice(1, -1),) * grid.ndim
+    w_inner = grid.quad_weights()[inner]
     diag0 = spec.site_potential_total(grid)
     psi = default_gaussian_guess(grid) if guess is None else np.asarray(guess, dtype=float)
     # warm-start the multiplier from the guess density; breaks ties
@@ -89,13 +93,12 @@ def stationary_solve(spec: HamiltonianSpec, params: ModelParams,
     last = {"psi": psi}
 
     def update(a_flat):
-        diag = diag0 - a_flat.reshape(grid.shape)
-
-        def op(v):
-            return apply_hamiltonian_raw(grid, v, None, diag, spec.lattice_spacing)
-
-        omega, psi_new = smallest_eigenpair(op, last["psi"], tol=_EIG_TOL,
-                                            weights=w, mask=interior)
+        op = hamiltonian(grid, None, (diag0 - a_flat.reshape(grid.shape))[inner],
+                         spec.lattice_spacing)
+        omega, psi_inner = smallest_eigenpair(op, last["psi"][inner], tol=_EIG_TOL,
+                                              weights=w_inner)
+        psi_new = np.zeros(grid.shape)
+        psi_new[inner] = psi_inner
         last.update(psi=psi_new,
                     a_t=gauss_solve_stationary(grid, psi_new * psi_new, params))
         return last["a_t"].ravel(), omega
@@ -206,10 +209,10 @@ def _cn_step_nd(grid, psi, phases, diag, a_lat, dt):
     """
     alpha = 0.5 * dt
     interior = grid.boundary_mask()
+    h = hamiltonian(grid, phases, diag, a_lat)  # the phases stay fixed here
 
     def apply_h(v):
-        return np.where(interior,
-                        apply_hamiltonian_raw(grid, v, phases, diag, a_lat), 0.0)
+        return np.where(interior, h(v), 0.0)
 
     def apply_A(v):
         # in place: fewer grid-sized temporaries per CG iteration

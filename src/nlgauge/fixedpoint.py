@@ -33,8 +33,10 @@ def fixed_point(G, x0, *, m: int = 5, beta: float, tol: float,
     Returns (x, iterations, trace): the converged input, the number of
     evaluations of G, and one (iteration, energy, residual) tuple per
     evaluation. Raises ConvergenceError carrying the trace after
-    `max_iter` evaluations.
+    `max_iter` evaluations, and ValueError for `max_iter < 1`.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if res_tol is None:
         res_tol = float(np.sqrt(tol))
     x = np.array(x0, dtype=float)

@@ -111,33 +111,54 @@ def project_dirichlet(grid: TensorGrid, values: np.ndarray) -> np.ndarray:
     return np.where(grid.boundary_mask(), values, 0.0)
 
 
-def apply_hamiltonian_raw(grid: TensorGrid, values: np.ndarray,
-                          phases: list[np.ndarray] | None,
-                          diag: np.ndarray, a_lat: float) -> np.ndarray:
-    """H psi for psi already in the Dirichlet subspace.
+def hamiltonian(grid: TensorGrid, phases: list[np.ndarray] | None,
+                diag: np.ndarray, a_lat: float):
+    """Prepared H for fixed links and diagonal: returns `apply(values)`.
 
     H = sum_x -(1/(2 a^3 h_x^2)) [U psi_+ - 2 psi + U* psi_-] + diag * psi
 
-    The kinetic diagonal sum_x 1/(a^3 h_x^2) is added to `diag` before
-    psi is scaled, once; each axis then adds only its two off-diagonals.
+    The per-axis coefficients and index tuples, the folded diagonal
+    diag + sum_x 1/(a^3 h_x^2) and each conj(U) are built here, once;
+    each apply then scales psi by the folded diagonal and subtracts the
+    two off-diagonals of every axis as coef * (U * psi).
+
+    A neighbour outside the block counts as zero, so the form acts on any
+    block whose shape `diag` has: on the whole grid it is H on states
+    vanishing on the faces, and with `diag`, the phases and `values`
+    restricted to the interior nodes it is that H on the interior
+    unknowns, bitwise equal to the whole-grid apply restricted there.
     Leading axes of `values` and the phases are a stack of states, each
     applied on its own.
     """
     nd = grid.ndim
     coefs = [1.0 / (2.0 * a_lat ** 3 * h * h) for h in grid.spacings]
-    out = (diag + 2.0 * sum(coefs)) * values
-    for x in range(nd):
-        coef = coefs[x]
-        lo, hi = _sl(nd, x)[:2]
-        if phases is None:
-            up = values[hi]
-            down = values[lo]
-        else:
-            up = phases[x] * values[hi]
-            down = np.conj(phases[x]) * values[lo]
-        out[lo] -= coef * up
-        out[hi] -= coef * down
-    return out
+    folded = diag + 2.0 * sum(coefs)
+    slices = [_sl(nd, x)[:2] for x in range(nd)]
+    conj = None if phases is None else [np.conj(u) for u in phases]
+
+    def apply(values: np.ndarray) -> np.ndarray:
+        out = folded * values
+        for x, (coef, (lo, hi)) in enumerate(zip(coefs, slices)):
+            if phases is None:
+                up = values[hi]
+                down = values[lo]
+            else:
+                up = phases[x] * values[hi]
+                down = conj[x] * values[lo]
+            out[lo] -= coef * up
+            out[hi] -= coef * down
+        return out
+
+    return apply
+
+
+def apply_hamiltonian_raw(grid: TensorGrid, values: np.ndarray,
+                          phases: list[np.ndarray] | None,
+                          diag: np.ndarray, a_lat: float) -> np.ndarray:
+    """H psi for psi already in the Dirichlet subspace: one apply of the
+    prepared form `hamiltonian(grid, phases, diag, a_lat)`, which holds
+    the stencil. Leading axes of `values` and the phases are a stack."""
+    return hamiltonian(grid, phases, diag, a_lat)(values)
 
 
 def gauge_transform(psi: WaveFunctional, gauge: GaugeState,

@@ -126,32 +126,35 @@ def poisson_solve(grid: TensorGrid, source: np.ndarray, *,
 
 
 def smallest_eigenpair(op_apply, guess: np.ndarray, tol: float = 1e-9, *,
-                       weights: np.ndarray,
-                       mask: np.ndarray) -> tuple[float, np.ndarray]:
-    """Algebraically smallest eigenpair of a symmetric operator.
+                       weights: np.ndarray) -> tuple[float, np.ndarray]:
+    """Algebraically smallest eigenpair of a symmetric operator on the
+    unknowns alone.
 
-    `op_apply` must be symmetric under the inner product sum(conj(a)*b*weights).
-    `mask` restricts the eigenproblem to a subspace (e.g. the interior of a
-    Dirichlet grid), which removes the spurious zero modes the projected
-    operator would otherwise carry. A small seeded perturbation of the
-    guess guarantees convergence to the ground state even from a guess
-    orthogonal to it. The eigenvector comes back normalized to unit norm
-    under the grid measure, with a deterministic sign.
+    `op_apply` takes and returns arrays of `guess`'s shape, one entry per
+    unknown (e.g. the interior nodes of a Dirichlet grid, so no spurious
+    zero modes of the faces enter), and must be symmetric in the
+    Euclidean inner product on them. `weights` are the quadrature weights
+    of the unknowns. On the interior of a `TensorGrid` every weight is
+    prod_x h_x, so there the weighted and Euclidean adjoints coincide and
+    an operator symmetric under sum(conj(a)*b*weights) qualifies as it
+    stands, with no similarity transform. A small seeded perturbation of
+    the guess guarantees convergence to the ground state even from a
+    guess orthogonal to it. The eigenvector comes back normalized to unit
+    norm under `weights`, with a deterministic sign.
 
     ARPACK runs on scipy's default 20-vector Lanczos basis with `tol=0`,
-    i.e. to machine precision, and `tol` is checked on the residual
-    afterwards. An ARPACK tolerance taken from `tol` would be cheaper,
-    but it bounds only the residual norm; the eigenvector error it leaves
-    in the far tails, where psi is tiny, is amplified by anything that
-    divides by rho, such as the time-derivative term of the action.
+    i.e. to machine precision, and `tol` is checked on the weighted
+    residual afterwards. An ARPACK tolerance taken from `tol` would be
+    cheaper, but it bounds only the residual norm; the eigenvector error
+    it leaves in the far tails, where psi is tiny, is amplified by
+    anything that divides by rho, such as the time-derivative term of
+    the action.
     """
     guess = np.asarray(guess, dtype=float)
     shape = guess.shape
-    flat_mask = mask.ravel()
-    sqw = np.sqrt(weights.ravel()[flat_mask])
 
     rng = np.random.default_rng(_PERTURB_SEED)
-    g = guess.ravel()[flat_mask].astype(float)
+    g = guess.ravel()
     gnorm = np.linalg.norm(g)
     if gnorm == 0.0:
         raise ValueError("guess must be nonzero")
@@ -160,35 +163,25 @@ def smallest_eigenpair(op_apply, guess: np.ndarray, tol: float = 1e-9, *,
     n = g.size
 
     def matvec(y):
-        # similarity transform: Atilde = sqrt(W) A sqrt(W)^-1 is Euclidean
-        # symmetric whenever A is symmetric in the weighted inner product
-        full = np.zeros(guess.size)
-        full[flat_mask] = y / sqw
-        out = op_apply(full.reshape(shape)).ravel()[flat_mask]
-        return sqw * out
+        return op_apply(y.reshape(shape)).ravel()
 
     lin_op = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
-    v0 = sqw * g
     try:
-        vals, vecs = spla.eigsh(lin_op, k=1, which="SA", v0=v0, tol=0)
+        vals, vecs = spla.eigsh(lin_op, k=1, which="SA", v0=g, tol=0)
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceError("eigenpair iteration did not converge",
                                residual=None) from exc
     lam = float(vals[0])
-    vec = np.zeros(guess.size)
-    vec[flat_mask] = vecs[:, 0] / sqw
-    vec = vec.reshape(shape)
+    vec = vecs[:, 0].reshape(shape)
 
-    wfull = weights.reshape(shape)
-    nrm = np.sqrt(float((wfull * vec * vec).sum()))
-    vec /= nrm
+    vec /= np.sqrt(float((weights * vec * vec).sum()))
     # deterministic sign: largest-magnitude entry positive
     peak = np.unravel_index(np.argmax(np.abs(vec)), shape)
     if vec[peak] < 0:
         vec = -vec
 
-    resid = np.where(mask, op_apply(vec) - lam * vec, 0.0)
-    rnorm = np.sqrt(float((wfull * resid * resid).sum()))
+    resid = op_apply(vec) - lam * vec
+    rnorm = np.sqrt(float((weights * resid * resid).sum()))
     if rnorm > tol:
         raise ConvergenceError(
             f"eigenpair residual {rnorm:.3e} exceeds tol {tol:.3e}",

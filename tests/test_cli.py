@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from nlgauge import cli, verify
 from nlgauge.cli import _initial_packet, main, run, validate
@@ -86,6 +87,45 @@ def test_negative_dt_names_the_field():
     cfg, errors = validate(text)
     assert cfg is None
     assert any("[solver] dt" in e for e in errors)
+
+
+def test_max_scf_below_one_is_a_solver_error(tmp_path, capsys):
+    for kind in ("functional-stationary", "sn-ground"):
+        text = f"[experiment]\nkind = {kind}\n[solver]\nmax_scf = 0\n"
+        assert _validate_errors(tmp_path, capsys, text) == [
+            "config error: [solver] max_scf must be >= 1 (got 0)"]
+
+
+@pytest.mark.parametrize("section, key", [("solver", "dt"), ("solver", "tol"),
+                                          ("physics", "coupling"),
+                                          ("physics", "background"),
+                                          ("physics", "gradient_coupling")])
+def test_non_finite_solver_and_physics_values_are_rejected(section, key):
+    head = "[experiment]\nkind = sn-evolve\n"
+    for raw in ("inf", "nan"):
+        cfg, errors = validate(head + f"[{section}]\n{key} = {raw}\n")
+        assert cfg is None
+        assert errors == [f"[{section}] {key} must be finite and "
+                          f"{'>' if section == 'solver' else '>='} 0 (got {raw})"]
+    # l = inf is the linear limit
+    cfg, errors = validate(head + "[physics]\nl = inf\n")
+    assert errors == []
+
+
+def test_output_formats_must_name_csv_or_json():
+    head = "[experiment]\nkind = sn-evolve\n[output]\nformats = "
+    cfg, errors = validate(head + "jsn\n")
+    assert cfg is None
+    assert errors == ["[output] formats: unknown format 'jsn'; did you mean 'json'?"]
+    cfg, errors = validate(head + "csv, xml\n")
+    assert errors == ["[output] formats: unknown format 'xml'"]
+    for raw in ("", " , "):
+        cfg, errors = validate(head + raw + "\n")
+        assert cfg is None
+        assert errors == ["[output] formats names no format; use csv and/or json"]
+    for raw in ("json", "csv", " json , csv "):
+        cfg, errors = validate(head + raw + "\n")
+        assert errors == []
 
 
 def test_error_collection_is_exhaustive():

@@ -58,3 +58,12 @@ def test_exhaustion_raises_with_the_trace():
     trace = err.value.trace
     assert [t[0] for t in trace] == [1, 2, 3, 4]
     assert err.value.residual == trace[-1][2]
+
+
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_max_iter_below_one_is_rejected(max_iter):
+    # with no evaluation there is no residual to report, so it is an
+    # argument error, not a ConvergenceError
+    G, _ = _contraction()
+    with pytest.raises(ValueError, match="max_iter must be >= 1"):
+        fixed_point(G, np.zeros(8), beta=0.5, tol=1e-10, max_iter=max_iter)

@@ -4,8 +4,8 @@ import pytest
 from nlgauge.errors import UnsolvableConstraintError
 from nlgauge.gaugeops import (apply_hamiltonian_raw, gauge_transform,
                               gauss_residual, gauss_solve_stationary,
-                              initialize_constraint, link_current, link_diff,
-                              link_divergence, link_phases)
+                              hamiltonian, initialize_constraint, link_current,
+                              link_diff, link_divergence, link_phases)
 from nlgauge.grids import TensorGrid, UniformGrid1D
 from nlgauge.model import (GaugeState, GaugeTransform, HamiltonianSpec,
                            ModelParams, WaveFunctional)
@@ -172,6 +172,39 @@ def test_apply_hamiltonian_raw_matches_stencil_matrix(axes, with_phases):
     ref = (mat @ psi.ravel()).reshape(grid.shape)
     out = apply_hamiltonian_raw(grid, psi, phases, diag, a_lat)
     assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("stack", [(), (2,)], ids=["one", "stack"])
+@pytest.mark.parametrize("with_phases", [False, True], ids=["no-phases", "phases"])
+@pytest.mark.parametrize("axes", [((-2.0, 2.0, 9),),
+                                  ((-2.0, 2.0, 6), (-1.0, 3.0, 5)),
+                                  ((-2.0, 2.0, 5), (-1.0, 1.5, 4), (0.0, 3.0, 6))],
+                         ids=["1d", "2d", "3d"])
+def test_prepared_hamiltonian_is_bitwise_the_raw_apply_on_grid_and_interior(
+        axes, with_phases, stack):
+    grid = TensorGrid(tuple(UniformGrid1D(*ax) for ax in axes))
+    rng = np.random.default_rng(17)
+    diag = rng.standard_normal(grid.shape)
+    phases = None
+    if with_phases:
+        links = [stack + GaugeState._link_shape(grid, x) for x in range(grid.ndim)]
+        phases = link_phases(grid, [rng.standard_normal(s) for s in links])
+    a_lat = 0.8
+    psi = (rng.standard_normal(stack + grid.shape)
+           + 1j * rng.standard_normal(stack + grid.shape))
+    psi[..., ~grid.boundary_mask()] = 0.0
+    h = hamiltonian(grid, phases, diag, a_lat)
+    full = apply_hamiltonian_raw(grid, psi, phases, diag, a_lat)
+    assert np.array_equal(h(psi), full)
+    assert np.array_equal(h(psi), full)  # an apply leaves the form unchanged
+    # the same form on the interior block: neighbours on the faces are zero
+    inner = (Ellipsis,) + (slice(1, -1),) * grid.ndim
+    h_inner = hamiltonian(grid, None if phases is None else [p[inner] for p in phases],
+                          diag[inner], a_lat)
+    assert np.array_equal(h_inner(psi[inner]), full[inner])
+    real = np.ascontiguousarray(psi.real[inner])
+    assert np.array_equal(hamiltonian(grid, None, diag[inner], a_lat)(real),
+                          apply_hamiltonian_raw(grid, psi.real, None, diag, a_lat)[inner])
 
 
 # ----------------------------------------------------- gauss law
