@@ -4,7 +4,7 @@ grids, with self-gravitating wave mechanics as its one-site limit."""
 from .errors import (ConstraintViolationError, ConvergenceError,
                      GridShapeError, InsufficientDataError, IntegratorError,
                      UnsolvableConstraintError)
-from .grids import (BoundaryCondition, RadialGrid, TensorGrid, UniformGrid1D)
+from .grids import RadialGrid, TensorGrid, UniformGrid1D
 from .model import (GaugeState, GaugeTransform, HamiltonianSpec, ModelParams,
                     StationaryState, WaveFunctional, nonlinearity,
                     total_charge)
@@ -19,7 +19,7 @@ from .sn import (Line1DState, RadialState, SNParams, limit_equivalence_check,
 from .verify import CheckReport, run_all as run_verification_suite
 
 __all__ = [
-    "BoundaryCondition", "RadialGrid", "TensorGrid", "UniformGrid1D",
+    "RadialGrid", "TensorGrid", "UniformGrid1D",
     "GaugeState", "GaugeTransform", "HamiltonianSpec", "ModelParams",
     "StationaryState", "WaveFunctional",
     "nonlinearity", "total_charge",

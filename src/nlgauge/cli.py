@@ -166,7 +166,6 @@ def validate(text: str) -> tuple[SolverConfig | None, list[str]]:
         (("solver", "mixing"), lambda v: 0 < v <= 1, "must be in (0, 1]"),
         (("solver", "max_scf"), lambda v: v >= 1, "must be >= 1"),
         (("solver", "record_every"), lambda v: v >= 1, "must be >= 1"),
-        (("physics", "l"), lambda v: v > 0, "must be > 0 (inf allowed)"),
         (("physics", "coupling"), finite_nonneg, "must be finite and >= 0"),
         (("physics", "background"), finite_nonneg, "must be finite and >= 0"),
         (("physics", "gradient_coupling"), finite_nonneg, "must be finite and >= 0"),
@@ -189,6 +188,10 @@ def validate(text: str) -> tuple[SolverConfig | None, list[str]]:
     for (section, key), ok, msg in checks:  # every checked key has a default
         if not ok(values[(section, key)]):
             errors.append(f"[{section}] {key} {msg} (got {values[(section, key)]})")
+    try:
+        ModelParams(l=values[("physics", "l")])
+    except ValueError as exc:
+        errors.append(f"[physics] {exc}")
     # only the grid section the experiment reads is built; dim, bounds, node
     # counts and the point budget are checked by the grid constructors
     reads = {"sn-ground": (("radial", _radial_grid),), "verify": ()}

@@ -73,14 +73,12 @@ def stationary_solve(spec: HamiltonianSpec, params: ModelParams,
     zero faces. It starts from the previous psi. That fixes ARPACK's
     start vector but saves no operator applies: ARPACK converges to
     machine precision whatever the start. Stops when successive omega
-    values differ by < tol and max|A_t update| <= tol; the returned state
-    carries both coupled residuals, each required to be <= 10*tol, taken
-    on the whole grid.
+    values differ by < tol and max|A_t update| <= tol; `fixed_point`
+    raises ValueError unless 0 < mixing <= 1 and tol > 0. The returned
+    state carries both coupled residuals, each required to be <= 10*tol:
+    the eigen residual on the interior unknowns, with the Hamiltonian of
+    the final A_t, and the Gauss residual on the whole grid.
     """
-    if not 0.0 < mixing <= 1.0:
-        raise ValueError("mixing must be in (0, 1]")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     inner = (slice(1, -1),) * grid.ndim
     w_inner = grid.quad_weights()[inner]
     diag0 = spec.site_potential_total(grid)
@@ -109,10 +107,9 @@ def stationary_solve(spec: HamiltonianSpec, params: ModelParams,
     omega = trace[-1][1]
     psi, a_t = last["psi"], last["a_t"]
     rho = psi * psi
-    hpsi = apply_hamiltonian_raw(grid, psi + 0j, None, diag0 - a_t,
-                                 spec.lattice_spacing)
-    hpsi = project_dirichlet(grid, hpsi)
-    eig_res = grid.norm(np.real(hpsi) - omega * psi)
+    op = hamiltonian(grid, None, (diag0 - a_t)[inner], spec.lattice_spacing)
+    resid = op(psi[inner]) - omega * psi[inner]
+    eig_res = np.sqrt((w_inner * resid * resid).sum())
     # Gauss law for the static field strength F = -grad A_t
     gres = gauss_residual(grid, [-link_diff(grid, a_t, x) for x in range(grid.ndim)],
                           rho, params)
@@ -197,41 +194,44 @@ def _cn_step_1d(grid, psi, phases, diag, a_lat, dt):
 
 
 def _cn_step_nd(grid, psi, phases, diag, a_lat, dt):
-    """Matrix-free CN step by the identity of `_cn_step_1d`: scipy's CG on
-    the normal equations (I + a^2 H^2) y = (I - i a H) psi of (I + i a H) y
-    = psi, started from psi, then psi' = 2 y - psi.
+    """Matrix-free CN step by the identity of `_cn_step_1d`, on the interior
+    unknowns: scipy's CG on the normal equations (I + a^2 H^2) y =
+    (I - i a H) psi of (I + i a H) y = psi, started from psi, then
+    psi' = 2 y - psi, returned with zero faces.
 
-    psi vanishes on the faces, and so does every CG vector, since each is
-    a combination of psi and masked applies; H is therefore masked on its
-    output only. A non-finite state skips the solve and comes back
-    non-finite, so the evolver's norm guard names the step. Raises
-    ConvergenceError with the relative residual when CG reaches its cap.
+    H is `hamiltonian` on the interior block; the interior slice of each
+    link field is exactly the links between interior nodes. A
+    non-finite state skips the solve and comes back non-finite, so the
+    evolver's norm guard names the step. Raises ConvergenceError with the
+    relative residual when CG reaches its cap.
     """
     alpha = 0.5 * dt
-    interior = grid.boundary_mask()
-    h = hamiltonian(grid, phases, diag, a_lat)  # the phases stay fixed here
-
-    def apply_h(v):
-        return np.where(interior, h(v), 0.0)
+    inner = (slice(1, -1),) * grid.ndim
+    # built once: the phases stay fixed through the CG solve
+    h = hamiltonian(grid, [u[inner] for u in phases], diag[inner], a_lat)
+    psi_in = psi[inner]
 
     def apply_A(v):
-        # in place: fewer grid-sized temporaries per CG iteration
-        out = apply_h(apply_h(v.reshape(grid.shape))).ravel()
+        # in place: fewer temporaries per CG iteration
+        out = h(h(v.reshape(psi_in.shape))).ravel()
         out *= alpha * alpha
         out += v
         return out
 
-    b = psi - 1j * alpha * apply_h(psi)
+    out = np.zeros(grid.shape, dtype=complex)
+    b = psi_in - 1j * alpha * h(psi_in)
     if not np.isfinite(b).all():
-        return b
-    A = spla.LinearOperator((psi.size,) * 2, matvec=apply_A, dtype=complex)
-    y, info = spla.cg(A, b.ravel(), x0=psi.ravel(), rtol=_CN_RTOL, atol=0.0,
+        out[inner] = b
+        return out
+    A = spla.LinearOperator((b.size,) * 2, matvec=apply_A, dtype=complex)
+    y, info = spla.cg(A, b.ravel(), x0=psi_in.ravel(), rtol=_CN_RTOL, atol=0.0,
                       maxiter=_CN_MAX_ITER)
     if info:
         raise ConvergenceError(
             "CN inner solve did not converge",
             residual=np.linalg.norm(b.ravel() - apply_A(y)) / np.linalg.norm(b))
-    return 2.0 * y.reshape(grid.shape) - psi
+    out[inner] = 2.0 * y.reshape(psi_in.shape) - psi_in
+    return out
 
 
 def _check_step_args(dt, record_every):
@@ -470,7 +470,7 @@ def _continuity_residual(grid, rho0, j0, rho1, j1, dt, a_lat):
 
 
 def continuity_residual(grid: TensorGrid, snap0: Snapshot, snap1: Snapshot,
-                        spec: HamiltonianSpec, params: ModelParams) -> float:
+                        spec: HamiltonianSpec) -> float:
     """Grid norm of d_t(rho N) + (1/a^3) div J between two snapshots.
 
     The time derivative is the forward difference of the charge density;

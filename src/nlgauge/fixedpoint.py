@@ -33,8 +33,14 @@ def fixed_point(G, x0, *, m: int = 5, beta: float, tol: float,
     Returns (x, iterations, trace): the converged input, the number of
     evaluations of G, and one (iteration, energy, residual) tuple per
     evaluation. Raises ConvergenceError carrying the trace after
-    `max_iter` evaluations, and ValueError for `max_iter < 1`.
+    `max_iter` evaluations, and ValueError, before any evaluation, unless
+    0 < beta <= 1, tol > 0 and max_iter >= 1.
     """
+    # written so that a NaN fails each check
+    if not 0 < beta <= 1:
+        raise ValueError(f"mixing weight beta must be in (0, 1], got {beta}")
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if res_tol is None:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import reduce
 
 import numpy as np
@@ -51,11 +50,6 @@ def _require_finite(obj, *names: str) -> None:
         value = getattr(obj, name)
         if not -math.inf < value < math.inf:
             raise ValueError(f"{name} must be finite (got {value})")
-
-
-class BoundaryCondition(Enum):
-    DIRICHLET_ZERO = "dirichlet_zero"
-    NEUMANN_ZERO = "neumann_zero"
 
 
 @dataclass(frozen=True)

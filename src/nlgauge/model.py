@@ -29,13 +29,18 @@ class ModelParams:
     solvers implement the normalized theory, in which both normalization
     constants equal 1. The regularized volume Omega is not a parameter:
     it is the volume of the grid a state lives on.
+
+    Raises ValueError unless l > 0 (NaN fails) and 1/l^2 is a finite
+    float, which rules out l below about 7.5e-155.
     """
 
     l: float = 1.0
 
     def __post_init__(self):
-        if not self.l > 0:
-            raise ValueError("l must be positive (l = inf allowed)")
+        # inv_l2 divides by l * l, which underflows to 0 below about 1.6e-162
+        if not (self.l > 0 and self.l * self.l > 0 and math.isfinite(self.inv_l2)):
+            raise ValueError(f"l must be > 0 with 1/l^2 finite, i.e. >= about "
+                             f"7.5e-155 (inf allowed) (got {self.l})")
 
     @property
     def inv_l2(self) -> float:

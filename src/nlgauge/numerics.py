@@ -1,13 +1,13 @@
-"""Finite-difference Laplacians, an exact Neumann Poisson solver, and a
+"""A finite-difference Laplacian, an exact Neumann Poisson solver, and a
 smallest-eigenpair solver.
 
-All operators are second-order compact stencils and are exactly symmetric
-under the trapezoid inner product: Dirichlet operators act on (and return)
-fields that vanish on the cutoff faces; Neumann operators use mirror
-ghosts, which is the discretization whose nullspace is exactly the
-constants. The type-I cosine transform diagonalizes the mirror-ghost
-Laplacian, so the Poisson solve is a direct spectral solve with no
-iteration.
+The Laplacian is the second-order compact stencil with mirror ghosts
+(Neumann), which is exactly symmetric under the trapezoid inner product
+and whose nullspace is exactly the constants. The type-I cosine
+transform diagonalizes it, so the Poisson solve is a direct spectral
+solve with no iteration. Dirichlet problems are not posed here: every
+one is solved on the interior unknowns, with the stencil of
+`gaugeops.hamiltonian`.
 """
 
 from __future__ import annotations
@@ -16,16 +16,17 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError, UnsolvableConstraintError
-from .grids import BoundaryCondition, TensorGrid
+from .grids import TensorGrid
 
 # relative size and seed of the perturbation added to an eigen-solve guess
 _PERTURB = 1e-8
 _PERTURB_SEED = 20170
 
 
-def _axis_second_diff(values: np.ndarray, axis: int, spacing: float,
-                      bc: BoundaryCondition) -> np.ndarray:
-    """(f[i-1] - 2 f[i] + f[i+1]) / h^2 along one axis with ghost values."""
+def _axis_second_diff(values: np.ndarray, axis: int, spacing: float) -> np.ndarray:
+    """(f[i-1] - 2 f[i] + f[i+1]) / h^2 along one axis, with the mirror
+    ghost f[-1] = f[1] on either side: it keeps the operator symmetric
+    under trapezoid weights and its nullspace equal to the constants."""
     out = np.empty_like(values)
     inner = [slice(None)] * values.ndim
 
@@ -38,40 +39,27 @@ def _axis_second_diff(values: np.ndarray, axis: int, spacing: float,
         values[sl(slice(2, None))] - 2.0 * values[sl(slice(1, -1))]
         + values[sl(slice(0, -2))]
     )
-    if bc is BoundaryCondition.DIRICHLET_ZERO:
-        # ghost = 0 on either side
-        out[sl(0)] = values[sl(1)] - 2.0 * values[sl(0)]
-        out[sl(-1)] = values[sl(-2)] - 2.0 * values[sl(-1)]
-    else:
-        # mirror ghost f[-1] = f[1]; keeps the operator symmetric under
-        # trapezoid weights and its nullspace equal to the constants
-        out[sl(0)] = 2.0 * (values[sl(1)] - values[sl(0)])
-        out[sl(-1)] = 2.0 * (values[sl(-2)] - values[sl(-1)])
+    out[sl(0)] = 2.0 * (values[sl(1)] - values[sl(0)])
+    out[sl(-1)] = 2.0 * (values[sl(-2)] - values[sl(-1)])
     out /= spacing ** 2
     return out
 
 
-def laplacian_apply(grid: TensorGrid, values: np.ndarray,
-                    bc: BoundaryCondition) -> np.ndarray:
-    """Sum over axes of second differences, i.e. the configuration-space
-    Laplacian sum_x d^2/dphi_x^2.
+def laplacian_apply(grid: TensorGrid, values: np.ndarray) -> np.ndarray:
+    """The Neumann (mirror-ghost) configuration-space Laplacian
+    sum_x d^2/dphi_x^2, whose nullspace is exactly the constants.
 
-    Dirichlet fields are projected onto the subspace vanishing at the
-    cutoff before and after, so the operator is symmetric for arbitrary
-    input. No solver calls it: the limit check takes the curvature of A_t
-    with it, and the tests take it as the reference for the Poisson solve,
-    for link_divergence(link_diff(.)) and for the Gauss law.
+    No solver calls it: the limit check takes the curvature of A_t with
+    it, and the tests take it as the reference for the Poisson solve, for
+    link_divergence(link_diff(.)) and for the Gauss law. The Dirichlet
+    kinetic term is the stencil of `gaugeops.hamiltonian`, applied on the
+    interior unknowns.
     """
     values = np.asarray(values)
     grid.check_field(values)
-    if bc is BoundaryCondition.DIRICHLET_ZERO:
-        mask = grid.boundary_mask()
-        values = np.where(mask, values, 0.0)
     out = np.zeros_like(values, dtype=np.result_type(values, float))
     for axis in range(grid.ndim):
-        out += _axis_second_diff(values, axis, grid.spacings[axis], bc)
-    if bc is BoundaryCondition.DIRICHLET_ZERO:
-        out = np.where(mask, out, 0.0)
+        out += _axis_second_diff(values, axis, grid.spacings[axis])
     return out
 
 

@@ -52,7 +52,7 @@ from .dynamics import (_NORM_TOL, _check_step_args, _cn_step_1d, _rms_width,
                        stationary_solve)
 from .errors import ConvergenceError, IntegratorError
 from .fixedpoint import fixed_point
-from .grids import BoundaryCondition, RadialGrid, TensorGrid, UniformGrid1D
+from .grids import RadialGrid, TensorGrid, UniformGrid1D
 from .model import HamiltonianSpec, ModelParams
 from .numerics import laplacian_apply
 
@@ -602,7 +602,7 @@ def limit_equivalence_check(spec: HamiltonianSpec, params: ModelParams,
     dat = float(np.abs(st.a_t - phi_line).max())
 
     # sign experiment: curvature of A_t vs sign of (rho - background)
-    curv = laplacian_apply(grid, st.a_t, BoundaryCondition.NEUMANN_ZERO)
+    curv = laplacian_apply(grid, st.a_t)
     src = psi_f * psi_f - background
     sel = np.abs(src[1:-1]) > 1e-6 * np.abs(src).max()
     agree = np.sign(curv[1:-1][sel]) == -np.sign(src[1:-1][sel])

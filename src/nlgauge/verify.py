@@ -15,8 +15,8 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .action import action_evaluate, scale_transform, scale_transform_state
-from .dynamics import (Snapshot, Trajectory, evolve_temporal_gauge,
-                       stationary_solve)
+from .dynamics import (Snapshot, Trajectory, continuity_residual,
+                       evolve_temporal_gauge, stationary_solve)
 from .gaugeops import (apply_hamiltonian_raw, gauge_transform,
                        gauss_solve_stationary, initialize_constraint,
                        link_diff)
@@ -193,12 +193,11 @@ def check_gauge_invariance(seed: int = 0) -> CheckReport:
     gam2 = action_evaluate(tr2)
     gam_diff = abs(gam1 - gam2) / max(1.0, abs(gam1))
     # scalar residual diagnostics recomputed on the transformed snapshots
-    from .dynamics import continuity_residual
     cr1 = [continuity_residual(grid, traj.snapshots[k], traj.snapshots[k + 1],
-                               traj.spec, traj.params)
+                               traj.spec)
            for k in range(0, len(traj.snapshots) - 1, 6)]
     cr2 = [continuity_residual(grid, tr2.snapshots[k], tr2.snapshots[k + 1],
-                               tr2.spec, tr2.params)
+                               tr2.spec)
            for k in range(0, len(tr2.snapshots) - 1, 6)]
     cres_diff = max(abs(a - b) for a, b in zip(cr1, cr2))
 

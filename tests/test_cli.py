@@ -112,6 +112,17 @@ def test_non_finite_solver_and_physics_values_are_rejected(section, key):
     assert errors == []
 
 
+@pytest.mark.parametrize("raw", ["1e-300", "1e-160", "nan"])
+def test_l_whose_inverse_square_is_not_finite_is_rejected(raw):
+    # the run would divide by zero (1e-300) or hand ARPACK an infinite
+    # Hamiltonian (1e-160)
+    cfg, errors = validate("[experiment]\nkind = functional-stationary\n"
+                           f"[physics]\nl = {raw}\n")
+    assert cfg is None
+    assert len(errors) == 1 and errors[0].startswith("[physics] l must be ")
+    assert errors[0].endswith(f"(got {float(raw)})")
+
+
 def test_output_formats_must_name_csv_or_json():
     head = "[experiment]\nkind = sn-evolve\n[output]\nformats = "
     cfg, errors = validate(head + "jsn\n")

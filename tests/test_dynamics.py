@@ -11,7 +11,7 @@ from nlgauge.errors import (ConstraintViolationError, ConvergenceError,
                             IntegratorError)
 from nlgauge.gaugeops import (apply_hamiltonian_raw, gauss_residual,
                               initialize_constraint, link_diff, link_phases)
-from nlgauge.grids import BoundaryCondition, TensorGrid
+from nlgauge.grids import TensorGrid
 from nlgauge.model import (GaugeState, HamiltonianSpec, ModelParams,
                            WaveFunctional, nonlinearity, total_charge)
 from nlgauge.numerics import laplacian_apply
@@ -103,7 +103,7 @@ def test_stationary_coupled_matches_dense_reference():
     rho = np.real(st.psi.values) ** 2
     f_static = [-link_diff(grid, st.a_t, x) for x in range(grid.ndim)]
     assert st.gauss_residual == gauss_residual(grid, f_static, rho, params)
-    lap = laplacian_apply(grid, st.a_t, BoundaryCondition.NEUMANN_ZERO)
+    lap = laplacian_apply(grid, st.a_t)
     assert abs(st.gauss_residual
                - grid.norm(lap + params.inv_l2 * nonlinearity(rho, grid))) < 1e-13
 
@@ -482,7 +482,7 @@ def _assert_recorded_values_are_the_public_formulas(traj):
         assert rec["time"][k] == s.time
         if k > 0:
             assert rec["continuity_residual"][k] == continuity_residual(
-                g, snaps[k - 1], s, spec, p)
+                g, snaps[k - 1], s, spec)
         rho = np.abs(s.psi) ** 2
         # the norm is the integral of rho, i.e. grid.norm(psi) ** 2 up
         # to the rounding of the square root

@@ -60,6 +60,20 @@ def test_exhaustion_raises_with_the_trace():
     assert err.value.residual == trace[-1][2]
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"beta": 0.0}, "beta"), ({"beta": 1.5}, "beta"), ({"beta": np.nan}, "beta"),
+    ({"tol": 0.0}, "tol"), ({"tol": -1.0}, "tol"), ({"tol": np.nan}, "tol")])
+def test_bad_mixing_or_tol_is_rejected_before_any_evaluation(kwargs, match):
+    calls = []
+
+    def G(x):
+        calls.append(x)
+        return x, 0.0
+    with pytest.raises(ValueError, match=match):
+        fixed_point(G, np.zeros(3), **{"beta": 0.5, "tol": 1e-10, **kwargs})
+    assert calls == []
+
+
 @pytest.mark.parametrize("max_iter", [0, -1])
 def test_max_iter_below_one_is_rejected(max_iter):
     # with no evaluation there is no residual to report, so it is an

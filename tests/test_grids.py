@@ -3,8 +3,7 @@ import inspect
 import numpy as np
 import pytest
 
-from nlgauge.grids import (MAX_POINTS, BoundaryCondition, RadialGrid,
-                           TensorGrid, UniformGrid1D)
+from nlgauge.grids import MAX_POINTS, RadialGrid, TensorGrid, UniformGrid1D
 from nlgauge.errors import GridShapeError
 
 
@@ -157,8 +156,3 @@ def test_radial_grid_validation():
         RadialGrid(0.0, 10.0, 100)
     with pytest.raises(ValueError):
         RadialGrid(1.0, 10.0, 100)  # r_min not << r_max
-
-
-def test_boundary_condition_kinds():
-    assert BoundaryCondition("dirichlet_zero") is BoundaryCondition.DIRICHLET_ZERO
-    assert BoundaryCondition("neumann_zero") is BoundaryCondition.NEUMANN_ZERO

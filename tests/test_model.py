@@ -56,6 +56,14 @@ def test_linear_limit_params():
     assert p.inv_l2 == 0.0
 
 
+@pytest.mark.parametrize("l", [1e-300, 1e-160, np.nan, 0.0, -1.0])
+def test_l_whose_inverse_square_is_not_finite_is_rejected(l):
+    # 1e-300 squares to 0, and 1/l^2 of 1e-160 overflows to inf
+    with pytest.raises(ValueError, match="l must be"):
+        ModelParams(l=l)
+    assert np.isfinite(ModelParams(l=1e-154).inv_l2)
+
+
 def test_hamiltonian_spec_potential_and_gradient():
     spec = HamiltonianSpec(potential_coeffs=(1.0, 0.0, 0.5),
                            gradient_coupling=2.0)

@@ -3,63 +3,82 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlgauge.errors import UnsolvableConstraintError
-from nlgauge.grids import BoundaryCondition, TensorGrid, UniformGrid1D
+from nlgauge.gaugeops import hamiltonian
+from nlgauge.grids import TensorGrid, UniformGrid1D
 from nlgauge.numerics import laplacian_apply, poisson_solve, smallest_eigenpair
 
-DIR = BoundaryCondition.DIRICHLET_ZERO
-NEU = BoundaryCondition.NEUMANN_ZERO
 
+# ---------------------------------------------------------- laplacians
+# The Neumann Laplacian is `laplacian_apply`. The Dirichlet one is the
+# stencil the solvers use: -2 H of `gaugeops.hamiltonian` at lattice
+# spacing 1 with no potential, on the interior unknowns.
 
-# ---------------------------------------------------------- laplacian
+def _dirichlet_laplacian(g):
+    """The Dirichlet Laplacian on the interior unknowns, and the interior
+    index tuple."""
+    inner = (slice(1, -1),) * g.ndim
+    h = hamiltonian(g, None, np.zeros(g.shape)[inner], 1.0)
+    return (lambda v: -2.0 * h(v)), inner
+
 
 def test_constant_field_neumann_is_zero():
     g = TensorGrid.cube(-1.0, 1.0, 21, 2)
-    out = laplacian_apply(g, np.full(g.shape, 3.7), NEU)
+    out = laplacian_apply(g, np.full(g.shape, 3.7))
     assert np.abs(out).max() == 0.0
 
 
 def test_quadratic_field_dirichlet_interior():
     g = TensorGrid.cube(-1.0, 1.0, 101, 1)
+    lap, inner = _dirichlet_laplacian(g)
     x = g.axes[0].nodes
-    out = laplacian_apply(g, x ** 2, DIR)
-    assert np.abs(out[3:-3] - 2.0).max() < 1e-10
+    out = lap((x ** 2)[inner])
+    # nodes 3..n-4, away from the cutoff
+    assert np.abs(out[2:-2] - 2.0).max() < 1e-10
 
 
 def test_dirichlet_eigenmode_has_discrete_eigenvalue():
     # sin(k pi (phi-lower)/span) is an exact eigenvector of the compact
     # stencil with eigenvalue -2(1-cos(k pi/(count-1)))/h^2
     g = TensorGrid.cube(-1.0, 1.0, 101, 1)
+    lap, inner = _dirichlet_laplacian(g)
     n = g.axes[0].count
     h = g.axes[0].spacing
     x = g.axes[0].nodes
     for k in (1, 3, 7):
-        mode = np.sin(k * np.pi * (x + 1.0) / 2.0)
+        mode = np.sin(k * np.pi * (x + 1.0) / 2.0)[inner]
         lam = 2.0 * (1.0 - np.cos(k * np.pi / (n - 1))) / h ** 2
-        out = laplacian_apply(g, mode, DIR)
+        out = lap(mode)
         assert np.abs(out + lam * mode).max() < 1e-10 * lam
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
-@given(st.integers(0, 2 ** 31 - 1), st.sampled_from([DIR, NEU]),
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from(["dirichlet", "neumann"]),
        st.sampled_from([1, 2]))
 def test_laplacian_is_symmetric(seed, bc, dim):
     rng = np.random.default_rng(seed)
     g = TensorGrid.cube(-1.0, 2.0, 17, dim)
-    a = rng.standard_normal(g.shape)
-    b = rng.standard_normal(g.shape)
-    lhs = g.inner(a, laplacian_apply(g, b, bc))
-    rhs = g.inner(laplacian_apply(g, a, bc), b)
-    assert abs(lhs - rhs) < 1e-10 * g.norm(a) * g.norm(b)
+    if bc == "neumann":
+        lap, w = (lambda v: laplacian_apply(g, v)), g.quad_weights()
+    else:
+        lap, inner = _dirichlet_laplacian(g)
+        w = g.quad_weights()[inner]
+    a = rng.standard_normal(w.shape)
+    b = rng.standard_normal(w.shape)
+    lhs = (w * a * lap(b)).sum()
+    rhs = (w * lap(a) * b).sum()
+    assert abs(lhs - rhs) < 1e-10 * np.sqrt((w * a * a).sum() * (w * b * b).sum())
 
 
 def test_laplacian_second_order_convergence():
     errs = []
     for n in (101, 201):
         g = TensorGrid.cube(0.0, 1.0, n, 1)
+        lap, inner = _dirichlet_laplacian(g)
         x = g.axes[0].nodes
-        f = np.sin(np.pi * x)
-        out = laplacian_apply(g, f, DIR)
-        errs.append(np.abs(out + np.pi ** 2 * f)[2:-2].max())
+        f = np.sin(np.pi * x)[inner]
+        out = lap(f)
+        # nodes 2..n-3, away from the cutoff
+        errs.append(np.abs(out + np.pi ** 2 * f)[1:-1].max())
     ratio = errs[0] / errs[1]
     assert 3.2 < ratio < 4.8
 
@@ -115,34 +134,18 @@ def test_poisson_laplacian_roundtrip(seed):
         src = rng.standard_normal(g.shape)
         src -= g.integrate(src) / g.volume
         u = poisson_solve(g, src)
-        back = laplacian_apply(g, u, NEU)
+        back = laplacian_apply(g, u)
         assert g.norm(back - src) < 1e-10 * max(1.0, g.norm(src)), g.shape
 
 
 # ---------------------------------------------------------- eigenpairs
 
-def _on_interior(g, op):
-    """`op`, a Dirichlet operator on whole-grid fields, as an operator on
-    the interior unknowns (zero faces), and the interior index tuple."""
-    inner = (slice(1, -1),) * g.ndim
-
-    def op_inner(v):
-        full = np.zeros(g.shape)
-        full[inner] = v
-        return op(full)[inner]
-
-    return op_inner, inner
-
-
 def _harmonic_op(g):
+    """-(1/2) d^2/dphi^2 + phi^2/2 on the interior unknowns, and the
+    interior index tuple."""
+    inner = (slice(1, -1),) * g.ndim
     x = g.axes[0].nodes
-    mask = g.boundary_mask()
-
-    def op(v):
-        lv = laplacian_apply(g, v, DIR)
-        return -0.5 * lv + np.where(mask, 0.5 * x ** 2 * v, 0.0)
-
-    return _on_interior(g, op)
+    return hamiltonian(g, None, (0.5 * x ** 2)[inner], 1.0), inner
 
 
 def test_harmonic_ground_state():
@@ -158,13 +161,9 @@ def test_negative_laplacian_smallest_is_pi_squared():
     g = TensorGrid.cube(0.0, 1.0, 201, 1)
     n = g.axes[0].count
     h = g.axes[0].spacing
-
-    def neg_laplacian(v):
-        return -laplacian_apply(g, v, DIR)
-
-    op, inner = _on_interior(g, neg_laplacian)
+    lap, inner = _dirichlet_laplacian(g)
     x = g.axes[0].nodes
-    lam, vec = smallest_eigenpair(op, (x * (1 - x))[inner], tol=1e-8,
+    lam, vec = smallest_eigenpair(lambda v: -lap(v), (x * (1 - x))[inner], tol=1e-8,
                                   weights=g.quad_weights()[inner])
     discrete = 2.0 * (1.0 - np.cos(np.pi / (n - 1))) / h ** 2
     assert lam == pytest.approx(discrete, abs=1e-9)
@@ -200,15 +199,11 @@ def test_odd_guess_still_reaches_ground_state():
                          ids=["1d", "3d"])
 def test_eigenvalue_matches_dense_oracle_and_residual_contract(g):
     xs = g.meshes()
-    mask = g.boundary_mask()
     pot = sum(0.25 * x ** 4 - x ** 2 for x in xs)  # double well per axis
     # neighbouring axes coupled, so in D > 1 the potential does not separate
     pot = pot + sum(0.3 * xs[k] * xs[k + 1] for k in range(g.ndim - 1))
-
-    def full_op(v):
-        return -0.5 * laplacian_apply(g, v, DIR) + np.where(mask, pot * v, 0.0)
-
-    op, inner = _on_interior(g, full_op)
+    inner = (slice(1, -1),) * g.ndim
+    op = hamiltonian(g, None, pot[inner], 1.0)
     tol = 1e-9
     guess = np.exp(-sum(x ** 2 for x in xs))[inner]
     lam, vec = smallest_eigenpair(op, guess, tol=tol,

@@ -5,7 +5,8 @@ that nothing in `src/nlgauge` outside `__init__.py` refers to is either
 dead code or a test oracle. Dead code is deleted; an oracle is kept only
 on the allowlist below, with its reason. A private top-level function
 that nothing in the package refers to is dead code, with no allowlist.
-Every member the benchmark's tracer patches by name exists.
+Every member the benchmark's tracer patches by name exists, and every
+parameter of a function in the package is read in its body.
 """
 
 import ast
@@ -66,6 +67,33 @@ def test_every_public_name_has_a_caller_or_a_reason():
 
 def test_every_private_function_has_a_caller():
     assert _unreferenced_names()[1] == set()
+
+
+def _unread_parameters() -> list[str]:
+    """`module.function.parameter` for each parameter of a function or
+    lambda in the package that its body never reads; `self` and `cls` are
+    exempt."""
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                continue
+            a = node.args
+            params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                      a.vararg, a.kwarg) if p is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            name = getattr(node, "name", "<lambda>")
+            unread += [f"{path.stem}.{name}.{p}" for p in params
+                       if p not in read | {"self", "cls"}]
+    return unread
+
+
+def test_every_parameter_is_read():
+    # no allowlist: a parameter nothing reads is deleted with its arguments
+    assert _unread_parameters() == []
 
 
 def _tracing_constant(name: str):

@@ -36,6 +36,24 @@ def test_radial_oscillator_both_methods():
     assert shoot_node_count(sh.u) == 0
 
 
+# a coupled radial problem: with coupling 0 the zero potential is already
+# the fixed point, and any mixing weight would return it
+COUPLED = dataclasses.replace(HARM3D, coupling=1.0)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: sn_ground_radial_scf(COUPLED, RadialGrid(1e-6, 12.0, 200), mixing=0.0),
+    lambda: sn_ground_radial_scf(COUPLED, RadialGrid(1e-6, 12.0, 200), tol=-1.0),
+    lambda: sn_ground_radial_scf(COUPLED, RadialGrid(1e-6, 12.0, 200), tol=np.nan),
+    lambda: line_ground_scf(UniformGrid1D(-8.0, 8.0, 161), (0.0, 0.0, 0.5),
+                            1.0, 1.0 / 16.0, tol=-1.0),
+], ids=["scf-mixing-0", "scf-tol-negative", "scf-tol-nan", "line-tol-negative"])
+def test_loops_reject_bad_mixing_and_tol_up_front(solve):
+    # not a ConvergenceError at the iteration cap: no tolerance can be met
+    with pytest.raises(ValueError):
+        solve()
+
+
 def test_shooting_oracle_energy_and_shot_count(monkeypatch):
     shots = []
 
