@@ -70,9 +70,8 @@ def stationary_solve(spec: HamiltonianSpec, params: ModelParams,
     and returns the A_t that its density sources. The eigen solve runs on
     the interior unknowns alone, with the Hamiltonian prepared once per
     step from the interior of diag0 - A_t, and psi is embedded back with
-    zero faces. It starts from the previous psi. That fixes ARPACK's
-    start vector but saves no operator applies: ARPACK converges to
-    machine precision whatever the start. Stops when successive omega
+    zero faces. It starts from the previous psi, which about halves the
+    operator applies of a converging loop. Stops when successive omega
     values differ by < tol and max|A_t update| <= tol; `fixed_point`
     raises ValueError unless 0 < mixing <= 1 and tol > 0. The returned
     state carries both coupled residuals, each required to be <= 10*tol:

@@ -373,10 +373,16 @@ def sn_ground_radial_shoot(params: SNParams, grid: RadialGrid,
     a safeguarded Illinois iteration on the continuous shooting function
     converges on the 0 -> 1 node transition inside that bracket. The
     potential is refreshed from the two-sided u under the Anderson
-    fixed-point driver until the energy settles.
+    fixed-point driver until the energy settles. Raises ValueError unless
+    tol > 0 and 0 < mixing <= 1, whatever the coupling.
     """
     if params.background != 0.0:
         raise ValueError("radial solver is the background-free case")
+    # written so that a NaN fails each check
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
+    if not 0 < mixing <= 1:
+        raise ValueError(f"mixing must be in (0, 1], got {mixing}")
     r = grid.nodes
     vext = params.external_potential(r)
     hist = []

@@ -338,6 +338,40 @@ directory = {{out}}
     assert blobs[0] == blobs[1]
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_functional_stationary_rerun_is_byte_identical(tmp_path, dim):
+    # no seeded noise fixes the eigen solve's start, so the run must be
+    # deterministic by construction. The CLI writes stationary_state.csv
+    # for one site only; config.echo names the output directory
+    base = f"""
+[experiment]
+kind = functional-stationary
+[grid]
+lower = -6.0
+upper = 6.0
+count = 21
+dim = {dim}
+[physics]
+l = 1.0
+potential_coeffs = 0, 0, 0.5
+[solver]
+tol = 1e-10
+[output]
+directory = {{out}}
+"""
+    runs = []
+    for sub in ("a", "b"):
+        cfg, errors = validate(base.format(out=tmp_path / sub))
+        assert errors == []
+        assert run(cfg) == 0
+        files = {p.name: p.read_bytes() for p in (tmp_path / sub).glob("*.csv")}
+        payload = json.loads((tmp_path / sub / "summary.json").read_text())
+        payload.pop("timestamp")
+        runs.append((json.dumps(payload, sort_keys=True), files))
+    assert runs[0] == runs[1]
+    assert ("stationary_state.csv" in runs[0][1]) == (dim == 1)
+
+
 def test_summary_json_booleans_are_booleans(tmp_path):
     text = f"""
 [experiment]

@@ -172,13 +172,16 @@ def test_negative_laplacian_smallest_is_pi_squared():
 
 
 def _dense_oracle(op, shape):
+    """The smallest eigenvalue of the dense matrix of `op`, and its unit
+    eigenvector in `shape`."""
     n = int(np.prod(shape))
     m = np.zeros((n, n))
     for j in range(n):
         e = np.zeros(n)
         e[j] = 1.0
         m[:, j] = op(e.reshape(shape)).ravel()
-    return np.linalg.eigvalsh(m)[0]
+    vals, vecs = np.linalg.eigh(m)
+    return vals[0], vecs[:, 0].reshape(shape)
 
 
 def test_odd_guess_still_reaches_ground_state():
@@ -188,27 +191,33 @@ def test_odd_guess_still_reaches_ground_state():
     odd_guess = (x * np.exp(-0.5 * x ** 2))[inner]
     lam, vec = smallest_eigenpair(op, odd_guess, tol=1e-9,
                                   weights=g.quad_weights()[inner])
-    oracle = _dense_oracle(op, odd_guess.shape)
+    oracle, _ = _dense_oracle(op, odd_guess.shape)
     assert abs(lam - oracle) < 1e-8
     # the eigenvector is even, not odd
     assert np.abs(vec - vec[::-1]).max() < 1e-6
+
+
+def _double_well(g):
+    """A double well per axis, with neighbouring axes coupled so that in
+    D > 1 the potential does not separate: the operator on the interior
+    unknowns, the interior index tuple and the cold Gaussian guess."""
+    xs = g.meshes()
+    pot = sum(0.25 * x ** 4 - x ** 2 for x in xs)
+    pot = pot + sum(0.3 * xs[k] * xs[k + 1] for k in range(g.ndim - 1))
+    inner = (slice(1, -1),) * g.ndim
+    guess = np.exp(-sum(x ** 2 for x in xs))[inner]
+    return hamiltonian(g, None, pot[inner], 1.0), inner, guess
 
 
 @pytest.mark.parametrize("g", [TensorGrid.cube(-6.0, 6.0, 401, 1),
                                TensorGrid.cube(-4.0, 4.0, 9, 3)],
                          ids=["1d", "3d"])
 def test_eigenvalue_matches_dense_oracle_and_residual_contract(g):
-    xs = g.meshes()
-    pot = sum(0.25 * x ** 4 - x ** 2 for x in xs)  # double well per axis
-    # neighbouring axes coupled, so in D > 1 the potential does not separate
-    pot = pot + sum(0.3 * xs[k] * xs[k + 1] for k in range(g.ndim - 1))
-    inner = (slice(1, -1),) * g.ndim
-    op = hamiltonian(g, None, pot[inner], 1.0)
+    op, inner, guess = _double_well(g)
     tol = 1e-9
-    guess = np.exp(-sum(x ** 2 for x in xs))[inner]
     lam, vec = smallest_eigenpair(op, guess, tol=tol,
                                   weights=g.quad_weights()[inner])
-    oracle = _dense_oracle(op, guess.shape)
+    oracle, _ = _dense_oracle(op, guess.shape)
     assert abs(lam - oracle) < 1e-8
     # residual and norm on the whole grid, with the faces zero
     resid = np.zeros(g.shape)
@@ -217,6 +226,38 @@ def test_eigenvalue_matches_dense_oracle_and_residual_contract(g):
     psi = np.zeros(g.shape)
     psi[inner] = vec
     assert abs(g.norm(psi) - 1.0) < 1e-12
+
+
+WELL_2D = TensorGrid.cube(-6.0, 6.0, 21, 2)
+
+
+def test_guess_orthogonal_to_ground_state_still_reaches_it():
+    # with the ground state projected out of the guess, only the start's
+    # perturbation (and roundoff) supplies its component
+    op, inner, guess = _double_well(WELL_2D)
+    oracle, psi0 = _dense_oracle(op, guess.shape)
+    x0, x1 = (x[inner] for x in WELL_2D.meshes())
+    signed = (x0 - 0.5 * x1 + 0.3) * np.exp(-0.5 * (x0 ** 2 + x1 ** 2))
+    signed -= (psi0 * signed).sum() * psi0
+    assert abs((psi0 * signed).sum()) < 1e-15 * np.abs(signed).sum()
+    lam, _ = smallest_eigenpair(op, signed, tol=1e-9,
+                                weights=WELL_2D.quad_weights()[inner])
+    assert abs(lam - oracle) < 1e-8
+
+
+def test_converged_start_halves_the_applies():
+    # a warm start must save applies, or the SCF loop gains nothing by it
+    op, inner, guess = _double_well(WELL_2D)
+    w = WELL_2D.quad_weights()[inner]
+    applies = [0]
+
+    def counted(v):
+        applies[0] += 1
+        return op(v)
+    _, vec = smallest_eigenpair(counted, guess, tol=1e-9, weights=w)
+    cold, applies[0] = applies[0], 0
+    smallest_eigenpair(counted, vec, tol=1e-9, weights=w)
+    assert applies[0] <= cold / 2, (applies[0], cold)
 
 
 def test_zero_guess_rejected():

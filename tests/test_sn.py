@@ -47,7 +47,14 @@ COUPLED = dataclasses.replace(HARM3D, coupling=1.0)
     lambda: sn_ground_radial_scf(COUPLED, RadialGrid(1e-6, 12.0, 200), tol=np.nan),
     lambda: line_ground_scf(UniformGrid1D(-8.0, 8.0, 161), (0.0, 0.0, 0.5),
                             1.0, 1.0 / 16.0, tol=-1.0),
-], ids=["scf-mixing-0", "scf-tol-negative", "scf-tol-nan", "line-tol-negative"])
+    # the oracle at coupling 0 never reaches the fixed-point driver
+    lambda: sn_ground_radial_shoot(HARM3D, RadialGrid(1e-6, 12.0, 200), tol=-1.0),
+    lambda: sn_ground_radial_shoot(HARM3D, RadialGrid(1e-6, 12.0, 200), mixing=0.0),
+    lambda: sn_ground_radial_shoot(HARM3D, RadialGrid(1e-6, 12.0, 200), tol=np.nan),
+    lambda: sn_ground_radial_shoot(COUPLED, RadialGrid(1e-6, 12.0, 200), tol=-1.0),
+], ids=["scf-mixing-0", "scf-tol-negative", "scf-tol-nan", "line-tol-negative",
+        "shoot-tol-negative", "shoot-mixing-0", "shoot-tol-nan",
+        "shoot-coupled-tol-negative"])
 def test_loops_reject_bad_mixing_and_tol_up_front(solve):
     # not a ConvergenceError at the iteration cap: no tolerance can be met
     with pytest.raises(ValueError):
