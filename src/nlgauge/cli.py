@@ -30,14 +30,21 @@ from .model import GaugeState, HamiltonianSpec, ModelParams, WaveFunctional
 from .sn import (Line1DState, SNParams, limit_equivalence_check,
                  sn_evolve_1d, sn_ground_radial_scf, sn_ground_radial_shoot)
 
-EXPERIMENTS = ("sn-ground", "sn-evolve", "functional-stationary",
-               "functional-evolve", "limit-check", "verify")
 # the [output] formats tokens
 _FORMATS = ("csv", "json")
 # the experiments that start from the [initial] Gaussian packet
 _PACKET_KINDS = ("sn-evolve", "functional-evolve")
 
-# section -> key -> (type, default); None default means required
+# the rules (test, message) of the _SCHEMA rows, each written so that NaN fails
+_FINITE = (math.isfinite, "must be finite")
+_POSITIVE = (lambda v: 0 < v < math.inf, "must be finite and > 0")
+_NONNEGATIVE = (lambda v: 0 <= v < math.inf, "must be finite and >= 0")
+_AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
+_FRACTION = (lambda v: 0 < v <= 1, "must be in (0, 1]")
+
+# section -> key -> (type, default[, rule]); None default means required.
+# The [initial] rules hold for the packet kinds alone; the grid builders
+# check [grid] and [radial]
 _SCHEMA = {
     "experiment": {
         "kind": (str, None),
@@ -56,24 +63,24 @@ _SCHEMA = {
     },
     "physics": {
         "l": (float, 1.0),
-        "coupling": (float, 1.0),
-        "background": (float, 0.0),
+        "coupling": (float, 1.0, _NONNEGATIVE),
+        "background": (float, 0.0, _NONNEGATIVE),
         "potential_coeffs": (str, "0, 0, 0.5"),
-        "gradient_coupling": (float, 0.0),
-        "lattice_spacing": (float, 1.0),
+        "gradient_coupling": (float, 0.0, _NONNEGATIVE),
+        "lattice_spacing": (float, 1.0, _POSITIVE),
     },
     "initial": {
-        "center": (float, 1.0),
-        "width": (float, 1.0),
-        "momentum": (float, 0.0),
+        "center": (float, 1.0, _FINITE),
+        "width": (float, 1.0, _POSITIVE),
+        "momentum": (float, 0.0, _FINITE),
     },
     "solver": {
-        "dt": (float, 0.005),
-        "steps": (int, 400),
-        "tol": (float, 1e-10),
-        "mixing": (float, 0.5),
-        "max_scf": (int, 300),
-        "record_every": (int, 1),
+        "dt": (float, 0.005, _POSITIVE),
+        "steps": (int, 400, _AT_LEAST_ONE),
+        "tol": (float, 1e-10, _POSITIVE),
+        "mixing": (float, 0.5, _FRACTION),
+        "max_scf": (int, 300, _AT_LEAST_ONE),
+        "record_every": (int, 1, _AT_LEAST_ONE),
     },
     "output": {
         "directory": (str, "out"),
@@ -112,6 +119,13 @@ class SolverConfig:
         return buf.getvalue()
 
 
+def _hint(word: str, choices, form: str) -> str:
+    """The did-you-mean suffix for an unknown `word`: the closest of
+    `choices`, written by `form`, or nothing when none is close."""
+    near = difflib.get_close_matches(word, choices, n=1)
+    return f"; did you mean {form.format(near[0])}?" if near else ""
+
+
 def validate(text: str) -> tuple[SolverConfig | None, list[str]]:
     """Parse and fully validate config text; collects every error."""
     errors: list[str] = []
@@ -124,70 +138,44 @@ def validate(text: str) -> tuple[SolverConfig | None, list[str]]:
     values = {}
     for section in cp.sections():
         if section not in _SCHEMA:
-            near = difflib.get_close_matches(section, _SCHEMA.keys(), n=1)
-            hint = f"; did you mean [{near[0]}]?" if near else ""
-            errors.append(f"unknown section [{section}]{hint}")
+            errors.append(f"unknown section [{section}]"
+                          + _hint(section, _SCHEMA, "[{}]"))
             continue
         for key, raw in cp[section].items():
             if key not in _SCHEMA[section]:
-                near = difflib.get_close_matches(key, _SCHEMA[section].keys(), n=1)
-                hint = f"; did you mean '{near[0]}'?" if near else ""
-                errors.append(f"unknown key '{key}' in [{section}]{hint}")
+                errors.append(f"unknown key '{key}' in [{section}]"
+                              + _hint(key, _SCHEMA[section], "'{}'"))
                 continue
-            typ, _ = _SCHEMA[section][key]
+            typ = _SCHEMA[section][key][0]
             try:
                 values[(section, key)] = typ(raw)
             except ValueError:
                 errors.append(f"[{section}] {key}: cannot parse {raw!r} as "
                               f"{typ.__name__}")
+
+    def check(section, key, ok, msg):
+        if not ok(values[(section, key)]):
+            errors.append(f"[{section}] {key} {msg} (got {values[(section, key)]})")
+
+    kind = values.get(("experiment", "kind"))
+    if kind is not None and kind not in _RUNNERS:
+        errors.append(f"[experiment] kind must be one of {', '.join(_RUNNERS)}"
+                      + _hint(kind, _RUNNERS, "'{}'"))
+    packet = kind in _PACKET_KINDS
     for section, keys in _SCHEMA.items():
-        for key, (typ, default) in keys.items():
+        for key, (_, default, *rule) in keys.items():
             if (section, key) not in values:
                 if default is None:
                     errors.append(f"[{section}] {key} is required")
-                else:
-                    values[(section, key)] = default
-
-    cfg = SolverConfig(values)
-    kind = values.get(("experiment", "kind"))
-    if kind is not None and kind not in EXPERIMENTS:
-        near = difflib.get_close_matches(kind, EXPERIMENTS, n=1)
-        hint = f"; did you mean '{near[0]}'?" if near else ""
-        errors.append(f"[experiment] kind must be one of "
-                      f"{', '.join(EXPERIMENTS)}{hint}")
-    # written so that NaN fails every check
-    def finite_nonneg(v):
-        return 0 <= v < math.inf
-
-    checks = [
-        (("solver", "dt"), lambda v: 0 < v < math.inf, "must be finite and > 0"),
-        (("solver", "steps"), lambda v: v >= 1, "must be >= 1"),
-        (("solver", "tol"), lambda v: 0 < v < math.inf, "must be finite and > 0"),
-        (("solver", "mixing"), lambda v: 0 < v <= 1, "must be in (0, 1]"),
-        (("solver", "max_scf"), lambda v: v >= 1, "must be >= 1"),
-        (("solver", "record_every"), lambda v: v >= 1, "must be >= 1"),
-        (("physics", "coupling"), finite_nonneg, "must be finite and >= 0"),
-        (("physics", "background"), finite_nonneg, "must be finite and >= 0"),
-        (("physics", "gradient_coupling"), finite_nonneg, "must be finite and >= 0"),
-        (("physics", "lattice_spacing"), lambda v: 0 < v < math.inf,
-         "must be finite and > 0"),
-    ]
+                    continue
+                values[(section, key)] = default
+            if rule and (packet or section != "initial"):
+                check(section, key, *rule[0])
     if kind in ("functional-evolve", "limit-check"):  # the single-site runs
-        checks.append((("grid", "dim"), lambda v: v == 1, f"must be 1 for {kind}"))
+        check("grid", "dim", lambda v: v == 1, f"must be 1 for {kind}")
     if kind == "sn-ground":
-        checks.append((("physics", "background"), lambda v: v == 0,
-                       "must be 0 for sn-ground"))
-    packet = kind in _PACKET_KINDS
-    if packet:
-        checks += [
-            (("initial", "center"), math.isfinite, "must be finite"),
-            (("initial", "width"), lambda v: 0 < v < math.inf,
-             "must be finite and > 0"),
-            (("initial", "momentum"), math.isfinite, "must be finite"),
-        ]
-    for (section, key), ok, msg in checks:  # every checked key has a default
-        if not ok(values[(section, key)]):
-            errors.append(f"[{section}] {key} {msg} (got {values[(section, key)]})")
+        check("physics", "background", lambda v: v == 0, "must be 0 for sn-ground")
+    cfg = SolverConfig(values)
     try:
         ModelParams(l=values[("physics", "l")])
     except ValueError as exc:
@@ -212,9 +200,8 @@ def validate(text: str) -> tuple[SolverConfig | None, list[str]]:
                           f"has zero norm on [{axis.lower}, {axis.upper}]")
     formats = cfg.formats()
     for fmt in sorted(formats - set(_FORMATS)):
-        near = difflib.get_close_matches(fmt, _FORMATS, n=1)
-        hint = f"; did you mean '{near[0]}'?" if near else ""
-        errors.append(f"[output] formats: unknown format '{fmt}'{hint}")
+        errors.append(f"[output] formats: unknown format '{fmt}'"
+                      + _hint(fmt, _FORMATS, "'{}'"))
     if not formats:
         errors.append("[output] formats names no format; use csv and/or json")
     try:

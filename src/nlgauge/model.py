@@ -58,6 +58,10 @@ class HamiltonianSpec:
     default a = 1 the Hamiltonian is
 
         sum_x { -1/2 d^2/dphi_x^2 + V(phi_x) } + (g/2) sum_x (phi_{x+1}-phi_x)^2
+
+    Raises ValueError, naming the field, unless gradient_coupling is
+    finite and >= 0, lattice_spacing is finite and > 0 and every
+    potential coefficient is finite (NaN fails each check).
     """
 
     potential_coeffs: tuple[float, ...] = (0.0, 0.0, 0.5)  # default V = phi^2/2
@@ -66,10 +70,13 @@ class HamiltonianSpec:
 
     def __post_init__(self):
         # written so that a NaN fails each check
-        if not self.gradient_coupling >= 0:
-            raise ValueError("gradient_coupling must be >= 0")
+        if not 0 <= self.gradient_coupling < math.inf:
+            raise ValueError("gradient_coupling must be finite and >= 0 "
+                             f"(got {self.gradient_coupling})")
         if not 0 < self.lattice_spacing < math.inf:
             raise ValueError("lattice_spacing must be finite and positive")
+        if not np.isfinite(self.potential_coeffs).all():
+            raise ValueError(f"potential_coeffs must be finite (got {self.potential_coeffs})")
 
     def potential(self, phi: np.ndarray) -> np.ndarray:
         return polyval(phi, self.potential_coeffs or (0.0,))

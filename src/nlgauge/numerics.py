@@ -132,6 +132,9 @@ def smallest_eigenpair(op_apply, guess: np.ndarray, tol: float = 1e-9, *,
     passed here (the links-free Dirichlet stencil, off-diagonals < 0 on a
     connected block, plus a real diagonal). The eigenvector comes back
     normalized to unit norm under `weights`, with a deterministic sign.
+    One unknown (a grid of 3 nodes per axis) skips ARPACK, which needs
+    more than one: the eigenvalue is `op_apply` of the unit vector, and
+    the normalization, the sign and the residual check are the same.
 
     ARPACK runs on scipy's default 20-vector Lanczos basis with `tol=0`,
     i.e. to machine precision, and `tol` is checked on the weighted
@@ -153,7 +156,9 @@ def smallest_eigenpair(op_apply, guess: np.ndarray, tol: float = 1e-9, *,
 
     lin_op = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
     try:
-        vals, vecs = spla.eigsh(lin_op, k=1, which="SA", v0=g, tol=0)
+        # ARPACK needs k < n; one unknown is its own eigenvector
+        vals, vecs = (spla.eigsh(lin_op, k=1, which="SA", v0=g, tol=0) if n > 1
+                      else (matvec(np.ones(1)), np.ones((1, 1))))
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceError("eigenpair iteration did not converge",
                                residual=None) from exc

@@ -63,14 +63,25 @@ _SHOT_CHUNK = 512
 
 @dataclass(frozen=True)
 class SNParams:
+    """Schrodinger-Newton coupling, neutralizing background density and
+    external potential polynomial in r (or x on the line).
+
+    Raises ValueError, naming the field, unless coupling and background
+    are finite and >= 0 and every coefficient is finite (NaN fails).
+    """
+
     coupling: float = 1.0
     background: float = 0.0
     external_potential_coeffs: tuple[float, ...] = ()
 
     def __post_init__(self):
-        # written so that a NaN fails
-        if not (self.coupling >= 0 and self.background >= 0):
-            raise ValueError("coupling and background must be >= 0")
+        for name in ("coupling", "background"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0 "
+                                 f"(got {getattr(self, name)})")
+        if not np.isfinite(self.external_potential_coeffs).all():
+            raise ValueError("external_potential_coeffs must be finite "
+                             f"(got {self.external_potential_coeffs})")
 
     def external_potential(self, r: np.ndarray) -> np.ndarray:
         return polyval(r, self.external_potential_coeffs or (0.0,))

@@ -112,6 +112,21 @@ def test_non_finite_solver_and_physics_values_are_rejected(section, key):
     assert errors == []
 
 
+_RULE_ROWS = [(section, key, row) for section, keys in cli._SCHEMA.items()
+              for key, row in keys.items() if len(row) == 3]
+
+
+@pytest.mark.parametrize("section, key, row", _RULE_ROWS,
+                         ids=[f"{s}-{k}" for s, k, _ in _RULE_ROWS])
+def test_every_rule_row_reports_its_one_error(section, key, row):
+    # sn-evolve starts from the packet, so it reads every section with rules
+    typ, _, (_, msg) = row
+    raw = "nan" if typ is float else "0"
+    cfg, errors = validate(f"[experiment]\nkind = sn-evolve\n[{section}]\n{key} = {raw}\n")
+    assert cfg is None
+    assert errors == [f"[{section}] {key} {msg} (got {typ(raw)})"]
+
+
 @pytest.mark.parametrize("raw", ["1e-300", "1e-160", "nan"])
 def test_l_whose_inverse_square_is_not_finite_is_rejected(raw):
     # the run would divide by zero (1e-300) or hand ARPACK an infinite
@@ -415,6 +430,21 @@ def test_evolvers_run_and_conserve_the_norm_on_three_nodes(tmp_path):
         assert len(lines) == 22  # header + initial + 20 steps
         norm = [float(line.split(",")[1]) for line in lines[1:]]
         assert max(abs(v - norm[0]) for v in norm) <= 1e-13
+
+
+def test_stationary_runs_on_three_nodes(tmp_path):
+    # one interior unknown, which ARPACK cannot take
+    for kind, dim in (("functional-stationary", 1), ("functional-stationary", 2),
+                      ("limit-check", 1)):
+        outdir = tmp_path / f"{kind}-{dim}"
+        path = tmp_path / "cfg.ini"
+        path.write_text(_evolve_text(kind, f"[grid]\ncount = 3\ndim = {dim}\n", outdir))
+        assert main(["run", str(path)]) == 0, (kind, dim)
+        results = json.loads((outdir / "summary.json").read_text())["results"]
+        if kind == "limit-check":
+            assert results["omega_diff"] < 1e-15 and results["max_psi_diff"] == 0.0
+        else:
+            assert max(results["eig_residual"], results["gauss_residual"]) < 1e-15
 
 
 def test_multi_site_functional_evolve_is_a_grid_dim_error(tmp_path, capsys):

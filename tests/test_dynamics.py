@@ -15,6 +15,7 @@ from nlgauge.grids import TensorGrid
 from nlgauge.model import (GaugeState, HamiltonianSpec, ModelParams,
                            WaveFunctional, nonlinearity, total_charge)
 from nlgauge.numerics import laplacian_apply
+from nlgauge.sn import limit_equivalence_check
 
 HARMONIC = HamiltonianSpec(potential_coeffs=(0.0, 0.0, 0.5))
 
@@ -271,6 +272,53 @@ def test_stationary_solve_in_three_dimensions():
     st1 = stationary_solve(spec1, ModelParams(l=np.inf), g1,
                            tol=1e-10)
     assert abs(st.omega_eig - 3 * st1.omega_eig) < 1e-9
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_stationary_solve_on_one_interior_unknown(dim):
+    # 3 nodes per axis leave one unknown, the smallest grid validate accepts
+    grid = TensorGrid.cube(-8.0, 8.0, 3, dim)
+    centre = (1,) * dim
+    # linear limit: V(0) = 0, so omega is the kinetic 1/h^2 = 1/64 per site
+    st = stationary_solve(HARMONIC, ModelParams(l=np.inf), grid, tol=1e-12)
+    assert st.omega_eig == pytest.approx(dim / 64.0, rel=1e-15)
+    st = stationary_solve(HARMONIC, ModelParams(l=1.0), grid, tol=1e-12)
+    assert max(st.eig_residual, st.gauss_residual) <= 1e-15
+    psi = np.real(st.psi.values)
+    assert psi[centre] > 0 and np.count_nonzero(psi) == 1
+    assert abs(grid.norm(psi) - 1.0) < 1e-15
+    if dim == 1:
+        rep = limit_equivalence_check(HARMONIC, ModelParams(l=1.0), grid, tol=1e-12)
+        assert abs(rep.omega_diff) < 1e-15
+        assert rep.max_psi_diff == 0.0 and rep.max_at_diff == 0.0
+
+
+def test_two_site_packet_follows_the_coherent_state_orbit():
+    # uncoupled linear sites in V = phi^2/2: by Ehrenfest <phi_0> = c cos t
+    # exactly, so what is left is the O(h^2) error of the lattice
+    params = ModelParams(l=np.inf)
+    c, dt, steps = 1.0, 0.02, 157  # to t = 3.14, half a period
+    errors = []
+    for n in (33, 41):
+        grid = TensorGrid.cube(-6.0, 6.0, n, 2)
+        X = grid.meshes()
+        # axis 0 displaced by c, axis 1 in the ground packet
+        psi = np.exp(-0.5 * ((X[0] - c) ** 2 + X[1] ** 2)) + 0j
+        psi[~grid.boundary_mask()] = 0.0
+        psi /= np.sqrt(np.real(grid.integrate(np.abs(psi) ** 2)))
+        pw = WaveFunctional(grid, psi)
+        traj = evolve_temporal_gauge(pw, gauss_consistent_gauge(pw, params), HARMONIC,
+                                     params, dt=dt, steps=steps)
+        t = np.array([snap.time for snap in traj.snapshots])
+        mean = np.array([[np.real(grid.integrate(X[k] * np.abs(snap.psi) ** 2))
+                          for snap in traj.snapshots] for k in (0, 1)])
+        errors.append(np.abs(mean[0] - c * np.cos(t)).max())
+        assert np.abs(mean[1]).max() <= 1e-13
+        norm = traj.diagnostics["norm"]
+        assert np.abs(norm - norm[0]).max() <= 2e-14
+    assert errors[0] < 0.06 and errors[1] < 0.04, errors
+    # second order in h predicts (0.375/0.3)^2 = 1.5625
+    assert 1.45 <= errors[0] / errors[1] <= 1.75, errors
 
 
 def test_superposed_stationary_states_do_not_stay_stationary():

@@ -95,3 +95,9 @@ def test_hamiltonian_spec_validation():
         HamiltonianSpec(lattice_spacing=np.nan)
     with pytest.raises(ValueError):
         HamiltonianSpec(lattice_spacing=np.inf)
+    # non-finite values would reach ARPACK as an infinite Hamiltonian
+    with pytest.raises(ValueError, match="gradient_coupling"):
+        HamiltonianSpec(gradient_coupling=np.inf)
+    for coeffs in ((0.0, np.nan, 0.5), (0.0, 0.0, np.inf), (-np.inf,)):
+        with pytest.raises(ValueError, match="potential_coeffs"):
+            HamiltonianSpec(potential_coeffs=coeffs)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nlgauge.errors import UnsolvableConstraintError
+from nlgauge.errors import ConvergenceError, UnsolvableConstraintError
 from nlgauge.gaugeops import hamiltonian
 from nlgauge.grids import TensorGrid, UniformGrid1D
 from nlgauge.numerics import laplacian_apply, poisson_solve, smallest_eigenpair
@@ -258,6 +258,19 @@ def test_converged_start_halves_the_applies():
     cold, applies[0] = applies[0], 0
     smallest_eigenpair(counted, vec, tol=1e-9, weights=w)
     assert applies[0] <= cold / 2, (applies[0], cold)
+
+
+@pytest.mark.parametrize("shape", [(1,), (1, 1)])
+def test_one_unknown_is_its_own_eigenpair(shape):
+    # ARPACK needs more than one unknown; a 1x1 operator is its eigenvalue
+    w = np.full(shape, 0.25)
+    lam, vec = smallest_eigenpair(lambda v: -2.5 * v, np.full(shape, -3.0),
+                                  tol=1e-15, weights=w)
+    assert lam == -2.5
+    assert vec.shape == shape and vec.ravel()[0] == 2.0  # (w*vec*vec).sum() == 1
+    with pytest.raises(ConvergenceError):
+        # an operator that is not linear leaves a residual
+        smallest_eigenpair(lambda v: v * v, np.ones(shape), tol=1e-9, weights=w)
 
 
 def test_zero_guess_rejected():

@@ -441,6 +441,12 @@ def test_sn_params_validation():
         SNParams(coupling=np.nan)
     with pytest.raises(ValueError):
         SNParams(background=np.nan)
+    # non-finite values would surface as a norm drift to nan at step 1
+    for field, value in (("coupling", np.inf), ("background", np.inf),
+                         ("external_potential_coeffs", (0.0, np.nan)),
+                         ("external_potential_coeffs", (0.0, 0.0, np.inf))):
+        with pytest.raises(ValueError, match=field):
+            SNParams(**{field: value})
     with pytest.raises(ValueError):
         sn_ground_radial_scf(SNParams(coupling=1.0, background=0.2),
                              RadialGrid(1e-6, 10.0, 100))
