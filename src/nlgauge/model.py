@@ -79,7 +79,9 @@ class HamiltonianSpec:
             raise ValueError(f"potential_coeffs must be finite (got {self.potential_coeffs})")
 
     def potential(self, phi: np.ndarray) -> np.ndarray:
-        return polyval(phi, self.potential_coeffs or (0.0,))
+        # len, not truth: coefficients may come as a numpy array
+        c = self.potential_coeffs
+        return polyval(phi, c if len(c) else (0.0,))
 
     def site_potential_total(self, grid: TensorGrid) -> np.ndarray:
         """a^3 * sum_x V(phi_x) plus the gradient term, as a diagonal field."""

@@ -13,9 +13,11 @@ Three solvers live here:
   them);
 * a 1D line evolver with the self-consistent potential, including the
   uniform background term of the parent theory; its Crank-Nicolson step
-  is the banded step of `dynamics` with the links switched off, and it
-  records each step as it is taken, the energy by summation by parts
-  with no Hamiltonian apply.
+  is the banded step of `dynamics` with the links switched off, taken
+  once per step in the potential of a midpoint density that the
+  discrete continuity equation predicts to O(dt^2) (so the step stays
+  second order), and it records each step as it is taken, the energy
+  by summation by parts with no Hamiltonian apply.
 
 The radial SCF, the oracle's outer loop and the independent line SCF all
 run on the Anderson fixed-point driver of `fixedpoint`.
@@ -84,7 +86,9 @@ class SNParams:
                              f"(got {self.external_potential_coeffs})")
 
     def external_potential(self, r: np.ndarray) -> np.ndarray:
-        return polyval(r, self.external_potential_coeffs or (0.0,))
+        # len, not truth: coefficients may come as a numpy array
+        c = self.external_potential_coeffs
+        return polyval(r, c if len(c) else (0.0,))
 
 
 @dataclass
@@ -476,14 +480,33 @@ def solve_phi_grav(grid: UniformGrid1D, rho: np.ndarray,
     return poisson_1d_neumann(grid, -params.coupling * (rho - params.background))
 
 
+def _density_rate(psi: np.ndarray, h: float) -> np.ndarray:
+    """d|psi|^2/dt = 2 Im(conj psi H psi) under i psi_t = H psi, for psi
+    zero at both ends and H = -1/2 d^2 + V on the CN step's stencil.
+
+    The diagonal of H is real and drops out, leaving the hopping terms:
+    -(1/h^2) Im(conj psi_j (psi_{j+1} + psi_{j-1})) at interior nodes,
+    0 at the ends. Its weighted sum is zero (charge is conserved).
+    """
+    rate = np.zeros(psi.size)
+    rate[1:-1] = (psi[1:-1].conj() * (psi[2:] + psi[:-2])).imag
+    rate *= -1.0 / (h * h)
+    return rate
+
+
 def sn_evolve_1d(state: Line1DState, params: SNParams, dt: float, steps: int,
                  *, record_every: int = 1) -> dict:
     """Crank-Nicolson evolution with the self-consistent potential.
 
-    The potential is solved from |psi|^2 of the initial state, so a
-    state carries only the grid, psi and its time. Each step predicts the
-    midpoint density with a half step, rebuilds the potential there, and
-    takes the full step with it (second order, norm conserving per step).
+    A state carries only the grid, psi and its time. Each step predicts
+    the midpoint density from the discrete continuity equation,
+    rho + dt/2 * rho_t with rho_t = 2 Im(conj psi H psi) of the current
+    psi (`_density_rate`), solves the potential there, and takes one CN
+    step with it (linearly implicit CN, Akrivis, Dougalis & Karakashian
+    1991). The predicted density is off by O(dt^2), so the step's
+    potential is too, which moves psi by O(dt^3) per step: second order,
+    as the CN step itself, and norm conserving per step.
+
     Records t, norm, energy, and width sigma every `record_every` steps
     and at the last one, each written into the preallocated series as
     the step is taken; returns those series and the final state.
@@ -517,9 +540,10 @@ def sn_evolve_1d(state: Line1DState, params: SNParams, dt: float, steps: int,
     n_rec = len(range(0, steps, record_every)) + 1
     out = {k: np.empty(n_rec) for k in ("t", "norm", "energy", "sigma")}
 
-    def record(k, psi, rho, phi):
+    def record(k, psi, rho):
         # k / record_every on the stride; a last step off it takes the next row
         row = -(-k // record_every)
+        phi = solve_phi_grav(grid, rho, params) if params.coupling > 0 else zero
         w_rho = w * rho
         nrm = w_rho.sum()
         dpsi = psi[1:] - psi[:-1]
@@ -532,22 +556,18 @@ def sn_evolve_1d(state: Line1DState, params: SNParams, dt: float, steps: int,
         if k > 0 and not abs(nrm - out["norm"][0]) <= _NORM_TOL:
             raise IntegratorError(f"norm drifted to {nrm:.12f} at step {k}")
 
+    zero = np.zeros_like(x)
+    phi_mid = zero  # the potential of every step when uncoupled
     rho = np.abs(psi) ** 2
-    phi = solve_phi_grav(grid, rho, params) if params.coupling > 0 \
-        else np.zeros_like(x)
-    record(0, psi, rho, phi)
+    record(0, psi, rho)
     for k in range(1, steps + 1):
         if params.coupling > 0:
-            half = _cn_step_1d(tgrid, psi, None, vext - phi, 1.0, 0.5 * dt)
-            phi_mid = solve_phi_grav(grid, np.abs(half) ** 2, params)
-        else:
-            phi_mid = phi
+            rho_mid = rho + (0.5 * dt) * _density_rate(psi, grid.spacing)
+            phi_mid = solve_phi_grav(grid, rho_mid, params)
         psi = _cn_step_1d(tgrid, psi, None, vext - phi_mid, 1.0, dt)
         rho = np.abs(psi) ** 2
-        if params.coupling > 0:
-            phi = solve_phi_grav(grid, rho, params)
         if k % record_every == 0 or k == steps:
-            record(k, psi, rho, phi)
+            record(k, psi, rho)
     return {"series": out,
             "final": Line1DState(grid, psi, time=state.time + steps * dt)}
 
@@ -565,7 +585,7 @@ def line_ground_scf(grid: UniformGrid1D, vext_coeffs: tuple[float, ...],
     """
     x = grid.nodes
     w = grid.quad_weights()
-    vext = polyval(x, vext_coeffs or (0.0,))
+    vext = polyval(x, vext_coeffs if len(vext_coeffs) else (0.0,))
     last = {}
 
     def update(phi):

@@ -84,6 +84,17 @@ def test_hamiltonian_spec_potential_and_gradient():
                           horner)
 
 
+@pytest.mark.parametrize("coeffs", [(1.0, -0.5, 0.25, 0.125), (0.0, 0.0), ()])
+def test_hamiltonian_spec_potential_takes_array_coefficients(coeffs):
+    # a numpy array is the equal tuple; empty coefficients are V = 0
+    phi = np.linspace(-3.0, 3.0, 41)
+    as_tuple = HamiltonianSpec(potential_coeffs=coeffs).potential(phi)
+    as_array = HamiltonianSpec(potential_coeffs=np.array(coeffs)).potential(phi)
+    assert np.array_equal(as_array, as_tuple)
+    if not coeffs:
+        assert np.array_equal(as_tuple, np.zeros_like(phi))
+
+
 def test_hamiltonian_spec_validation():
     with pytest.raises(ValueError):
         HamiltonianSpec(gradient_coupling=-1.0)

@@ -589,8 +589,8 @@ def test_sn_evolve_stops_at_the_first_failing_step(monkeypatch):
     with pytest.raises(IntegratorError, match="step 1$"):
         sn_evolve_1d(Line1DState(grid, psi), SNParams(coupling=2.0), dt=0.01,
                      steps=50)
-    # the half and the full step of step 1, and no step after it
-    assert len(calls) == 2
+    # the one CN solve of step 1, and no step after it
+    assert len(calls) == 1
 
 
 def test_sn_recorded_rows_are_the_per_state_formulas_on_a_moving_packet():
@@ -622,3 +622,72 @@ def test_sn_recorded_rows_are_the_per_state_formulas_on_a_moving_packet():
         assert abs(s["energy"][k] - energy) <= 1e-13 * abs(energy)
     # the packet has moved: <x> went from 0 to about 1.5 t = 0.15
     assert (w * x * np.abs(states[-1].psi) ** 2).sum() > 0.1
+
+
+def test_density_rate_is_the_continuity_equation_of_the_cn_hamiltonian():
+    grid = UniformGrid1D(-6.0, 6.0, 61)
+    x, h = grid.nodes, grid.spacing
+    w = line_weights(grid)
+    rng = np.random.default_rng(23)
+    psi = rng.standard_normal(61) + 1j * rng.standard_normal(61)
+    psi[0] = psi[-1] = 0.0
+    vext = 0.3 + 0.2 * x * x
+    # dense H = -1/2 d^2 + V on the interior unknowns, the CN step's stencil
+    m = grid.count - 2
+    ham = (np.diag(1.0 / h ** 2 + vext[1:-1])
+           - 0.5 / h ** 2 * (np.eye(m, k=1) + np.eye(m, k=-1)))
+    expect = np.zeros(grid.count)
+    expect[1:-1] = 2.0 * np.imag(np.conj(psi[1:-1]) * (ham @ psi[1:-1]))
+    rate = sn._density_rate(psi, h)
+    assert np.abs(rate - expect).max() <= 1e-12 * np.abs(expect).max()
+    # the predictor conserves charge
+    assert abs((w * rate).sum()) <= 1e-13 * (w * np.abs(rate)).sum()
+    # one evolver step takes its potential at rho + dt/2 * rate
+    p = SNParams(coupling=2.0, external_potential_coeffs=(0.3, 0.0, 0.2))
+    psi /= np.sqrt((w * np.abs(psi) ** 2).sum())
+    dt = 0.01
+    rho_mid = np.abs(psi) ** 2 + 0.5 * dt * sn._density_rate(psi, h)
+    step = sn._cn_step_1d(TensorGrid((grid,)), psi, None,
+                          vext - solve_phi_grav(grid, rho_mid, p), 1.0, dt)
+    out = sn_evolve_1d(Line1DState(grid, psi), p, dt=dt, steps=1)
+    assert np.array_equal(out["final"].psi, step)
+
+
+def test_line_evolver_density_error_is_second_order():
+    grid = UniformGrid1D(-15.0, 15.0, 401)
+    x = grid.nodes
+    w = line_weights(grid)
+    psi = np.exp(-x ** 2 / 4.0 + 1j * x)
+    psi /= np.sqrt((w * np.abs(psi) ** 2).sum())
+    p = SNParams(coupling=2.0, external_potential_coeffs=(0.0, 0.0, 0.01))
+
+    def density(dt):
+        out = sn_evolve_1d(Line1DState(grid, psi), p, dt=dt, steps=round(1.0 / dt),
+                           record_every=10 ** 6)
+        return np.abs(out["final"].psi) ** 2
+
+    ref = density(6.25e-4)
+    errs = [np.sqrt((w * (density(dt) - ref) ** 2).sum()) for dt in (0.02, 0.01, 0.005)]
+    assert 3.8 < errs[0] / errs[1] < 4.2
+    assert 3.8 < errs[1] / errs[2] < 4.2
+
+
+# coefficients as a numpy array are the equal tuple; empty ones are V = 0
+@pytest.mark.parametrize("coeffs", [(0.5, -0.25, 0.1), (0.0, 0.0), ()])
+def test_sn_params_potential_takes_array_coefficients(coeffs):
+    r = np.linspace(-3.0, 3.0, 13)
+    as_tuple = SNParams(external_potential_coeffs=coeffs).external_potential(r)
+    as_array = SNParams(
+        external_potential_coeffs=np.array(coeffs)).external_potential(r)
+    assert np.array_equal(as_array, as_tuple)
+    if not coeffs:
+        assert np.array_equal(as_tuple, np.zeros_like(r))
+
+
+@pytest.mark.parametrize("coeffs", [(0.1, 0.0, 0.5), ()])
+def test_line_ground_scf_takes_array_coefficients(coeffs):
+    grid = UniformGrid1D(-6.0, 6.0, 61)
+    omega, psi, phi = line_ground_scf(grid, coeffs, 1.0, 0.0)
+    got = line_ground_scf(grid, np.array(coeffs), 1.0, 0.0)
+    assert got[0] == omega
+    assert np.array_equal(got[1], psi) and np.array_equal(got[2], phi)
