@@ -171,7 +171,7 @@ def validate(text: str) -> tuple[SolverConfig | None, list[str]]:
                 values[(section, key)] = default
             if rule and (packet or section != "initial"):
                 check(section, key, *rule[0])
-    if kind in ("functional-evolve", "limit-check"):  # the single-site runs
+    if kind in ("sn-evolve", "functional-evolve", "limit-check"):  # one site
         check("grid", "dim", lambda v: v == 1, f"must be 1 for {kind}")
     if kind == "sn-ground":
         check("physics", "background", lambda v: v == 0, "must be 0 for sn-ground")
@@ -182,7 +182,8 @@ def validate(text: str) -> tuple[SolverConfig | None, list[str]]:
         errors.append(f"[physics] {exc}")
     # only the grid section the experiment reads is built; dim, bounds, node
     # counts and the point budget are checked by the grid constructors
-    reads = {"sn-ground": (("radial", _radial_grid),), "verify": ()}
+    reads = {"sn-ground": (("radial", _radial_grid),),
+             "sn-evolve": (("grid", _axis),), "verify": ()}
     for section, build in reads.get(kind, (("grid", _grid),)):
         try:
             build(cfg)

@@ -437,7 +437,7 @@ def evolve_temporal_gauge(psi0: WaveFunctional, gauge0: GaugeState,
 def _field_energy(params, link_w, f_links):
     """-(l^2/2) sum_x sum_links W_l F_x^2; 0 in the linear limit. Leading
     axes of the link fields are a stack, with one energy per entry."""
-    if params.inv_l2 == 0:
+    if params.inv_l2 == 0:  # l^2 * F^2 would be inf * 0 = NaN at l = inf
         return 0.0
     axes = tuple(range(-link_w[0].ndim, 0))
     return -0.5 * params.l ** 2 * sum((lw * fx ** 2).sum(axis=axes)

@@ -190,7 +190,8 @@ def gauss_solve_stationary(grid: TensorGrid, rho: np.ndarray,
     """Solve for the stationary multiplier potential A_t from the density.
 
     sum_x d^2 A_t / dphi_x^2 = -(1/l^2) (rho - 1/Omega), zero mean, by the
-    exact cosine-transform Poisson solve.
+    exact cosine-transform Poisson solve; at l = inf it solves the zero
+    source, to A_t = 0.
 
     The source integrates to zero only for a normalized density; anything
     else violates the vanishing-total-charge constraint and raises.
@@ -199,8 +200,6 @@ def gauss_solve_stationary(grid: TensorGrid, rho: np.ndarray,
     if abs(norm - 1.0) > _COMPAT_TOL:
         raise UnsolvableConstraintError(
             f"density integrates to {norm:.6g}, not 1; total charge would not vanish")
-    if params.inv_l2 == 0.0:
-        return np.zeros(grid.shape)
     source = -params.inv_l2 * nonlinearity(rho, grid)
     return poisson_solve(grid, source, compat_tol=params.inv_l2 * _COMPAT_TOL + 1e-300)
 

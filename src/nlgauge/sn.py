@@ -413,6 +413,7 @@ def sn_ground_radial_shoot(params: SNParams, grid: RadialGrid,
         return last["v"], energy
 
     v0 = np.zeros_like(r)
+    # uncoupled, v = 0 is the fixed point: one outer iteration, not two
     if params.coupling == 0:
         update(v0)
         iterations = 1
@@ -505,7 +506,8 @@ def sn_evolve_1d(state: Line1DState, params: SNParams, dt: float, steps: int,
     step with it (linearly implicit CN, Akrivis, Dougalis & Karakashian
     1991). The predicted density is off by O(dt^2), so the step's
     potential is too, which moves psi by O(dt^3) per step: second order,
-    as the CN step itself, and norm conserving per step.
+    as the CN step itself, and norm conserving per step. At coupling 0
+    the potential solves are of a zero source, so phi_grav = 0.
 
     Records t, norm, energy, and width sigma every `record_every` steps
     and at the last one, each written into the preallocated series as
@@ -534,7 +536,7 @@ def sn_evolve_1d(state: Line1DState, params: SNParams, dt: float, steps: int,
     wx = w * x
     two_h = 2.0 * grid.spacing
     vext = params.external_potential(x)
-    psi = state.psi.astype(complex).copy()
+    psi = state.psi.astype(complex)
     psi[0] = psi[-1] = 0.0
 
     n_rec = len(range(0, steps, record_every)) + 1
@@ -543,7 +545,7 @@ def sn_evolve_1d(state: Line1DState, params: SNParams, dt: float, steps: int,
     def record(k, psi, rho):
         # k / record_every on the stride; a last step off it takes the next row
         row = -(-k // record_every)
-        phi = solve_phi_grav(grid, rho, params) if params.coupling > 0 else zero
+        phi = solve_phi_grav(grid, rho, params)
         w_rho = w * rho
         nrm = w_rho.sum()
         dpsi = psi[1:] - psi[:-1]
@@ -556,14 +558,11 @@ def sn_evolve_1d(state: Line1DState, params: SNParams, dt: float, steps: int,
         if k > 0 and not abs(nrm - out["norm"][0]) <= _NORM_TOL:
             raise IntegratorError(f"norm drifted to {nrm:.12f} at step {k}")
 
-    zero = np.zeros_like(x)
-    phi_mid = zero  # the potential of every step when uncoupled
     rho = np.abs(psi) ** 2
     record(0, psi, rho)
     for k in range(1, steps + 1):
-        if params.coupling > 0:
-            rho_mid = rho + (0.5 * dt) * _density_rate(psi, grid.spacing)
-            phi_mid = solve_phi_grav(grid, rho_mid, params)
+        rho_mid = rho + (0.5 * dt) * _density_rate(psi, grid.spacing)
+        phi_mid = solve_phi_grav(grid, rho_mid, params)
         psi = _cn_step_1d(tgrid, psi, None, vext - phi_mid, 1.0, dt)
         rho = np.abs(psi) ** 2
         if k % record_every == 0 or k == steps:
@@ -572,33 +571,31 @@ def sn_evolve_1d(state: Line1DState, params: SNParams, dt: float, steps: int,
             "final": Line1DState(grid, psi, time=state.time + steps * dt)}
 
 
-def line_ground_scf(grid: UniformGrid1D, vext_coeffs: tuple[float, ...],
-                    coupling: float, background: float, tol: float = 1e-12,
+def line_ground_scf(grid: UniformGrid1D, params: SNParams, tol: float = 1e-12,
                     *, max_scf: int = 400):
-    """Stationary 1D solver, independently coded against the functional
-    path: dense tridiagonal eigensolve plus direct banded Poisson.
+    """Stationary 1D oracle, independently coded against the functional
+    path: dense tridiagonal eigensolve plus the direct banded Poisson
+    solve of `solve_phi_grav`, which it shares with the line evolver, not
+    with the functional path it checks.
 
     Solves  omega psi = -1/2 psi'' + V_ext psi - phi psi,
             phi'' = -coupling (|psi|^2 - background),   both zero-mean/Neumann,
     on the same discrete operators as the configuration-space module, so
-    the two fixed points coincide to solver tolerance.
+    the two fixed points coincide to solver tolerance. Returns
+    (omega, psi, phi).
     """
-    x = grid.nodes
     w = grid.quad_weights()
-    vext = polyval(x, vext_coeffs if len(vext_coeffs) else (0.0,))
+    vext = params.external_potential(grid.nodes)
     last = {}
 
     def update(phi):
         omega, psi = _tridiag_ground(grid.spacing, vext - phi)
         psi /= np.sqrt((w * psi * psi).sum())
         last["psi"] = psi
-        if coupling > 0:
-            last["phi"] = poisson_1d_neumann(grid, -coupling * (psi * psi - background))
-        else:
-            last["phi"] = np.zeros_like(x)
+        last["phi"] = solve_phi_grav(grid, psi * psi, params)
         return last["phi"], omega
 
-    _, _, trace = fixed_point(update, np.zeros_like(x), beta=0.5, tol=tol,
+    _, _, trace = fixed_point(update, np.zeros_like(vext), beta=0.5, tol=tol,
                               max_iter=max_scf, name="line SCF")
     return trace[-1][1], last["psi"], last["phi"]
 
@@ -629,20 +626,19 @@ def limit_equivalence_check(spec: HamiltonianSpec, params: ModelParams,
     if grid.ndim != 1:
         raise ValueError("the limit check is the single-site case")
     st = stationary_solve(spec, params, grid, tol=tol * 100)
-    axis = grid.axes[0]
-    coupling = params.inv_l2
-    background = 1.0 / grid.volume
-    omega_line, psi_line, phi_line = line_ground_scf(
-        axis, spec.potential_coeffs, coupling, background, tol=tol)
+    line = SNParams(coupling=params.inv_l2, background=1.0 / grid.volume,
+                    external_potential_coeffs=spec.potential_coeffs)
+    omega_line, psi_line, phi_line = line_ground_scf(grid.axes[0], line, tol=tol)
     psi_f = np.real(st.psi.values)
     dpsi = float(np.abs(psi_f - psi_line).max())
     dat = float(np.abs(st.a_t - phi_line).max())
 
     # sign experiment: curvature of A_t vs sign of (rho - background)
     curv = laplacian_apply(grid, st.a_t)
-    src = psi_f * psi_f - background
+    src = psi_f * psi_f - line.background
     sel = np.abs(src[1:-1]) > 1e-6 * np.abs(src).max()
     agree = np.sign(curv[1:-1][sel]) == -np.sign(src[1:-1][sel])
-    consistent = bool(np.all(agree)) if coupling > 0 else True
+    # with no coupling A_t = 0, and there is no curvature to test
+    consistent = bool(np.all(agree)) if line.coupling > 0 else True
     repulsive = float(np.mean(src[1:-1] < 0))
     return LimitReport(st.omega_eig, omega_line, dpsi, dat, consistent, repulsive)

@@ -57,11 +57,8 @@ def stationarity_residual(grid: TensorGrid, psi: np.ndarray,
     psi = np.asarray(psi, dtype=complex)
     rho = np.abs(psi) ** 2
     c0 = float(np.real((w * rho).sum()))
-    if params.inv_l2 > 0:
-        source = -params.inv_l2 * (rho - c0 / grid.volume)
-        a_t = poisson_solve(grid, source, compat_tol=1e-8)
-    else:
-        a_t = np.zeros(grid.shape)
+    a_t = poisson_solve(grid, -params.inv_l2 * (rho - c0 / grid.volume),
+                        compat_tol=1e-8)
     hpsi = apply_hamiltonian_raw(grid, psi, None,
                                  spec.site_potential_total(grid) - a_t,
                                  spec.lattice_spacing)

@@ -461,6 +461,17 @@ def test_multi_site_functional_evolve_is_a_grid_dim_error(tmp_path, capsys):
     assert errors == []
 
 
+@pytest.mark.parametrize("grid", ["count = 41\ndim = 3\n",
+                                  # 2001^2 nodes would exceed the point budget
+                                  "count = 2001\ndim = 2\n"],
+                         ids=["dim-3", "dim-2-over-budget"])
+def test_multi_site_sn_evolve_is_a_grid_dim_error(tmp_path, capsys, grid):
+    # the line evolver builds the one [grid] axis, whatever dim says
+    text = _evolve_text("sn-evolve", f"[grid]\n{grid}")
+    assert _validate_errors(tmp_path, capsys, text) == [
+        f"config error: [grid] dim must be 1 for sn-evolve (got {grid.split()[-1]})"]
+
+
 def test_sn_ground_with_a_background_is_a_physics_error(tmp_path, capsys):
     # the radial solvers are the background-free case
     text = "[experiment]\nkind = sn-ground\n[physics]\nbackground = 0.5\n"

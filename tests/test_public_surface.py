@@ -5,13 +5,16 @@ that nothing in `src/nlgauge` outside `__init__.py` refers to is either
 dead code or a test oracle. Dead code is deleted; an oracle is kept only
 on the allowlist below, with its reason. A private top-level function
 that nothing in the package refers to is dead code, with no allowlist.
-Every member the benchmark's tracer patches by name exists, and every
-parameter of a function in the package is read in its body.
+Every member the benchmark's tracer patches by name exists, every
+parameter of a function in the package is read in its body, and no
+oracle reaches, within its own module, the path it is checked against.
 """
 
 import ast
 import importlib
 from pathlib import Path
+
+import pytest
 
 import nlgauge
 
@@ -112,3 +115,46 @@ def test_every_member_the_tracer_patches_exists():
     for module, cls, name in _tracing_constant("CLASS_MEMBERS"):
         owner = getattr(importlib.import_module(f"nlgauge.{module}"), cls)
         assert name in vars(owner), f"{cls}.{name}"
+
+
+# oracle -> what it must not reach, since it exists to be checked against it
+ORACLES = {
+    ("sn", "line_ground_scf"): {"stationary_solve", "smallest_eigenpair",
+                                "poisson_solve", "gauss_solve_stationary",
+                                "hamiltonian", "apply_hamiltonian_raw"},
+    ("sn", "sn_ground_radial_shoot"): {"sn_ground_radial_scf", "_tridiag_ground",
+                                       "_potential_from_u_quadrature"},
+    ("sn", "poisson_1d_neumann"): {"poisson_solve"},
+    ("verify", "stationarity_residual"): {"stationary_solve",
+                                          "gauss_solve_stationary",
+                                          "smallest_eigenpair"},
+}
+
+
+def _reached_names(module: str, root: str) -> set[str]:
+    """Every name that `root` refers to, following each one that its
+    module defines (top-level functions and classes, and class members)
+    transitively."""
+    defs = {}
+    for node in ast.parse((PACKAGE / f"{module}.py").read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs.setdefault(node.name, []).append(node)
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef):
+                    defs.setdefault(member.name, []).append(member)
+    reached, todo = set(), [root]
+    while todo:
+        for node in defs.get(todo.pop(), []):
+            for n in ast.walk(node):
+                name = (n.id if isinstance(n, ast.Name)
+                        else n.attr if isinstance(n, ast.Attribute) else None)
+                if name is not None and name not in reached:
+                    reached.add(name)
+                    todo.append(name)
+    return reached
+
+
+@pytest.mark.parametrize("module, oracle", list(ORACLES))
+def test_oracles_stay_independent_of_what_they_check(module, oracle):
+    assert _reached_names(module, oracle) & ORACLES[module, oracle] == set()

@@ -39,14 +39,15 @@ def test_radial_oscillator_both_methods():
 # a coupled radial problem: with coupling 0 the zero potential is already
 # the fixed point, and any mixing weight would return it
 COUPLED = dataclasses.replace(HARM3D, coupling=1.0)
+# the coupled line problem of the harmonic trap on [-8, 8]
+LINE16 = dataclasses.replace(COUPLED, background=1.0 / 16.0)
 
 
 @pytest.mark.parametrize("solve", [
     lambda: sn_ground_radial_scf(COUPLED, RadialGrid(1e-6, 12.0, 200), mixing=0.0),
     lambda: sn_ground_radial_scf(COUPLED, RadialGrid(1e-6, 12.0, 200), tol=-1.0),
     lambda: sn_ground_radial_scf(COUPLED, RadialGrid(1e-6, 12.0, 200), tol=np.nan),
-    lambda: line_ground_scf(UniformGrid1D(-8.0, 8.0, 161), (0.0, 0.0, 0.5),
-                            1.0, 1.0 / 16.0, tol=-1.0),
+    lambda: line_ground_scf(UniformGrid1D(-8.0, 8.0, 161), LINE16, tol=-1.0),
     # the oracle at coupling 0 never reaches the fixed-point driver
     lambda: sn_ground_radial_shoot(HARM3D, RadialGrid(1e-6, 12.0, 200), tol=-1.0),
     lambda: sn_ground_radial_shoot(HARM3D, RadialGrid(1e-6, 12.0, 200), mixing=0.0),
@@ -84,8 +85,8 @@ def test_shooting_oracle_energy_and_shot_count(monkeypatch):
     lambda: sn_ground_radial_shoot(SNParams(coupling=1.0),
                                    RadialGrid(1e-6, 20.0, 400), tol=1e-12,
                                    max_outer=3),
-    lambda: line_ground_scf(UniformGrid1D(-8.0, 8.0, 161), (0.0, 0.0, 0.5),
-                            1.0, 1.0 / 16.0, tol=1e-12, max_scf=3),
+    lambda: line_ground_scf(UniformGrid1D(-8.0, 8.0, 161), LINE16, tol=1e-12,
+                            max_scf=3),
     lambda: stationary_solve(HamiltonianSpec(potential_coeffs=(0.0, 0.0, 0.5)),
                              ModelParams(l=1.0), CUBE9,
                              tol=1e-12, max_scf=3),
@@ -432,6 +433,16 @@ def test_limit_equivalence_linear_limit():
     assert rep.max_at_diff < 1e-14
 
 
+def test_limit_check_runs_the_coupled_solves_at_l_inf():
+    # coupling 0 takes both potential solves, each of a zero source
+    rep = limit_equivalence_check(HamiltonianSpec(), ModelParams(l=np.inf),
+                                  TensorGrid.cube(-8.0, 8.0, 201, 1), tol=1e-12)
+    assert rep.omega_diff < 1e-12
+    assert rep.max_psi_diff < 1e-12
+    assert rep.max_at_diff == 0.0
+    assert rep.source_curvature_consistent
+
+
 def test_sn_params_validation():
     with pytest.raises(ValueError):
         SNParams(coupling=-1.0)
@@ -687,7 +698,7 @@ def test_sn_params_potential_takes_array_coefficients(coeffs):
 @pytest.mark.parametrize("coeffs", [(0.1, 0.0, 0.5), ()])
 def test_line_ground_scf_takes_array_coefficients(coeffs):
     grid = UniformGrid1D(-6.0, 6.0, 61)
-    omega, psi, phi = line_ground_scf(grid, coeffs, 1.0, 0.0)
-    got = line_ground_scf(grid, np.array(coeffs), 1.0, 0.0)
+    omega, psi, phi = line_ground_scf(grid, SNParams(external_potential_coeffs=coeffs))
+    got = line_ground_scf(grid, SNParams(external_potential_coeffs=np.array(coeffs)))
     assert got[0] == omega
     assert np.array_equal(got[1], psi) and np.array_equal(got[2], phi)

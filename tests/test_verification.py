@@ -3,13 +3,28 @@ import json
 import numpy as np
 import pytest
 
+from nlgauge.dynamics import stationary_solve
+from nlgauge.grids import TensorGrid
+from nlgauge.model import HamiltonianSpec, ModelParams
 from nlgauge.verify import (CheckReport, check_born_homogeneity,
                             check_conservation, check_gauge_invariance,
                             check_scale_covariance,
                             check_superposition_failure,
                             control_conservation_euler,
                             control_gauge_invariance, run_all,
-                            _packet_trajectory)
+                            stationarity_residual, _packet_trajectory)
+
+
+@pytest.mark.parametrize("count, dim, bound", [(201, 1, 1e-11), (33, 2, 5e-10)])
+def test_stationarity_residual_in_the_linear_limit(count, dim, bound):
+    # at l = inf the solve's Gauss step and the residual's own Poisson
+    # solve both run on a zero source
+    grid = TensorGrid.cube(-8.0, 8.0, count, dim)
+    spec = HamiltonianSpec(potential_coeffs=(0.0, 0.0, 0.5))
+    params = ModelParams(l=np.inf)
+    st = stationary_solve(spec, params, grid, tol=1e-11)
+    assert not st.a_t.any()
+    assert stationarity_residual(grid, st.psi.values, spec, params) < bound
 
 
 def test_conservation_check_passes():
