@@ -7,7 +7,9 @@ The stationary loop alternates the ground eigenproblem
 
 with the Gauss solve for A_t, iterated on A_t by the Anderson
 fixed-point driver of `fixedpoint`. Real time uses Crank-Nicolson for psi
-with the midpoint connection, and leapfrog for the (A_phi, F) pair with
+with the midpoint connection, and kick-drift-kick leapfrog (Stormer-Verlet;
+Hairer, Lubich & Wanner 2003, Acta Numer. 12, 399) for the (A_phi, F) pair,
+with F carried at the integer steps:
 
     d_t A_phi = F,      d_t F(.,x) = -(1/(l^2 a^3)) J_x .
 
@@ -135,7 +137,7 @@ class Snapshot:
     time: float
     psi: np.ndarray
     a_phi: list[np.ndarray]
-    f_bar: list[np.ndarray]   # field strength averaged onto the integer step
+    f_bar: list[np.ndarray]   # field strength F at this snapshot's time
     a_t: np.ndarray
 
 
@@ -282,18 +284,19 @@ def evolve_temporal_gauge(psi0: WaveFunctional, gauge0: GaugeState,
     names that step. A step that raises first has the rows before it
     checked, so a guard failure that came earlier is the one reported.
 
-    Snapshots hold the step's own arrays, not copies: psi, the links and
-    f_bar are flagged read-only, and every snapshot shares one read-only
-    zero a_t. The caller's psi0 and gauge0 arrays are copied first and
-    never written. The link phases and currents of each step are computed
-    once and serve the field update, the energy and the continuity
-    residual. The density rho = |psi|^2 of each recorded step, the
-    density of the step before it and f_bar are computed in the diagnostic
-    block, from the stacked psi, the previous psi and the two f_half
-    arrays; they are elementwise, so each row is bitwise the value of its
-    step alone. rho serves the norm, the charge, the Gauss source, sigma
-    and the continuity residual; the products w * phi_x of the sigma means
-    are formed once per evolve.
+    Each step is kick-drift-kick: F - kick * J with the current at the
+    step's start, kick = dt / (2 l^2 a^3), the two half drifts of A_phi
+    around the CN solve, and F - kick * J with the new current. Snapshots
+    hold the step's own arrays, not copies: psi, the links and F (f_bar)
+    are read-only, and all share one read-only zero a_t. The caller's
+    psi0 and gauge0 arrays are copied first and never written. Each
+    step's link phases and currents are computed once and serve both
+    kicks, the energy and the continuity residual. The densities
+    rho = |psi|^2 of each recorded step and of the step before it are
+    computed in the diagnostic block from the stacked states, elementwise,
+    so each row is bitwise the value of its step alone. rho serves the
+    norm, the charge, the Gauss source, sigma and the continuity residual;
+    the products w * phi_x of the sigma means are formed once per evolve.
 
     Raises ValueError naming the argument unless dt > 0, steps >= 1 and
     record_every >= 1.
@@ -322,19 +325,18 @@ def evolve_temporal_gauge(psi0: WaveFunctional, gauge0: GaugeState,
     lw = [grid.link_weights(x) for x in range(nd)]
     coords = [grid.coordinate(x) for x in range(nd)]
     w_coords = [w * xs for xs in coords]
-    inv_l2a3 = params.inv_l2 / a_lat ** 3
+    kick = 0.5 * dt * params.inv_l2 / a_lat ** 3
     zero_a_t = np.zeros(grid.shape)
     zero_a_t.flags.writeable = False
     psi = project_dirichlet(grid, psi0.values.astype(complex))
     a = [ax.copy() for ax in gauge0.a_phi]
-    f0 = [fx.copy() for fx in gauge0.f]
+    f = [fx.copy() for fx in gauge0.f]
 
     def phases_and_currents(psi_v, a_links):
         ph = link_phases(grid, a_links)
         return ph, [link_current(grid, psi_v, ph, x) for x in range(nd)]
 
     ph, j = phases_and_currents(psi, a)
-    f_half = [f0[x] + 0.5 * dt * (-inv_l2a3 * j[x]) for x in range(nd)]
 
     traj = Trajectory(grid, spec, params, dt * record_every)
     n_rec = len(range(0, steps, record_every)) + 1
@@ -344,8 +346,7 @@ def evolve_temporal_gauge(psi0: WaveFunctional, gauge0: GaugeState,
     done = 0  # rows of diags filled
     block = _block_rows(w.size)
     # one row per recorded step not yet reduced: (k, psi, link phases,
-    # currents, the f_half on either side of the step, and psi and the
-    # currents of step k - 1)
+    # currents, F, and psi and the currents of step k - 1)
     rows = []
 
     def snapshot(k, psi_v, a_links, f_bar):
@@ -357,16 +358,15 @@ def evolve_temporal_gauge(psi0: WaveFunctional, gauge0: GaugeState,
         nonlocal done
         if not rows:
             return
-        ks, psi_b, ph_b, j_b, fh_p, fh, psi_p, j_p = zip(*rows)
+        ks, psi_b, ph_b, j_b, f_bar, psi_p, j_p = zip(*rows)
         rows.clear()
         new = slice(done, done + len(ks))
         done = new.stop
         ks = np.array(ks)
         psi_b = np.stack(psi_b)
         rho, rho_p = np.abs(psi_b) ** 2, np.abs(np.stack(psi_p)) ** 2
-        ph_b, j_b, fh_p, fh, j_p = ([np.stack(c) for c in zip(*links)]
-                                    for links in (ph_b, j_b, fh_p, fh, j_p))
-        f_bar = [0.5 * (fh_p[x] + fh[x]) for x in range(nd)]
+        ph_b, j_b, f_bar, j_p = ([np.stack(c) for c in zip(*links)]
+                                 for links in (ph_b, j_b, f_bar, j_p))
         t = ks * dt
         nrm = (w * rho).sum(axis=axes)
         charge = params.inv_l2 * (w * nonlinearity(rho, grid)).sum(axis=axes)
@@ -397,15 +397,15 @@ def evolve_temporal_gauge(psi0: WaveFunctional, gauge0: GaugeState,
             raise ConstraintViolationError(
                 f"Gauss residual {gres[i]:.3e} blew up at step {ks[i]}")
 
-    # row 0: f_bar = (f0 + f0) / 2 is f0 exactly
-    rows.append((0, psi, ph, j, f0, f0, psi, j))
-    snapshot(0, psi, a, f0)
+    rows.append((0, psi, ph, j, f, psi, j))
+    snapshot(0, psi, a, f)
     cn_step = _cn_step_1d if nd == 1 else _cn_step_nd
 
     for k in range(1, steps + 1):
         try:
-            # psi and the links are rebound below, never mutated in place
+            # psi, the links and F are rebound below, never mutated in place
             psi_prev, j_prev = psi, j
+            f_half = [f[x] - kick * j[x] for x in range(nd)]
             a_mid = [a[x] + 0.5 * dt * f_half[x] for x in range(nd)]
             phases_mid = link_phases(grid, a_mid)
             if scheme == "cn":
@@ -415,14 +415,12 @@ def evolve_temporal_gauge(psi0: WaveFunctional, gauge0: GaugeState,
                 psi = project_dirichlet(grid, psi - 1j * dt * hpsi)
             a = [a_mid[x] + 0.5 * dt * f_half[x] for x in range(nd)]
             ph, j = phases_and_currents(psi, a)
-            f_half_prev = f_half
-            f_half = [f_half[x] + dt * (-inv_l2a3 * j[x]) for x in range(nd)]
+            f = [f_half[x] - kick * j[x] for x in range(nd)]
 
             if k % record_every == 0 or k == steps:
-                rows.append((k, psi, ph, j, f_half_prev, f_half, psi_prev, j_prev))
+                rows.append((k, psi, ph, j, f, psi_prev, j_prev))
                 if keep_snapshots or k == steps:
-                    snapshot(k, psi, a, [0.5 * (f_half_prev[x] + f_half[x])
-                                         for x in range(nd)])
+                    snapshot(k, psi, a, f)
         except Exception:
             # a step taken from a state that already failed a guard may
             # raise on its own; the guard failure is the one to report

@@ -28,7 +28,8 @@ def fixed_point(G, x0, *, m: int = 5, beta: float, tol: float,
     Stops at the first evaluated x whose energy changed by less than `tol`
     since the previous evaluation and whose residual ||G(x) - x||_inf is at
     most `res_tol` (default sqrt(tol)); the energy alone can stall while x
-    still moves. `beta` is the mixing weight of the new residual.
+    still moves; an x whose residual is exactly 0 stops at once, as G would
+    only repeat it. `beta` is the mixing weight of the new residual.
 
     Returns (x, iterations, trace): the converged input, the number of
     evaluations of G, and one (iteration, energy, residual) tuple per
@@ -55,7 +56,7 @@ def fixed_point(G, x0, *, m: int = 5, beta: float, tol: float,
         f = g - x
         res = float(np.abs(f).max())
         trace.append((it, float(energy), res))
-        if it > 1 and abs(energy - trace[-2][1]) < tol and res <= res_tol:
+        if res == 0 or it > 1 and abs(energy - trace[-2][1]) < tol and res <= res_tol:
             return x, it, trace
         step = beta * f
         if m > 0 and f_prev is not None:

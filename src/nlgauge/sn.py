@@ -412,15 +412,9 @@ def sn_ground_radial_shoot(params: SNParams, grid: RadialGrid,
                     v=_rk4_poisson_v(r, u, params.coupling))
         return last["v"], energy
 
-    v0 = np.zeros_like(r)
-    # uncoupled, v = 0 is the fixed point: one outer iteration, not two
-    if params.coupling == 0:
-        update(v0)
-        iterations = 1
-    else:
-        _, iterations, _ = fixed_point(update, v0, beta=mixing, tol=10 * tol,
-                                       res_tol=np.sqrt(tol), max_iter=max_outer,
-                                       name="shooting outer loop")
+    _, iterations, _ = fixed_point(update, np.zeros_like(r), beta=mixing,
+                                   tol=10 * tol, res_tol=np.sqrt(tol),
+                                   max_iter=max_outer, name="shooting outer loop")
     return RadialState(grid, last["u"], last["v"], float(hist[-1]),
                        iterations=iterations, residual=float(last["mismatch"]))
 
@@ -617,7 +611,9 @@ class LimitReport:
 def limit_equivalence_check(spec: HamiltonianSpec, params: ModelParams,
                             grid: TensorGrid, tol: float = 1e-12) -> LimitReport:
     """One-site reduction: the configuration-space stationary solver and
-    the independent 1D solver must hit the same fixed point.
+    the independent 1D solver must hit the same fixed point. At lattice
+    spacing a, a^3 times the functional equation is the line problem with
+    coupling a^3/l^2 and potential a^6 V, solved by a^3 omega and a^3 A_t.
 
     Also inspects the sign structure: wherever the density falls below the
     uniform background the constraint source flips sign and the potential
@@ -626,9 +622,12 @@ def limit_equivalence_check(spec: HamiltonianSpec, params: ModelParams,
     if grid.ndim != 1:
         raise ValueError("the limit check is the single-site case")
     st = stationary_solve(spec, params, grid, tol=tol * 100)
-    line = SNParams(coupling=params.inv_l2, background=1.0 / grid.volume,
-                    external_potential_coeffs=spec.potential_coeffs)
+    a3 = spec.lattice_spacing ** 3
+    line = SNParams(coupling=a3 * params.inv_l2, background=1.0 / grid.volume,
+                    external_potential_coeffs=tuple(
+                        a3 * a3 * c for c in spec.potential_coeffs))
     omega_line, psi_line, phi_line = line_ground_scf(grid.axes[0], line, tol=tol)
+    omega_line, phi_line = omega_line / a3, phi_line / a3
     psi_f = np.real(st.psi.values)
     dpsi = float(np.abs(psi_f - psi_line).max())
     dat = float(np.abs(st.a_t - phi_line).max())

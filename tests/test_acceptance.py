@@ -231,7 +231,8 @@ def test_criterion_09_wave_packet_shrinking():
     spreads = bool(np.all(np.diff(free) > 0))
     sig0 = free[0]
     lo, hi = 0.25, 4.0
-    assert final_sigma(hi)[-1] < sig0
+    shrunk = final_sigma(hi)
+    assert shrunk[-1] < sig0
     for _ in range(6):
         mid = 0.5 * (lo + hi)
         if final_sigma(mid)[-1] < sig0:
@@ -239,7 +240,6 @@ def test_criterion_09_wave_packet_shrinking():
         else:
             lo = mid
     threshold = 0.5 * (lo + hi)
-    shrunk = final_sigma(4.0)
     ok = spreads and shrunk[-1] < sig0
     t = time.time() - t0
     _report(9, "wave-packet shrinking", ok and t < 120.0,

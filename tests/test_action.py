@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from nlgauge.action import action_evaluate, scale_transform
+from nlgauge.action import (action_evaluate, scale_transform,
+                            scale_transform_state)
 from nlgauge.dynamics import Snapshot, Trajectory, evolve_temporal_gauge, \
     stationary_solve
 from nlgauge.errors import InsufficientDataError
@@ -101,6 +102,14 @@ def test_scale_transform_is_nontrivial_for_c0_not_1():
     assert tr2.grid.axes[0].upper == pytest.approx(traj.grid.axes[0].upper / s)
     assert tr2.dt == pytest.approx(traj.dt * s)
     assert tr2.spec.lattice_spacing == pytest.approx(s)
+
+
+def test_scale_transform_state_rejects_a_non_positive_c0():
+    grid = TensorGrid.cube(-3.0, 3.0, 41, 1)
+    with pytest.raises(ValueError, match="c0 must be positive"):
+        scale_transform_state(grid, np.zeros(grid.shape, dtype=complex),
+                              np.zeros(grid.shape), QUARTIC, ModelParams(l=1.0),
+                              c0=0.0, a=1.0)
 
 
 def test_scale_symmetry_breaks_for_massive_potential():

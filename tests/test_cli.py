@@ -259,6 +259,18 @@ def test_cli_run_rejects_invalid_config(tmp_path, capsys):
     assert "[solver] dt" in err
 
 
+def test_cli_run_of_a_missing_config_is_an_error(tmp_path, capsys):
+    assert main(["run", str(tmp_path / "missing.ini")]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read config:")
+
+
+def test_potential_coeffs_that_are_not_numbers_are_a_physics_error():
+    cfg, errors = validate("[experiment]\nkind = functional-stationary\n"
+                           "[physics]\npotential_coeffs = 0, a\n")
+    assert cfg is None
+    assert errors == ["[physics] potential_coeffs: not a list of numbers"]
+
+
 def test_functional_evolve_csv_schema(tmp_path):
     text = f"""
 [experiment]

@@ -8,9 +8,10 @@ from nlgauge.dynamics import (_block_rows, _cn_step_1d, _cn_step_nd,
                               continuity_residual, evolve_temporal_gauge,
                               stationary_solve)
 from nlgauge.errors import (ConstraintViolationError, ConvergenceError,
-                            IntegratorError)
+                            InsufficientDataError, IntegratorError)
 from nlgauge.gaugeops import (apply_hamiltonian_raw, gauss_residual,
-                              initialize_constraint, link_diff, link_phases)
+                              initialize_constraint, link_current, link_diff,
+                              link_phases)
 from nlgauge.grids import TensorGrid
 from nlgauge.model import (GaugeState, HamiltonianSpec, ModelParams,
                            WaveFunctional, nonlinearity, total_charge)
@@ -368,6 +369,37 @@ def test_evolve_2d_conserves():
         assert np.abs(d["charge"]).max() < 1e-12
 
 
+def test_field_strength_takes_the_trapezoid_kick_of_the_current():
+    # the kick-drift-kick step: F_k - F_{k-1} = -(dt/2)/(l^2 a^3) (J_{k-1} + J_k),
+    # with J from each snapshot's own psi and links
+    grid = TensorGrid.cube(-6.0, 6.0, 25, 2)
+    spec = HamiltonianSpec(potential_coeffs=(0.0, 0.0, 0.5),
+                           gradient_coupling=0.5, lattice_spacing=1.1)
+    params = ModelParams(l=0.9)
+    X = grid.meshes()
+    psi = np.exp(-0.5 * ((X[0] - 0.5) ** 2 + X[1] ** 2) + 0.7j * X[0])
+    psi[~grid.boundary_mask()] = 0.0
+    psi /= np.sqrt(np.real(grid.integrate(np.abs(psi) ** 2)))
+    pw = WaveFunctional(grid, psi)
+    dt = 0.01
+    traj = evolve_temporal_gauge(pw, gauss_consistent_gauge(pw, params), spec,
+                                 params, dt=dt, steps=50)
+    kick = 0.5 * dt * params.inv_l2 / spec.lattice_spacing ** 3
+
+    def currents(snap):
+        ph = link_phases(grid, snap.a_phi)
+        return [link_current(grid, snap.psi, ph, x) for x in range(2)]
+
+    js = [currents(snap) for snap in traj.snapshots]
+    worst = 0.0
+    for k in range(1, len(js)):
+        for x in range(2):
+            df = traj.snapshots[k].f_bar[x] - traj.snapshots[k - 1].f_bar[x]
+            worst = max(worst, np.abs(df + kick * (js[k - 1][x] + js[k][x])).max())
+    assert np.abs(traj.snapshots[-1].f_bar[0] - traj.snapshots[0].f_bar[0]).max() > 1e-4
+    assert worst < 1e-15
+
+
 def test_sigma_is_rms_width_on_two_sites():
     grid = TensorGrid.cube(-5.0, 5.0, 25, 2)
     spec = HamiltonianSpec(potential_coeffs=(0.0, 0.0, 0.5),
@@ -514,6 +546,16 @@ def test_continuity_residual_is_computed_at_every_recorded_step():
                                 spec2, params2, dt=0.01, steps=12)
     for traj in (full, two):
         _assert_recorded_values_are_the_public_formulas(traj)
+
+
+def test_continuity_residual_needs_two_distinct_times():
+    grid = TensorGrid.cube(-8.0, 8.0, 101, 1)
+    params = ModelParams(l=1.0)
+    psi0 = normalized_packet(grid, center=1.0)
+    snap = evolve_temporal_gauge(psi0, gauss_consistent_gauge(psi0, params),
+                                 HARMONIC, params, dt=0.01, steps=1).snapshots[0]
+    with pytest.raises(InsufficientDataError, match="consecutive"):
+        continuity_residual(grid, snap, snap, HARMONIC)
 
 
 def _assert_recorded_values_are_the_public_formulas(traj):

@@ -81,3 +81,11 @@ def test_max_iter_below_one_is_rejected(max_iter):
     G, _ = _contraction()
     with pytest.raises(ValueError, match="max_iter must be >= 1"):
         fixed_point(G, np.zeros(8), beta=0.5, tol=1e-10, max_iter=max_iter)
+
+
+def test_an_exact_fixed_point_stops_at_once():
+    x, iterations, trace = fixed_point(lambda x: (x.copy(), 1.0), np.zeros(3),
+                                       beta=0.5, tol=1e-10)
+    assert iterations == 1
+    assert trace == [(1, 1.0, 0.0)]
+    assert np.array_equal(x, np.zeros(3))

@@ -156,3 +156,5 @@ def test_radial_grid_validation():
         RadialGrid(0.0, 10.0, 100)
     with pytest.raises(ValueError):
         RadialGrid(1.0, 10.0, 100)  # r_min not << r_max
+    with pytest.raises(ValueError, match="too coarse"):
+        RadialGrid(1e-6, 10.0, 15)

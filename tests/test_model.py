@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlgauge.grids import TensorGrid
-from nlgauge.model import (HamiltonianSpec, ModelParams, nonlinearity,
-                           total_charge)
+from nlgauge.model import (GaugeState, HamiltonianSpec, ModelParams,
+                           nonlinearity, total_charge)
 
 
 @pytest.fixture
@@ -112,3 +112,11 @@ def test_hamiltonian_spec_validation():
     for coeffs in ((0.0, np.nan, 0.5), (0.0, 0.0, np.inf), (-np.inf,)):
         with pytest.raises(ValueError, match="potential_coeffs"):
             HamiltonianSpec(potential_coeffs=coeffs)
+
+
+def test_gauge_state_names_the_link_shape_it_wants():
+    grid = TensorGrid.cube(-1.0, 1.0, 9, 2)
+    good = GaugeState.zero(grid)
+    with pytest.raises(ValueError) as info:
+        GaugeState(grid, good.a_t, [np.zeros((9, 9)), good.a_phi[1]], good.f)
+    assert str(info.value) == "link field along axis 0 must have shape (8, 9)"

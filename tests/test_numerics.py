@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from nlgauge.errors import ConvergenceError, UnsolvableConstraintError
@@ -271,6 +272,20 @@ def test_one_unknown_is_its_own_eigenpair(shape):
     with pytest.raises(ConvergenceError):
         # an operator that is not linear leaves a residual
         smallest_eigenpair(lambda v: v * v, np.ones(shape), tol=1e-9, weights=w)
+
+
+def test_arpack_failure_is_a_convergence_error_caused_by_it(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", np.zeros(0),
+                                       np.zeros((4, 0)))
+    monkeypatch.setattr(spla, "eigsh", no_convergence)
+    g = TensorGrid.cube(-1.0, 1.0, 6, 1)
+    op, inner = _harmonic_op(g)
+    with pytest.raises(ConvergenceError) as info:
+        smallest_eigenpair(op, np.ones(g.shape)[inner],
+                           weights=g.quad_weights()[inner])
+    assert info.value.residual is None
+    assert isinstance(info.value.__cause__, spla.ArpackNoConvergence)
 
 
 def test_zero_guess_rejected():

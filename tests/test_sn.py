@@ -443,6 +443,37 @@ def test_limit_check_runs_the_coupled_solves_at_l_inf():
     assert rep.source_curvature_consistent
 
 
+@pytest.mark.parametrize("a", [0.7, 2.0])
+def test_limit_check_scales_the_line_problem_by_the_lattice_spacing(a):
+    # a^3 times the functional equation is the line problem at coupling
+    # a^3/l^2 and potential a^6 V; unscaled, the two sides differ by ~0.2
+    rep = limit_equivalence_check(HamiltonianSpec(lattice_spacing=a),
+                                  ModelParams(l=1.0),
+                                  TensorGrid.cube(-8.0, 8.0, 201, 1))
+    assert rep.omega_diff < 1e-12
+    assert rep.max_psi_diff < 1e-12
+    assert rep.max_at_diff < 1e-12
+
+
+def test_limit_check_rejects_a_multi_site_grid():
+    with pytest.raises(ValueError, match="single-site"):
+        limit_equivalence_check(HamiltonianSpec(), ModelParams(l=1.0),
+                                TensorGrid.cube(-4.0, 4.0, 9, 2))
+
+
+def test_uncoupled_radial_solves_stop_at_the_exact_fixed_point():
+    # v = 0 is returned exactly, so one evaluation of each loop is enough
+    rg = RadialGrid(1e-6, 12.0, 400)
+    assert sn_ground_radial_scf(HARM3D, rg).iterations == 1
+    assert sn_ground_radial_shoot(HARM3D, rg).iterations == 1
+
+
+def test_shooting_oracle_rejects_a_background():
+    with pytest.raises(ValueError, match="background-free"):
+        sn_ground_radial_shoot(SNParams(background=0.1),
+                               RadialGrid(1e-6, 12.0, 200))
+
+
 def test_sn_params_validation():
     with pytest.raises(ValueError):
         SNParams(coupling=-1.0)
