@@ -6,9 +6,8 @@ from .errors import (ConstraintViolationError, ConvergenceError,
                      UnsolvableConstraintError)
 from .grids import RadialGrid, TensorGrid, UniformGrid1D
 from .model import (GaugeState, GaugeTransform, HamiltonianSpec, ModelParams,
-                    StationaryState, WaveFunctional, nonlinearity,
-                    total_charge)
-from .numerics import laplacian_apply, poisson_solve, smallest_eigenpair
+                    StationaryState, WaveFunctional, nonlinearity)
+from .numerics import poisson_solve, smallest_eigenpair
 from .gaugeops import (gauge_transform, gauss_residual,
                        gauss_solve_stationary, initialize_constraint)
 from .dynamics import (Snapshot, Trajectory, continuity_residual,
@@ -22,8 +21,8 @@ __all__ = [
     "RadialGrid", "TensorGrid", "UniformGrid1D",
     "GaugeState", "GaugeTransform", "HamiltonianSpec", "ModelParams",
     "StationaryState", "WaveFunctional",
-    "nonlinearity", "total_charge",
-    "laplacian_apply", "poisson_solve", "smallest_eigenpair",
+    "nonlinearity",
+    "poisson_solve", "smallest_eigenpair",
     "gauge_transform", "gauss_residual", "gauss_solve_stationary",
     "initialize_constraint",
     "Snapshot", "Trajectory", "continuity_residual", "evolve_temporal_gauge",

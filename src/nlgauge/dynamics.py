@@ -299,9 +299,12 @@ def evolve_temporal_gauge(psi0: WaveFunctional, gauge0: GaugeState,
     the products w * phi_x of the sigma means are formed once per evolve.
 
     Raises ValueError naming the argument unless dt > 0, steps >= 1 and
-    record_every >= 1.
+    record_every >= 1, and naming both grids unless psi0 and gauge0 are
+    on the same one.
     """
     grid = psi0.grid
+    if gauge0.grid != grid:
+        raise ValueError(f"gauge0 is on {gauge0.grid} but psi0 is on {grid}")
     if np.any(gauge0.a_t):
         raise ValueError("temporal gauge requires a_t = 0")
     _check_step_args(dt, record_every)

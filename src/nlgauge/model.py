@@ -174,10 +174,3 @@ def nonlinearity(rho: np.ndarray, grid: TensorGrid) -> np.ndarray:
     """The charge density rho*N(rho) = rho - 1/Omega (normalized theory),
     with Omega the grid volume."""
     return rho - 1.0 / grid.volume
-
-
-def total_charge(grid: TensorGrid, rho: np.ndarray, params: ModelParams) -> float:
-    """Q = (1/l^2) * integral of rho*N(rho); vanishes for normalized rho.
-    The tests' bitwise reference for the evolver's `charge` diagnostic."""
-    src = nonlinearity(rho, grid)
-    return params.inv_l2 * float(np.real(grid.integrate(src)))

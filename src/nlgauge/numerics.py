@@ -1,13 +1,12 @@
-"""A finite-difference Laplacian, an exact Neumann Poisson solver, and a
-smallest-eigenpair solver.
+"""An exact Neumann Poisson solver and a smallest-eigenpair solver.
 
-The Laplacian is the second-order compact stencil with mirror ghosts
-(Neumann), which is exactly symmetric under the trapezoid inner product
-and whose nullspace is exactly the constants. The type-I cosine
-transform diagonalizes it, so the Poisson solve is a direct spectral
-solve with no iteration. Dirichlet problems are not posed here: every
-one is solved on the interior unknowns, with the stencil of
-`gaugeops.hamiltonian`.
+The Poisson solve inverts the compact Neumann Laplacian
+link_divergence(link_diff(.)) of `gaugeops`: the second-order stencil
+with mirror ghosts, exactly symmetric under the trapezoid inner product
+and with exactly the constants as its nullspace. The type-I cosine
+transform diagonalizes it, so the solve is direct, with no iteration.
+Dirichlet problems are not posed here: every one is solved on the
+interior unknowns, with the stencil of `gaugeops.hamiltonian`.
 """
 
 from __future__ import annotations
@@ -20,46 +19,6 @@ from .grids import TensorGrid
 
 # relative size of the perturbation added to an eigen-solve guess
 _PERTURB = 1e-8
-
-
-def _axis_second_diff(values: np.ndarray, axis: int, spacing: float) -> np.ndarray:
-    """(f[i-1] - 2 f[i] + f[i+1]) / h^2 along one axis, with the mirror
-    ghost f[-1] = f[1] on either side: it keeps the operator symmetric
-    under trapezoid weights and its nullspace equal to the constants."""
-    out = np.empty_like(values)
-    inner = [slice(None)] * values.ndim
-
-    def sl(s):
-        idx = list(inner)
-        idx[axis] = s
-        return tuple(idx)
-
-    out[sl(slice(1, -1))] = (
-        values[sl(slice(2, None))] - 2.0 * values[sl(slice(1, -1))]
-        + values[sl(slice(0, -2))]
-    )
-    out[sl(0)] = 2.0 * (values[sl(1)] - values[sl(0)])
-    out[sl(-1)] = 2.0 * (values[sl(-2)] - values[sl(-1)])
-    out /= spacing ** 2
-    return out
-
-
-def laplacian_apply(grid: TensorGrid, values: np.ndarray) -> np.ndarray:
-    """The Neumann (mirror-ghost) configuration-space Laplacian
-    sum_x d^2/dphi_x^2, whose nullspace is exactly the constants.
-
-    No solver calls it: the limit check takes the curvature of A_t with
-    it, and the tests take it as the reference for the Poisson solve, for
-    link_divergence(link_diff(.)) and for the Gauss law. The Dirichlet
-    kinetic term is the stencil of `gaugeops.hamiltonian`, applied on the
-    interior unknowns.
-    """
-    values = np.asarray(values)
-    grid.check_field(values)
-    out = np.zeros_like(values, dtype=np.result_type(values, float))
-    for axis in range(grid.ndim):
-        out += _axis_second_diff(values, axis, grid.spacings[axis])
-    return out
 
 
 def _dct1(values: np.ndarray, axis: int) -> np.ndarray:

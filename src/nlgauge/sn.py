@@ -54,9 +54,9 @@ from .dynamics import (_NORM_TOL, _check_step_args, _cn_step_1d, _rms_width,
                        stationary_solve)
 from .errors import ConvergenceError, IntegratorError
 from .fixedpoint import fixed_point
+from .gaugeops import link_diff, link_divergence
 from .grids import RadialGrid, TensorGrid, UniformGrid1D
 from .model import HamiltonianSpec, ModelParams
-from .numerics import laplacian_apply
 
 # RK4 steps per banded solve of a shot; the amplitude is rescaled only
 # between chunks, so a chunk bounds how far it grows unchecked
@@ -518,13 +518,15 @@ def sn_evolve_1d(state: Line1DState, params: SNParams, dt: float, steps: int,
     at each recorded step, so the run stops at the first one that fails
     and the error names it. Raises ValueError naming the argument unless
     dt > 0, steps >= 0 and record_every >= 1; steps = 0 records the
-    initial state alone.
+    initial state alone. Raises GridShapeError unless psi has one entry
+    per node of the state's grid.
     """
     _check_step_args(dt, record_every)
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     grid = state.grid
     tgrid = TensorGrid((grid,))
+    tgrid.check_field(state.psi)
     w = grid.quad_weights()
     x = grid.nodes
     wx = w * x
@@ -633,7 +635,7 @@ def limit_equivalence_check(spec: HamiltonianSpec, params: ModelParams,
     dat = float(np.abs(st.a_t - phi_line).max())
 
     # sign experiment: curvature of A_t vs sign of (rho - background)
-    curv = laplacian_apply(grid, st.a_t)
+    curv = link_divergence(grid, [link_diff(grid, st.a_t, 0)])
     src = psi_f * psi_f - line.background
     sel = np.abs(src[1:-1]) > 1e-6 * np.abs(src).max()
     agree = np.sign(curv[1:-1][sel]) == -np.sign(src[1:-1][sel])

@@ -12,13 +12,14 @@ from nlgauge.dynamics import evolve_temporal_gauge, stationary_solve
 from nlgauge.gaugeops import initialize_constraint
 from nlgauge.grids import RadialGrid, TensorGrid, UniformGrid1D
 from nlgauge.model import (GaugeState, HamiltonianSpec, ModelParams,
-                           WaveFunctional, total_charge)
+                           WaveFunctional)
 from nlgauge.sn import (Line1DState, SNParams, sn_evolve_1d,
                         sn_ground_radial_scf, sn_ground_radial_shoot,
                         limit_equivalence_check, _potential_from_u_quadrature)
 from nlgauge.verify import (check_gauge_invariance, check_scale_covariance,
                             check_superposition_failure,
                             control_gauge_invariance)
+from references import total_charge
 
 HARMONIC = (0.0, 0.0, 0.5)
 

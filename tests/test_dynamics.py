@@ -14,9 +14,9 @@ from nlgauge.gaugeops import (apply_hamiltonian_raw, gauss_residual,
                               link_phases)
 from nlgauge.grids import TensorGrid
 from nlgauge.model import (GaugeState, HamiltonianSpec, ModelParams,
-                           WaveFunctional, nonlinearity, total_charge)
-from nlgauge.numerics import laplacian_apply
+                           WaveFunctional, nonlinearity)
 from nlgauge.sn import limit_equivalence_check
+from references import laplacian_apply, total_charge
 
 HARMONIC = HamiltonianSpec(potential_coeffs=(0.0, 0.0, 0.5))
 
@@ -207,6 +207,17 @@ def test_evolve_requires_temporal_gauge():
     g0.a_t = np.ones(grid.shape)
     with pytest.raises(ValueError):
         evolve_temporal_gauge(psi0, g0, HARMONIC, params, dt=0.01, steps=10)
+
+
+def test_evolve_rejects_a_gauge_on_another_grid():
+    # same node count, so every array shape matches and only the grids differ
+    grid, other = (TensorGrid.cube(-b, b, 51, 1) for b in (5.0, 6.0))
+    params = ModelParams(l=1.0)
+    g0 = gauss_consistent_gauge(normalized_packet(other), params)
+    with pytest.raises(ValueError) as err:
+        evolve_temporal_gauge(normalized_packet(grid), g0, HARMONIC, params,
+                              dt=0.01, steps=5)
+    assert repr(grid) in str(err.value) and repr(other) in str(err.value)
 
 
 @pytest.mark.parametrize("kwargs, name", [

@@ -299,7 +299,7 @@ def test_initialize_constraint_requires_normalization():
 
 
 def test_div_grad_is_compact_laplacian():
-    from nlgauge.numerics import laplacian_apply
+    from references import laplacian_apply
     rng = np.random.default_rng(5)
     for dim in (1, 2, 3):
         grid = TensorGrid.cube(-1.0, 1.0, 9, dim)

@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from nlgauge.grids import TensorGrid
 from nlgauge.model import (GaugeState, HamiltonianSpec, ModelParams,
-                           nonlinearity, total_charge)
+                           nonlinearity)
+from references import total_charge
 
 
 @pytest.fixture

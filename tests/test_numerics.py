@@ -6,13 +6,15 @@ from hypothesis import given, settings, strategies as st
 from nlgauge.errors import ConvergenceError, UnsolvableConstraintError
 from nlgauge.gaugeops import hamiltonian
 from nlgauge.grids import TensorGrid, UniformGrid1D
-from nlgauge.numerics import laplacian_apply, poisson_solve, smallest_eigenpair
+from nlgauge.numerics import poisson_solve, smallest_eigenpair
+from references import laplacian_apply
 
 
 # ---------------------------------------------------------- laplacians
-# The Neumann Laplacian is `laplacian_apply`. The Dirichlet one is the
-# stencil the solvers use: -2 H of `gaugeops.hamiltonian` at lattice
-# spacing 1 with no potential, on the interior unknowns.
+# The Neumann Laplacian is the tests' reference `laplacian_apply`. The
+# Dirichlet one is the stencil the solvers use: -2 H of
+# `gaugeops.hamiltonian` at lattice spacing 1 with no potential, on the
+# interior unknowns.
 
 def _dirichlet_laplacian(g):
     """The Dirichlet Laplacian on the interior unknowns, and the interior

@@ -1,10 +1,10 @@
 """Every public name the package defines has a caller in the package.
 
 A public top-level function or class, or a public member of a class,
-that nothing in `src/nlgauge` outside `__init__.py` refers to is either
-dead code or a test oracle. Dead code is deleted; an oracle is kept only
-on the allowlist below, with its reason. A private top-level function
-that nothing in the package refers to is dead code, with no allowlist.
+that nothing in `src/nlgauge` outside `__init__.py` refers to is dead
+code, unless the benchmark's tracer patches it by name; a test's own
+reference lives in `tests/references.py`, not in the package. A private
+top-level function that nothing in the package refers to is dead code.
 Every member the benchmark's tracer patches by name exists, every
 parameter of a function in the package is read in its body, and no
 oracle reaches, within its own module, the path it is checked against.
@@ -20,14 +20,6 @@ import nlgauge
 
 PACKAGE = Path(nlgauge.__file__).resolve().parent
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
-
-# name -> why it stays with no caller in the package
-KEEP = {
-    "total_charge": "the reference the evolver's charge diagnostic is "
-                    "tested against, bitwise",
-    "meshes": "perfbench/tracing.py lists TensorGrid.meshes as a traced "
-              "member, and tracing fails on a missing one",
-}
 
 
 def _class_members(cls: ast.ClassDef):
@@ -64,8 +56,11 @@ def _unreferenced_names() -> tuple[set[str], set[str]]:
 
 
 def test_every_public_name_has_a_caller_or_a_reason():
-    # equality also drops an allowlisted name once the package calls it
-    assert _unreferenced_names()[0] == set(KEEP)
+    # the tracer reads each pinned member from its owner's __dict__ and
+    # fails on a missing one, so a pinned name stays without a caller
+    pinned = ({name for _, _, name in _tracing_constant("CLASS_MEMBERS")}
+              | {name for _, name in _tracing_constant("PRIVATE_FUNCTIONS")})
+    assert _unreferenced_names()[0] - pinned == set()
 
 
 def test_every_private_function_has_a_caller():

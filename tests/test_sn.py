@@ -6,7 +6,7 @@ import scipy.linalg
 
 import nlgauge.sn as sn
 from nlgauge.dynamics import _block_rows, stationary_solve
-from nlgauge.errors import ConvergenceError, IntegratorError
+from nlgauge.errors import ConvergenceError, GridShapeError, IntegratorError
 from nlgauge.grids import RadialGrid, TensorGrid, UniformGrid1D
 from nlgauge.model import HamiltonianSpec, ModelParams
 from nlgauge.sn import (Line1DState, SNParams, _rk4_shoot_u,
@@ -108,6 +108,20 @@ def test_cross_method_oracle_at_unit_coupling():
     assert np.abs(st.u - sh.u).max() < 1e-5
     # sanity band for the self-bound ground level in these units
     assert -0.17 < st.energy < -0.155
+
+
+def test_radial_ground_energy_richardson_limit():
+    # both methods converge as h^2: each halving cuts the error by 4, and
+    # their extrapolated energies agree far more tightly than at any n
+    p = SNParams(coupling=1.0)
+    limits = []
+    for solve in (sn_ground_radial_scf, sn_ground_radial_shoot):
+        e = [solve(p, RadialGrid(1e-6, 30.0, n), tol=1e-13).energy
+             for n in (1000, 2000, 4000)]
+        assert (e[0] - e[1]) / (e[1] - e[2]) == pytest.approx(4.0, abs=0.1)
+        limits.append(e[2] + (e[2] - e[1]) / 3.0)
+    assert limits[0] == pytest.approx(limits[1], rel=1e-9, abs=0.0)
+    assert limits == pytest.approx([-0.16276910] * 2, rel=0.0, abs=1e-7)
 
 
 def test_scaling_symmetry_exact_on_image_grid():
@@ -455,6 +469,27 @@ def test_limit_check_scales_the_line_problem_by_the_lattice_spacing(a):
     assert rep.max_at_diff < 1e-12
 
 
+@pytest.mark.parametrize("flip", [False, True])
+def test_limit_check_sign_test_fails_on_a_negated_potential(monkeypatch, flip):
+    # negative control: -A_t curves against the source wherever the test
+    # looks, so the sign test must report it
+    grid = TensorGrid.cube(-8.0, 8.0, 201, 1)
+    solved = []
+
+    def solve(*args, **kwargs):
+        st = stationary_solve(*args, **kwargs)
+        solved.append(st)
+        return dataclasses.replace(st, a_t=-st.a_t) if flip else st
+
+    monkeypatch.setattr(sn, "stationary_solve", solve)
+    rep = limit_equivalence_check(HamiltonianSpec(), ModelParams(l=1.0), grid)
+    assert rep.source_curvature_consistent is not flip
+    # the interior share of nodes below the uniform background 1/Omega
+    rho = np.real(solved[0].psi.values) ** 2
+    assert rep.repulsive_fraction == np.mean(rho[1:-1] < 1.0 / grid.volume)
+    assert rep.repulsive_fraction == pytest.approx(0.8241, abs=1e-4)
+
+
 def test_limit_check_rejects_a_multi_site_grid():
     with pytest.raises(ValueError, match="single-site"):
         limit_equivalence_check(HamiltonianSpec(), ModelParams(l=1.0),
@@ -543,6 +578,19 @@ def test_sn_evolve_rejects_bad_step_arguments(kwargs, name):
     args = {"dt": 0.01, "steps": 6, **kwargs}
     with pytest.raises(ValueError, match=f"^{name} must be"):
         sn_evolve_1d(Line1DState(grid, psi), SNParams(coupling=1.0), **args)
+
+
+def test_sn_evolve_rejects_a_psi_off_its_grid(monkeypatch):
+    grid = UniformGrid1D(-10.0, 10.0, 101)
+    psi = np.exp(-np.linspace(-10.0, 10.0, 100) ** 2 / 4) + 0j
+
+    def no_step(*args):
+        raise AssertionError("a step was taken")
+
+    monkeypatch.setattr(sn, "_cn_step_1d", no_step)
+    with pytest.raises(GridShapeError, match=r"\(100,\) != grid shape \(101,\)"):
+        sn_evolve_1d(Line1DState(grid, psi), SNParams(coupling=1.0),
+                     dt=0.01, steps=5)
 
 
 def test_sn_step_that_raises_after_the_guard_failed_reports_the_guard(monkeypatch):
