@@ -7,12 +7,11 @@ import argparse
 import numpy as np
 
 from nlgauge.grids import UniformGrid1D
-from nlgauge.sn import Line1DState, SNParams, sn_evolve_1d
+from nlgauge.sn import SNParams, sn_evolve_1d
 
 
 def sigma_series(coupling, axis, psi0, dt, steps):
-    out = sn_evolve_1d(Line1DState(axis, psi0.copy()),
-                       SNParams(coupling=coupling), dt=dt, steps=steps)
+    out = sn_evolve_1d(axis, psi0, SNParams(coupling=coupling), dt=dt, steps=steps)
     return out["series"]["sigma"]
 
 

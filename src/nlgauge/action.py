@@ -85,9 +85,13 @@ def action_evaluate(traj: Trajectory) -> float:
 
 def _scaled_model(grid: TensorGrid, spec: HamiltonianSpec, params: ModelParams,
                   c0: float, a: float):
-    """(s, grid', spec', params') of the scale family at (c0, a)."""
-    if c0 <= 0:
-        raise ValueError("c0 must be positive")
+    """(s, grid', spec', params') of the scale family at (c0, a). Raises
+    ValueError naming c0 unless it is finite and > 0, and a unless finite."""
+    # written so that a NaN fails each check
+    if not 0 < c0 < np.inf:
+        raise ValueError(f"c0 must be positive and finite (got {c0})")
+    if not np.isfinite(a):
+        raise ValueError(f"a must be finite (got {a})")
     s = c0 ** (a / 2.0)
     grid2 = TensorGrid(tuple(UniformGrid1D(ax.lower / s, ax.upper / s, ax.count)
                              for ax in grid.axes))

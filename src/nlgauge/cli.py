@@ -18,7 +18,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,8 +26,8 @@ from .dynamics import evolve_temporal_gauge, stationary_solve
 from .gaugeops import initialize_constraint
 from .grids import RadialGrid, TensorGrid, UniformGrid1D
 from .model import GaugeState, HamiltonianSpec, ModelParams, WaveFunctional
-from .sn import (Line1DState, SNParams, limit_equivalence_check,
-                 sn_evolve_1d, sn_ground_radial_scf, sn_ground_radial_shoot)
+from .sn import (SNParams, limit_equivalence_check, sn_evolve_1d,
+                 sn_ground_radial_scf, sn_ground_radial_shoot)
 
 # the [output] formats tokens
 _FORMATS = ("csv", "json")
@@ -89,34 +88,25 @@ _SCHEMA = {
 }
 
 
-@dataclass
-class SolverConfig:
-    values: dict = field(default_factory=dict)
+def _potential_coeffs(cfg: dict) -> tuple[float, ...]:
+    raw = cfg[("physics", "potential_coeffs")]
+    return tuple(float(tok) for tok in raw.replace(",", " ").split())
 
-    def __getitem__(self, key):
-        return self.values[key]
 
-    @property
-    def experiment(self):
-        return self.values[("experiment", "kind")]
+def _formats(cfg: dict) -> set[str]:
+    raw = cfg[("output", "formats")]
+    return {tok.strip() for tok in raw.split(",") if tok.strip()}
 
-    def potential_coeffs(self) -> tuple[float, ...]:
-        raw = self.values[("physics", "potential_coeffs")]
-        return tuple(float(tok) for tok in raw.replace(",", " ").split())
 
-    def formats(self) -> set[str]:
-        raw = self.values[("output", "formats")]
-        return {tok.strip() for tok in raw.split(",") if tok.strip()}
-
-    def echo_text(self) -> str:
-        cp = configparser.ConfigParser()
-        for section in _SCHEMA:
-            cp[section] = {}
-        for (section, key), val in sorted(self.values.items()):
-            cp[section][key] = str(val)
-        buf = io.StringIO()
-        cp.write(buf)
-        return buf.getvalue()
+def _echo_text(cfg: dict) -> str:
+    cp = configparser.ConfigParser()
+    for section in _SCHEMA:
+        cp[section] = {}
+    for (section, key), val in sorted(cfg.items()):
+        cp[section][key] = str(val)
+    buf = io.StringIO()
+    cp.write(buf)
+    return buf.getvalue()
 
 
 def _hint(word: str, choices, form: str) -> str:
@@ -126,8 +116,9 @@ def _hint(word: str, choices, form: str) -> str:
     return f"; did you mean {form.format(near[0])}?" if near else ""
 
 
-def validate(text: str) -> tuple[SolverConfig | None, list[str]]:
-    """Parse and fully validate config text; collects every error."""
+def validate(text: str) -> tuple[dict | None, list[str]]:
+    """Parse and fully validate config text into a dict from (section, key)
+    to the typed value, defaults filled in; collects every error."""
     errors: list[str] = []
     cp = configparser.ConfigParser()
     try:
@@ -175,7 +166,6 @@ def validate(text: str) -> tuple[SolverConfig | None, list[str]]:
         check("grid", "dim", lambda v: v == 1, f"must be 1 for {kind}")
     if kind == "sn-ground":
         check("physics", "background", lambda v: v == 0, "must be 0 for sn-ground")
-    cfg = SolverConfig(values)
     try:
         ModelParams(l=values[("physics", "l")])
     except ValueError as exc:
@@ -186,27 +176,27 @@ def validate(text: str) -> tuple[SolverConfig | None, list[str]]:
              "sn-evolve": (("grid", _axis),), "verify": ()}
     for section, build in reads.get(kind, (("grid", _grid),)):
         try:
-            build(cfg)
+            build(values)
         except ValueError as exc:
             errors.append(f"[{section}] {exc}")
     if packet and not any(e.startswith(("[grid]", "[initial]")) for e in errors):
         # the packet may underflow on the grid, and a zero norm divides by
         # zero; what matters is whether the run can normalise it
-        axis = _axis(cfg)
+        axis = _axis(values)
         with np.errstate(all="ignore"):
-            psi = _initial_packet(cfg, axis)
+            psi = _initial_packet(values, axis)
         if not np.isfinite(psi).all():
             errors.append(f"[initial] packet at center {values[('initial', 'center')]}, "
                           f"width {values[('initial', 'width')]} "
                           f"has zero norm on [{axis.lower}, {axis.upper}]")
-    formats = cfg.formats()
+    formats = _formats(values)
     for fmt in sorted(formats - set(_FORMATS)):
         errors.append(f"[output] formats: unknown format '{fmt}'"
                       + _hint(fmt, _FORMATS, "'{}'"))
     if not formats:
         errors.append("[output] formats names no format; use csv and/or json")
     try:
-        coeffs = cfg.potential_coeffs()
+        coeffs = _potential_coeffs(values)
     except ValueError:
         errors.append("[physics] potential_coeffs: not a list of numbers")
     else:
@@ -214,7 +204,7 @@ def validate(text: str) -> tuple[SolverConfig | None, list[str]]:
             errors.append(f"[physics] potential_coeffs must be finite (got {coeffs})")
     if errors:
         return None, errors
-    return cfg, []
+    return values, []
 
 
 def _write_csv(path: str, columns: dict) -> None:
@@ -225,7 +215,7 @@ def _write_csv(path: str, columns: dict) -> None:
         fh.writelines(line % row for row in rows)
 
 
-def _initial_packet(cfg: SolverConfig, axis: UniformGrid1D) -> np.ndarray:
+def _initial_packet(cfg: dict, axis: UniformGrid1D) -> np.ndarray:
     """The [initial] Gaussian packet on the nodes of `axis`, normalised by
     its trapezoid norm; not finite when that norm is zero. A width whose
     square overflows gives the flat plane wave."""
@@ -238,28 +228,28 @@ def _initial_packet(cfg: SolverConfig, axis: UniformGrid1D) -> np.ndarray:
     return psi / np.sqrt((axis.quad_weights() * np.abs(psi) ** 2).sum())
 
 
-def _axis(cfg: SolverConfig) -> UniformGrid1D:
+def _axis(cfg: dict) -> UniformGrid1D:
     return UniformGrid1D(*(cfg[("grid", key)] for key in ("lower", "upper", "count")))
 
 
-def _grid(cfg: SolverConfig) -> TensorGrid:
+def _grid(cfg: dict) -> TensorGrid:
     return TensorGrid.cube(*(cfg[("grid", key)]
                              for key in ("lower", "upper", "count", "dim")))
 
 
-def _radial_grid(cfg: SolverConfig) -> RadialGrid:
+def _radial_grid(cfg: dict) -> RadialGrid:
     return RadialGrid(*(cfg[("radial", key)] for key in ("r_min", "r_max", "count")))
 
 
-def _sn_params(cfg: SolverConfig) -> SNParams:
+def _sn_params(cfg: dict) -> SNParams:
     return SNParams(coupling=cfg[("physics", "coupling")],
                     background=cfg[("physics", "background")],
-                    external_potential_coeffs=cfg.potential_coeffs())
+                    external_potential_coeffs=_potential_coeffs(cfg))
 
 
 # ------------------------------------------------------------ experiments
 
-def _run_sn_ground(cfg: SolverConfig):
+def _run_sn_ground(cfg: dict):
     grid = _radial_grid(cfg)
     params = _sn_params(cfg)
     tol = cfg[("solver", "tol")]
@@ -284,9 +274,9 @@ def _run_sn_ground(cfg: SolverConfig):
     return summary, csvs
 
 
-def _run_sn_evolve(cfg: SolverConfig):
+def _run_sn_evolve(cfg: dict):
     axis = _axis(cfg)
-    res = sn_evolve_1d(Line1DState(axis, _initial_packet(cfg, axis)), _sn_params(cfg),
+    res = sn_evolve_1d(axis, _initial_packet(cfg, axis), _sn_params(cfg),
                        dt=cfg[("solver", "dt")], steps=cfg[("solver", "steps")],
                        record_every=cfg[("solver", "record_every")])
     s = res["series"]
@@ -303,16 +293,16 @@ def _run_sn_evolve(cfg: SolverConfig):
     return summary, csvs
 
 
-def _functional_setup(cfg: SolverConfig):
+def _functional_setup(cfg: dict):
     grid = _grid(cfg)
-    spec = HamiltonianSpec(potential_coeffs=cfg.potential_coeffs(),
+    spec = HamiltonianSpec(potential_coeffs=_potential_coeffs(cfg),
                            gradient_coupling=cfg[("physics", "gradient_coupling")],
                            lattice_spacing=cfg[("physics", "lattice_spacing")])
     params = ModelParams(l=cfg[("physics", "l")])
     return grid, spec, params
 
 
-def _run_functional_stationary(cfg: SolverConfig):
+def _run_functional_stationary(cfg: dict):
     grid, spec, params = _functional_setup(cfg)
     st = stationary_solve(spec, params, grid, mixing=cfg[("solver", "mixing")],
                           tol=cfg[("solver", "tol")],
@@ -333,7 +323,7 @@ def _run_functional_stationary(cfg: SolverConfig):
     return summary, csvs
 
 
-def _run_functional_evolve(cfg: SolverConfig):
+def _run_functional_evolve(cfg: dict):
     grid, spec, params = _functional_setup(cfg)
     pw = WaveFunctional(grid, _initial_packet(cfg, grid.axes[0]))
     g0 = GaugeState.zero(grid)
@@ -359,7 +349,7 @@ def _run_functional_evolve(cfg: SolverConfig):
     return summary, csvs
 
 
-def _run_limit_check(cfg: SolverConfig):
+def _run_limit_check(cfg: dict):
     grid, spec, params = _functional_setup(cfg)
     rep = limit_equivalence_check(spec, params, grid,
                                   tol=cfg[("solver", "tol")])
@@ -375,7 +365,7 @@ def _run_limit_check(cfg: SolverConfig):
     return summary, {}
 
 
-def _run_verify(cfg: SolverConfig):
+def _run_verify(cfg: dict):
     reports = verify_mod.run_all(seed=cfg[("experiment", "seed")])
     summary = {
         "all_passed": all(r.passed for r in reports),
@@ -394,17 +384,18 @@ _RUNNERS = {
 }
 
 
-def run(cfg: SolverConfig) -> int:
+def run(cfg: dict) -> int:
     """Execute the configured experiment; writes summary.json, CSVs, and
     config.echo into the output directory. Returns the exit status."""
     outdir = cfg[("output", "directory")]
-    formats = cfg.formats()
+    kind = cfg[("experiment", "kind")]
+    formats = _formats(cfg)
     os.makedirs(outdir, exist_ok=True)
     try:
-        summary, csvs = _RUNNERS[cfg.experiment](cfg)
+        summary, csvs = _RUNNERS[kind](cfg)
         # numpy scalars become Python ones; a NaN or infinity raises
         text = json.dumps({
-            "experiment": cfg.experiment,
+            "experiment": kind,
             "seed": cfg[("experiment", "seed")],
             "results": summary,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
@@ -419,8 +410,8 @@ def run(cfg: SolverConfig) -> int:
         for name, cols in csvs.items():
             _write_csv(os.path.join(outdir, name), cols)
     with open(os.path.join(outdir, "config.echo"), "w") as fh:
-        fh.write(cfg.echo_text())
-    if cfg.experiment == "verify" and not summary["all_passed"]:
+        fh.write(_echo_text(cfg))
+    if kind == "verify" and not summary["all_passed"]:
         return 2
     return 0
 
@@ -464,7 +455,7 @@ def main(argv=None) -> int:
                 sys.stderr.write(f"config error: {e}\n")
             return 1
         if args.command == "validate":
-            print("config ok:", cfg.experiment)
+            print("config ok:", cfg[("experiment", "kind")])
             return 0
         return run(cfg)
 

@@ -78,12 +78,15 @@ def stationary_solve(spec: HamiltonianSpec, params: ModelParams,
     raises ValueError unless 0 < mixing <= 1 and tol > 0. The returned
     state carries both coupled residuals, each required to be <= 10*tol:
     the eigen residual on the interior unknowns, with the Hamiltonian of
-    the final A_t, and the Gauss residual on the whole grid.
+    the final A_t, and the Gauss residual on the whole grid. Raises
+    ValueError naming `guess` unless it is finite and nonzero.
     """
+    psi = default_gaussian_guess(grid) if guess is None else np.asarray(guess, dtype=float)
+    if not (np.isfinite(psi).all() and psi.any()):
+        raise ValueError("guess must be finite and nonzero")
     inner = (slice(1, -1),) * grid.ndim
     w_inner = grid.quad_weights()[inner]
     diag0 = spec.site_potential_total(grid)
-    psi = default_gaussian_guess(grid) if guess is None else np.asarray(guess, dtype=float)
     # warm-start the multiplier from the guess density; breaks ties
     # deterministically when wells are degenerate
     rho_g = psi * psi

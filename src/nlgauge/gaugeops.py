@@ -32,8 +32,7 @@ import numpy as np
 
 from .errors import UnsolvableConstraintError
 from .grids import TensorGrid
-from .model import (GaugeState, GaugeTransform, ModelParams, WaveFunctional,
-                    nonlinearity)
+from .model import GaugeState, ModelParams, WaveFunctional, nonlinearity
 from .numerics import poisson_solve
 
 # largest |integral(rho) - 1| the Gauss solves accept as a unit charge
@@ -161,17 +160,22 @@ def apply_hamiltonian_raw(grid: TensorGrid, values: np.ndarray,
     return hamiltonian(grid, phases, diag, a_lat)(values)
 
 
-def gauge_transform(psi: WaveFunctional, gauge: GaugeState,
-                    g: GaugeTransform) -> tuple[WaveFunctional, GaugeState]:
+def gauge_transform(psi: WaveFunctional, gauge: GaugeState, lam: np.ndarray,
+                    lam_dot: np.ndarray) -> tuple[WaveFunctional, GaugeState]:
     """psi -> exp(i Lambda) psi, A_t -> A_t + dLambda/dt, and each link of
-    A_phi shifted by the midpoint-centered difference of Lambda across it.
-    The field strength is untouched (it is gauge invariant)."""
+    A_phi shifted by the midpoint-centered difference of Lambda across it,
+    with Lambda = `lam` and dLambda/dt = `lam_dot` cast to float. The field
+    strength is untouched (it is gauge invariant). Raises ValueError naming
+    both grids unless `gauge` is on psi's grid."""
     grid = psi.grid
-    grid.check_field(g.lam)
-    grid.check_field(g.lam_dot)
-    psi2 = WaveFunctional(grid, np.exp(1j * g.lam) * psi.values)
-    a_phi2 = [gauge.a_phi[x] + link_diff(grid, g.lam, x) for x in range(grid.ndim)]
-    gauge2 = GaugeState(grid, gauge.a_t + g.lam_dot, a_phi2,
+    if gauge.grid != grid:
+        raise ValueError(f"gauge is on {gauge.grid} but psi is on {grid}")
+    lam, lam_dot = np.asarray(lam, dtype=float), np.asarray(lam_dot, dtype=float)
+    grid.check_field(lam)
+    grid.check_field(lam_dot)
+    psi2 = WaveFunctional(grid, np.exp(1j * lam) * psi.values)
+    a_phi2 = [gauge.a_phi[x] + link_diff(grid, lam, x) for x in range(grid.ndim)]
+    gauge2 = GaugeState(grid, gauge.a_t + lam_dot, a_phi2,
                         [f.copy() for f in gauge.f])
     return psi2, gauge2
 

@@ -147,18 +147,6 @@ class GaugeState:
 
 
 @dataclass
-class GaugeTransform:
-    """A real functional Lambda[phi] at one time, plus its time derivative."""
-
-    lam: np.ndarray
-    lam_dot: np.ndarray
-
-    def __post_init__(self):
-        self.lam = np.asarray(self.lam, dtype=float)
-        self.lam_dot = np.asarray(self.lam_dot, dtype=float)
-
-
-@dataclass
 class StationaryState:
     """Self-consistent separable solution psi(t) = exp(-i omega t) psi."""
 

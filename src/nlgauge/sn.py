@@ -40,7 +40,7 @@ background = 1/volume).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -99,13 +99,6 @@ class RadialState:
     energy: float
     iterations: int
     residual: float
-
-
-@dataclass
-class Line1DState:
-    grid: UniformGrid1D
-    psi: np.ndarray
-    time: float = field(default=0.0, kw_only=True)
 
 
 # ---------------------------------------------------------------- radial
@@ -489,14 +482,14 @@ def _density_rate(psi: np.ndarray, h: float) -> np.ndarray:
     return rate
 
 
-def sn_evolve_1d(state: Line1DState, params: SNParams, dt: float, steps: int,
-                 *, record_every: int = 1) -> dict:
-    """Crank-Nicolson evolution with the self-consistent potential.
+def sn_evolve_1d(grid: UniformGrid1D, psi: np.ndarray, params: SNParams,
+                 dt: float, steps: int, *, record_every: int = 1) -> dict:
+    """Crank-Nicolson evolution of psi on the nodes of `grid` with the
+    self-consistent potential, from t = 0.
 
-    A state carries only the grid, psi and its time. Each step predicts
-    the midpoint density from the discrete continuity equation,
-    rho + dt/2 * rho_t with rho_t = 2 Im(conj psi H psi) of the current
-    psi (`_density_rate`), solves the potential there, and takes one CN
+    Each step predicts the midpoint density from the discrete continuity
+    equation, rho + dt/2 * rho_t with rho_t = 2 Im(conj psi H psi) of the
+    current psi (`_density_rate`), solves the potential there, and takes one CN
     step with it (linearly implicit CN, Akrivis, Dougalis & Karakashian
     1991). The predicted density is off by O(dt^2), so the step's
     potential is too, which moves psi by O(dt^3) per step: second order,
@@ -505,7 +498,8 @@ def sn_evolve_1d(state: Line1DState, params: SNParams, dt: float, steps: int,
 
     Records t, norm, energy, and width sigma every `record_every` steps
     and at the last one, each written into the preallocated series as
-    the step is taken; returns those series and the final state.
+    the step is taken; returns those series ("series") and the final psi
+    ("psi"), a new array.
 
     The energy is Re<psi, H psi> - 1/2 <phi_grav, rho> with H = -1/2 d^2 +
     V_ext on the stencil of the CN step. With psi zero at both ends and
@@ -519,20 +513,19 @@ def sn_evolve_1d(state: Line1DState, params: SNParams, dt: float, steps: int,
     and the error names it. Raises ValueError naming the argument unless
     dt > 0, steps >= 0 and record_every >= 1; steps = 0 records the
     initial state alone. Raises GridShapeError unless psi has one entry
-    per node of the state's grid.
+    per node of the grid.
     """
     _check_step_args(dt, record_every)
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    grid = state.grid
     tgrid = TensorGrid((grid,))
-    tgrid.check_field(state.psi)
+    tgrid.check_field(psi)
     w = grid.quad_weights()
     x = grid.nodes
     wx = w * x
     two_h = 2.0 * grid.spacing
     vext = params.external_potential(x)
-    psi = state.psi.astype(complex)
+    psi = psi.astype(complex)
     psi[0] = psi[-1] = 0.0
 
     n_rec = len(range(0, steps, record_every)) + 1
@@ -545,7 +538,7 @@ def sn_evolve_1d(state: Line1DState, params: SNParams, dt: float, steps: int,
         w_rho = w * rho
         nrm = w_rho.sum()
         dpsi = psi[1:] - psi[:-1]
-        out["t"][row] = state.time + k * dt
+        out["t"][row] = k * dt
         out["norm"][row] = nrm
         out["energy"][row] = (np.vdot(dpsi, dpsi).real / two_h + np.dot(w_rho, vext)
                               - 0.5 * np.dot(w_rho, phi))
@@ -563,8 +556,7 @@ def sn_evolve_1d(state: Line1DState, params: SNParams, dt: float, steps: int,
         rho = np.abs(psi) ** 2
         if k % record_every == 0 or k == steps:
             record(k, psi, rho)
-    return {"series": out,
-            "final": Line1DState(grid, psi, time=state.time + steps * dt)}
+    return {"series": out, "psi": psi}
 
 
 def line_ground_scf(grid: UniformGrid1D, params: SNParams, tol: float = 1e-12,

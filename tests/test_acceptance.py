@@ -13,7 +13,7 @@ from nlgauge.gaugeops import initialize_constraint
 from nlgauge.grids import RadialGrid, TensorGrid, UniformGrid1D
 from nlgauge.model import (GaugeState, HamiltonianSpec, ModelParams,
                            WaveFunctional)
-from nlgauge.sn import (Line1DState, SNParams, sn_evolve_1d,
+from nlgauge.sn import (SNParams, sn_evolve_1d,
                         sn_ground_radial_scf, sn_ground_radial_shoot,
                         limit_equivalence_check, _potential_from_u_quadrature)
 from nlgauge.verify import (check_gauge_invariance, check_scale_covariance,
@@ -199,8 +199,7 @@ def test_criterion_08_linear_limit_sanity():
     sig0 = 1.0
     psi = np.exp(-x ** 2 / (4 * sig0 ** 2)) + 0j
     psi /= np.sqrt((w * np.abs(psi) ** 2).sum())
-    out = sn_evolve_1d(Line1DState(axis, psi),
-                       SNParams(coupling=0.0), dt=0.01, steps=400)
+    out = sn_evolve_1d(axis, psi, SNParams(coupling=0.0), dt=0.01, steps=400)
     s = out["series"]
     T = s["t"][-1]
     width_err = abs(s["sigma"][-1] / np.sqrt(sig0 ** 2 + T ** 2 / (4 * sig0 ** 2))
@@ -224,8 +223,7 @@ def test_criterion_09_wave_packet_shrinking():
     psi0 /= np.sqrt((w * np.abs(psi0) ** 2).sum())
 
     def final_sigma(c):
-        out = sn_evolve_1d(Line1DState(axis, psi0.copy()),
-                           SNParams(coupling=c), dt=0.005, steps=600)
+        out = sn_evolve_1d(axis, psi0, SNParams(coupling=c), dt=0.005, steps=600)
         return out["series"]["sigma"]
 
     free = final_sigma(0.0)

@@ -112,6 +112,17 @@ def test_scale_transform_state_rejects_a_non_positive_c0():
                               c0=0.0, a=1.0)
 
 
+@pytest.mark.parametrize("c0, a, name", [
+    (np.nan, 1.0, "c0"), (np.inf, 0.0, "c0"), (np.inf, 1.0, "c0"),
+    (1.0, np.nan, "a"), (2.0, np.inf, "a"), (2.0, -np.inf, "a")])
+def test_scale_transform_state_rejects_a_non_finite_c0_or_a(c0, a, name):
+    grid = TensorGrid.cube(-3.0, 3.0, 41, 1)
+    with pytest.raises(ValueError, match=f"^{name} must be .*finite"):
+        scale_transform_state(grid, np.zeros(grid.shape, dtype=complex),
+                              np.zeros(grid.shape), QUARTIC, ModelParams(l=1.0),
+                              c0=c0, a=a)
+
+
 def test_scale_symmetry_breaks_for_massive_potential():
     traj = packet_traj(HARMONIC)
     gam = action_evaluate(traj)

@@ -191,7 +191,7 @@ def test_a_grid_section_the_experiment_does_not_read_is_not_checked():
     for kind, body in (("verify", "[grid]\ndim = 4\ncount = 201\n"),
                        ("functional-stationary", "[radial]\nr_min = 5\nr_max = 1\n")):
         cfg, errors = validate(f"[experiment]\nkind = {kind}\n{body}")
-        assert errors == [] and cfg.experiment == kind
+        assert errors == [] and cfg[("experiment", "kind")] == kind
 
 
 def _validate_errors(tmp_path, capsys, text):

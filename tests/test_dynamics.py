@@ -117,6 +117,15 @@ def test_stationary_rejects_bad_mixing():
         stationary_solve(HARMONIC, params, grid, mixing=1.5)
 
 
+@pytest.mark.parametrize("fill", [0.0, np.nan, np.inf])
+def test_stationary_rejects_a_guess_that_is_zero_or_not_finite(fill):
+    grid = TensorGrid.cube(-6.0, 6.0, 61, 1)
+    guess = np.zeros(grid.shape)
+    guess[30] = fill
+    with pytest.raises(ValueError, match="^guess must be finite and nonzero"):
+        stationary_solve(HARMONIC, ModelParams(l=1.0), grid, guess=guess)
+
+
 # ------------------------------------------------------------ evolution
 
 def test_coherent_state_period():
@@ -248,7 +257,6 @@ def test_evolve_commutes_with_static_gauge_transform():
     # preserved, and the link scheme makes evolve-then-transform equal
     # transform-then-evolve to machine precision
     from nlgauge.gaugeops import gauge_transform, link_diff
-    from nlgauge.model import GaugeTransform
 
     grid = TensorGrid.cube(-8.0, 8.0, 161, 1)
     params = ModelParams(l=1.2)
@@ -260,7 +268,7 @@ def test_evolve_commutes_with_static_gauge_transform():
     traj = evolve_temporal_gauge(psi0, g0, HARMONIC, params, dt=0.01, steps=40)
     evolved_then = np.exp(1j * lam) * traj.snapshots[-1].psi
 
-    psi1, g1 = gauge_transform(psi0, g0, GaugeTransform(lam, np.zeros_like(lam)))
+    psi1, g1 = gauge_transform(psi0, g0, lam, np.zeros_like(lam))
     traj2 = evolve_temporal_gauge(psi1, g1, HARMONIC, params, dt=0.01, steps=40)
     then_evolved = traj2.snapshots[-1].psi
 

@@ -7,8 +7,7 @@ from nlgauge.gaugeops import (apply_hamiltonian_raw, gauge_transform,
                               hamiltonian, initialize_constraint, link_current,
                               link_diff, link_divergence, link_phases)
 from nlgauge.grids import TensorGrid, UniformGrid1D
-from nlgauge.model import (GaugeState, GaugeTransform, HamiltonianSpec,
-                           ModelParams, WaveFunctional)
+from nlgauge.model import GaugeState, HamiltonianSpec, ModelParams, WaveFunctional
 
 
 def make_state(grid, seed=0):
@@ -39,8 +38,8 @@ def test_constant_lambda_is_global_phase():
     grid = TensorGrid.cube(-5.0, 5.0, 101, 1)
     psi = make_state(grid)
     gauge = GaugeState.zero(grid)
-    g = GaugeTransform(np.full(grid.shape, 0.7), np.zeros(grid.shape))
-    psi2, gauge2 = gauge_transform(psi, gauge, g)
+    psi2, gauge2 = gauge_transform(psi, gauge, np.full(grid.shape, 0.7),
+                                   np.zeros(grid.shape))
     assert np.abs(psi2.values - np.exp(0.7j) * psi.values).max() < 1e-15
     assert np.abs(gauge2.a_phi[0]).max() == 0.0
     assert np.abs(gauge2.a_t).max() == 0.0
@@ -50,8 +49,8 @@ def test_zero_lambda_is_identity():
     grid = TensorGrid.cube(-5.0, 5.0, 101, 1)
     psi = make_state(grid)
     gauge = GaugeState.zero(grid)
-    g = GaugeTransform(np.zeros(grid.shape), np.zeros(grid.shape))
-    psi2, gauge2 = gauge_transform(psi, gauge, g)
+    psi2, gauge2 = gauge_transform(psi, gauge, np.zeros(grid.shape),
+                                   np.zeros(grid.shape))
     assert np.abs(psi2.values - psi.values).max() == 0.0
     assert np.abs(gauge2.a_phi[0]).max() == 0.0
 
@@ -60,9 +59,7 @@ def test_density_invariance_and_covariant_transform():
     grid = TensorGrid.cube(-5.0, 5.0, 201, 1)
     psi = make_state(grid)
     gauge = GaugeState.zero(grid)
-    lam = smooth_lambda(grid)
-    g = GaugeTransform(lam, np.zeros(grid.shape))
-    psi2, _ = gauge_transform(psi, gauge, g)
+    psi2, _ = gauge_transform(psi, gauge, smooth_lambda(grid), np.zeros(grid.shape))
     rho1 = np.abs(psi.values) ** 2
     rho2 = np.abs(psi2.values) ** 2
     assert np.abs(rho1 - rho2).max() < 1e-14
@@ -73,9 +70,24 @@ def test_field_strength_untouched_by_transform():
     psi = make_state(grid)
     gauge = GaugeState.zero(grid)
     gauge.f = [np.sin(np.linspace(0, 1, grid.shape[0] - 1))]
-    g = GaugeTransform(smooth_lambda(grid), np.zeros(grid.shape))
-    _, gauge2 = gauge_transform(psi, gauge, g)
+    _, gauge2 = gauge_transform(psi, gauge, smooth_lambda(grid), np.zeros(grid.shape))
     assert np.abs(gauge2.f[0] - gauge.f[0]).max() == 0.0
+
+
+def test_transform_casts_lambda_to_float_arrays():
+    grid = TensorGrid.cube(-5.0, 5.0, 11, 1)
+    psi = make_state(grid)
+    # lists of integers, as a caller may pass them
+    psi2, gauge2 = gauge_transform(psi, GaugeState.zero(grid), [1] * 11, list(range(11)))
+    assert np.array_equal(psi2.values, np.exp(1j * np.ones(11)) * psi.values)
+    assert gauge2.a_t.dtype == float and np.array_equal(gauge2.a_t, np.arange(11.0))
+
+
+def test_transform_rejects_a_gauge_on_another_grid():
+    psi = make_state(TensorGrid.cube(-5.0, 5.0, 51, 1))
+    other = TensorGrid.cube(-6.0, 6.0, 51, 1)
+    with pytest.raises(ValueError, match=r"gauge is on .*-6\.0.* psi is on .*-5\.0"):
+        gauge_transform(psi, GaugeState.zero(other), np.zeros(51), np.zeros(51))
 
 
 # -------------------------------------------------------- hamiltonian

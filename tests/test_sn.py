@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from nlgauge.dynamics import _block_rows, stationary_solve
 from nlgauge.errors import ConvergenceError, GridShapeError, IntegratorError
 from nlgauge.grids import RadialGrid, TensorGrid, UniformGrid1D
 from nlgauge.model import HamiltonianSpec, ModelParams
-from nlgauge.sn import (Line1DState, SNParams, _rk4_shoot_u,
+from nlgauge.sn import (SNParams, _rk4_shoot_u,
                         limit_equivalence_check, line_ground_scf,
                         poisson_1d_neumann,
                         shoot_node_count, sn_evolve_1d, sn_ground_radial_scf,
@@ -310,8 +311,7 @@ def test_free_gaussian_spreading_law():
     sig0 = 1.0
     psi = np.exp(-x ** 2 / (4 * sig0 ** 2)) + 0j
     psi /= np.sqrt((w * np.abs(psi) ** 2).sum())
-    out = sn_evolve_1d(Line1DState(grid, psi),
-                       SNParams(coupling=0.0), dt=0.01, steps=400)
+    out = sn_evolve_1d(grid, psi, SNParams(coupling=0.0), dt=0.01, steps=400)
     s = out["series"]
     T = s["t"][-1]
     predicted = np.sqrt(sig0 ** 2 + T ** 2 / (4 * sig0 ** 2))
@@ -348,10 +348,8 @@ def test_shrinking_at_strong_coupling():
     w = line_weights(grid)
     psi = np.exp(-x ** 2 / 4.0) + 0j
     psi /= np.sqrt((w * np.abs(psi) ** 2).sum())
-    strong = sn_evolve_1d(Line1DState(grid, psi.copy()),
-                          SNParams(coupling=2.0), dt=0.005, steps=400)
-    weak = sn_evolve_1d(Line1DState(grid, psi.copy()),
-                        SNParams(coupling=0.0), dt=0.005, steps=400)
+    strong = sn_evolve_1d(grid, psi, SNParams(coupling=2.0), dt=0.005, steps=400)
+    weak = sn_evolve_1d(grid, psi, SNParams(coupling=0.0), dt=0.005, steps=400)
     assert strong["series"]["sigma"].min() < 1.0
     assert np.all(np.diff(weak["series"]["sigma"]) > 0)
 
@@ -361,21 +359,24 @@ def test_line_evolver_conserves_norm_when_coupled():
     x = grid.nodes
     psi = np.exp(-x ** 2 / 4.0) + 0j
     psi /= np.sqrt((line_weights(grid) * np.abs(psi) ** 2).sum())
-    norm = sn_evolve_1d(Line1DState(grid, psi), SNParams(coupling=1.0),
+    norm = sn_evolve_1d(grid, psi, SNParams(coupling=1.0),
                         dt=0.01, steps=100)["series"]["norm"]
     assert np.abs(norm - norm[0]).max() < 1e-8
 
 
-def test_line_state_is_grid_psi_and_keyword_only_time():
-    fields = dataclasses.fields(Line1DState)
-    assert [f.name for f in fields] == ["grid", "psi", "time"]
-    assert fields[-1].kw_only
+def test_sn_evolve_takes_grid_and_psi_with_keyword_only_record_every():
+    params = inspect.signature(sn_evolve_1d).parameters
+    assert list(params) == ["grid", "psi", "params", "dt", "steps", "record_every"]
+    assert params["record_every"].kind is inspect.Parameter.KEYWORD_ONLY
     grid = UniformGrid1D(-1.0, 1.0, 5)
-    psi = np.zeros(5, complex)
-    assert Line1DState(grid, psi, time=0.5).time == 0.5
-    # a stale call with the old potential argument must not bind it to time
+    psi = np.ones(5, complex)
+    # a stale call with one state argument in place of grid and psi
     with pytest.raises(TypeError):
-        Line1DState(grid, psi, np.zeros(5))
+        sn_evolve_1d((grid, psi), SNParams(), dt=0.01, steps=1)
+    # the run starts at t = 0 and works on a copy of psi
+    out = sn_evolve_1d(grid, psi, SNParams(), dt=0.01, steps=2)
+    assert out["series"]["t"].tolist() == [0.0, 0.01, 0.02]
+    assert out["psi"][0] == 0.0 and psi[0] == 1.0
 
 
 def test_energy_drift_second_order():
@@ -387,7 +388,7 @@ def test_energy_drift_second_order():
     p = SNParams(coupling=2.0)
     drifts = []
     for dt in (0.02, 0.01, 0.005):
-        out = sn_evolve_1d(Line1DState(grid, psi.copy()), p,
+        out = sn_evolve_1d(grid, psi, p,
                            dt=dt, steps=int(2.0 / dt))
         e = out["series"]["energy"]
         drifts.append(np.abs(e - e[0]).max())
@@ -396,11 +397,11 @@ def test_energy_drift_second_order():
 
     # each recorded energy is <psi, -1/2 psi'' + V psi> - 1/2 <phi, rho>
     p = SNParams(coupling=2.0, external_potential_coeffs=(0.0, 0.0, 0.01))
-    state = Line1DState(grid, psi.copy())
-    state.psi[0] = state.psi[-1] = 0.0
+    psi_0 = psi.copy()
+    psi_0[0] = psi_0[-1] = 0.0
     for _ in range(3):
-        out = sn_evolve_1d(state, p, dt=0.02, steps=1)
-        for psi_k, e_k in zip((state.psi, out["final"].psi), out["series"]["energy"]):
+        out = sn_evolve_1d(grid, psi_0, p, dt=0.02, steps=1)
+        for psi_k, e_k in zip((psi_0, out["psi"]), out["series"]["energy"]):
             lap = np.zeros_like(psi_k)
             lap[1:-1] = (psi_k[2:] - 2 * psi_k[1:-1] + psi_k[:-2]) / grid.spacing ** 2
             rho = np.abs(psi_k) ** 2
@@ -408,7 +409,7 @@ def test_energy_drift_second_order():
                                                             * psi_k)).sum()))
                       - 0.5 * float((w * solve_phi_grav(grid, rho, p) * rho).sum()))
             assert abs(e_k - expect) <= 1e-13 * abs(expect)
-        state = out["final"]
+        psi_0 = out["psi"]
 
 
 def test_poisson_1d_neumann_matches_cg_path():
@@ -563,8 +564,7 @@ def test_sn_evolve_rejects_a_nan_state_with_integrator_error(coupling):
     # longer than two of `evolve_temporal_gauge`'s blocks both name step 1
     for steps in (5, 2 * _block_rows(grid.count) + 5):
         with pytest.raises(IntegratorError, match="step 1$"):
-            sn_evolve_1d(Line1DState(grid, psi),
-                         SNParams(coupling=coupling), dt=0.01, steps=steps)
+            sn_evolve_1d(grid, psi, SNParams(coupling=coupling), dt=0.01, steps=steps)
 
 
 @pytest.mark.parametrize("kwargs, name", [
@@ -577,7 +577,7 @@ def test_sn_evolve_rejects_bad_step_arguments(kwargs, name):
     psi /= np.sqrt((line_weights(grid) * np.abs(psi) ** 2).sum())
     args = {"dt": 0.01, "steps": 6, **kwargs}
     with pytest.raises(ValueError, match=f"^{name} must be"):
-        sn_evolve_1d(Line1DState(grid, psi), SNParams(coupling=1.0), **args)
+        sn_evolve_1d(grid, psi, SNParams(coupling=1.0), **args)
 
 
 def test_sn_evolve_rejects_a_psi_off_its_grid(monkeypatch):
@@ -589,7 +589,7 @@ def test_sn_evolve_rejects_a_psi_off_its_grid(monkeypatch):
 
     monkeypatch.setattr(sn, "_cn_step_1d", no_step)
     with pytest.raises(GridShapeError, match=r"\(100,\) != grid shape \(101,\)"):
-        sn_evolve_1d(Line1DState(grid, psi), SNParams(coupling=1.0),
+        sn_evolve_1d(grid, psi, SNParams(coupling=1.0),
                      dt=0.01, steps=5)
 
 
@@ -612,11 +612,11 @@ def test_sn_step_that_raises_after_the_guard_failed_reports_the_guard(monkeypatc
     monkeypatch.setattr(sn, "_cn_step_1d", failing_fourth_call)
     bad = np.where(np.arange(201) == 60, np.nan, psi)
     with pytest.raises(IntegratorError, match="step 1$"):
-        sn_evolve_1d(Line1DState(grid, bad), SNParams(coupling=2.0), dt=0.01,
+        sn_evolve_1d(grid, bad, SNParams(coupling=2.0), dt=0.01,
                      steps=10)
     calls.clear()
     with pytest.raises(np.linalg.LinAlgError, match="info=7"):
-        sn_evolve_1d(Line1DState(grid, psi), SNParams(coupling=2.0), dt=0.01,
+        sn_evolve_1d(grid, psi, SNParams(coupling=2.0), dt=0.01,
                      steps=10)
 
 def test_sn_series_across_block_boundaries():
@@ -630,22 +630,20 @@ def test_sn_series_across_block_boundaries():
     p = SNParams(coupling=2.0, external_potential_coeffs=(0.0, 0.0, 0.01))
     block = _block_rows(grid.count)
     steps = 3 * (2 * block + 1) + 2
-    dense = sn_evolve_1d(Line1DState(grid, psi, time=0.25), p, dt=0.005,
-                         steps=steps)
-    sparse = sn_evolve_1d(Line1DState(grid, psi, time=0.25), p, dt=0.005,
-                          steps=steps, record_every=3)
+    dense = sn_evolve_1d(grid, psi, p, dt=0.005, steps=steps)
+    sparse = sn_evolve_1d(grid, psi, p, dt=0.005, steps=steps, record_every=3)
     picked = sorted(set(range(0, steps + 1, 3)) | {steps})
     assert len(picked) > 2 * block
     for key, series in dense["series"].items():
         assert len(series) == steps + 1
         assert np.array_equal(sparse["series"][key], series[picked])
-    assert np.array_equal(sparse["final"].psi, dense["final"].psi)
+    assert np.array_equal(sparse["psi"], dense["psi"])
     # no step: the series is the initial row alone
-    none = sn_evolve_1d(Line1DState(grid, psi, time=0.25), p, dt=0.005, steps=0)
+    none = sn_evolve_1d(grid, psi, p, dt=0.005, steps=0)
     for key, series in dense["series"].items():
         assert np.array_equal(none["series"][key], series[:1])
     # the last row, of the final state, by the per-state formulas
-    fin = dense["final"].psi
+    fin = dense["psi"]
     rho = np.abs(fin) ** 2
     nrm = (w * rho).sum()
     lap = np.zeros_like(fin)
@@ -655,7 +653,7 @@ def test_sn_series_across_block_boundaries():
     mean = (w * x * rho).sum() / nrm
     sigma = np.sqrt((w * (x - mean) ** 2 * rho).sum() / nrm)
     s = dense["series"]
-    assert s["t"][-1] == 0.25 + steps * 0.005
+    assert s["t"][-1] == steps * 0.005
     assert s["norm"][-1] == nrm
     assert s["sigma"][-1] == sigma
     assert abs(s["energy"][-1] - energy) <= 1e-13 * abs(energy)
@@ -677,7 +675,7 @@ def test_sn_evolve_stops_at_the_first_failing_step(monkeypatch):
 
     monkeypatch.setattr(sn, "_cn_step_1d", counted)
     with pytest.raises(IntegratorError, match="step 1$"):
-        sn_evolve_1d(Line1DState(grid, psi), SNParams(coupling=2.0), dt=0.01,
+        sn_evolve_1d(grid, psi, SNParams(coupling=2.0), dt=0.01,
                      steps=50)
     # the one CN solve of step 1, and no step after it
     assert len(calls) == 1
@@ -692,13 +690,12 @@ def test_sn_recorded_rows_are_the_per_state_formulas_on_a_moving_packet():
     psi[0] = psi[-1] = 0.0  # as the evolver pins them
     p = SNParams(coupling=2.0, external_potential_coeffs=(0.0, 0.0, 0.01))
     steps = 20
-    s = sn_evolve_1d(Line1DState(grid, psi), p, dt=0.005, steps=steps)["series"]
+    s = sn_evolve_1d(grid, psi, p, dt=0.005, steps=steps)["series"]
     # the states of the run, one step at a time (bitwise the same steps)
-    states = [Line1DState(grid, psi)]
+    states = [psi]
     for _ in range(steps):
-        states.append(sn_evolve_1d(states[-1], p, dt=0.005, steps=1)["final"])
-    for k, state in enumerate(states):
-        psi_k = state.psi
+        states.append(sn_evolve_1d(grid, states[-1], p, dt=0.005, steps=1)["psi"])
+    for k, psi_k in enumerate(states):
         rho = np.abs(psi_k) ** 2
         nrm = (w * rho).sum()
         mean = (w * x * rho).sum() / nrm
@@ -711,7 +708,7 @@ def test_sn_recorded_rows_are_the_per_state_formulas_on_a_moving_packet():
         assert s["sigma"][k] == np.sqrt((w * (x - mean) ** 2 * rho).sum() / nrm)
         assert abs(s["energy"][k] - energy) <= 1e-13 * abs(energy)
     # the packet has moved: <x> went from 0 to about 1.5 t = 0.15
-    assert (w * x * np.abs(states[-1].psi) ** 2).sum() > 0.1
+    assert (w * x * np.abs(states[-1]) ** 2).sum() > 0.1
 
 
 def test_density_rate_is_the_continuity_equation_of_the_cn_hamiltonian():
@@ -739,8 +736,8 @@ def test_density_rate_is_the_continuity_equation_of_the_cn_hamiltonian():
     rho_mid = np.abs(psi) ** 2 + 0.5 * dt * sn._density_rate(psi, h)
     step = sn._cn_step_1d(TensorGrid((grid,)), psi, None,
                           vext - solve_phi_grav(grid, rho_mid, p), 1.0, dt)
-    out = sn_evolve_1d(Line1DState(grid, psi), p, dt=dt, steps=1)
-    assert np.array_equal(out["final"].psi, step)
+    out = sn_evolve_1d(grid, psi, p, dt=dt, steps=1)
+    assert np.array_equal(out["psi"], step)
 
 
 def test_line_evolver_density_error_is_second_order():
@@ -752,9 +749,9 @@ def test_line_evolver_density_error_is_second_order():
     p = SNParams(coupling=2.0, external_potential_coeffs=(0.0, 0.0, 0.01))
 
     def density(dt):
-        out = sn_evolve_1d(Line1DState(grid, psi), p, dt=dt, steps=round(1.0 / dt),
+        out = sn_evolve_1d(grid, psi, p, dt=dt, steps=round(1.0 / dt),
                            record_every=10 ** 6)
-        return np.abs(out["final"].psi) ** 2
+        return np.abs(out["psi"]) ** 2
 
     ref = density(6.25e-4)
     errs = [np.sqrt((w * (density(dt) - ref) ** 2).sum()) for dt in (0.02, 0.01, 0.005)]
