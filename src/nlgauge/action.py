@@ -86,13 +86,20 @@ def action_evaluate(traj: Trajectory) -> float:
 def _scaled_model(grid: TensorGrid, spec: HamiltonianSpec, params: ModelParams,
                   c0: float, a: float):
     """(s, grid', spec', params') of the scale family at (c0, a). Raises
-    ValueError naming c0 unless it is finite and > 0, and a unless finite."""
+    ValueError naming c0 unless it is finite and > 0, a unless finite,
+    and both unless s = c0^(a/2) is finite and > 0."""
     # written so that a NaN fails each check
     if not 0 < c0 < np.inf:
         raise ValueError(f"c0 must be positive and finite (got {c0})")
     if not np.isfinite(a):
         raise ValueError(f"a must be finite (got {a})")
-    s = c0 ** (a / 2.0)
+    try:
+        s = float(c0) ** (a / 2.0)
+    except OverflowError:
+        s = np.inf
+    if not 0 < s < np.inf:
+        raise ValueError(f"c0 = {c0} and a = {a} give the scale s = c0^(a/2) = {s}, "
+                         "outside (0, inf)")
     grid2 = TensorGrid(tuple(UniformGrid1D(ax.lower / s, ax.upper / s, ax.count)
                              for ax in grid.axes))
     spec2 = replace(spec, lattice_spacing=spec.lattice_spacing * s)

@@ -79,11 +79,16 @@ def stationary_solve(spec: HamiltonianSpec, params: ModelParams,
     state carries both coupled residuals, each required to be <= 10*tol:
     the eigen residual on the interior unknowns, with the Hamiltonian of
     the final A_t, and the Gauss residual on the whole grid. Raises
-    ValueError naming `guess` unless it is finite and nonzero.
+    ValueError naming `guess` unless it is finite and nonzero. The guess
+    is first scaled by the power of two that puts its largest magnitude
+    in [1/2, 1), which is exact, so its square neither overflows nor
+    underflows and guesses that differ by a power of two give the same
+    state.
     """
     psi = default_gaussian_guess(grid) if guess is None else np.asarray(guess, dtype=float)
     if not (np.isfinite(psi).all() and psi.any()):
         raise ValueError("guess must be finite and nonzero")
+    psi = np.ldexp(psi, -np.frexp(np.abs(psi).max())[1])
     inner = (slice(1, -1),) * grid.ndim
     w_inner = grid.quad_weights()[inner]
     diag0 = spec.site_potential_total(grid)
@@ -154,8 +159,24 @@ class Trajectory:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _cn_step_1d(grid, psi, phases, diag, a_lat, dt):
-    """Direct tridiagonal Crank-Nicolson step (interior unknowns).
+def _cn_coef(grid, a_lat):
+    """Hopping coefficient 1/(2 a^3 h^2) of the 1D Hamiltonian stencil."""
+    h = grid.spacings[0]
+    return 1.0 / (2.0 * a_lat ** 3 * h * h)
+
+
+def _cn_band(grid, diag, a_lat, dt):
+    """Main band 1 + i(dt/2)(2 coef + diag) of the 1D CN matrix on the
+    interior nodes, for `_cn_step_1d`; a run with fixed diag and dt
+    builds it once."""
+    d = 0.5j * dt * (2.0 * _cn_coef(grid, a_lat) + diag[1:-1])
+    d += 1.0
+    return d
+
+
+def _cn_step_1d(grid, psi, phases, band, a_lat, dt):
+    """Direct tridiagonal Crank-Nicolson step (interior unknowns), with
+    the main band `band` of `_cn_band`, which it does not write.
 
     Uses the identity (I + i a H)^-1 (I - i a H) = 2 (I + i a H)^-1 - I,
     a = dt/2 (Goldberg, Schey & Schwartz 1967): one tridiagonal solve
@@ -164,24 +185,23 @@ def _cn_step_1d(grid, psi, phases, diag, a_lat, dt):
     `zgtsv`, which solves in place in the output's interior; that is the
     routine `scipy.linalg.solve_banded((1, 1), ...)` calls after
     validating its inputs, so the result is bitwise the `solve_banded`
-    solve of this one-solve form with the same bands.
+    solve of this one-solve form with the same bands. The lower band is
+    -conj(upper), bitwise alpha * (-coef * conj(U)) for the purely
+    imaginary alpha.
     """
     n = grid.shape[0]
-    h = grid.spacings[0]
-    coef = 1.0 / (2.0 * a_lat ** 3 * h * h)
     alpha = 0.5j * dt
-    # interior nodes 1..n-2; link j connects nodes j and j+1
-    d = alpha * (2.0 * coef + diag[1:-1])
-    d += 1.0
+    coef = _cn_coef(grid, a_lat)
+    # interior nodes 1..n-2; link j connects nodes j and j+1. zgtsv
+    # overwrites all three bands, so each is its own array
+    d = band.copy()
     if phases is None:
-        # unit links: both off-diagonals hold the one value alpha * (-coef);
-        # zgtsv overwrites them, so each is its own array
+        # unit links: both off-diagonals hold the one value alpha * (-coef)
         upper = np.full(n - 3, alpha * (-coef))
         lower = upper.copy()
     else:
-        U = phases[0][1:-1]
-        upper = alpha * (-coef * U)
-        lower = alpha * (-coef * np.conj(U))
+        upper = alpha * (-coef * phases[0][1:-1])
+        lower = -np.conj(upper)
     out = np.empty_like(psi)
     out[0] = out[-1] = 0.0
     y = out[1:-1]
@@ -405,7 +425,11 @@ def evolve_temporal_gauge(psi0: WaveFunctional, gauge0: GaugeState,
 
     rows.append((0, psi, ph, j, f, psi, j))
     snapshot(0, psi, a, f)
-    cn_step = _cn_step_1d if nd == 1 else _cn_step_nd
+    # the 1D step takes its main band, fixed for the run, built once here
+    if nd == 1:
+        cn_step, cn_diag = _cn_step_1d, _cn_band(grid, diag, a_lat, dt)
+    else:
+        cn_step, cn_diag = _cn_step_nd, diag
 
     for k in range(1, steps + 1):
         try:
@@ -415,7 +439,7 @@ def evolve_temporal_gauge(psi0: WaveFunctional, gauge0: GaugeState,
             a_mid = [a[x] + 0.5 * dt * f_half[x] for x in range(nd)]
             phases_mid = link_phases(grid, a_mid)
             if scheme == "cn":
-                psi = cn_step(grid, psi, phases_mid, diag, a_lat, dt)
+                psi = cn_step(grid, psi, phases_mid, cn_diag, a_lat, dt)
             else:
                 hpsi = apply_hamiltonian_raw(grid, psi, phases_mid, diag, a_lat)
                 psi = project_dirichlet(grid, psi - 1j * dt * hpsi)

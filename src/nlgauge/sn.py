@@ -17,7 +17,7 @@ Three solvers live here:
   once per step in the potential of a midpoint density that the
   discrete continuity equation predicts to O(dt^2) (so the step stays
   second order), and it records each step as it is taken, the energy
-  by summation by parts with no Hamiltonian apply.
+  by summation by parts with no Hamiltonian apply and no Poisson solve.
 
 The radial SCF, the oracle's outer loop and the independent line SCF all
 run on the Anderson fixed-point driver of `fixedpoint`.
@@ -50,8 +50,8 @@ from scipy.linalg.lapack import dgttrf as _dgttrf
 from scipy.linalg.lapack import dgttrs as _dgttrs
 from scipy.linalg.lapack import dtbtrs as _dtbtrs
 
-from .dynamics import (_NORM_TOL, _check_step_args, _cn_step_1d, _rms_width,
-                       stationary_solve)
+from .dynamics import (_NORM_TOL, _check_step_args, _cn_band, _cn_step_1d,
+                       _rms_width, stationary_solve)
 from .errors import ConvergenceError, IntegratorError
 from .fixedpoint import fixed_point
 from .gaugeops import link_diff, link_divergence
@@ -505,8 +505,18 @@ def sn_evolve_1d(grid: UniformGrid1D, psi: np.ndarray, params: SNParams,
     V_ext on the stencil of the CN step. With psi zero at both ends and
     interior weights h, summation by parts turns the kinetic term into
     sum_j |psi_{j+1} - psi_j|^2 / (2h), so the energy is that sum plus
-    sum w (V_ext - phi_grav/2) rho: no Hamiltonian apply, and no
-    cancellation of the diagonal against the hopping terms.
+    sum w V_ext rho - 1/2 coupling h sum_j G_j^2, with
+    G = cumsum(w (rho - rho_bar))[:-1] and rho_bar = sum w rho / extent:
+    no Hamiltonian apply, and no cancellation of the diagonal against
+    the hopping terms. The gravity term needs no Poisson solve: phi_grav
+    has zero mean, so <phi_grav, w rho> = <phi_grav, w (rho - rho_bar)>,
+    and w (rho - rho_bar) is -1/coupling times w phi_grav'' on the
+    compact Neumann stencil of `poisson_1d_neumann`, whose weighted row
+    j is the flux difference F_{j+1/2} - F_{j-1/2}, F = diff(phi_grav)/h.
+    So the fluxes are -coupling G, and summation by parts gives
+    <phi_grav, w rho> = h sum F^2 / coupling = coupling h sum G^2. The
+    background cancels in rho - rho_bar, and coupling 0 gives exactly 0.
+    Each step thus makes one Poisson solve, that of its midpoint density.
 
     The norm guard (drift above 1e-6 raises IntegratorError) is checked
     at each recorded step, so the run stops at the first one that fails
@@ -525,6 +535,7 @@ def sn_evolve_1d(grid: UniformGrid1D, psi: np.ndarray, params: SNParams,
     wx = w * x
     two_h = 2.0 * grid.spacing
     vext = params.external_potential(x)
+    grav_h = params.coupling * grid.spacing
     psi = psi.astype(complex)
     psi[0] = psi[-1] = 0.0
 
@@ -534,14 +545,14 @@ def sn_evolve_1d(grid: UniformGrid1D, psi: np.ndarray, params: SNParams,
     def record(k, psi, rho):
         # k / record_every on the stride; a last step off it takes the next row
         row = -(-k // record_every)
-        phi = solve_phi_grav(grid, rho, params)
         w_rho = w * rho
         nrm = w_rho.sum()
         dpsi = psi[1:] - psi[:-1]
+        flux = np.cumsum(w * (rho - nrm / grid.extent))[:-1]
         out["t"][row] = k * dt
         out["norm"][row] = nrm
         out["energy"][row] = (np.vdot(dpsi, dpsi).real / two_h + np.dot(w_rho, vext)
-                              - 0.5 * np.dot(w_rho, phi))
+                              - 0.5 * grav_h * np.dot(flux, flux))
         out["sigma"][row] = _rms_width(w, (x,), (wx,), rho, nrm)
         # written so that a NaN norm fails the guard
         if k > 0 and not abs(nrm - out["norm"][0]) <= _NORM_TOL:
@@ -552,7 +563,8 @@ def sn_evolve_1d(grid: UniformGrid1D, psi: np.ndarray, params: SNParams,
     for k in range(1, steps + 1):
         rho_mid = rho + (0.5 * dt) * _density_rate(psi, grid.spacing)
         phi_mid = solve_phi_grav(grid, rho_mid, params)
-        psi = _cn_step_1d(tgrid, psi, None, vext - phi_mid, 1.0, dt)
+        psi = _cn_step_1d(tgrid, psi, None, _cn_band(tgrid, vext - phi_mid, 1.0, dt),
+                          1.0, dt)
         rho = np.abs(psi) ** 2
         if k % record_every == 0 or k == steps:
             record(k, psi, rho)

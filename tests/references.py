@@ -3,8 +3,9 @@
 
 import numpy as np
 
-from nlgauge.grids import TensorGrid
+from nlgauge.grids import TensorGrid, UniformGrid1D
 from nlgauge.model import ModelParams, nonlinearity
+from nlgauge.sn import SNParams, poisson_1d_neumann, solve_phi_grav
 
 
 def _axis_second_diff(values: np.ndarray, axis: int, spacing: float) -> np.ndarray:
@@ -49,3 +50,27 @@ def total_charge(grid: TensorGrid, rho: np.ndarray, params: ModelParams) -> floa
     The bitwise reference for the evolver's `charge` diagnostic."""
     src = nonlinearity(rho, grid)
     return params.inv_l2 * float(np.real(grid.integrate(src)))
+
+
+def gravity_pairing(grid: UniformGrid1D, rho: np.ndarray,
+                    params: SNParams) -> np.longdouble:
+    """<phi_grav, w rho> of the line Poisson problem in extended precision,
+    by a route apart from the line evolver's summation by parts.
+
+    phi_grav is `sn.solve_phi_grav`'s float64 solution refined once: the
+    residual of the Neumann stencil (mirror ghosts, the source mean
+    projected out) is formed in np.longdouble, its correction solved by
+    the same float64 solve, and the sum, re-centred to zero mean, paired
+    with w rho in np.longdouble. The float64 pairing alone carries about
+    1e-13 relative roundoff, the size of the bounds it is checked at.
+    """
+    ld = np.longdouble
+    w = grid.quad_weights().astype(ld)
+    vol = w.sum()
+    source = -ld(params.coupling) * (rho.astype(ld) - ld(params.background))
+    source -= (w * source).sum() / vol
+    phi = solve_phi_grav(grid, rho, params).astype(ld)
+    resid = source - _axis_second_diff(phi, 0, ld(grid.spacing))
+    phi += poisson_1d_neumann(grid, resid.astype(float))
+    phi -= (w * phi).sum() / vol
+    return (w * rho.astype(ld) * phi).sum()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,16 @@ def test_scale_transform_state_rejects_a_non_finite_c0_or_a(c0, a, name):
         scale_transform_state(grid, np.zeros(grid.shape, dtype=complex),
                               np.zeros(grid.shape), QUARTIC, ModelParams(l=1.0),
                               c0=c0, a=a)
+
+
+@pytest.mark.parametrize("c0", [1e300, 1e-300])
+def test_scale_transform_state_rejects_a_scale_outside_the_floats(c0):
+    # s = c0^(a/2) overflows at 1e300 and underflows to 0 at 1e-300
+    grid = TensorGrid.cube(-3.0, 3.0, 41, 1)
+    with pytest.raises(ValueError, match=re.escape(f"c0 = {c0} and a = 10.0 give")):
+        scale_transform_state(grid, np.zeros(grid.shape, dtype=complex),
+                              np.zeros(grid.shape), QUARTIC, ModelParams(l=1.0),
+                              c0=c0, a=10.0)
 
 
 def test_scale_symmetry_breaks_for_massive_potential():

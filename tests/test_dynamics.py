@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import nlgauge.dynamics as dynamics
-from nlgauge.dynamics import (_block_rows, _cn_step_1d, _cn_step_nd,
+from nlgauge.dynamics import (_block_rows, _cn_band, _cn_step_1d, _cn_step_nd,
                               continuity_residual, evolve_temporal_gauge,
                               stationary_solve)
 from nlgauge.errors import (ConstraintViolationError, ConvergenceError,
@@ -124,6 +124,26 @@ def test_stationary_rejects_a_guess_that_is_zero_or_not_finite(fill):
     guess[30] = fill
     with pytest.raises(ValueError, match="^guess must be finite and nonzero"):
         stationary_solve(HARMONIC, ModelParams(l=1.0), grid, guess=guess)
+
+
+def test_stationary_guess_scale_is_exact_over_the_float_range():
+    # the guess is scaled by a power of two first, so its square neither
+    # overflows nor underflows, and a power of two changes nothing
+    grid = TensorGrid.cube(-6.0, 6.0, 41, 1)
+    params = ModelParams(l=1.0)
+    ref = stationary_solve(HARMONIC, params, grid, guess=np.ones(grid.shape))
+    for k in (700, -700):
+        st = stationary_solve(HARMONIC, params, grid,
+                              guess=np.ldexp(np.ones(grid.shape), k))
+        assert st.omega_eig == ref.omega_eig
+        assert st.iterations == ref.iterations
+        assert np.array_equal(st.psi.values, ref.psi.values)
+        assert np.array_equal(st.a_t, ref.a_t)
+    for scale in (1e200, 1e-200):
+        st = stationary_solve(HARMONIC, params, grid,
+                              guess=scale * np.ones(grid.shape))
+        assert abs(st.omega_eig - ref.omega_eig) <= 1e-10
+        assert st.eig_residual <= 1e-9
 
 
 # ------------------------------------------------------------ evolution
@@ -465,9 +485,12 @@ def test_cn_step_forward_then_back_returns_psi(case, seed, dt):
         phases = link_phases(grid, [rng.standard_normal(
             tuple(n - (k == x) for k, n in enumerate(grid.shape)))
             for x in range(grid.ndim)])
-    step = _cn_step_1d if grid.ndim == 1 else _cn_step_nd
-    fwd = step(grid, psi, phases, diag, 1.0, dt)
-    back = step(grid, fwd, phases, diag, 1.0, -dt)
+    if grid.ndim == 1:
+        fwd = _cn_step_1d(grid, psi, phases, _cn_band(grid, diag, 1.0, dt), 1.0, dt)
+        back = _cn_step_1d(grid, fwd, phases, _cn_band(grid, diag, 1.0, -dt), 1.0, -dt)
+    else:
+        fwd = _cn_step_nd(grid, psi, phases, diag, 1.0, dt)
+        back = _cn_step_nd(grid, fwd, phases, diag, 1.0, -dt)
     assert np.abs(fwd - psi).max() > 1e-3
     assert np.abs(back - psi).max() < 1e-10
 
@@ -478,7 +501,7 @@ def test_cn_nd_step_matches_banded_step_on_one_site():
     x = grid.axes[0].nodes
     phases = link_phases(grid, [0.3 * np.sin(0.5 * (x[1:] + x[:-1]))])
     diag = HARMONIC.site_potential_total(grid)
-    banded = _cn_step_1d(grid, psi, phases, diag, 1.0, 0.01)
+    banded = _cn_step_1d(grid, psi, phases, _cn_band(grid, diag, 1.0, 0.01), 1.0, 0.01)
     nd = _cn_step_nd(grid, psi, phases, diag, 1.0, 0.01)
     assert np.abs(nd - banded).max() < 1e-10
     assert np.abs(nd - psi).max() > 1e-3
@@ -712,9 +735,13 @@ def test_cn_step_1d_equals_solve_banded_bitwise(count, links):
                    + 1j * rng.standard_normal(count), 0.0)
     diag = rng.uniform(0.0, 2.0, count)
     phases = link_phases(grid, [rng.standard_normal(count - 1)]) if links else None
-    step = _cn_step_1d(grid, psi, phases, diag, 1.0, 0.01)
+    band = _cn_band(grid, diag, 1.0, 0.01)
+    saved = band.copy()
+    step = _cn_step_1d(grid, psi, phases, band, 1.0, 0.01)
     ref = _solve_banded_cn_reference(grid, psi, phases, diag, 1.0, 0.01)
     assert np.array_equal(step, ref)
+    # the band is left for the next step: the evolver builds it once
+    assert np.array_equal(band, saved)
     assert np.abs(step - psi).max() > 1e-3
     # the one-solve form and the two-sided one agree to roundoff
     two_sided = _two_sided_cn_reference(grid, psi, phases, diag, 1.0, 0.01)
@@ -727,7 +754,7 @@ def test_cn_step_1d_on_one_unknown_is_the_scalar_cayley_factor():
     psi = np.array([0.0, 0.6 - 0.8j, 0.0])
     diag = np.array([5.0, 0.3, 7.0])
     dt = 0.1
-    step = _cn_step_1d(grid, psi, None, diag, 1.0, dt)
+    step = _cn_step_1d(grid, psi, None, _cn_band(grid, diag, 1.0, dt), 1.0, dt)
     e = 2.0 / (2.0 * grid.spacings[0] ** 2) + diag[1]
     expect = psi[1] * (1 - 0.5j * dt * e) / (1 + 0.5j * dt * e)
     assert step[0] == step[2] == 0.0

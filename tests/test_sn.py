@@ -15,6 +15,7 @@ from nlgauge.sn import (SNParams, _rk4_shoot_u,
                         poisson_1d_neumann,
                         shoot_node_count, sn_evolve_1d, sn_ground_radial_scf,
                         sn_ground_radial_shoot, solve_phi_grav)
+from references import gravity_pairing
 
 HARM3D = SNParams(coupling=0.0, external_potential_coeffs=(0.0, 0.0, 0.5))
 CUBE9 = TensorGrid.cube(-5.0, 5.0, 9, 3)
@@ -407,7 +408,7 @@ def test_energy_drift_second_order():
             rho = np.abs(psi_k) ** 2
             expect = (float(np.real((w * np.conj(psi_k) * (-0.5 * lap + 0.01 * x * x
                                                             * psi_k)).sum()))
-                      - 0.5 * float((w * solve_phi_grav(grid, rho, p) * rho).sum()))
+                      - 0.5 * float(gravity_pairing(grid, rho, p)))
             assert abs(e_k - expect) <= 1e-13 * abs(expect)
         psi_0 = out["psi"]
 
@@ -649,7 +650,7 @@ def test_sn_series_across_block_boundaries():
     lap = np.zeros_like(fin)
     lap[1:-1] = (fin[2:] - 2 * fin[1:-1] + fin[:-2]) / grid.spacing ** 2
     energy = (np.real((w * np.conj(fin) * (-0.5 * lap + 0.01 * x * x * fin)).sum())
-              - 0.5 * (w * solve_phi_grav(grid, rho, p) * rho).sum())
+              - 0.5 * float(gravity_pairing(grid, rho, p)))
     mean = (w * x * rho).sum() / nrm
     sigma = np.sqrt((w * (x - mean) ** 2 * rho).sum() / nrm)
     s = dense["series"]
@@ -703,12 +704,59 @@ def test_sn_recorded_rows_are_the_per_state_formulas_on_a_moving_packet():
         lap[1:-1] = (psi_k[2:] - 2 * psi_k[1:-1] + psi_k[:-2]) / grid.spacing ** 2
         energy = (np.real((w * np.conj(psi_k) * (-0.5 * lap + 0.01 * x * x
                                                   * psi_k)).sum())
-                  - 0.5 * (w * solve_phi_grav(grid, rho, p) * rho).sum())
+                  - 0.5 * float(gravity_pairing(grid, rho, p)))
         assert s["norm"][k] == nrm
         assert s["sigma"][k] == np.sqrt((w * (x - mean) ** 2 * rho).sum() / nrm)
         assert abs(s["energy"][k] - energy) <= 1e-13 * abs(energy)
     # the packet has moved: <x> went from 0 to about 1.5 t = 0.15
     assert (w * x * np.abs(states[-1]) ** 2).sum() > 0.1
+
+
+@pytest.mark.parametrize("record_every", [1, 3])
+def test_sn_evolve_makes_one_poisson_solve_per_step(monkeypatch, record_every):
+    # the recorded gravity energy takes no solve: only each step's
+    # midpoint potential does
+    grid = UniformGrid1D(-10.0, 10.0, 201)
+    psi = np.exp(-grid.nodes ** 2 / 4) + 0j
+    psi /= np.sqrt((line_weights(grid) * np.abs(psi) ** 2).sum())
+    real_solve = sn.solve_phi_grav
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real_solve(*args)
+
+    monkeypatch.setattr(sn, "solve_phi_grav", counted)
+    sn_evolve_1d(grid, psi, SNParams(coupling=2.0), dt=0.01, steps=7,
+                 record_every=record_every)
+    assert len(calls) == 7
+
+
+def test_sn_gravity_energy_at_coupling_zero_and_with_a_background():
+    grid = UniformGrid1D(-15.0, 15.0, 301)
+    x, h = grid.nodes, grid.spacing
+    w = line_weights(grid)
+    psi = np.exp(-(x - 1.0) ** 2 / 4.0 + 0.5j * x)
+    psi /= np.sqrt((w * np.abs(psi) ** 2).sum())
+    vext = 0.02 * x * x
+    for p in (SNParams(coupling=0.0, external_potential_coeffs=(0.0, 0.0, 0.02)),
+              SNParams(coupling=1.5, background=0.05,
+                       external_potential_coeffs=(0.0, 0.0, 0.02))):
+        out = sn_evolve_1d(grid, psi, p, dt=0.01, steps=6)
+        state = psi.copy()
+        state[0] = state[-1] = 0.0
+        for e_k in out["series"]["energy"]:
+            dpsi = state[1:] - state[:-1]
+            rho = np.abs(state) ** 2
+            free = np.vdot(dpsi, dpsi).real / (2.0 * h) + np.dot(w * rho, vext)
+            if p.coupling == 0.0:
+                # the gravity term is exactly 0
+                assert e_k == free
+            else:
+                expect = free - 0.5 * float(gravity_pairing(grid, rho, p))
+                assert abs(e_k - expect) <= 1e-13 * abs(expect)
+                assert abs(e_k - free) > 1e-3
+            state = sn_evolve_1d(grid, state, p, dt=0.01, steps=1)["psi"]
 
 
 def test_density_rate_is_the_continuity_equation_of_the_cn_hamiltonian():
@@ -734,8 +782,9 @@ def test_density_rate_is_the_continuity_equation_of_the_cn_hamiltonian():
     psi /= np.sqrt((w * np.abs(psi) ** 2).sum())
     dt = 0.01
     rho_mid = np.abs(psi) ** 2 + 0.5 * dt * sn._density_rate(psi, h)
-    step = sn._cn_step_1d(TensorGrid((grid,)), psi, None,
-                          vext - solve_phi_grav(grid, rho_mid, p), 1.0, dt)
+    tgrid = TensorGrid((grid,))
+    band = sn._cn_band(tgrid, vext - solve_phi_grav(grid, rho_mid, p), 1.0, dt)
+    step = sn._cn_step_1d(tgrid, psi, None, band, 1.0, dt)
     out = sn_evolve_1d(grid, psi, p, dt=dt, steps=1)
     assert np.array_equal(out["psi"], step)
 
