@@ -36,7 +36,8 @@ from .gaugeops import (_grid_norms, apply_hamiltonian_raw, gauss_residual,
 from .grids import TensorGrid
 from .model import (GaugeState, HamiltonianSpec, ModelParams, StationaryState,
                     WaveFunctional, nonlinearity)
-from .numerics import smallest_eigenpair
+from .numerics import (_checked_eigenpair, _tridiagonal_ground,
+                       smallest_eigenpair)
 
 # eigen-solve tolerance inside the stationary SCF
 _EIG_TOL = 1e-9
@@ -72,8 +73,14 @@ def stationary_solve(spec: HamiltonianSpec, params: ModelParams,
     and returns the A_t that its density sources. The eigen solve runs on
     the interior unknowns alone, with the Hamiltonian prepared once per
     step from the interior of diag0 - A_t, and psi is embedded back with
-    zero faces. It starts from the previous psi, which about halves the
-    operator applies of a converging loop. Stops when successive omega
+    zero faces. It starts from the previous psi. On a line (D = 1) the
+    Hamiltonian is tridiagonal, and the solve is the inverse iteration
+    of `numerics._tridiagonal_ground`; for D >= 2 it is ARPACK's
+    `smallest_eigenpair`, where the warm start about halves the operator
+    applies of a converging loop. Either eigenvector is normalized under
+    the quadrature weights with its largest entry positive, and a
+    residual above the eigen-solve tolerance raises ConvergenceError.
+    Stops when successive omega
     values differ by < tol and max|A_t update| <= tol; `fixed_point`
     raises ValueError unless 0 < mixing <= 1 and tol > 0. The returned
     state carries both coupled residuals, each required to be <= 10*tol:
@@ -100,10 +107,15 @@ def stationary_solve(spec: HamiltonianSpec, params: ModelParams,
     last = {"psi": psi}
 
     def update(a_flat):
-        op = hamiltonian(grid, None, (diag0 - a_flat.reshape(grid.shape))[inner],
-                         spec.lattice_spacing)
-        omega, psi_inner = smallest_eigenpair(op, last["psi"][inner], tol=_EIG_TOL,
-                                              weights=w_inner)
+        pot = (diag0 - a_flat.reshape(grid.shape))[inner]
+        op = hamiltonian(grid, None, pot, spec.lattice_spacing)
+        if grid.ndim == 1:
+            lam, vec = _tridiagonal_ground(pot, _cn_coef(grid, spec.lattice_spacing),
+                                           last["psi"][inner], warm=True)
+            omega, psi_inner = _checked_eigenpair(op, lam, vec, _EIG_TOL, w_inner)
+        else:
+            omega, psi_inner = smallest_eigenpair(op, last["psi"][inner],
+                                                  tol=_EIG_TOL, weights=w_inner)
         psi_new = np.zeros(grid.shape)
         psi_new[inner] = psi_inner
         last.update(psi=psi_new,

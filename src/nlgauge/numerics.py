@@ -1,4 +1,6 @@
-"""An exact Neumann Poisson solver and a smallest-eigenpair solver.
+"""An exact Neumann Poisson solver and two smallest-eigenpair solvers:
+ARPACK for an operator given by its apply, and inverse iteration for the
+symmetric tridiagonal operators of one dimension.
 
 The Poisson solve inverts the compact Neumann Laplacian
 link_divergence(link_diff(.)) of `gaugeops`: the second-order stencil
@@ -11,14 +13,21 @@ interior unknowns, with the stencil of `gaugeops.hamiltonian`.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.sparse.linalg as spla
+from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg.lapack import dpttrf as _dpttrf
+from scipy.linalg.lapack import dpttrs as _dpttrs
 
 from .errors import ConvergenceError, UnsolvableConstraintError
 from .grids import TensorGrid
 
 # relative size of the perturbation added to an eigen-solve guess
 _PERTURB = 1e-8
+# inverse-iteration steps of `_tridiagonal_ground` before it gives up
+_INVERSE_MAX_ITER = 100
 
 
 def _dct1(values: np.ndarray, axis: int) -> np.ndarray:
@@ -76,6 +85,10 @@ def smallest_eigenpair(op_apply, guess: np.ndarray, tol: float = 1e-9, *,
     """Algebraically smallest eigenpair of a symmetric operator on the
     unknowns alone.
 
+    In the package it serves grids of D >= 2: the 1-D callers, the
+    stationary SCF on a line and the radial SCF, no longer reach it, as
+    their operators are tridiagonal and `_tridiagonal_ground` solves them.
+
     `op_apply` takes and returns arrays of `guess`'s shape, one entry per
     unknown (e.g. the interior nodes of a Dirichlet grid, so no spurious
     zero modes of the faces enter), and must be symmetric in the
@@ -121,12 +134,18 @@ def smallest_eigenpair(op_apply, guess: np.ndarray, tol: float = 1e-9, *,
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceError("eigenpair iteration did not converge",
                                residual=None) from exc
-    lam = float(vals[0])
-    vec = vecs[:, 0].reshape(shape)
+    return _checked_eigenpair(op_apply, float(vals[0]), vecs[:, 0].reshape(shape),
+                              tol, weights)
 
+
+def _checked_eigenpair(op_apply, lam: float, vec: np.ndarray, tol: float,
+                       weights: np.ndarray) -> tuple[float, np.ndarray]:
+    """The eigenpair (lam, vec) normalized to unit norm under `weights`,
+    with its largest-magnitude entry positive; raises ConvergenceError
+    unless the weighted residual of `op_apply` is at most `tol`."""
     vec /= np.sqrt(float((weights * vec * vec).sum()))
     # deterministic sign: largest-magnitude entry positive
-    peak = np.unravel_index(np.argmax(np.abs(vec)), shape)
+    peak = np.unravel_index(np.argmax(np.abs(vec)), vec.shape)
     if vec[peak] < 0:
         vec = -vec
 
@@ -137,3 +156,105 @@ def smallest_eigenpair(op_apply, guess: np.ndarray, tol: float = 1e-9, *,
             f"eigenpair residual {rnorm:.3e} exceeds tol {tol:.3e}",
             residual=rnorm)
     return lam, vec
+
+
+def _tridiagonal_ground(pot: np.ndarray, coef: float, guess: np.ndarray,
+                        warm: bool) -> tuple[float, np.ndarray]:
+    """Ground pair (lam, x) of T = diag(pot) + coef * (-second difference),
+    coef > 0, on the unknowns of a line whose two outer neighbours are 0.
+
+    x is positive with unit Euclidean norm, and lam is its Rayleigh
+    quotient by summation by parts, sum pot x^2 + coef sum (Delta x)^2,
+    with the differences to the zero neighbours included: no cancellation
+    of the diagonal against the off-diagonals.
+
+    Inverse iteration x <- (T - sigma)^-1 x / norm, on the LDL^T factor
+    of T - sigma (LAPACK `dpttrf`), from |guess|. A shift counts only if
+    `dpttrf` succeeds, which proves T - sigma positive definite, so sigma
+    lies below the ground level lam0 and the iteration cannot settle on
+    an excited state. T - sigma is then an M-matrix (off-diagonals
+    -coef < 0) with a positive inverse, so every iterate stays positive
+    and the solves add no cancellation: the far tails keep their
+    relative accuracy.
+
+    Each step takes the Rayleigh quotient lam and the residual norm
+    r = |T x - lam x| of the current x. Some eigenvalue lies within r of
+    lam, so near the ground state lam - 2r is below lam0. The candidate
+    shift is lam - 2m, m = max(r, 4 eps (max|pot| + 4 coef)), a floor at
+    the rounding of T, rounded down to a multiple of the power of two in
+    (m/2, m]: a grid that coarsens with the residual. The factor is
+    rebuilt only when the candidate rises above the shift in use. A
+    refused candidate means x lies nearer an excited state, where the
+    shifts it gives would converge slowly; so a warm call at its first
+    refused candidate, and a cold call (`warm` false) from the start,
+    takes lam0 by bisection (`eigvalsh_tridiagonal`) and keeps the shift
+    below it by the same rule with r = 0.
+
+    The iteration stops when an iterate repeats bitwise: at a fixed point
+    of the floating-point step, or on a short cycle of roundings of the
+    normalization, where the member of lowest lam is returned. Different
+    starts reach that same state in practice, so lam carries no trace of
+    the start, and an SCF loop's energy history no eigen-solve noise; a
+    stop on the change in lam would leave that trace. Raises ValueError
+    for a zero guess, and ConvergenceError if a bisection shift is
+    refused or no iterate repeats within `_INVERSE_MAX_ITER` steps.
+    """
+    x = np.abs(np.asarray(guess, dtype=float))
+    if not x.any():
+        raise ValueError("guess must be nonzero")
+    x /= math.sqrt(np.dot(x, x))
+    n = pot.size
+    d = pot + 2.0 * coef
+    # the dpttrf wrapper wants one off-diagonal entry even for n = 1
+    e = np.full(max(n - 1, 1), -coef)
+    floor = 4.0 * np.finfo(float).eps * (float(np.abs(pot).max()) + 4.0 * coef)
+
+    def shift(lam, r):
+        off = 2.0 * max(r, floor)
+        q = math.ldexp(1.0, math.frexp(off)[1] - 2)
+        return math.floor((lam - off) / q) * q
+
+    def factor(sigma):
+        df, ef, info = _dpttrf(d - sigma, e)
+        return (df, ef) if info == 0 else None
+
+    def bisected():
+        lam0 = float(eigvalsh_tridiagonal(d, e[:n - 1], select="i",
+                                          select_range=(0, 0))[0])
+        sigma = shift(lam0, 0.0)
+        fac = factor(sigma)
+        if fac is None:
+            raise ConvergenceError(f"shift {sigma!r} below the bisected ground "
+                                   f"level {lam0!r} was refused")
+        return sigma, fac
+
+    bisect = not warm  # the shift in use is the bisection's, and stays
+    sigma, fac = bisected() if bisect else (None, None)
+    keys, lams = [], []  # the bytes and the Rayleigh quotient of each iterate
+    xp = np.zeros(n + 2)  # x between its two zero neighbours
+    for _ in range(_INVERSE_MAX_ITER):
+        key = x.tobytes()
+        if key in keys:
+            # a fixed point, or a cycle of roundings: its lowest quotient
+            first = keys.index(key)
+            i = first + int(np.argmin(lams[first:]))
+            return lams[i], np.frombuffer(keys[i]).copy()
+        keys.append(key)
+        xp[1:-1] = x
+        dx = xp[1:] - xp[:-1]
+        lam = float(np.dot(pot * x, x) + coef * np.dot(dx, dx))
+        lams.append(lam)
+        if not bisect:
+            tx = (d - lam) * x - coef * (xp[:-2] + xp[2:])
+            cand = shift(lam, math.sqrt(np.dot(tx, tx)))
+            if sigma is None or cand > sigma:
+                fac_c = factor(cand)
+                if fac_c is None:
+                    # lam - 2r is above lam0: x lies nearer an excited state
+                    (sigma, fac), bisect = bisected(), True
+                else:
+                    sigma, fac = cand, fac_c
+        x = _dpttrs(*fac, x)[0]
+        x /= math.sqrt(np.dot(x, x))
+    raise ConvergenceError(f"inverse iteration reached no fixed point in "
+                           f"{_INVERSE_MAX_ITER} steps")

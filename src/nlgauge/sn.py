@@ -3,7 +3,8 @@
 Three solvers live here:
 
 * a radial ground-state solver (3D, u = r psi substitution) built on the
-  alternating eigen-solve / potential-solve loop;
+  alternating eigen-solve / potential-solve loop, each eigen solve the
+  warm-started inverse iteration of `numerics._tridiagonal_ground`;
 * an independent shooting-method oracle for the same radial problem,
   integrating the ODEs with RK4, bracketing the ground level by the node
   count and converging on the node transition by safeguarded Illinois
@@ -57,6 +58,7 @@ from .fixedpoint import fixed_point
 from .gaugeops import link_diff, link_divergence
 from .grids import RadialGrid, TensorGrid, UniformGrid1D
 from .model import HamiltonianSpec, ModelParams
+from .numerics import _tridiagonal_ground
 
 # RK4 steps per banded solve of a shot; the amplitude is rescaled only
 # between chunks, so a chunk bounds how far it grows unchecked
@@ -124,7 +126,8 @@ def _potential_from_u_quadrature(r, u, coupling):
 
 
 def _tridiag_ground(h: float, diag_full: np.ndarray):
-    """Ground pair of -1/2 u'' + diag u with pinned endpoints (LAPACK)."""
+    """Ground pair of -1/2 u'' + diag u with pinned endpoints (LAPACK
+    `eigh_tridiagonal`): the eigen solve of the `line_ground_scf` oracle."""
     d = diag_full[1:-1] + 1.0 / h ** 2
     off = np.full(d.size - 1, -0.5 / h ** 2)
     vals, vecs = scipy.linalg.eigh_tridiagonal(d, off, select="i",
@@ -139,7 +142,14 @@ def _tridiag_ground(h: float, diag_full: np.ndarray):
 def sn_ground_radial_scf(params: SNParams, grid: RadialGrid, tol: float = 1e-10,
                          *, mixing: float = 0.5, max_scf: int = 300) -> RadialState:
     """Ground state of the coupled radial system by alternating solves,
-    Anderson-mixed on the potential v."""
+    Anderson-mixed on the potential v.
+
+    Each eigen solve is the inverse iteration of
+    `numerics._tridiagonal_ground` on the interior nodes, warm from the
+    last iterate's u (the first call has none and starts from the
+    bisected ground level); the energy is the summation-by-parts Rayleigh
+    quotient of the converged u.
+    """
     if params.background != 0.0:
         raise ValueError("radial solver is the background-free case")
     r = grid.nodes
@@ -148,7 +158,11 @@ def sn_ground_radial_scf(params: SNParams, grid: RadialGrid, tol: float = 1e-10,
     last = {}
 
     def update(v):
-        energy, u = _tridiag_ground(h, vext + v / r)
+        # warm from the last iterate's u; the first call has none
+        guess = last["u"][1:-1] if last else np.ones(r.size - 2)
+        u = np.zeros_like(r)
+        energy, u[1:-1] = _tridiagonal_ground((vext + v / r)[1:-1], 0.5 / h ** 2,
+                                              guess, warm=bool(last))
         u = u / np.sqrt(_radial_norm(r, u))
         last["u"] = u
         last["v"] = _potential_from_u_quadrature(r, u, params.coupling)

@@ -69,7 +69,9 @@ def _dense_reference_scf(grid, coeffs, params, mixing=0.5, iters=300,
         hmat = np.zeros((n - 2, n - 2))
         kin = -0.5 * lap[1:-1, 1:-1]
         hmat = kin + np.diag((vext - a_t)[1:-1])
-        vals, vecs = np.linalg.eigh(hmat)
+        # the lowest pair alone (dsyevr with an index range); both LAPACK
+        # calls go through scipy, so the loop uses one BLAS thread pool
+        vals, vecs = scipy.linalg.eigh(hmat, subset_by_index=[0, 0])
         omega_new = vals[0]
         psi = np.zeros(n)
         psi[1:-1] = vecs[:, 0]
@@ -81,7 +83,7 @@ def _dense_reference_scf(grid, coeffs, params, mixing=0.5, iters=300,
         m[0, :] = 0.0
         m[0, 0] = 1.0
         rhs[0] = 0.0
-        a_new = np.linalg.solve(m, rhs)
+        a_new = scipy.linalg.solve(m, rhs)
         a_new -= (w * a_new).sum() / grid.volume
         a_t = 0.5 * a_t + 0.5 * a_new
         if omega is not None and abs(omega_new - omega) < tol:

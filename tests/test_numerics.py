@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from nlgauge.errors import ConvergenceError, UnsolvableConstraintError
 from nlgauge.gaugeops import hamiltonian
 from nlgauge.grids import TensorGrid, UniformGrid1D
-from nlgauge.numerics import poisson_solve, smallest_eigenpair
+from nlgauge.numerics import (_tridiagonal_ground, poisson_solve,
+                              smallest_eigenpair)
 from references import laplacian_apply
 
 
@@ -296,3 +298,73 @@ def test_zero_guess_rejected():
     with pytest.raises(ValueError):
         smallest_eigenpair(op, np.zeros(g.shape)[inner],
                            weights=g.quad_weights()[inner])
+
+
+# ---------------------------------------------------- tridiagonal ground
+# `_tridiagonal_ground` on T = diag(pot) + coef (-second difference),
+# checked against LAPACK's dense tridiagonal eigensolver.
+
+def _line_problem(n, kind):
+    """(pot, coef) on the n interior nodes of [-10, 10]: a harmonic well,
+    or a tilted double well whose lowest gap is about 8e-3."""
+    x = np.linspace(-10.0, 10.0, n + 2)[1:-1]
+    h = 20.0 / (n + 1)
+    pot = 0.5 * x ** 2 if kind == "harmonic" else 0.25 * x ** 4 - 2.5 * x ** 2 + 0.002 * x
+    return pot, 0.5 / h ** 2
+
+
+def _lapack_pairs(pot, coef, k):
+    """The k lowest eigenpairs by `eigh_tridiagonal`, each vector with a
+    positive sum."""
+    vals, vecs = scipy.linalg.eigh_tridiagonal(
+        pot + 2.0 * coef, np.full(pot.size - 1, -coef), select="i",
+        select_range=(0, k - 1))
+    return vals, vecs * np.sign(vecs.sum(axis=0))
+
+
+@pytest.mark.parametrize("kind", ["harmonic", "double-well"])
+def test_tridiagonal_ground_matches_lapack(kind):
+    pot, coef = _line_problem(2000, kind)
+    vals, vecs = _lapack_pairs(pot, coef, 2)
+    if kind == "double-well":
+        assert 5e-3 < vals[1] - vals[0] < 1e-2
+    for warm in (False, True):
+        lam, x = _tridiagonal_ground(pot, coef, np.ones(pot.size), warm)
+        assert abs(lam - vals[0]) < 1e-11
+        assert np.abs(x - vecs[:, 0]).max() < 1e-9
+        assert x.min() > 0 and abs(np.dot(x, x) - 1.0) < 1e-15
+
+
+@pytest.mark.parametrize("kind", ["harmonic", "double-well"])
+def test_tridiagonal_ground_from_the_first_excited_state(kind):
+    # a warm guess with no ground component still returns the ground pair;
+    # in the tilted double well that state fills the upper well, its first
+    # shift lies above the ground level and is refused, and bisection runs
+    pot, coef = _line_problem(2000, kind)
+    vals, vecs = _lapack_pairs(pot, coef, 2)
+    lam, x = _tridiagonal_ground(pot, coef, vecs[:, 1], True)
+    assert abs(lam - vals[0]) < 1e-11
+    assert np.abs(x - vecs[:, 0]).max() < 1e-9
+
+
+def test_tridiagonal_ground_of_one_unknown():
+    for warm in (False, True):
+        lam, x = _tridiagonal_ground(np.array([1.5]), 2.0, np.array([-3.0]), warm)
+        assert lam == 5.5 and np.array_equal(x, [1.0])
+    with pytest.raises(ValueError):
+        _tridiagonal_ground(np.array([1.5]), 2.0, np.zeros(1), True)
+
+
+@pytest.mark.parametrize("n", [2000, 4000])
+@pytest.mark.parametrize("kind", ["harmonic", "double-well"])
+def test_tridiagonal_ground_does_not_depend_on_its_start(kind, n):
+    # an SCF loop compares successive energies to 1e-12 and below, so the
+    # eigenvalue must carry no trace of where the iteration started
+    pot, coef = _line_problem(n, kind)
+    v = _lapack_pairs(pot, coef, 1)[1][:, 0]
+    x = np.linspace(-1.0, 1.0, n)
+    starts = [v, v + 1e-3 * np.random.default_rng(7).random(n), np.ones(n),
+              v * (1.0 + 0.3 * np.sin(3.0 * x))]
+    lams = [_tridiagonal_ground(pot, coef, g, warm)[0]
+            for g in starts for warm in (False, True)]
+    assert max(lams) - min(lams) <= 1e-16 * abs(lams[0])
