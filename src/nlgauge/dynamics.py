@@ -36,8 +36,8 @@ from .gaugeops import (_grid_norms, apply_hamiltonian_raw, gauss_residual,
 from .grids import TensorGrid
 from .model import (GaugeState, HamiltonianSpec, ModelParams, StationaryState,
                     WaveFunctional, nonlinearity)
-from .numerics import (_checked_eigenpair, _tridiagonal_ground,
-                       smallest_eigenpair)
+from .numerics import (_checked_eigenpair, smallest_eigenpair,
+                       tridiagonal_ground)
 
 # eigen-solve tolerance inside the stationary SCF
 _EIG_TOL = 1e-9
@@ -75,7 +75,7 @@ def stationary_solve(spec: HamiltonianSpec, params: ModelParams,
     step from the interior of diag0 - A_t, and psi is embedded back with
     zero faces. It starts from the previous psi. On a line (D = 1) the
     Hamiltonian is tridiagonal, and the solve is the inverse iteration
-    of `numerics._tridiagonal_ground`; for D >= 2 it is ARPACK's
+    of `numerics.tridiagonal_ground`; for D >= 2 it is ARPACK's
     `smallest_eigenpair`, where the warm start about halves the operator
     applies of a converging loop. Either eigenvector is normalized under
     the quadrature weights with its largest entry positive, and a
@@ -110,8 +110,8 @@ def stationary_solve(spec: HamiltonianSpec, params: ModelParams,
         pot = (diag0 - a_flat.reshape(grid.shape))[inner]
         op = hamiltonian(grid, None, pot, spec.lattice_spacing)
         if grid.ndim == 1:
-            lam, vec = _tridiagonal_ground(pot, _cn_coef(grid, spec.lattice_spacing),
-                                           last["psi"][inner], warm=True)
+            lam, vec = tridiagonal_ground(pot, _cn_coef(grid, spec.lattice_spacing),
+                                          last["psi"][inner])
             omega, psi_inner = _checked_eigenpair(op, lam, vec, _EIG_TOL, w_inner)
         else:
             omega, psi_inner = smallest_eigenpair(op, last["psi"][inner],

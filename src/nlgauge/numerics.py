@@ -26,7 +26,7 @@ from .grids import TensorGrid
 
 # relative size of the perturbation added to an eigen-solve guess
 _PERTURB = 1e-8
-# inverse-iteration steps of `_tridiagonal_ground` before it gives up
+# inverse-iteration steps of `tridiagonal_ground` before it gives up
 _INVERSE_MAX_ITER = 100
 
 
@@ -87,7 +87,7 @@ def smallest_eigenpair(op_apply, guess: np.ndarray, tol: float = 1e-9, *,
 
     In the package it serves grids of D >= 2: the 1-D callers, the
     stationary SCF on a line and the radial SCF, no longer reach it, as
-    their operators are tridiagonal and `_tridiagonal_ground` solves them.
+    their operators are tridiagonal and `tridiagonal_ground` solves them.
 
     `op_apply` takes and returns arrays of `guess`'s shape, one entry per
     unknown (e.g. the interior nodes of a Dirichlet grid, so no spurious
@@ -158,8 +158,8 @@ def _checked_eigenpair(op_apply, lam: float, vec: np.ndarray, tol: float,
     return lam, vec
 
 
-def _tridiagonal_ground(pot: np.ndarray, coef: float, guess: np.ndarray,
-                        warm: bool) -> tuple[float, np.ndarray]:
+def tridiagonal_ground(pot: np.ndarray, coef: float,
+                       guess: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """Ground pair (lam, x) of T = diag(pot) + coef * (-second difference),
     coef > 0, on the unknowns of a line whose two outer neighbours are 0.
 
@@ -169,13 +169,13 @@ def _tridiagonal_ground(pot: np.ndarray, coef: float, guess: np.ndarray,
     of the diagonal against the off-diagonals.
 
     Inverse iteration x <- (T - sigma)^-1 x / norm, on the LDL^T factor
-    of T - sigma (LAPACK `dpttrf`), from |guess|. A shift counts only if
-    `dpttrf` succeeds, which proves T - sigma positive definite, so sigma
-    lies below the ground level lam0 and the iteration cannot settle on
-    an excited state. T - sigma is then an M-matrix (off-diagonals
-    -coef < 0) with a positive inverse, so every iterate stays positive
-    and the solves add no cancellation: the far tails keep their
-    relative accuracy.
+    of T - sigma (LAPACK `dpttrf`), from |guess|, or from ones when
+    `guess` is None. A shift counts only if `dpttrf` succeeds, which
+    proves T - sigma positive definite, so sigma lies below the ground
+    level lam0 and the iteration cannot settle on an excited state.
+    T - sigma is then an M-matrix (off-diagonals -coef < 0) with a
+    positive inverse, so every iterate stays positive and the solves add
+    no cancellation: the far tails keep their relative accuracy.
 
     Each step takes the Rayleigh quotient lam and the residual norm
     r = |T x - lam x| of the current x. Some eigenvalue lies within r of
@@ -185,8 +185,8 @@ def _tridiagonal_ground(pot: np.ndarray, coef: float, guess: np.ndarray,
     (m/2, m]: a grid that coarsens with the residual. The factor is
     rebuilt only when the candidate rises above the shift in use. A
     refused candidate means x lies nearer an excited state, where the
-    shifts it gives would converge slowly; so a warm call at its first
-    refused candidate, and a cold call (`warm` false) from the start,
+    shifts it gives would converge slowly; so a call with a guess at its
+    first refused candidate, and a call without one from the start,
     takes lam0 by bisection (`eigvalsh_tridiagonal`) and keeps the shift
     below it by the same rule with r = 0.
 
@@ -199,11 +199,11 @@ def _tridiagonal_ground(pot: np.ndarray, coef: float, guess: np.ndarray,
     for a zero guess, and ConvergenceError if a bisection shift is
     refused or no iterate repeats within `_INVERSE_MAX_ITER` steps.
     """
-    x = np.abs(np.asarray(guess, dtype=float))
+    n = pot.size
+    x = np.ones(n) if guess is None else np.abs(np.asarray(guess, dtype=float))
     if not x.any():
         raise ValueError("guess must be nonzero")
     x /= math.sqrt(np.dot(x, x))
-    n = pot.size
     d = pot + 2.0 * coef
     # the dpttrf wrapper wants one off-diagonal entry even for n = 1
     e = np.full(max(n - 1, 1), -coef)
@@ -228,7 +228,7 @@ def _tridiagonal_ground(pot: np.ndarray, coef: float, guess: np.ndarray,
                                    f"level {lam0!r} was refused")
         return sigma, fac
 
-    bisect = not warm  # the shift in use is the bisection's, and stays
+    bisect = guess is None  # the shift in use is the bisection's, and stays
     sigma, fac = bisected() if bisect else (None, None)
     keys, lams = [], []  # the bytes and the Rayleigh quotient of each iterate
     xp = np.zeros(n + 2)  # x between its two zero neighbours

@@ -4,7 +4,7 @@ Three solvers live here:
 
 * a radial ground-state solver (3D, u = r psi substitution) built on the
   alternating eigen-solve / potential-solve loop, each eigen solve the
-  warm-started inverse iteration of `numerics._tridiagonal_ground`;
+  warm-started inverse iteration of `numerics.tridiagonal_ground`;
 * an independent shooting-method oracle for the same radial problem,
   integrating the ODEs with RK4, bracketing the ground level by the node
   count and converging on the node transition by safeguarded Illinois
@@ -58,7 +58,7 @@ from .fixedpoint import fixed_point
 from .gaugeops import link_diff, link_divergence
 from .grids import RadialGrid, TensorGrid, UniformGrid1D
 from .model import HamiltonianSpec, ModelParams
-from .numerics import _tridiagonal_ground
+from .numerics import tridiagonal_ground
 
 # RK4 steps per banded solve of a shot; the amplitude is rescaled only
 # between chunks, so a chunk bounds how far it grows unchecked
@@ -145,7 +145,7 @@ def sn_ground_radial_scf(params: SNParams, grid: RadialGrid, tol: float = 1e-10,
     Anderson-mixed on the potential v.
 
     Each eigen solve is the inverse iteration of
-    `numerics._tridiagonal_ground` on the interior nodes, warm from the
+    `numerics.tridiagonal_ground` on the interior nodes, warm from the
     last iterate's u (the first call has none and starts from the
     bisected ground level); the energy is the summation-by-parts Rayleigh
     quotient of the converged u.
@@ -159,10 +159,9 @@ def sn_ground_radial_scf(params: SNParams, grid: RadialGrid, tol: float = 1e-10,
 
     def update(v):
         # warm from the last iterate's u; the first call has none
-        guess = last["u"][1:-1] if last else np.ones(r.size - 2)
         u = np.zeros_like(r)
-        energy, u[1:-1] = _tridiagonal_ground((vext + v / r)[1:-1], 0.5 / h ** 2,
-                                              guess, warm=bool(last))
+        energy, u[1:-1] = tridiagonal_ground((vext + v / r)[1:-1], 0.5 / h ** 2,
+                                             last["u"][1:-1] if last else None)
         u = u / np.sqrt(_radial_norm(r, u))
         last["u"] = u
         last["v"] = _potential_from_u_quadrature(r, u, params.coupling)

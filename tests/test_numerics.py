@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from nlgauge.errors import ConvergenceError, UnsolvableConstraintError
 from nlgauge.gaugeops import hamiltonian
 from nlgauge.grids import TensorGrid, UniformGrid1D
-from nlgauge.numerics import (_tridiagonal_ground, poisson_solve,
-                              smallest_eigenpair)
+from nlgauge.numerics import (poisson_solve, smallest_eigenpair,
+                              tridiagonal_ground)
 from references import laplacian_apply
 
 
@@ -301,7 +301,7 @@ def test_zero_guess_rejected():
 
 
 # ---------------------------------------------------- tridiagonal ground
-# `_tridiagonal_ground` on T = diag(pot) + coef (-second difference),
+# `tridiagonal_ground` on T = diag(pot) + coef (-second difference),
 # checked against LAPACK's dense tridiagonal eigensolver.
 
 def _line_problem(n, kind):
@@ -328,8 +328,8 @@ def test_tridiagonal_ground_matches_lapack(kind):
     vals, vecs = _lapack_pairs(pot, coef, 2)
     if kind == "double-well":
         assert 5e-3 < vals[1] - vals[0] < 1e-2
-    for warm in (False, True):
-        lam, x = _tridiagonal_ground(pot, coef, np.ones(pot.size), warm)
+    for guess in (None, np.ones(pot.size)):
+        lam, x = tridiagonal_ground(pot, coef, guess)
         assert abs(lam - vals[0]) < 1e-11
         assert np.abs(x - vecs[:, 0]).max() < 1e-9
         assert x.min() > 0 and abs(np.dot(x, x) - 1.0) < 1e-15
@@ -337,22 +337,22 @@ def test_tridiagonal_ground_matches_lapack(kind):
 
 @pytest.mark.parametrize("kind", ["harmonic", "double-well"])
 def test_tridiagonal_ground_from_the_first_excited_state(kind):
-    # a warm guess with no ground component still returns the ground pair;
+    # a guess with no ground component still returns the ground pair;
     # in the tilted double well that state fills the upper well, its first
     # shift lies above the ground level and is refused, and bisection runs
     pot, coef = _line_problem(2000, kind)
     vals, vecs = _lapack_pairs(pot, coef, 2)
-    lam, x = _tridiagonal_ground(pot, coef, vecs[:, 1], True)
+    lam, x = tridiagonal_ground(pot, coef, vecs[:, 1])
     assert abs(lam - vals[0]) < 1e-11
     assert np.abs(x - vecs[:, 0]).max() < 1e-9
 
 
 def test_tridiagonal_ground_of_one_unknown():
-    for warm in (False, True):
-        lam, x = _tridiagonal_ground(np.array([1.5]), 2.0, np.array([-3.0]), warm)
+    for guess in (None, np.array([-3.0])):
+        lam, x = tridiagonal_ground(np.array([1.5]), 2.0, guess)
         assert lam == 5.5 and np.array_equal(x, [1.0])
     with pytest.raises(ValueError):
-        _tridiagonal_ground(np.array([1.5]), 2.0, np.zeros(1), True)
+        tridiagonal_ground(np.array([1.5]), 2.0, np.zeros(1))
 
 
 @pytest.mark.parametrize("n", [2000, 4000])
@@ -361,10 +361,14 @@ def test_tridiagonal_ground_does_not_depend_on_its_start(kind, n):
     # an SCF loop compares successive energies to 1e-12 and below, so the
     # eigenvalue must carry no trace of where the iteration started
     pot, coef = _line_problem(n, kind)
-    v = _lapack_pairs(pot, coef, 1)[1][:, 0]
+    vals, vecs = _lapack_pairs(pot, coef, 2)
+    v = vecs[:, 0]
     x = np.linspace(-1.0, 1.0, n)
-    starts = [v, v + 1e-3 * np.random.default_rng(7).random(n), np.ones(n),
-              v * (1.0 + 0.3 * np.sin(3.0 * x))]
-    lams = [_tridiagonal_ground(pot, coef, g, warm)[0]
-            for g in starts for warm in (False, True)]
+    rng = np.random.default_rng(7)
+    # no guess (bisection first), near guesses, and far ones: the first
+    # excited state, a spike off the well's centre, uniform noise
+    starts = [None, v, v + 1e-3 * rng.random(n), np.ones(n),
+              v * (1.0 + 0.3 * np.sin(3.0 * x)), vecs[:, 1],
+              np.exp(-((x - 0.3) / 0.01) ** 2), rng.random(n)]
+    lams = [tridiagonal_ground(pot, coef, g)[0] for g in starts]
     assert max(lams) - min(lams) <= 1e-16 * abs(lams[0])

@@ -115,17 +115,17 @@ def test_every_member_the_tracer_patches_exists():
 # oracle -> what it must not reach, since it exists to be checked against it
 ORACLES = {
     ("sn", "line_ground_scf"): {"stationary_solve", "smallest_eigenpair",
-                                "_tridiagonal_ground",
+                                "tridiagonal_ground",
                                 "poisson_solve", "gauss_solve_stationary",
                                 "hamiltonian", "apply_hamiltonian_raw"},
     ("sn", "sn_ground_radial_shoot"): {"sn_ground_radial_scf", "_tridiag_ground",
-                                       "_tridiagonal_ground",
+                                       "tridiagonal_ground",
                                        "_potential_from_u_quadrature"},
     ("sn", "poisson_1d_neumann"): {"poisson_solve"},
     ("verify", "stationarity_residual"): {"stationary_solve",
                                           "gauss_solve_stationary",
                                           "smallest_eigenpair",
-                                          "_tridiagonal_ground"},
+                                          "tridiagonal_ground"},
 }
 
 
