@@ -9,8 +9,7 @@ import numpy as np
 from nlgauge.dynamics import evolve_temporal_gauge
 from nlgauge.gaugeops import initialize_constraint
 from nlgauge.grids import TensorGrid
-from nlgauge.model import GaugeState, HamiltonianSpec, ModelParams, \
-    WaveFunctional
+from nlgauge.model import HamiltonianSpec, ModelParams
 
 
 def main():
@@ -29,16 +28,14 @@ def main():
     psi = np.exp(-0.5 * (x - 1.0) ** 2) + 0j
     psi[0] = psi[-1] = 0.0
     psi /= np.sqrt(np.real(grid.integrate(np.abs(psi) ** 2)))
-    pw = WaveFunctional(grid, psi)
+    g0 = initialize_constraint(grid, psi, params)
 
     print(f"{'dt':>10s} {'gauss':>12s} {'ratio':>7s} "
           f"{'continuity':>12s} {'ratio':>7s} {'norm drift':>12s}")
     prev = None
     dt = args.dt0
     for _ in range(args.levels):
-        g0 = GaugeState.zero(grid)
-        g0.f = initialize_constraint(pw, params)
-        traj = evolve_temporal_gauge(pw, g0, spec, params, dt=dt,
+        traj = evolve_temporal_gauge(psi, g0, spec, params, dt=dt,
                                      steps=int(round(args.time / dt)))
         d = traj.diagnostics
         gauss = d["gauss_residual"][-1]

@@ -6,7 +6,7 @@ from .errors import (ConstraintViolationError, ConvergenceError,
                      UnsolvableConstraintError)
 from .grids import RadialGrid, TensorGrid, UniformGrid1D
 from .model import (GaugeState, HamiltonianSpec, ModelParams, StationaryState,
-                    WaveFunctional, nonlinearity)
+                    nonlinearity)
 from .numerics import poisson_solve, smallest_eigenpair
 from .gaugeops import (gauge_transform, gauss_residual,
                        gauss_solve_stationary, initialize_constraint)
@@ -20,7 +20,7 @@ from .verify import CheckReport, run_all as run_verification_suite
 __all__ = [
     "RadialGrid", "TensorGrid", "UniformGrid1D",
     "GaugeState", "HamiltonianSpec", "ModelParams", "StationaryState",
-    "WaveFunctional", "nonlinearity",
+    "nonlinearity",
     "poisson_solve", "smallest_eigenpair",
     "gauge_transform", "gauss_residual", "gauss_solve_stationary",
     "initialize_constraint",

@@ -25,7 +25,7 @@ from . import verify as verify_mod
 from .dynamics import evolve_temporal_gauge, stationary_solve
 from .gaugeops import initialize_constraint
 from .grids import RadialGrid, TensorGrid, UniformGrid1D
-from .model import GaugeState, HamiltonianSpec, ModelParams, WaveFunctional
+from .model import HamiltonianSpec, ModelParams
 from .sn import (SNParams, limit_equivalence_check, sn_evolve_1d,
                  sn_ground_radial_scf, sn_ground_radial_shoot)
 
@@ -317,7 +317,7 @@ def _run_functional_stationary(cfg: dict):
     if grid.ndim == 1:
         csvs["stationary_state.csv"] = {
             "phi": grid.axes[0].nodes,
-            "psi": np.real(st.psi.values),
+            "psi": st.psi,
             "a_t": st.a_t,
         }
     return summary, csvs
@@ -325,10 +325,8 @@ def _run_functional_stationary(cfg: dict):
 
 def _run_functional_evolve(cfg: dict):
     grid, spec, params = _functional_setup(cfg)
-    pw = WaveFunctional(grid, _initial_packet(cfg, grid.axes[0]))
-    g0 = GaugeState.zero(grid)
-    g0.f = initialize_constraint(pw, params)
-    traj = evolve_temporal_gauge(pw, g0, spec, params,
+    psi0 = _initial_packet(cfg, grid.axes[0])
+    traj = evolve_temporal_gauge(psi0, initialize_constraint(grid, psi0, params), spec, params,
                                  dt=cfg[("solver", "dt")],
                                  steps=cfg[("solver", "steps")],
                                  record_every=cfg[("solver", "record_every")],

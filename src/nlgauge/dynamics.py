@@ -35,7 +35,7 @@ from .gaugeops import (_grid_norms, apply_hamiltonian_raw, gauss_residual,
                        project_dirichlet)
 from .grids import TensorGrid
 from .model import (GaugeState, HamiltonianSpec, ModelParams, StationaryState,
-                    WaveFunctional, nonlinearity)
+                    nonlinearity)
 from .numerics import (_checked_eigenpair, smallest_eigenpair,
                        tridiagonal_ground)
 
@@ -135,9 +135,7 @@ def stationary_solve(spec: HamiltonianSpec, params: ModelParams,
     gres = gauss_residual(grid, [-link_diff(grid, a_t, x) for x in range(grid.ndim)],
                           rho, params)
     state = StationaryState(
-        omega_eig=float(omega),
-        psi=WaveFunctional(grid, psi.astype(complex)),
-        a_t=a_t, iterations=iterations,
+        omega_eig=float(omega), psi=psi, a_t=a_t, iterations=iterations,
         eig_residual=float(eig_res), gauss_residual=float(gres))
     if eig_res > 10 * tol or gres > 10 * tol:
         raise ConvergenceError(
@@ -288,12 +286,13 @@ def _block_rows(size: int) -> int:
     return max(1, min(256, 2 ** 12 // size))
 
 
-def evolve_temporal_gauge(psi0: WaveFunctional, gauge0: GaugeState,
+def evolve_temporal_gauge(psi0: np.ndarray, gauge0: GaugeState,
                           spec: HamiltonianSpec, params: ModelParams,
                           dt: float, steps: int, *, record_every: int = 1,
                           scheme: str = "cn",
                           keep_snapshots: bool = True) -> Trajectory:
-    """Advance (psi, A_phi, F) from Gauss-consistent initial data.
+    """Advance (psi, A_phi, F) from Gauss-consistent initial data, psi0 on
+    `gauge0.grid` (`gaugeops.initialize_constraint` builds such a gauge0).
 
     Records the diagnostics every `record_every` steps, and at the last
     step (the initial state is row 0): norm, total charge, Gauss residual,
@@ -334,12 +333,10 @@ def evolve_temporal_gauge(psi0: WaveFunctional, gauge0: GaugeState,
     the products w * phi_x of the sigma means are formed once per evolve.
 
     Raises ValueError naming the argument unless dt > 0, steps >= 1 and
-    record_every >= 1, and naming both grids unless psi0 and gauge0 are
-    on the same one.
+    record_every >= 1, and GridShapeError unless psi0 has the grid's shape.
     """
-    grid = psi0.grid
-    if gauge0.grid != grid:
-        raise ValueError(f"gauge0 is on {gauge0.grid} but psi0 is on {grid}")
+    grid = gauge0.grid
+    grid.check_field(np.asarray(psi0))
     if np.any(gauge0.a_t):
         raise ValueError("temporal gauge requires a_t = 0")
     _check_step_args(dt, record_every)
@@ -366,7 +363,7 @@ def evolve_temporal_gauge(psi0: WaveFunctional, gauge0: GaugeState,
     kick = 0.5 * dt * params.inv_l2 / a_lat ** 3
     zero_a_t = np.zeros(grid.shape)
     zero_a_t.flags.writeable = False
-    psi = project_dirichlet(grid, psi0.values.astype(complex))
+    psi = project_dirichlet(grid, np.asarray(psi0, dtype=complex))
     a = [ax.copy() for ax in gauge0.a_phi]
     f = [fx.copy() for fx in gauge0.f]
 

@@ -26,13 +26,14 @@ with J the link current Im(psi* U psi_+)/h.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import cache
 
 import numpy as np
 
 from .errors import UnsolvableConstraintError
 from .grids import TensorGrid
-from .model import GaugeState, ModelParams, WaveFunctional, nonlinearity
+from .model import GaugeState, ModelParams, nonlinearity
 from .numerics import poisson_solve
 
 # largest |integral(rho) - 1| the Gauss solves accept as a unit charge
@@ -160,24 +161,22 @@ def apply_hamiltonian_raw(grid: TensorGrid, values: np.ndarray,
     return hamiltonian(grid, phases, diag, a_lat)(values)
 
 
-def gauge_transform(psi: WaveFunctional, gauge: GaugeState, lam: np.ndarray,
-                    lam_dot: np.ndarray) -> tuple[WaveFunctional, GaugeState]:
-    """psi -> exp(i Lambda) psi, A_t -> A_t + dLambda/dt, and each link of
-    A_phi shifted by the midpoint-centered difference of Lambda across it,
-    with Lambda = `lam` and dLambda/dt = `lam_dot` cast to float. The field
-    strength is untouched (it is gauge invariant). Raises ValueError naming
-    both grids unless `gauge` is on psi's grid."""
-    grid = psi.grid
-    if gauge.grid != grid:
-        raise ValueError(f"gauge is on {gauge.grid} but psi is on {grid}")
+def gauge_transform(psi: np.ndarray, gauge: GaugeState, lam: np.ndarray,
+                    lam_dot: np.ndarray) -> tuple[np.ndarray, GaugeState]:
+    """(exp(i Lambda) psi, gauge'), with A_t -> A_t + dLambda/dt and each
+    link of A_phi shifted by the midpoint-centered difference of Lambda
+    across it, for Lambda = `lam` and dLambda/dt = `lam_dot` cast to float.
+    The field strength is untouched (it is gauge invariant). psi, lam and
+    lam_dot are node arrays on `gauge.grid`; a wrong shape raises
+    GridShapeError."""
+    grid = gauge.grid
     lam, lam_dot = np.asarray(lam, dtype=float), np.asarray(lam_dot, dtype=float)
-    grid.check_field(lam)
-    grid.check_field(lam_dot)
-    psi2 = WaveFunctional(grid, np.exp(1j * lam) * psi.values)
+    for field in (np.asarray(psi), lam, lam_dot):
+        grid.check_field(field)
     a_phi2 = [gauge.a_phi[x] + link_diff(grid, lam, x) for x in range(grid.ndim)]
     gauge2 = GaugeState(grid, gauge.a_t + lam_dot, a_phi2,
                         [f.copy() for f in gauge.f])
-    return psi2, gauge2
+    return np.exp(1j * lam) * psi, gauge2
 
 
 def link_current(grid: TensorGrid, values: np.ndarray,
@@ -208,17 +207,18 @@ def gauss_solve_stationary(grid: TensorGrid, rho: np.ndarray,
     return poisson_solve(grid, source, compat_tol=params.inv_l2 * _COMPAT_TOL + 1e-300)
 
 
-def initialize_constraint(psi0: WaveFunctional,
-                          params: ModelParams) -> list[np.ndarray]:
-    """Gradient-form initial data for the field strength.
-
-    F(.,x) = -dA_t/dphi_x on links, with A_t the stationary Gauss solve
-    for |psi0|^2; the adjoint divergence of F then satisfies the Gauss law
-    to roundoff. The density must integrate to 1.
+def initialize_constraint(grid: TensorGrid, psi0: np.ndarray,
+                          params: ModelParams) -> GaugeState:
+    """Gauss-consistent temporal-gauge initial data for psi0 on `grid`:
+    A_t = 0, A_phi = 0 and the field strength in gradient form,
+    F(.,x) = -dA_s/dphi_x on links, with A_s the stationary Gauss solve for
+    |psi0|^2; the adjoint divergence of F then satisfies the Gauss law to
+    roundoff. The density must integrate to 1, and a psi0 of the wrong
+    shape raises GridShapeError.
     """
-    grid = psi0.grid
-    a_t = gauss_solve_stationary(grid, np.abs(psi0.values) ** 2, params)
-    return [-link_diff(grid, a_t, x) for x in range(grid.ndim)]
+    a_s = gauss_solve_stationary(grid, np.abs(psi0) ** 2, params)
+    return replace(GaugeState.zero(grid),
+                   f=[-link_diff(grid, a_s, x) for x in range(grid.ndim)])
 
 
 def gauss_residual(grid: TensorGrid, f_links: list[np.ndarray],

@@ -84,28 +84,23 @@ class HamiltonianSpec:
         return polyval(phi, c if len(c) else (0.0,))
 
     def site_potential_total(self, grid: TensorGrid) -> np.ndarray:
-        """a^3 * sum_x V(phi_x) plus the gradient term, as a diagonal field."""
+        """a^3 * sum_x V(phi_x) plus the gradient term, as a diagonal field.
+
+        Raises ValueError naming the coefficients if a value overflows."""
         a = self.lattice_spacing
         out = np.zeros(grid.shape)
-        for x in range(grid.ndim):
-            out += a ** 3 * self.potential(np.broadcast_to(grid.coordinate(x), grid.shape))
-        if self.gradient_coupling > 0 and grid.ndim > 1:
-            for x in range(grid.ndim - 1):
-                d = grid.coordinate(x + 1) - grid.coordinate(x)
-                out += 0.5 * a * self.gradient_coupling * np.broadcast_to(d * d, grid.shape)
+        # an overflow is reported below, by name, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x in range(grid.ndim):
+                out += a ** 3 * self.potential(np.broadcast_to(grid.coordinate(x), grid.shape))
+            if self.gradient_coupling > 0 and grid.ndim > 1:
+                for x in range(grid.ndim - 1):
+                    d = grid.coordinate(x + 1) - grid.coordinate(x)
+                    out += 0.5 * a * self.gradient_coupling * np.broadcast_to(d * d, grid.shape)
+        if not np.isfinite(out).all():
+            raise ValueError(f"potential_coeffs {self.potential_coeffs} give a non-finite "
+                             f"potential on this grid (lattice_spacing {a})")
         return out
-
-
-@dataclass
-class WaveFunctional:
-    """Complex amplitudes over the configuration grid."""
-
-    grid: TensorGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        self.grid.check_field(self.values)
 
 
 @dataclass
@@ -148,10 +143,11 @@ class GaugeState:
 
 @dataclass
 class StationaryState:
-    """Self-consistent separable solution psi(t) = exp(-i omega t) psi."""
+    """Self-consistent separable solution psi(t) = exp(-i omega t) psi,
+    with psi the solver's real array on the grid it solved on."""
 
     omega_eig: float
-    psi: WaveFunctional
+    psi: np.ndarray
     a_t: np.ndarray
     iterations: int
     eig_residual: float

@@ -51,8 +51,10 @@ def poisson_solve(grid: TensorGrid, source: np.ndarray, *,
     eigenvalue sum_x (2 cos(pi k_x/(n_x-1)) - 2)/h_x^2 per mode. The
     all-zero mode is the constant; its coefficient is proportional to the
     trapezoid integral, so zeroing it projects out the source mean and
-    fixes the zero-mean gauge.
+    fixes the zero-mean gauge. A complex source raises ValueError.
     """
+    if np.iscomplexobj(source):
+        raise ValueError("source must be real, not complex")
     source = np.asarray(source, dtype=float)
     grid.check_field(source)
     w = grid.quad_weights()

@@ -88,9 +88,15 @@ class SNParams:
                              f"(got {self.external_potential_coeffs})")
 
     def external_potential(self, r: np.ndarray) -> np.ndarray:
+        """The polynomial at r; a value that overflows raises ValueError."""
         # len, not truth: coefficients may come as a numpy array
         c = self.external_potential_coeffs
-        return polyval(r, c if len(c) else (0.0,))
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            out = polyval(r, c if len(c) else (0.0,))
+        if not np.isfinite(out).all():
+            raise ValueError(f"external_potential_coeffs {c} give a non-finite "
+                             "potential on this grid")
+        return out
 
 
 @dataclass
@@ -127,16 +133,18 @@ def _potential_from_u_quadrature(r, u, coupling):
 
 def _tridiag_ground(h: float, diag_full: np.ndarray):
     """Ground pair of -1/2 u'' + diag u with pinned endpoints (LAPACK
-    `eigh_tridiagonal`): the eigen solve of the `line_ground_scf` oracle."""
+    `eigh_tridiagonal`): the eigen solve of the `line_ground_scf` oracle. Its
+    eigenvalue is the Rayleigh quotient of the unit vector u by summation by
+    parts, accurate to roundoff; bisection's is off by about eps * ||T||."""
     d = diag_full[1:-1] + 1.0 / h ** 2
     off = np.full(d.size - 1, -0.5 / h ** 2)
-    vals, vecs = scipy.linalg.eigh_tridiagonal(d, off, select="i",
-                                               select_range=(0, 0))
+    _, vecs = scipy.linalg.eigh_tridiagonal(d, off, select="i", select_range=(0, 0))
     u = np.zeros_like(diag_full)
     u[1:-1] = vecs[:, 0]
     if u[np.argmax(np.abs(u))] < 0:
         u = -u
-    return float(vals[0]), u
+    du = np.diff(u)
+    return float(np.dot(diag_full, u * u) + np.dot(du, du) / (2.0 * h * h)), u
 
 
 def sn_ground_radial_scf(params: SNParams, grid: RadialGrid, tol: float = 1e-10,
@@ -647,13 +655,12 @@ def limit_equivalence_check(spec: HamiltonianSpec, params: ModelParams,
                         a3 * a3 * c for c in spec.potential_coeffs))
     omega_line, psi_line, phi_line = line_ground_scf(grid.axes[0], line, tol=tol)
     omega_line, phi_line = omega_line / a3, phi_line / a3
-    psi_f = np.real(st.psi.values)
-    dpsi = float(np.abs(psi_f - psi_line).max())
+    dpsi = float(np.abs(st.psi - psi_line).max())
     dat = float(np.abs(st.a_t - phi_line).max())
 
     # sign experiment: curvature of A_t vs sign of (rho - background)
     curv = link_divergence(grid, [link_diff(grid, st.a_t, 0)])
-    src = psi_f * psi_f - line.background
+    src = st.psi * st.psi - line.background
     sel = np.abs(src[1:-1]) > 1e-6 * np.abs(src).max()
     agree = np.sign(curv[1:-1][sel]) == -np.sign(src[1:-1][sel])
     # with no coupling A_t = 0, and there is no curvature to test

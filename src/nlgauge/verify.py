@@ -21,8 +21,7 @@ from .gaugeops import (apply_hamiltonian_raw, gauge_transform,
                        gauss_solve_stationary, initialize_constraint,
                        link_diff)
 from .grids import TensorGrid, UniformGrid1D
-from .model import (GaugeState, HamiltonianSpec, ModelParams, StationaryState,
-                    WaveFunctional)
+from .model import GaugeState, HamiltonianSpec, ModelParams, StationaryState
 from .numerics import poisson_solve
 
 
@@ -77,11 +76,8 @@ def _packet_trajectory(l: float, steps: int, dt: float, *, offset: float = 1.0,
     x = grid.axes[0].nodes
     psi = np.exp(-0.5 * (x - offset) ** 2) + 0j
     psi /= np.sqrt(np.real(grid.integrate(np.abs(psi) ** 2)))
-    pw = WaveFunctional(grid, psi)
-    g0 = GaugeState.zero(grid)
-    g0.f = initialize_constraint(pw, params)
-    return evolve_temporal_gauge(pw, g0, spec, params, dt=dt, steps=steps,
-                                 scheme=scheme)
+    return evolve_temporal_gauge(psi, initialize_constraint(grid, psi, params),
+                                 spec, params, dt=dt, steps=steps, scheme=scheme)
 
 
 def _smooth_functional(grid: TensorGrid, rng: np.random.Generator) -> np.ndarray:
@@ -107,11 +103,9 @@ def transform_trajectory(traj: Trajectory, lam0: np.ndarray,
     snaps = []
     for sn in traj.snapshots:
         psi, gauge = gauge_transform(
-            WaveFunctional(grid, sn.psi),
-            GaugeState(grid, sn.a_t, sn.a_phi, sn.f_bar),
+            sn.psi, GaugeState(grid, sn.a_t, sn.a_phi, sn.f_bar),
             lam0 + sn.time * mu, mu)
-        snaps.append(Snapshot(sn.time, psi.values, gauge.a_phi, gauge.f,
-                              gauge.a_t))
+        snaps.append(Snapshot(sn.time, psi, gauge.a_phi, gauge.f, gauge.a_t))
     return Trajectory(grid, traj.spec, traj.params, traj.dt, snaps,
                       dict(traj.diagnostics))
 
@@ -265,9 +259,8 @@ def _rescaled_resolve_dev(grid: TensorGrid, st: StationaryState,
     at (c0, a) = (2, 1), re-solved from scratch from the scaled psi."""
     c0, a = 2.0, 1.0
     grid2, psi2, _, spec2, params2 = scale_transform_state(
-        grid, st.psi.values, st.a_t, spec, params, c0, a)
-    st2 = stationary_solve(spec2, params2, grid2, tol=1e-11,
-                           guess=np.real(psi2))
+        grid, st.psi, st.a_t, spec, params, c0, a)
+    st2 = stationary_solve(spec2, params2, grid2, tol=1e-11, guess=psi2)
     return abs(st2.omega_eig * c0 ** (a / 2.0) / st.omega_eig - 1.0)
 
 
@@ -282,7 +275,7 @@ def check_born_homogeneity(seed: int = 0) -> CheckReport:
     params = ModelParams(l=1.0)
     st = stationary_solve(quartic, params, grid, tol=1e-11)
     w = grid.quad_weights()
-    psi = st.psi.values
+    psi = st.psi
     rho = np.abs(psi) ** 2
 
     worst_rho = 0.0
@@ -333,7 +326,7 @@ def _left_well_solution(full_grid: TensorGrid, coeffs, l: float):
     guess = np.exp(-2.0 * (x - center) ** 2)
     st = stationary_solve(spec, params, sub, tol=1e-11, guess=guess)
     full = np.zeros(full_grid.shape)
-    full[:n_half] = np.real(st.psi.values)
+    full[:n_half] = st.psi
     return full
 
 
@@ -378,7 +371,7 @@ def check_superposition_failure() -> CheckReport:
     x = grid.axes[0].nodes
     guess = np.exp(-0.5 * (x + d) ** 2)
     st = stationary_solve(spec, params, grid, tol=1e-11, guess=guess)
-    left = np.real(st.psi.values)
+    left = st.psi
     # confirm self-trapping: all weight in the left half
     w = grid.quad_weights()
     left_weight = float((w * left * left)[x < 0].sum())

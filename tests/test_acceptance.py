@@ -11,8 +11,7 @@ from nlgauge.cli import run as cli_run, validate as cli_validate
 from nlgauge.dynamics import evolve_temporal_gauge, stationary_solve
 from nlgauge.gaugeops import initialize_constraint
 from nlgauge.grids import RadialGrid, TensorGrid, UniformGrid1D
-from nlgauge.model import (GaugeState, HamiltonianSpec, ModelParams,
-                           WaveFunctional)
+from nlgauge.model import HamiltonianSpec, ModelParams
 from nlgauge.sn import (SNParams, sn_evolve_1d,
                         sn_ground_radial_scf, sn_ground_radial_shoot,
                         limit_equivalence_check, _potential_from_u_quadrature)
@@ -36,7 +35,7 @@ def _packet(grid, center=1.0, width=1.0):
     psi = np.exp(-((x - center) ** 2) / (4 * width ** 2)) + 0j
     psi[0] = psi[-1] = 0.0
     psi /= np.sqrt(np.real(grid.integrate(np.abs(psi) ** 2)))
-    return WaveFunctional(grid, psi)
+    return psi
 
 
 def test_criterion_01_charge_identity():
@@ -63,8 +62,7 @@ def test_criterion_02_norm_conservation():
     params = ModelParams(l=1.0)
     spec = HamiltonianSpec(potential_coeffs=HARMONIC)
     psi0 = _packet(grid)
-    g0 = GaugeState.zero(grid)
-    g0.f = initialize_constraint(psi0, params)
+    g0 = initialize_constraint(grid, psi0, params)
     traj = evolve_temporal_gauge(psi0, g0, spec, params, dt=0.002, steps=2000)
     drift = float(np.abs(traj.diagnostics["norm"] - 1.0).max())
     t = time.time() - t0
@@ -81,8 +79,7 @@ def test_criterion_03_residuals_second_order():
     T = 0.8
     finals = []
     for dt in (0.02, 0.01, 0.005):
-        g0 = GaugeState.zero(grid)
-        g0.f = initialize_constraint(psi0, params)
+        g0 = initialize_constraint(grid, psi0, params)
         traj = evolve_temporal_gauge(psi0, g0, spec, params, dt=dt,
                                      steps=int(round(T / dt)))
         d = traj.diagnostics

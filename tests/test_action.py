@@ -10,8 +10,7 @@ from nlgauge.dynamics import Snapshot, Trajectory, evolve_temporal_gauge, \
 from nlgauge.errors import InsufficientDataError
 from nlgauge.gaugeops import initialize_constraint
 from nlgauge.grids import TensorGrid
-from nlgauge.model import GaugeState, HamiltonianSpec, ModelParams, \
-    WaveFunctional
+from nlgauge.model import HamiltonianSpec, ModelParams
 from nlgauge.verify import transform_trajectory, _smooth_functional
 
 QUARTIC = HamiltonianSpec(potential_coeffs=(0.0, 0.0, 0.0, 0.0, 0.5))
@@ -25,10 +24,8 @@ def packet_traj(spec, l=1.0, steps=32, dt=0.004, count=241, half=7.0):
     psi = np.exp(-0.5 * (x - 1.0) ** 2) + 0j
     psi[0] = psi[-1] = 0.0
     psi /= np.sqrt(np.real(grid.integrate(np.abs(psi) ** 2)))
-    pw = WaveFunctional(grid, psi)
-    g0 = GaugeState.zero(grid)
-    g0.f = initialize_constraint(pw, params)
-    return evolve_temporal_gauge(pw, g0, spec, params, dt=dt, steps=steps)
+    g0 = initialize_constraint(grid, psi, params)
+    return evolve_temporal_gauge(psi, g0, spec, params, dt=dt, steps=steps)
 
 
 def test_zero_state_zero_action():
@@ -59,8 +56,7 @@ def test_stationary_action_scales_with_segment_length():
     spec = HamiltonianSpec(potential_coeffs=(0.0, 0.0, 0.5))
     params = ModelParams(l=1.0)
     st = stationary_solve(spec, params, grid, tol=1e-11)
-    g0 = GaugeState.zero(grid)
-    g0.f = initialize_constraint(st.psi, params)
+    g0 = initialize_constraint(grid, st.psi, params)
     per_slice = []
     for steps in (12, 24):
         traj = evolve_temporal_gauge(st.psi, g0, spec, params, dt=0.004,

@@ -43,6 +43,16 @@ def test_shipped_configs_all_validate():
         assert cfg is not None
 
 
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.ini")), ids=lambda p: p.stem)
+def test_shipped_config_runs(path, tmp_path):
+    cfg, errors = validate(patch_output(path.read_text(), str(tmp_path)))
+    assert errors == []
+    assert run(cfg) == 0
+    outdir = Path(cfg[("output", "directory")])
+    assert outdir.parent == tmp_path
+    assert (outdir / "summary.json").is_file() and (outdir / "config.echo").is_file()
+
+
 def test_empty_config_reports_required_fields():
     cfg, errors = validate("")
     assert cfg is None

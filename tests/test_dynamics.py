@@ -8,13 +8,13 @@ from nlgauge.dynamics import (_block_rows, _cn_band, _cn_step_1d, _cn_step_nd,
                               continuity_residual, evolve_temporal_gauge,
                               stationary_solve)
 from nlgauge.errors import (ConstraintViolationError, ConvergenceError,
-                            InsufficientDataError, IntegratorError)
+                            GridShapeError, InsufficientDataError,
+                            IntegratorError)
 from nlgauge.gaugeops import (apply_hamiltonian_raw, gauss_residual,
                               initialize_constraint, link_current, link_diff,
                               link_phases)
 from nlgauge.grids import TensorGrid
-from nlgauge.model import (GaugeState, HamiltonianSpec, ModelParams,
-                           WaveFunctional, nonlinearity)
+from nlgauge.model import GaugeState, HamiltonianSpec, ModelParams, nonlinearity
 from nlgauge.sn import limit_equivalence_check
 from references import laplacian_apply, total_charge
 
@@ -26,13 +26,7 @@ def normalized_packet(grid, center=0.0, width=1.0, momentum=0.0):
     psi = np.exp(-((x - center) ** 2) / (4 * width ** 2) + 1j * momentum * x)
     psi[0] = psi[-1] = 0.0
     psi /= np.sqrt(np.real(grid.integrate(np.abs(psi) ** 2)))
-    return WaveFunctional(grid, psi)
-
-
-def gauss_consistent_gauge(psi, params):
-    g = GaugeState.zero(psi.grid)
-    g.f = initialize_constraint(psi, params)
-    return g
+    return psi
 
 
 # ----------------------------------------------------------- stationary
@@ -43,7 +37,7 @@ def test_stationary_linear_limit_harmonic():
     st = stationary_solve(HARMONIC, params, grid, tol=1e-11)
     assert abs(st.omega_eig - 0.5) < 1e-4
     assert np.abs(st.a_t).max() == 0.0
-    assert np.abs(np.imag(st.psi.values)).max() == 0.0
+    assert st.psi.dtype == np.float64
 
 
 def _dense_reference_scf(grid, coeffs, params, mixing=0.5, iters=300,
@@ -104,7 +98,7 @@ def test_stationary_coupled_matches_dense_reference():
     assert st.gauss_residual < 1e-10
     # the residual is the Gauss law of the static field strength F = -grad A_t,
     # and agrees with the Neumann-Laplacian form of the same equation
-    rho = np.real(st.psi.values) ** 2
+    rho = st.psi ** 2
     f_static = [-link_diff(grid, st.a_t, x) for x in range(grid.ndim)]
     assert st.gauss_residual == gauss_residual(grid, f_static, rho, params)
     lap = laplacian_apply(grid, st.a_t)
@@ -139,7 +133,7 @@ def test_stationary_guess_scale_is_exact_over_the_float_range():
                               guess=np.ldexp(np.ones(grid.shape), k))
         assert st.omega_eig == ref.omega_eig
         assert st.iterations == ref.iterations
-        assert np.array_equal(st.psi.values, ref.psi.values)
+        assert np.array_equal(st.psi, ref.psi)
         assert np.array_equal(st.a_t, ref.a_t)
     for scale in (1e200, 1e-200):
         st = stationary_solve(HARMONIC, params, grid,
@@ -173,7 +167,7 @@ def test_stationary_state_stays_stationary():
     grid = TensorGrid.cube(-8.0, 8.0, 321, 1)
     params = ModelParams(l=1.0)
     st = stationary_solve(HARMONIC, params, grid, tol=1e-11)
-    g0 = gauss_consistent_gauge(st.psi, params)
+    g0 = initialize_constraint(grid, st.psi, params)
     traj = evolve_temporal_gauge(st.psi, g0, HARMONIC, params,
                                  dt=0.002, steps=200)
     rho0 = np.abs(traj.snapshots[0].psi) ** 2
@@ -187,7 +181,7 @@ def test_norm_and_charge_conservation():
     grid = TensorGrid.cube(-8.0, 8.0, 201, 1)
     params = ModelParams(l=1.0)
     psi0 = normalized_packet(grid, center=1.0)
-    g0 = gauss_consistent_gauge(psi0, params)
+    g0 = initialize_constraint(grid, psi0, params)
     traj = evolve_temporal_gauge(psi0, g0, HARMONIC, params, dt=0.005,
                                  steps=500)
     d = traj.diagnostics
@@ -202,7 +196,7 @@ def test_residuals_converge_second_order_in_dt():
     T = 0.8
     finals = []
     for dt in (0.02, 0.01, 0.005):
-        g0 = gauss_consistent_gauge(psi0, params)
+        g0 = initialize_constraint(grid, psi0, params)
         traj = evolve_temporal_gauge(psi0, g0, HARMONIC, params, dt=dt,
                                      steps=int(round(T / dt)))
         d = traj.diagnostics
@@ -218,7 +212,7 @@ def test_euler_scheme_loses_norm():
     grid = TensorGrid.cube(-8.0, 8.0, 201, 1)
     params = ModelParams(l=2.0)
     psi0 = normalized_packet(grid, center=1.0)
-    g0 = gauss_consistent_gauge(psi0, params)
+    g0 = initialize_constraint(grid, psi0, params)
     traj = evolve_temporal_gauge(psi0, g0, HARMONIC, params, dt=0.01,
                                  steps=100, scheme="euler")
     d = traj.diagnostics
@@ -240,15 +234,14 @@ def test_evolve_requires_temporal_gauge():
         evolve_temporal_gauge(psi0, g0, HARMONIC, params, dt=0.01, steps=10)
 
 
-def test_evolve_rejects_a_gauge_on_another_grid():
-    # same node count, so every array shape matches and only the grids differ
-    grid, other = (TensorGrid.cube(-b, b, 51, 1) for b in (5.0, 6.0))
+@pytest.mark.parametrize("shape", [(50,), (52,), (51, 1)])
+def test_evolve_rejects_a_psi_of_the_wrong_shape_for_the_gauge_grid(shape):
+    grid = TensorGrid.cube(-5.0, 5.0, 51, 1)
     params = ModelParams(l=1.0)
-    g0 = gauss_consistent_gauge(normalized_packet(other), params)
-    with pytest.raises(ValueError) as err:
-        evolve_temporal_gauge(normalized_packet(grid), g0, HARMONIC, params,
+    g0 = initialize_constraint(grid, normalized_packet(grid), params)
+    with pytest.raises(GridShapeError, match=r"^field shape"):
+        evolve_temporal_gauge(np.ones(shape, dtype=complex), g0, HARMONIC, params,
                               dt=0.01, steps=5)
-    assert repr(grid) in str(err.value) and repr(other) in str(err.value)
 
 
 @pytest.mark.parametrize("kwargs, name", [
@@ -261,7 +254,7 @@ def test_evolve_rejects_bad_step_arguments(kwargs, name):
     psi0 = normalized_packet(grid)
     args = {"dt": 0.01, "steps": 6, **kwargs}
     with pytest.raises(ValueError, match=f"^{name} must be"):
-        evolve_temporal_gauge(psi0, gauss_consistent_gauge(psi0, params),
+        evolve_temporal_gauge(psi0, initialize_constraint(grid, psi0, params),
                               HARMONIC, params, **args)
 
 
@@ -283,7 +276,7 @@ def test_evolve_commutes_with_static_gauge_transform():
     grid = TensorGrid.cube(-8.0, 8.0, 161, 1)
     params = ModelParams(l=1.2)
     psi0 = normalized_packet(grid, center=0.8)
-    g0 = gauss_consistent_gauge(psi0, params)
+    g0 = initialize_constraint(grid, psi0, params)
     x = grid.axes[0].nodes
     lam = 0.4 * np.tanh(x) + 0.2 * np.sin(x)
 
@@ -326,7 +319,7 @@ def test_stationary_solve_on_one_interior_unknown(dim):
     assert st.omega_eig == pytest.approx(dim / 64.0, rel=1e-15)
     st = stationary_solve(HARMONIC, ModelParams(l=1.0), grid, tol=1e-12)
     assert max(st.eig_residual, st.gauss_residual) <= 1e-15
-    psi = np.real(st.psi.values)
+    psi = st.psi
     assert psi[centre] > 0 and np.count_nonzero(psi) == 1
     assert abs(grid.norm(psi) - 1.0) < 1e-15
     if dim == 1:
@@ -348,9 +341,8 @@ def test_two_site_packet_follows_the_coherent_state_orbit():
         psi = np.exp(-0.5 * ((X[0] - c) ** 2 + X[1] ** 2)) + 0j
         psi[~grid.boundary_mask()] = 0.0
         psi /= np.sqrt(np.real(grid.integrate(np.abs(psi) ** 2)))
-        pw = WaveFunctional(grid, psi)
-        traj = evolve_temporal_gauge(pw, gauss_consistent_gauge(pw, params), HARMONIC,
-                                     params, dt=dt, steps=steps)
+        traj = evolve_temporal_gauge(psi, initialize_constraint(grid, psi, params),
+                                     HARMONIC, params, dt=dt, steps=steps)
         t = np.array([snap.time for snap in traj.snapshots])
         mean = np.array([[np.real(grid.integrate(X[k] * np.abs(snap.psi) ** 2))
                           for snap in traj.snapshots] for k in (0, 1)])
@@ -369,17 +361,16 @@ def test_superposed_stationary_states_do_not_stay_stationary():
     grid = TensorGrid.cube(-8.0, 8.0, 241, 1)
     params = ModelParams(l=1.0)
     st = stationary_solve(HARMONIC, params, grid, tol=1e-11)
-    single = np.real(st.psi.values)
+    single = st.psi
     shifted = np.roll(single, 30)
     shifted[:30] = 0.0
     combo = single + shifted
     combo[0] = combo[-1] = 0.0
     combo /= np.sqrt(np.real(grid.integrate(combo * combo)))
-    psum = WaveFunctional(grid, combo.astype(complex))
-    gs = gauss_consistent_gauge(psum, params)
-    traj_sum = evolve_temporal_gauge(psum, gs, HARMONIC, params,
+    gs = initialize_constraint(grid, combo, params)
+    traj_sum = evolve_temporal_gauge(combo, gs, HARMONIC, params,
                                      dt=0.002, steps=200)
-    g1 = gauss_consistent_gauge(st.psi, params)
+    g1 = initialize_constraint(grid, st.psi, params)
     traj_one = evolve_temporal_gauge(st.psi, g1, HARMONIC, params,
                                      dt=0.002, steps=200)
     move_sum = np.abs(np.abs(traj_sum.snapshots[-1].psi) ** 2
@@ -397,14 +388,13 @@ def test_evolve_2d_conserves():
     psi = np.exp(-0.5 * ((X[0] - 0.4) ** 2 + X[1] ** 2)) + 0j
     psi[~grid.boundary_mask()] = 0.0
     psi /= np.sqrt(np.real(grid.integrate(np.abs(psi) ** 2)))
-    pw = WaveFunctional(grid, psi)
     # (l, dt, steps). The norm bound is at roundoff: on the second case,
     # a stronger field and a longer step, GMRES at rtol 1e-12 in place of
     # the CG inner solve drifts 7.7e-14
     for l, dt, steps in ((2.0, 0.01, 50), (1.0, 0.05, 100)):
         params = ModelParams(l=l)
-        g0 = gauss_consistent_gauge(pw, params)
-        traj = evolve_temporal_gauge(pw, g0, spec, params, dt=dt, steps=steps)
+        g0 = initialize_constraint(grid, psi, params)
+        traj = evolve_temporal_gauge(psi, g0, spec, params, dt=dt, steps=steps)
         d = traj.diagnostics
         assert np.abs(d["norm"] - 1.0).max() < 2e-14
         assert np.abs(d["charge"]).max() < 1e-12
@@ -421,9 +411,8 @@ def test_field_strength_takes_the_trapezoid_kick_of_the_current():
     psi = np.exp(-0.5 * ((X[0] - 0.5) ** 2 + X[1] ** 2) + 0.7j * X[0])
     psi[~grid.boundary_mask()] = 0.0
     psi /= np.sqrt(np.real(grid.integrate(np.abs(psi) ** 2)))
-    pw = WaveFunctional(grid, psi)
     dt = 0.01
-    traj = evolve_temporal_gauge(pw, gauss_consistent_gauge(pw, params), spec,
+    traj = evolve_temporal_gauge(psi, initialize_constraint(grid, psi, params), spec,
                                  params, dt=dt, steps=50)
     kick = 0.5 * dt * params.inv_l2 / spec.lattice_spacing ** 3
 
@@ -451,8 +440,7 @@ def test_sigma_is_rms_width_on_two_sites():
     psi = np.exp(-(X[0] - 0.8) ** 2 - X[1] ** 2) + 0j
     psi[~grid.boundary_mask()] = 0.0
     psi /= np.sqrt(np.real(grid.integrate(np.abs(psi) ** 2)))
-    pw = WaveFunctional(grid, psi)
-    traj = evolve_temporal_gauge(pw, gauss_consistent_gauge(pw, params), spec,
+    traj = evolve_temporal_gauge(psi, initialize_constraint(grid, psi, params), spec,
                                  params, dt=0.02, steps=40, record_every=5)
     sigma = traj.diagnostics["sigma"]
     for snap, sig in zip(traj.snapshots, sigma, strict=True):
@@ -499,7 +487,7 @@ def test_cn_step_forward_then_back_returns_psi(case, seed, dt):
 
 def test_cn_nd_step_matches_banded_step_on_one_site():
     grid = TensorGrid.cube(-8.0, 8.0, 201, 1)
-    psi = normalized_packet(grid, center=1.0, momentum=0.5).values
+    psi = normalized_packet(grid, center=1.0, momentum=0.5)
     x = grid.axes[0].nodes
     phases = link_phases(grid, [0.3 * np.sin(0.5 * (x[1:] + x[:-1]))])
     diag = HARMONIC.site_potential_total(grid)
@@ -561,14 +549,14 @@ def _two_site_packet(count=9):
     psi = np.exp(-(X[0] - 0.6) ** 2 - X[1] ** 2) + 0j
     psi[~grid.boundary_mask()] = 0.0
     psi /= np.sqrt(np.real(grid.integrate(np.abs(psi) ** 2)))
-    return grid, spec, WaveFunctional(grid, psi)
+    return grid, spec, psi
 
 
 def test_continuity_residual_is_computed_at_every_recorded_step():
     grid = TensorGrid.cube(-8.0, 8.0, 201, 1)
     params = ModelParams(l=1.0)
     psi0 = normalized_packet(grid, center=1.0)
-    g0 = gauss_consistent_gauge(psi0, params)
+    g0 = initialize_constraint(grid, psi0, params)
     full = evolve_temporal_gauge(psi0, g0, HARMONIC, params, dt=0.01,
                                  steps=35)
     every = full.diagnostics
@@ -586,7 +574,7 @@ def test_continuity_residual_is_computed_at_every_recorded_step():
     # links, so the currents carry link phases
     grid2, spec2, psi2 = _two_site_packet()
     params2 = ModelParams(l=1.0)
-    two = evolve_temporal_gauge(psi2, gauss_consistent_gauge(psi2, params2),
+    two = evolve_temporal_gauge(psi2, initialize_constraint(grid2, psi2, params2),
                                 spec2, params2, dt=0.01, steps=12)
     for traj in (full, two):
         _assert_recorded_values_are_the_public_formulas(traj)
@@ -596,7 +584,7 @@ def test_continuity_residual_needs_two_distinct_times():
     grid = TensorGrid.cube(-8.0, 8.0, 101, 1)
     params = ModelParams(l=1.0)
     psi0 = normalized_packet(grid, center=1.0)
-    snap = evolve_temporal_gauge(psi0, gauss_consistent_gauge(psi0, params),
+    snap = evolve_temporal_gauge(psi0, initialize_constraint(grid, psi0, params),
                                  HARMONIC, params, dt=0.01, steps=1).snapshots[0]
     with pytest.raises(InsufficientDataError, match="consecutive"):
         continuity_residual(grid, snap, snap, HARMONIC)
@@ -654,7 +642,7 @@ def test_diagnostics_across_block_boundaries(sites, record_every):
     else:
         grid, spec, psi0 = _two_site_packet(17)
     params = ModelParams(l=1.0)
-    g0 = gauss_consistent_gauge(psi0, params)
+    g0 = initialize_constraint(grid, psi0, params)
     block = _block_rows(grid.quad_weights().size)
     steps = record_every * (2 * block + 1) + 2
     dense = evolve_temporal_gauge(psi0, g0, spec, params, dt=0.01, steps=steps)
@@ -674,7 +662,7 @@ def test_diagnostics_across_block_boundaries(sites, record_every):
 def test_keep_snapshots_false_keeps_the_end_states_and_the_diagnostics():
     grid, spec, psi0 = _two_site_packet()
     params = ModelParams(l=1.0)
-    g0 = gauss_consistent_gauge(psi0, params)
+    g0 = initialize_constraint(grid, psi0, params)
     steps = _block_rows(grid.quad_weights().size) + 7
     dense = evolve_temporal_gauge(psi0, g0, spec, params, dt=0.01, steps=steps,
                                   record_every=2)
@@ -768,9 +756,9 @@ def test_snapshots_are_read_only_and_do_not_alias_the_inputs():
     grid = TensorGrid.cube(-8.0, 8.0, 101, 1)
     params = ModelParams(l=1.0)
     psi0 = normalized_packet(grid, center=1.0)
-    g0 = gauss_consistent_gauge(psi0, params)
+    g0 = initialize_constraint(grid, psi0, params)
     g0.a_phi = [0.01 * np.sin(np.arange(grid.shape[0] - 1.0))]
-    inputs = [psi0.values, g0.a_t, *g0.a_phi, *g0.f]
+    inputs = [psi0, g0.a_t, *g0.a_phi, *g0.f]
     before = [v.copy() for v in inputs]
     traj = evolve_temporal_gauge(psi0, g0, HARMONIC, params, dt=0.01,
                                  steps=6, record_every=2)
@@ -795,14 +783,14 @@ def test_evolve_rejects_a_nan_state_with_integrator_error():
     grid = TensorGrid.cube(-8.0, 8.0, 101, 1)
     params = ModelParams(l=1.0)
     psi0 = normalized_packet(grid, center=1.0)
-    g0 = gauss_consistent_gauge(psi0, params)
-    bad = psi0.values.copy()
+    g0 = initialize_constraint(grid, psi0, params)
+    bad = psi0.copy()
     bad[40] = np.nan
     # the guards are checked per block of recorded steps; the run goes on
     # past step 1 on NaN states, but the error still names step 1
     for steps in (5, 2 * _block_rows(grid.shape[0]) + 5):
         with pytest.raises(IntegratorError, match="step 1 "):
-            evolve_temporal_gauge(WaveFunctional(grid, bad), g0, HARMONIC,
+            evolve_temporal_gauge(bad, g0, HARMONIC,
                                   params, dt=0.01, steps=steps)
 
 
@@ -812,11 +800,11 @@ def test_evolve_rejects_a_nan_two_site_state_with_integrator_error():
     # iteration cap
     grid, spec, psi = _two_site_packet()
     params = ModelParams(l=1.0)
-    g0 = gauss_consistent_gauge(psi, params)
-    bad = psi.values.copy()
+    g0 = initialize_constraint(grid, psi, params)
+    bad = psi.copy()
     bad[4, 4] = np.nan
     with pytest.raises(IntegratorError, match="step 1 "):
-        evolve_temporal_gauge(WaveFunctional(grid, bad), g0, spec, params,
+        evolve_temporal_gauge(bad, g0, spec, params,
                               dt=0.01, steps=5)
 
 
@@ -824,7 +812,7 @@ def test_guards_name_the_first_failing_step_norm_guard_first(monkeypatch):
     grid = TensorGrid.cube(-8.0, 8.0, 101, 1)
     params = ModelParams(l=1.0)
     psi0 = normalized_packet(grid, center=1.0)
-    g0 = gauss_consistent_gauge(psi0, params)
+    g0 = initialize_constraint(grid, psi0, params)
     real_gauss = dynamics.gauss_residual
 
     def blown_up_from_row_4(*args):
@@ -841,7 +829,7 @@ def test_guards_name_the_first_failing_step_norm_guard_first(monkeypatch):
         evolve_temporal_gauge(psi0, g0, HARMONIC, params, dt=0.01, steps=10,
                               record_every=2)
     # where both guards fail on a row, the norm guard is the one raised
-    bad = WaveFunctional(grid, np.where(np.arange(101) == 40, np.nan, psi0.values))
+    bad = np.where(np.arange(101) == 40, np.nan, psi0)
     with pytest.raises(IntegratorError, match="step 1 "):
         evolve_temporal_gauge(bad, g0, HARMONIC, params, dt=0.01, steps=10)
 
@@ -853,8 +841,8 @@ def test_a_step_that_raises_after_a_guard_failure_reports_the_guard(monkeypatch)
     grid = TensorGrid.cube(-8.0, 8.0, 101, 1)
     params = ModelParams(l=1.0)
     psi0 = normalized_packet(grid, center=1.0)
-    g0 = gauss_consistent_gauge(psi0, params)
-    bad = WaveFunctional(grid, np.where(np.arange(101) == 40, np.nan, psi0.values))
+    g0 = initialize_constraint(grid, psi0, params)
+    bad = np.where(np.arange(101) == 40, np.nan, psi0)
     calls = []
 
     def failing_third_step(*args):

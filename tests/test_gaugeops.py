@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from nlgauge.errors import UnsolvableConstraintError
+from nlgauge.errors import GridShapeError, UnsolvableConstraintError
 from nlgauge.gaugeops import (apply_hamiltonian_raw, gauge_transform,
                               gauss_residual, gauss_solve_stationary,
                               hamiltonian, initialize_constraint, link_current,
                               link_diff, link_divergence, link_phases)
 from nlgauge.grids import TensorGrid, UniformGrid1D
-from nlgauge.model import GaugeState, HamiltonianSpec, ModelParams, WaveFunctional
+from nlgauge.model import GaugeState, HamiltonianSpec, ModelParams
 
 
 def make_state(grid, seed=0):
@@ -19,7 +19,7 @@ def make_state(grid, seed=0):
     psi = psi * np.exp(1j * (0.3 + c[2]) * xs[0])
     psi[~grid.boundary_mask()] = 0.0
     psi /= np.sqrt(np.real(grid.integrate(np.abs(psi) ** 2)))
-    return WaveFunctional(grid, psi)
+    return psi
 
 
 def smooth_lambda(grid, seed=1):
@@ -40,7 +40,7 @@ def test_constant_lambda_is_global_phase():
     gauge = GaugeState.zero(grid)
     psi2, gauge2 = gauge_transform(psi, gauge, np.full(grid.shape, 0.7),
                                    np.zeros(grid.shape))
-    assert np.abs(psi2.values - np.exp(0.7j) * psi.values).max() < 1e-15
+    assert np.abs(psi2 - np.exp(0.7j) * psi).max() < 1e-15
     assert np.abs(gauge2.a_phi[0]).max() == 0.0
     assert np.abs(gauge2.a_t).max() == 0.0
 
@@ -51,7 +51,7 @@ def test_zero_lambda_is_identity():
     gauge = GaugeState.zero(grid)
     psi2, gauge2 = gauge_transform(psi, gauge, np.zeros(grid.shape),
                                    np.zeros(grid.shape))
-    assert np.abs(psi2.values - psi.values).max() == 0.0
+    assert np.abs(psi2 - psi).max() == 0.0
     assert np.abs(gauge2.a_phi[0]).max() == 0.0
 
 
@@ -60,8 +60,8 @@ def test_density_invariance_and_covariant_transform():
     psi = make_state(grid)
     gauge = GaugeState.zero(grid)
     psi2, _ = gauge_transform(psi, gauge, smooth_lambda(grid), np.zeros(grid.shape))
-    rho1 = np.abs(psi.values) ** 2
-    rho2 = np.abs(psi2.values) ** 2
+    rho1 = np.abs(psi) ** 2
+    rho2 = np.abs(psi2) ** 2
     assert np.abs(rho1 - rho2).max() < 1e-14
 
 
@@ -79,15 +79,16 @@ def test_transform_casts_lambda_to_float_arrays():
     psi = make_state(grid)
     # lists of integers, as a caller may pass them
     psi2, gauge2 = gauge_transform(psi, GaugeState.zero(grid), [1] * 11, list(range(11)))
-    assert np.array_equal(psi2.values, np.exp(1j * np.ones(11)) * psi.values)
+    assert np.array_equal(psi2, np.exp(1j * np.ones(11)) * psi)
     assert gauge2.a_t.dtype == float and np.array_equal(gauge2.a_t, np.arange(11.0))
 
 
-def test_transform_rejects_a_gauge_on_another_grid():
-    psi = make_state(TensorGrid.cube(-5.0, 5.0, 51, 1))
-    other = TensorGrid.cube(-6.0, 6.0, 51, 1)
-    with pytest.raises(ValueError, match=r"gauge is on .*-6\.0.* psi is on .*-5\.0"):
-        gauge_transform(psi, GaugeState.zero(other), np.zeros(51), np.zeros(51))
+@pytest.mark.parametrize("count", [50, 52])
+def test_transform_rejects_a_psi_of_the_wrong_shape_for_the_gauge_grid(count):
+    psi = make_state(TensorGrid.cube(-5.0, 5.0, count, 1))
+    grid = TensorGrid.cube(-5.0, 5.0, 51, 1)
+    with pytest.raises(GridShapeError, match=r"^field shape"):
+        gauge_transform(psi, GaugeState.zero(grid), np.zeros(51), np.zeros(51))
 
 
 # -------------------------------------------------------- hamiltonian
@@ -270,7 +271,7 @@ def test_initialize_constraint_uniform_is_zero():
     grid = TensorGrid.cube(-3.0, 3.0, 121, 1)
     p = ModelParams(l=1.0)
     psi = np.full(grid.shape, np.sqrt(1.0 / grid.volume), dtype=complex)
-    f = initialize_constraint(WaveFunctional(grid, psi), p)
+    f = initialize_constraint(grid, psi, p).f
     assert np.abs(f[0]).max() < 1e-14
 
 
@@ -281,7 +282,7 @@ def test_initialize_constraint_cosine_profile():
         p = ModelParams(l=1.0)
         x = grid.axes[0].nodes
         psi = np.sqrt((1.0 + np.cos(np.pi * x / 2.0)) / grid.volume).astype(complex)
-        f = initialize_constraint(WaveFunctional(grid, psi), p)
+        f = initialize_constraint(grid, psi, p).f
         mid = 0.5 * (x[1:] + x[:-1])
         exact = p.inv_l2 * (2.0 / np.pi) * np.sin(np.pi * mid / 2.0) / grid.volume
         errs.append(np.abs(f[0] - exact).max())
@@ -295,10 +296,13 @@ def test_initialize_constraint_defining_property():
     psi = (np.exp(-0.5 * (x - 0.7) ** 2) + 0j)
     psi[0] = psi[-1] = 0.0
     psi /= np.sqrt(np.real(grid.integrate(np.abs(psi) ** 2)))
-    pw = WaveFunctional(grid, psi)
-    f = initialize_constraint(pw, p)
+    gauge = initialize_constraint(grid, psi, p)
     rho = np.abs(psi) ** 2
-    assert gauss_residual(grid, f, rho, p) < 1e-11
+    assert gauss_residual(grid, gauge.f, rho, p) < 1e-11
+    # the temporal-gauge start: A_t = 0 and A_phi = 0 on psi's grid
+    assert gauge.grid is grid
+    assert not gauge.a_t.any() and not gauge.a_phi[0].any()
+    assert gauge.a_phi[0].shape == gauge.f[0].shape == (grid.shape[0] - 1,)
 
 
 def test_initialize_constraint_requires_normalization():
@@ -307,7 +311,14 @@ def test_initialize_constraint_requires_normalization():
     x = grid.axes[0].nodes
     psi = np.exp(-0.5 * x ** 2) + 0j
     with pytest.raises(UnsolvableConstraintError):
-        initialize_constraint(WaveFunctional(grid, psi), p)
+        initialize_constraint(grid, psi, p)
+
+
+def test_initialize_constraint_rejects_a_psi_of_the_wrong_shape():
+    grid = TensorGrid.cube(-4.0, 4.0, 81, 1)
+    psi = np.full(80, np.sqrt(1.0 / grid.volume))
+    with pytest.raises(GridShapeError, match=r"^field shape"):
+        initialize_constraint(grid, psi, ModelParams(l=1.0))
 
 
 def test_div_grad_is_compact_laplacian():

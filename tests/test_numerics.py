@@ -118,6 +118,16 @@ def test_poisson_nonzero_mean_raises():
         poisson_solve(g, src)
 
 
+@pytest.mark.parametrize("source", [[1j, 0, -1j, 0, 0],
+                                    np.array([0.5, -1.0, 0.5, 0.0, 0.0], dtype=complex)])
+def test_poisson_rejects_a_complex_source(source):
+    # a cast to float would drop the imaginary part with only a warning; a
+    # complex dtype is refused even where every imaginary part is zero
+    g = TensorGrid.cube(0.0, 2.0, 5, 1)
+    with pytest.raises(ValueError, match="^source must be real"):
+        poisson_solve(g, source)
+
+
 # per-axis counts and extents differ, so a mix-up of axes or spacings shows
 ROUNDTRIP_GRIDS = [
     (UniformGrid1D(-1.0, 2.0, 3),),

@@ -6,8 +6,9 @@ import pytest
 import scipy.linalg
 
 import nlgauge.sn as sn
-from nlgauge.dynamics import _block_rows, stationary_solve
+from nlgauge.dynamics import _block_rows, evolve_temporal_gauge, stationary_solve
 from nlgauge.errors import ConvergenceError, GridShapeError, IntegratorError
+from nlgauge.gaugeops import initialize_constraint
 from nlgauge.grids import RadialGrid, TensorGrid, UniformGrid1D
 from nlgauge.model import HamiltonianSpec, ModelParams
 from nlgauge.sn import (SNParams, _rk4_shoot_u,
@@ -487,7 +488,7 @@ def test_limit_check_sign_test_fails_on_a_negated_potential(monkeypatch, flip):
     rep = limit_equivalence_check(HamiltonianSpec(), ModelParams(l=1.0), grid)
     assert rep.source_curvature_consistent is not flip
     # the interior share of nodes below the uniform background 1/Omega
-    rho = np.real(solved[0].psi.values) ** 2
+    rho = solved[0].psi ** 2
     assert rep.repulsive_fraction == np.mean(rho[1:-1] < 1.0 / grid.volume)
     assert rep.repulsive_fraction == pytest.approx(0.8241, abs=1e-4)
 
@@ -496,6 +497,39 @@ def test_limit_check_rejects_a_multi_site_grid():
     with pytest.raises(ValueError, match="single-site"):
         limit_equivalence_check(HamiltonianSpec(), ModelParams(l=1.0),
                                 TensorGrid.cube(-4.0, 4.0, 9, 2))
+
+
+def _line_operator(count, coeffs):
+    grid = UniformGrid1D(-8.0, 8.0, count)
+    return grid.spacing, SNParams(external_potential_coeffs=coeffs).external_potential(
+        grid.nodes)
+
+
+def _radial_operator():
+    rg = RadialGrid(1e-6, 20.0, 2000)
+    return rg.spacing, sn_ground_radial_scf(SNParams(coupling=1.0), rg, tol=1e-12).v / rg.nodes
+
+
+# (h, diag) of -1/2 u'' + diag u on a few thousand nodes, where bisection's
+# eigenvalue error, about eps * ||T||, was 4.7e-13 to 3.6e-12
+ORACLE_OPERATORS = {
+    "harmonic-2001": lambda: _line_operator(2001, (0.0, 0.0, 0.5)),
+    "harmonic-3001": lambda: _line_operator(3001, (0.0, 0.0, 0.5)),
+    "tilted-double-well-4001": lambda: _line_operator(
+        4001, (81.0 / 72.0, 0.1, -0.25, 0.0, 1.0 / 72.0)),
+    "radial-2000": _radial_operator,
+}
+
+
+@pytest.mark.parametrize("operator", ORACLE_OPERATORS.values(), ids=ORACLE_OPERATORS)
+def test_line_oracle_eigenvalue_is_the_rayleigh_quotient_of_its_vector(operator):
+    h, diag = operator()
+    lam, u = sn._tridiag_ground(h, diag)
+    ul = u.astype(np.longdouble)
+    du = np.diff(ul)
+    exact = ((np.sum(diag.astype(np.longdouble) * ul * ul)
+              + np.sum(du * du) / (2 * np.longdouble(h) ** 2)) / np.sum(ul * ul))
+    assert abs(lam - exact) <= 1e-14 * max(1.0, abs(lam))
 
 
 def test_uncoupled_radial_solves_stop_at_the_exact_fixed_point():
@@ -529,6 +563,40 @@ def test_sn_params_validation():
     with pytest.raises(ValueError):
         sn_ground_radial_scf(SNParams(coupling=1.0, background=0.2),
                              RadialGrid(1e-6, 10.0, 100))
+
+
+def _packet_1d(grid):
+    x = grid.axes[0].nodes
+    psi = np.exp(-0.5 * x * x) + 0j
+    psi[0] = psi[-1] = 0.0
+    return psi / np.sqrt(np.real(grid.integrate(np.abs(psi) ** 2)))
+
+
+# coefficient 1e307 on x^2: the potential overflows to inf at |x| >= 1.35
+HUGE = (0.0, 0.0, 1e307)
+LINE8 = TensorGrid.cube(-8.0, 8.0, 161, 1)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: stationary_solve(HamiltonianSpec(potential_coeffs=HUGE),
+                             ModelParams(l=1.0), LINE8),
+    lambda: stationary_solve(HamiltonianSpec(potential_coeffs=HUGE),
+                             ModelParams(l=1.0), TensorGrid.cube(-8.0, 8.0, 9, 2)),
+    lambda: evolve_temporal_gauge(
+        _packet_1d(LINE8), initialize_constraint(LINE8, _packet_1d(LINE8), ModelParams(l=1.0)),
+        HamiltonianSpec(potential_coeffs=HUGE), ModelParams(l=1.0), dt=0.01, steps=2),
+    lambda: sn_ground_radial_scf(SNParams(external_potential_coeffs=HUGE),
+                                 RadialGrid(1e-6, 8.0, 200)),
+    lambda: sn_ground_radial_shoot(SNParams(external_potential_coeffs=HUGE),
+                                   RadialGrid(1e-6, 8.0, 200)),
+    lambda: sn_evolve_1d(LINE8.axes[0], _packet_1d(LINE8),
+                         SNParams(external_potential_coeffs=HUGE), 0.01, 2),
+], ids=["stationary-1d", "stationary-9x9", "evolve", "radial-scf", "radial-shoot",
+        "sn-evolve-1d"])
+def test_a_potential_that_overflows_raises_a_value_error_naming_the_coefficients(solve):
+    with pytest.raises(ValueError, match=r"potential_coeffs \(0\.0, 0\.0, 1e\+307\).*"
+                                         "non-finite potential"):
+        solve()
 
 
 @pytest.mark.parametrize("count", [201, 1201])

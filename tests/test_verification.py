@@ -24,7 +24,7 @@ def test_stationarity_residual_in_the_linear_limit(count, dim, bound):
     params = ModelParams(l=np.inf)
     st = stationary_solve(spec, params, grid, tol=1e-11)
     assert not st.a_t.any()
-    assert stationarity_residual(grid, st.psi.values, spec, params) < bound
+    assert stationarity_residual(grid, st.psi, spec, params) < bound
 
 
 def test_conservation_check_passes():
