@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import zgtsv as _zgtsv
 
 from .errors import (ConstraintViolationError, ConvergenceError,
                      InsufficientDataError, IntegratorError)
@@ -36,8 +34,8 @@ from .gaugeops import (_grid_norms, apply_hamiltonian_raw, gauss_residual,
 from .grids import TensorGrid
 from .model import (GaugeState, HamiltonianSpec, ModelParams, StationaryState,
                     nonlinearity)
-from .numerics import (_checked_eigenpair, smallest_eigenpair,
-                       tridiagonal_ground)
+from .numerics import (_checked_eigenpair, _lapack, _weighted_norm,
+                       smallest_eigenpair, tridiagonal_ground)
 
 # eigen-solve tolerance inside the stationary SCF
 _EIG_TOL = 1e-9
@@ -129,8 +127,7 @@ def stationary_solve(spec: HamiltonianSpec, params: ModelParams,
     psi, a_t = last["psi"], last["a_t"]
     rho = psi * psi
     op = hamiltonian(grid, None, (diag0 - a_t)[inner], spec.lattice_spacing)
-    resid = op(psi[inner]) - omega * psi[inner]
-    eig_res = np.sqrt((w_inner * resid * resid).sum())
+    eig_res = _weighted_norm(op(psi[inner]) - omega * psi[inner], w_inner)
     # Gauss law for the static field strength F = -grad A_t
     gres = gauss_residual(grid, [-link_diff(grid, a_t, x) for x in range(grid.ndim)],
                           rho, params)
@@ -219,7 +216,7 @@ def _cn_step_1d(grid, psi, phases, band, a_lat, dt):
     if n == 3:  # one unknown, and zgtsv takes no empty off-diagonals
         y /= d
     else:
-        info = _zgtsv(lower, d, upper, y, 1, 1, 1, 1)[4]
+        info = _lapack("zgtsv")(lower, d, upper, y, 1, 1, 1, 1)[4]
         if info != 0:
             raise np.linalg.LinAlgError(f"zgtsv failed in the CN step (info={info})")
     y *= 2.0
@@ -239,6 +236,8 @@ def _cn_step_nd(grid, psi, phases, diag, a_lat, dt):
     evolver's norm guard names the step. Raises ConvergenceError with the
     relative residual when CG reaches its cap.
     """
+    from scipy.sparse.linalg import LinearOperator, cg
+
     alpha = 0.5 * dt
     inner = (slice(1, -1),) * grid.ndim
     # built once: the phases stay fixed through the CG solve
@@ -257,9 +256,9 @@ def _cn_step_nd(grid, psi, phases, diag, a_lat, dt):
     if not np.isfinite(b).all():
         out[inner] = b
         return out
-    A = spla.LinearOperator((b.size,) * 2, matvec=apply_A, dtype=complex)
-    y, info = spla.cg(A, b.ravel(), x0=psi_in.ravel(), rtol=_CN_RTOL, atol=0.0,
-                      maxiter=_CN_MAX_ITER)
+    A = LinearOperator((b.size,) * 2, matvec=apply_A, dtype=complex)
+    y, info = cg(A, b.ravel(), x0=psi_in.ravel(), rtol=_CN_RTOL, atol=0.0,
+                 maxiter=_CN_MAX_ITER)
     if info:
         raise ConvergenceError(
             "CN inner solve did not converge",

@@ -13,13 +13,10 @@ interior unknowns, with the stencil of `gaugeops.hamiltonian`.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-import scipy.sparse.linalg as spla
-from scipy.linalg import eigvalsh_tridiagonal
-from scipy.linalg.lapack import dpttrf as _dpttrf
-from scipy.linalg.lapack import dpttrs as _dpttrs
 
 from .errors import ConvergenceError, UnsolvableConstraintError
 from .grids import TensorGrid
@@ -28,6 +25,22 @@ from .grids import TensorGrid
 _PERTURB = 1e-8
 # inverse-iteration steps of `tridiagonal_ground` before it gives up
 _INVERSE_MAX_ITER = 100
+
+
+@functools.cache
+def _lapack(name: str):
+    """The LAPACK routine `name` of `scipy.linalg.lapack`, looked up once.
+
+    Importing the package loads no SciPy module; each SciPy routine is
+    imported the first time a solve needs it. `scipy.linalg` loads at the
+    first call here or the first tridiagonal eigen solve by bisection, and
+    `scipy.sparse.linalg` only for the eigen solves and Crank-Nicolson
+    steps of grids of D >= 2. The routines fetched here run once per step
+    or iteration, so each is looked up once rather than imported at
+    every call.
+    """
+    from scipy.linalg import lapack
+    return getattr(lapack, name)
 
 
 def _dct1(values: np.ndarray, axis: int) -> np.ndarray:
@@ -118,6 +131,8 @@ def smallest_eigenpair(op_apply, guess: np.ndarray, tol: float = 1e-9, *,
     anything that divides by rho, such as the time-derivative term of
     the action.
     """
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
     guess = np.asarray(guess, dtype=float)
     shape = guess.shape
     if not guess.any():
@@ -128,12 +143,12 @@ def smallest_eigenpair(op_apply, guess: np.ndarray, tol: float = 1e-9, *,
     def matvec(y):
         return op_apply(y.reshape(shape)).ravel()
 
-    lin_op = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
+    lin_op = LinearOperator((n, n), matvec=matvec, dtype=float)
     try:
         # ARPACK needs k < n; one unknown is its own eigenvector
-        vals, vecs = (spla.eigsh(lin_op, k=1, which="SA", v0=g, tol=0) if n > 1
+        vals, vecs = (eigsh(lin_op, k=1, which="SA", v0=g, tol=0) if n > 1
                       else (matvec(np.ones(1)), np.ones((1, 1))))
-    except spla.ArpackNoConvergence as exc:
+    except ArpackNoConvergence as exc:
         raise ConvergenceError("eigenpair iteration did not converge",
                                residual=None) from exc
     return _checked_eigenpair(op_apply, float(vals[0]), vecs[:, 0].reshape(shape),
@@ -145,19 +160,29 @@ def _checked_eigenpair(op_apply, lam: float, vec: np.ndarray, tol: float,
     """The eigenpair (lam, vec) normalized to unit norm under `weights`,
     with its largest-magnitude entry positive; raises ConvergenceError
     unless the weighted residual of `op_apply` is at most `tol`."""
-    vec /= np.sqrt(float((weights * vec * vec).sum()))
+    vec /= _weighted_norm(vec, weights)
     # deterministic sign: largest-magnitude entry positive
     peak = np.unravel_index(np.argmax(np.abs(vec)), vec.shape)
     if vec[peak] < 0:
         vec = -vec
 
-    resid = op_apply(vec) - lam * vec
-    rnorm = np.sqrt(float((weights * resid * resid).sum()))
-    if rnorm > tol:
+    rnorm = _weighted_norm(op_apply(vec) - lam * vec, weights)
+    if not rnorm <= tol:
         raise ConvergenceError(
             f"eigenpair residual {rnorm:.3e} exceeds tol {tol:.3e}",
             residual=rnorm)
     return lam, vec
+
+
+def _weighted_norm(values: np.ndarray, weights: np.ndarray) -> float:
+    """sqrt(sum(weights * values^2)), with the values first divided by the
+    power of two in (max|values|/2, max|values|]. That is exact, so the
+    result is bitwise the plain formula's wherever the plain squares
+    neither overflow nor underflow, and the scaled squares cannot
+    overflow."""
+    k = math.frexp(float(np.abs(values).max()))[1]
+    scaled = np.ldexp(values, -k)
+    return math.ldexp(math.sqrt(float((weights * scaled * scaled).sum())), k)
 
 
 def tridiagonal_ground(pot: np.ndarray, coef: float,
@@ -172,9 +197,13 @@ def tridiagonal_ground(pot: np.ndarray, coef: float,
 
     Inverse iteration x <- (T - sigma)^-1 x / norm, on the LDL^T factor
     of T - sigma (LAPACK `dpttrf`), from |guess|, or from ones when
-    `guess` is None. A shift counts only if `dpttrf` succeeds, which
-    proves T - sigma positive definite, so sigma lies below the ground
-    level lam0 and the iteration cannot settle on an excited state.
+    `guess` is None. T is first scaled by the power of two that puts
+    max|pot| + 4 coef in [1/2, 1), and lam scaled back. That is exact
+    (only the bisection's pivot floor is not scale-invariant), and a huge
+    finite potential then overflows no square. A shift counts only if
+    `dpttrf` succeeds, which proves T - sigma positive definite, so sigma
+    lies below the ground level lam0 and the iteration cannot settle on
+    an excited state.
     T - sigma is then an M-matrix (off-diagonals -coef < 0) with a
     positive inverse, so every iterate stays positive and the solves add
     no cancellation: the far tails keep their relative accuracy.
@@ -206,6 +235,9 @@ def tridiagonal_ground(pot: np.ndarray, coef: float,
     if not x.any():
         raise ValueError("guess must be nonzero")
     x /= math.sqrt(np.dot(x, x))
+    # T scaled by 2^-k; lam is scaled back on return
+    k = math.frexp(float(np.abs(pot).max()) + 4.0 * coef)[1]
+    pot, coef = np.ldexp(pot, -k), math.ldexp(coef, -k)
     d = pot + 2.0 * coef
     # the dpttrf wrapper wants one off-diagonal entry even for n = 1
     e = np.full(max(n - 1, 1), -coef)
@@ -217,10 +249,12 @@ def tridiagonal_ground(pot: np.ndarray, coef: float,
         return math.floor((lam - off) / q) * q
 
     def factor(sigma):
-        df, ef, info = _dpttrf(d - sigma, e)
+        df, ef, info = _lapack("dpttrf")(d - sigma, e)
         return (df, ef) if info == 0 else None
 
     def bisected():
+        from scipy.linalg import eigvalsh_tridiagonal
+
         lam0 = float(eigvalsh_tridiagonal(d, e[:n - 1], select="i",
                                           select_range=(0, 0))[0])
         sigma = shift(lam0, 0.0)
@@ -240,7 +274,7 @@ def tridiagonal_ground(pot: np.ndarray, coef: float,
             # a fixed point, or a cycle of roundings: its lowest quotient
             first = keys.index(key)
             i = first + int(np.argmin(lams[first:]))
-            return lams[i], np.frombuffer(keys[i]).copy()
+            return math.ldexp(lams[i], k), np.frombuffer(keys[i]).copy()
         keys.append(key)
         xp[1:-1] = x
         dx = xp[1:] - xp[:-1]
@@ -256,7 +290,7 @@ def tridiagonal_ground(pot: np.ndarray, coef: float,
                     (sigma, fac), bisect = bisected(), True
                 else:
                     sigma, fac = cand, fac_c
-        x = _dpttrs(*fac, x)[0]
+        x = _lapack("dpttrs")(*fac, x)[0]
         x /= math.sqrt(np.dot(x, x))
     raise ConvergenceError(f"inverse iteration reached no fixed point in "
                            f"{_INVERSE_MAX_ITER} steps")

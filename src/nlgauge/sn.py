@@ -45,11 +45,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 from numpy.polynomial.polynomial import polyval
-from scipy.linalg.lapack import dgttrf as _dgttrf
-from scipy.linalg.lapack import dgttrs as _dgttrs
-from scipy.linalg.lapack import dtbtrs as _dtbtrs
 
 from .dynamics import (_NORM_TOL, _check_step_args, _cn_band, _cn_step_1d,
                        _rms_width, stationary_solve)
@@ -58,7 +54,7 @@ from .fixedpoint import fixed_point
 from .gaugeops import link_diff, link_divergence
 from .grids import RadialGrid, TensorGrid, UniformGrid1D
 from .model import HamiltonianSpec, ModelParams
-from .numerics import tridiagonal_ground
+from .numerics import _lapack, tridiagonal_ground
 
 # RK4 steps per banded solve of a shot; the amplitude is rescaled only
 # between chunks, so a chunk bounds how far it grows unchecked
@@ -136,9 +132,11 @@ def _tridiag_ground(h: float, diag_full: np.ndarray):
     `eigh_tridiagonal`): the eigen solve of the `line_ground_scf` oracle. Its
     eigenvalue is the Rayleigh quotient of the unit vector u by summation by
     parts, accurate to roundoff; bisection's is off by about eps * ||T||."""
+    from scipy.linalg import eigh_tridiagonal
+
     d = diag_full[1:-1] + 1.0 / h ** 2
     off = np.full(d.size - 1, -0.5 / h ** 2)
-    _, vecs = scipy.linalg.eigh_tridiagonal(d, off, select="i", select_range=(0, 0))
+    _, vecs = eigh_tridiagonal(d, off, select="i", select_range=(0, 0))
     u = np.zeros_like(diag_full)
     u[1:-1] = vecs[:, 0]
     if u[np.argmax(np.abs(u))] < 0:
@@ -232,8 +230,8 @@ def _rk4_shoot_u(r, veff, energy):
         s1 = min(s0 + _SHOT_CHUNK, n - 1)
         rhs = np.zeros(2 * (s1 - s0 + 1))
         rhs[:2] = u, up
-        x, _ = _dtbtrs(ab[:, 2 * s0:2 * s1 + 2], rhs, uplo="L", diag="U",
-                       overwrite_b=1)
+        x, _ = _lapack("dtbtrs")(ab[:, 2 * s0:2 * s1 + 2], rhs, uplo="L",
+                                 diag="U", overwrite_b=1)
         if not np.isfinite(x).all():
             raise ConvergenceError(f"RK4 shot at energy {energy!r} overflowed "
                                    "within a chunk of steps")
@@ -449,7 +447,7 @@ def _neumann_factors(n: int, h2: float) -> tuple[np.ndarray, ...]:
     lo[-1] = 2.0 / h2
     d[0] = 1.0
     up[0] = 0.0
-    *factors, info = _dgttrf(lo, d, up)
+    *factors, info = _lapack("dgttrf")(lo, d, up)
     if info != 0:
         raise np.linalg.LinAlgError(f"dgttrf failed on the Poisson matrix (info={info})")
     for a in factors:
@@ -475,8 +473,8 @@ def poisson_1d_neumann(grid: UniformGrid1D, source: np.ndarray) -> np.ndarray:
     vol = grid.extent
     rhs = source - (w * source).sum() / vol
     rhs[0] = 0.0
-    u, info = _dgttrs(*_neumann_factors(grid.count, grid.spacing ** 2), rhs,
-                      overwrite_b=1)
+    u, info = _lapack("dgttrs")(*_neumann_factors(grid.count, grid.spacing ** 2),
+                                rhs, overwrite_b=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"dgttrs failed in the Poisson solve (info={info})")
     u -= (w * u).sum() / vol

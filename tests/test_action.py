@@ -10,7 +10,7 @@ from nlgauge.dynamics import Snapshot, Trajectory, evolve_temporal_gauge, \
 from nlgauge.errors import InsufficientDataError
 from nlgauge.gaugeops import initialize_constraint
 from nlgauge.grids import TensorGrid
-from nlgauge.model import HamiltonianSpec, ModelParams
+from nlgauge.model import GaugeState, HamiltonianSpec, ModelParams
 from nlgauge.verify import transform_trajectory, _smooth_functional
 
 QUARTIC = HamiltonianSpec(potential_coeffs=(0.0, 0.0, 0.0, 0.0, 0.5))
@@ -136,6 +136,47 @@ def test_scale_symmetry_breaks_for_massive_potential():
     gam = action_evaluate(traj)
     gam2 = action_evaluate(scale_transform(traj, 2.0, 1.0))
     assert abs(gam / gam2 - 1.0) > 1e-3
+
+
+def _evolved_image_deviation(ndim, coeffs, c0):
+    """(psi, F) deviations between the scale image at (c0, a = 1) of an
+    evolved packet and the evolve of the image's initial data at dt * s:
+    a packet with centre 0.7, width 0.8 and momentum 0.5 along each axis
+    of [-6, 6]^D, l = 1, 100 steps of dt 0.004. psi's deviation is
+    relative to max|psi|."""
+    grid = TensorGrid.cube(-6.0, 6.0, 201 if ndim == 1 else 33, ndim)
+    spec = HamiltonianSpec(potential_coeffs=coeffs,
+                           gradient_coupling=0.5 if ndim > 1 else 0.0)
+    params = ModelParams(l=1.0)
+    psi = np.ones(grid.shape, dtype=complex)
+    for x in range(ndim):
+        phi = grid.coordinate(x)
+        psi = psi * np.exp(-0.5 * ((phi - 0.7) / 0.8) ** 2 + 0.5j * phi)
+    psi[~grid.boundary_mask()] = 0.0
+    psi /= np.sqrt(np.real(grid.integrate(np.abs(psi) ** 2)))
+    traj = evolve_temporal_gauge(psi, initialize_constraint(grid, psi, params),
+                                 spec, params, dt=0.004, steps=100,
+                                 keep_snapshots=False)
+    image = scale_transform(traj, c0, 1.0)
+    start, want = image.snapshots[0], image.snapshots[-1]
+    gauge0 = GaugeState(image.grid, start.a_t, start.a_phi, start.f_bar)
+    got = evolve_temporal_gauge(start.psi, gauge0, image.spec, image.params,
+                                dt=image.dt, steps=100,
+                                keep_snapshots=False).snapshots[-1]
+    dpsi = np.abs(got.psi - want.psi).max() / np.abs(want.psi).max()
+    df = max(np.abs(g - w).max() for g, w in zip(got.f_bar, want.f_bar))
+    return float(dpsi), float(df)
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+@pytest.mark.parametrize("c0", [2.0, 0.5])
+def test_evolution_commutes_with_the_scale_family(ndim, c0):
+    # the primed problem (grid / s, lattice spacing a s, l s^((D-1)/2),
+    # dt s) leaves dt H and every field kick unchanged for a scale-free
+    # potential, so the evolved image is the image of the evolution to
+    # roundoff; a mass term carries a scale and breaks it
+    assert max(_evolved_image_deviation(ndim, QUARTIC.potential_coeffs, c0)) <= 1e-12
+    assert _evolved_image_deviation(ndim, HARMONIC.potential_coeffs, c0)[0] > 1e-2
 
 
 def test_nonuniform_sampling_rejected():

@@ -19,21 +19,42 @@ def patch_output(text: str, outdir: str) -> str:
     return text.replace("directory = out/", f"directory = {outdir}/")
 
 
-def test_cli_import_loads_only_the_scipy_subpackages_it_uses():
-    # the benchmark's setup time includes this import, so a heavy scipy
-    # subpackage such as scipy.fft would show there. A public subpackage
-    # has no leading underscore and is a package, not a module such as
-    # scipy.version
-    code = ("import sys, nlgauge.cli\n"
-            "subs = {name.split('.')[1] for name in sys.modules\n"
-            "        if name.startswith('scipy.')}\n"
-            "print(*sorted(s for s in subs if not s.startswith('_')\n"
-            "              and hasattr(sys.modules['scipy.' + s], '__path__')))")
+def _scipy_subpackages(code: str, *args: str) -> list[str]:
+    """The public SciPy subpackages loaded after running `code` in a fresh
+    interpreter. A public subpackage has no leading underscore and is a
+    package, not a module such as scipy.version."""
+    code += ("\nsubs = {name.split('.')[1] for name in sys.modules\n"
+             "        if name.startswith('scipy.')}\n"
+             "print(*sorted(s for s in subs if not s.startswith('_')\n"
+             "              and hasattr(sys.modules['scipy.' + s], '__path__')))")
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["linalg", "sparse"]
+    return proc.stdout.split()
+
+
+def test_cli_import_loads_only_the_scipy_subpackages_it_uses():
+    # the benchmark's setup time is this import plus validate, so any
+    # SciPy subpackage loaded here would show there; each solver imports
+    # its SciPy routines on first use
+    code = ("import sys, nlgauge.cli\n"
+            "for path in sys.argv[1:]:\n"
+            "    assert nlgauge.cli.validate(open(path).read())[1] == []")
+    assert _scipy_subpackages(code, *map(str, sorted(CONFIGS.glob("*.ini")))) == []
+
+
+@pytest.mark.parametrize("name", ["sn_ground", "functional_evolve", "sn_evolve"])
+def test_one_dimensional_run_loads_no_scipy_sparse(name, tmp_path):
+    # the 1-D and radial solvers are LAPACK calls on bands; only D >= 2
+    # eigen solves and CN steps need scipy.sparse.linalg
+    config = tmp_path / f"{name}.ini"
+    config.write_text(patch_output((CONFIGS / f"{name}.ini").read_text(),
+                                   str(tmp_path)))
+    code = ("import sys, nlgauge.cli\n"
+            "cfg, errors = nlgauge.cli.validate(open(sys.argv[1]).read())\n"
+            "assert nlgauge.cli.run(cfg) == 0")
+    assert "sparse" not in _scipy_subpackages(code, str(config))
 
 
 def test_shipped_configs_all_validate():

@@ -142,6 +142,32 @@ def test_stationary_guess_scale_is_exact_over_the_float_range():
         assert st.eig_residual <= 1e-9
 
 
+@pytest.mark.parametrize("entry", ["limit_check", "line", "square"])
+def test_a_huge_finite_potential_overflows_no_square(entry):
+    # V = 1e300 phi^2 on [-8, 8]: the 1-D eigen solve scales T by a power
+    # of two and each residual norm scales before it squares, so the line
+    # solves land on the one node where V = 0; on 21^2 the absolute eigen
+    # tolerance is below the roundoff of an operator of norm 1e302, and
+    # the solve fails with that residual, finite, not with an overflow
+    huge = HamiltonianSpec(potential_coeffs=(0.0, 0.0, 1e300))
+    params = ModelParams(l=1.0)
+    line = TensorGrid.cube(-8.0, 8.0, 161, 1)
+    if entry == "square":
+        with pytest.raises(ConvergenceError) as info:
+            stationary_solve(huge, params, TensorGrid.cube(-8.0, 8.0, 21, 2))
+        assert 0 < info.value.residual < np.inf
+        return
+    if entry == "limit_check":
+        rep = limit_equivalence_check(huge, params, line)
+        assert rep.omega_functional == pytest.approx(rep.omega_line, rel=1e-12)
+        assert rep.max_psi_diff < 1e-12
+        return
+    st = stationary_solve(huge, params, line)
+    assert st.eig_residual <= 1e-9
+    assert np.argmax(st.psi) == 80
+    assert st.psi[80] ** 2 * line.axes[0].spacing == pytest.approx(1.0, rel=1e-12)
+
+
 # ------------------------------------------------------------ evolution
 
 def test_coherent_state_period():
