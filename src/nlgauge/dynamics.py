@@ -207,8 +207,10 @@ def _cn_step_1d(grid, psi, phases, band, a_lat, dt):
         upper = np.full(n - 3, alpha * (-coef))
         lower = upper.copy()
     else:
-        upper = alpha * (-coef * phases[0][1:-1])
-        lower = -np.conj(upper)
+        upper = -coef * phases[0][1:-1]
+        upper *= alpha
+        lower = np.conj(upper)
+        np.negative(lower, out=lower)
     out = np.empty_like(psi)
     out[0] = out[-1] = 0.0
     y = out[1:-1]
@@ -303,9 +305,13 @@ def evolve_temporal_gauge(psi0: np.ndarray, gauge0: GaugeState,
     initial and the final state; the diagnostics are the same either way.
 
     The diagnostics are computed in blocks of recorded steps (`_block_rows`
-    of the grid size): the block's states are stacked and each diagnostic
-    is one reduction over the trailing grid axes, bitwise the value of the
-    public formula applied to each state alone.
+    of the grid size). Each recorded step writes one row of the block
+    arrays, allocated once per run: its k and psi, psi of the step before,
+    and per axis the link phases, currents, F and the currents of the step
+    before. A full block, or the last rows of the run, is reduced at once:
+    each diagnostic is one reduction over the trailing grid axes of the
+    filled rows, bitwise the value of the public formula applied to each
+    state alone.
 
     `scheme` is "cn" (Crank-Nicolson) or "euler", the deliberately
     non-unitary step of the conservation negative control. A "cn" run
@@ -320,13 +326,16 @@ def evolve_temporal_gauge(psi0: np.ndarray, gauge0: GaugeState,
     Each step is kick-drift-kick: F - kick * J with the current at the
     step's start, kick = dt / (2 l^2 a^3), the two half drifts of A_phi
     around the CN solve, and F - kick * J with the new current. Snapshots
-    hold the step's own arrays, not copies: psi, the links and F (f_bar)
-    are read-only, and all share one read-only zero a_t. The caller's
-    psi0 and gauge0 arrays are copied first and never written. Each
-    step's link phases and currents are computed once and serve both
-    kicks, the energy and the continuity residual. The densities
+    hold the step's own arrays, never copies and never views of the block
+    arrays: psi, the links and F (f_bar) are read-only, and all share one
+    read-only zero a_t. The caller's psi0 and gauge0 arrays are copied
+    first and never written. Each step's link phases and currents are
+    computed once and serve both kicks, the energy and the continuity
+    residual. Each half step updates the axes in one loop: the first
+    forms F - kick * J, its half drift and both new A_phi, the second the
+    current and the F kick. The densities
     rho = |psi|^2 of each recorded step and of the step before it are
-    computed in the diagnostic block from the stacked states, elementwise,
+    computed in the diagnostic block from the block arrays, elementwise,
     so each row is bitwise the value of its step alone. rho serves the
     norm, the charge, the Gauss source, sigma and the continuity residual;
     the products w * phi_x of the sigma means are formed once per evolve.
@@ -354,7 +363,7 @@ def evolve_temporal_gauge(psi0: np.ndarray, gauge0: GaugeState,
             f"{_STABILITY_MARGIN}; reduce dt")
 
     nd = grid.ndim
-    axes = tuple(range(1, nd + 1))  # the grid axes of a stack of states
+    axes = tuple(range(1, nd + 1))  # the grid axes of a block of states
     w = grid.quad_weights()
     lw = [grid.link_weights(x) for x in range(nd)]
     coords = [grid.coordinate(x) for x in range(nd)]
@@ -365,12 +374,8 @@ def evolve_temporal_gauge(psi0: np.ndarray, gauge0: GaugeState,
     psi = project_dirichlet(grid, np.asarray(psi0, dtype=complex))
     a = [ax.copy() for ax in gauge0.a_phi]
     f = [fx.copy() for fx in gauge0.f]
-
-    def phases_and_currents(psi_v, a_links):
-        ph = link_phases(grid, a_links)
-        return ph, [link_current(grid, psi_v, ph, x) for x in range(nd)]
-
-    ph, j = phases_and_currents(psi, a)
+    ph = link_phases(grid, a)
+    j = [link_current(grid, psi, ph, x) for x in range(nd)]
 
     traj = Trajectory(grid, spec, params, dt * record_every)
     n_rec = len(range(0, steps, record_every)) + 1
@@ -378,10 +383,29 @@ def evolve_temporal_gauge(psi0: np.ndarray, gauge0: GaugeState,
         k: np.empty(n_rec) for k in ("time", "norm", "charge", "gauss_residual",
                                      "continuity_residual", "energy", "sigma")}
     done = 0  # rows of diags filled
+    # the recorded steps not yet reduced, one row each, written in place:
+    # k, psi, the link phases, currents and F of step k, and psi and the
+    # currents of step k - 1
     block = _block_rows(w.size)
-    # one row per recorded step not yet reduced: (k, psi, link phases,
-    # currents, F, and psi and the currents of step k - 1)
-    rows = []
+    ks_b = np.empty(block, dtype=int)
+    psi_b = np.empty((block,) + grid.shape, dtype=complex)
+    psi_p = np.empty_like(psi_b)
+    link_shapes = [(block,) + ax.shape for ax in a]
+    ph_b = [np.empty(s, dtype=complex) for s in link_shapes]
+    j_b, f_b, j_p = ([np.empty(s) for s in link_shapes] for _ in range(3))
+    filled = 0  # rows of the block arrays written
+
+    def record(k, psi_v, ph_v, j_v, f_v, psi_pv, j_pv):
+        nonlocal filled
+        ks_b[filled] = k
+        psi_b[filled] = psi_v
+        psi_p[filled] = psi_pv
+        for x in range(nd):
+            ph_b[x][filled] = ph_v[x]
+            j_b[x][filled] = j_v[x]
+            f_b[x][filled] = f_v[x]
+            j_p[x][filled] = j_pv[x]
+        filled += 1
 
     def snapshot(k, psi_v, a_links, f_bar):
         for arr in (psi_v, *a_links, *f_bar):
@@ -389,32 +413,30 @@ def evolve_temporal_gauge(psi0: np.ndarray, gauge0: GaugeState,
         traj.snapshots.append(Snapshot(k * dt, psi_v, a_links, f_bar, zero_a_t))
 
     def flush():
-        nonlocal done
-        if not rows:
+        nonlocal done, filled
+        if not filled:
             return
-        ks, psi_b, ph_b, j_b, f_bar, psi_p, j_p = zip(*rows)
-        rows.clear()
-        new = slice(done, done + len(ks))
+        n, filled = filled, 0
+        new = slice(done, done + n)
         done = new.stop
-        ks = np.array(ks)
-        psi_b = np.stack(psi_b)
-        rho, rho_p = np.abs(psi_b) ** 2, np.abs(np.stack(psi_p)) ** 2
-        ph_b, j_b, f_bar, j_p = ([np.stack(c) for c in zip(*links)]
-                                 for links in (ph_b, j_b, f_bar, j_p))
+        ks, psi_n = ks_b[:n], psi_b[:n]
+        ph_n, j_n, f_n, jp_n = ([c[:n] for c in links]
+                                for links in (ph_b, j_b, f_b, j_p))
+        rho, rho_p = np.abs(psi_n) ** 2, np.abs(psi_p[:n]) ** 2
         t = ks * dt
         nrm = (w * rho).sum(axis=axes)
         charge = params.inv_l2 * (w * nonlinearity(rho, grid)).sum(axis=axes)
-        gres = gauss_residual(grid, f_bar, rho, params)
-        hpsi = apply_hamiltonian_raw(grid, psi_b, ph_b, diag, a_lat)
-        e_mat = np.real((w * np.conj(psi_b) * hpsi).sum(axis=axes))
+        gres = gauss_residual(grid, f_n, rho, params)
+        hpsi = apply_hamiltonian_raw(grid, psi_n, ph_n, diag, a_lat)
+        e_mat = np.real((w * np.conj(psi_n) * hpsi).sum(axis=axes))
         # row 0 of the run has no step before it: its own (rho, J) stand in
         # for the previous ones, and its residual is NaN
         step_dt = (t - (ks - 1) * dt).reshape(-1, *(1,) * nd)
-        cres = _continuity_residual(grid, rho_p, j_p, rho, j_b, step_dt, a_lat)
+        cres = _continuity_residual(grid, rho_p, jp_n, rho, j_n, step_dt, a_lat)
         cres[ks == 0] = np.nan
         for key, val in (("time", t), ("norm", nrm), ("charge", charge),
                          ("gauss_residual", gres), ("continuity_residual", cres),
-                         ("energy", e_mat + _field_energy(params, lw, f_bar)),
+                         ("energy", e_mat + _field_energy(params, lw, f_n)),
                          ("sigma", _rms_width(w, coords, w_coords, rho, nrm))):
             diags[key][new] = val
         if scheme != "cn":  # the Euler step is unguarded
@@ -431,7 +453,7 @@ def evolve_temporal_gauge(psi0: np.ndarray, gauge0: GaugeState,
             raise ConstraintViolationError(
                 f"Gauss residual {gres[i]:.3e} blew up at step {ks[i]}")
 
-    rows.append((0, psi, ph, j, f, psi, j))
+    record(0, psi, ph, j, f, psi, j)
     snapshot(0, psi, a, f)
     # the 1D step takes its main band, fixed for the run, built once here
     if nd == 1:
@@ -441,22 +463,36 @@ def evolve_temporal_gauge(psi0: np.ndarray, gauge0: GaugeState,
 
     for k in range(1, steps + 1):
         try:
-            # psi, the links and F are rebound below, never mutated in place
+            # psi, the links and F are rebound below, never mutated in place:
+            # snapshots hold them
             psi_prev, j_prev = psi, j
-            f_half = [f[x] - kick * j[x] for x in range(nd)]
-            a_mid = [a[x] + 0.5 * dt * f_half[x] for x in range(nd)]
+            f_half, a_mid, a_new = [], [], []
+            for x in range(nd):
+                fh = kick * j[x]
+                np.subtract(f[x], fh, out=fh)
+                drift = 0.5 * dt * fh
+                am = a[x] + drift
+                f_half.append(fh)
+                a_mid.append(am)
+                a_new.append(am + drift)
             phases_mid = link_phases(grid, a_mid)
             if scheme == "cn":
                 psi = cn_step(grid, psi, phases_mid, cn_diag, a_lat, dt)
             else:
                 hpsi = apply_hamiltonian_raw(grid, psi, phases_mid, diag, a_lat)
                 psi = project_dirichlet(grid, psi - 1j * dt * hpsi)
-            a = [a_mid[x] + 0.5 * dt * f_half[x] for x in range(nd)]
-            ph, j = phases_and_currents(psi, a)
-            f = [f_half[x] - kick * j[x] for x in range(nd)]
+            a = a_new
+            ph = link_phases(grid, a)
+            j, f = [], []
+            for x in range(nd):
+                jx = link_current(grid, psi, ph, x)
+                fx = kick * jx
+                np.subtract(f_half[x], fx, out=fx)
+                j.append(jx)
+                f.append(fx)
 
             if k % record_every == 0 or k == steps:
-                rows.append((k, psi, ph, j, f, psi_prev, j_prev))
+                record(k, psi, ph, j, f, psi_prev, j_prev)
                 if keep_snapshots or k == steps:
                     snapshot(k, psi, a, f)
         except Exception:
@@ -464,7 +500,7 @@ def evolve_temporal_gauge(psi0: np.ndarray, gauge0: GaugeState,
             # raise on its own; the guard failure is the one to report
             flush()
             raise
-        if len(rows) >= block:
+        if filled == block:
             flush()
     flush()
     return traj

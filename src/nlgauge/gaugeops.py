@@ -185,7 +185,10 @@ def link_current(grid: TensorGrid, values: np.ndarray,
     and its adjoint divergence telescopes exactly against d(rho)/dt.
     Leading axes of `values` and the phases are a stack of states."""
     lo, hi = (values[s] for s in _sl(grid.ndim, axis)[:2])
-    return np.imag(np.conj(lo) * phases[axis] * hi) / grid.spacings[axis]
+    # conj(lo) * U * hi in that order, the second product in place
+    prod = np.conj(lo) * phases[axis]
+    prod *= hi
+    return np.imag(prod) / grid.spacings[axis]
 
 
 def gauss_solve_stationary(grid: TensorGrid, rho: np.ndarray,

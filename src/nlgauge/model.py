@@ -123,6 +123,10 @@ class GaugeState:
         self.grid.check_field(self.a_t)
         self.a_phi = [np.asarray(a, dtype=float) for a in self.a_phi]
         self.f = [np.asarray(a, dtype=float) for a in self.f]
+        for name, links in (("a_phi", self.a_phi), ("f", self.f)):
+            if len(links) != self.grid.ndim:
+                raise ValueError(f"{name} must hold {self.grid.ndim} link fields, "
+                                 f"one per grid axis; got {len(links)}")
         for x in range(self.grid.ndim):
             want = self._link_shape(self.grid, x)
             if self.a_phi[x].shape != want or self.f[x].shape != want:

@@ -567,12 +567,12 @@ def test_cn_nd_step_at_its_iteration_cap_raises_with_the_residual(monkeypatch):
     assert dynamics._CN_RTOL < info.value.residual < 1.0
 
 
-def _two_site_packet(count=9):
-    grid = TensorGrid.cube(-4.0, 4.0, count, 2)
+def _site_packet(count=9, sites=2):
+    grid = TensorGrid.cube(-4.0, 4.0, count, sites)
     spec = HamiltonianSpec(potential_coeffs=(0.0, 0.0, 0.5),
                            gradient_coupling=0.2)
     X = grid.meshes()
-    psi = np.exp(-(X[0] - 0.6) ** 2 - X[1] ** 2) + 0j
+    psi = np.exp(-(X[0] - 0.6) ** 2 - sum(x ** 2 for x in X[1:])) + 0j
     psi[~grid.boundary_mask()] = 0.0
     psi /= np.sqrt(np.real(grid.integrate(np.abs(psi) ** 2)))
     return grid, spec, psi
@@ -598,7 +598,7 @@ def test_continuity_residual_is_computed_at_every_recorded_step():
     # public formulas applied to the snapshots, although the evolver squares
     # each psi once and shares the density between them; finite l moves the
     # links, so the currents carry link phases
-    grid2, spec2, psi2 = _two_site_packet()
+    grid2, spec2, psi2 = _site_packet()
     params2 = ModelParams(l=1.0)
     two = evolve_temporal_gauge(psi2, initialize_constraint(grid2, psi2, params2),
                                 spec2, params2, dt=0.01, steps=12)
@@ -658,7 +658,7 @@ def _assert_recorded_values_are_the_public_formulas(traj):
 
 
 @pytest.mark.parametrize("record_every", [1, 3])
-@pytest.mark.parametrize("sites", [1, 2])
+@pytest.mark.parametrize("sites", [1, 2, 3])
 def test_diagnostics_across_block_boundaries(sites, record_every):
     # the diagnostics are reduced in blocks of recorded steps; runs over
     # more than two blocks, ending on a step off the record_every grid
@@ -666,7 +666,7 @@ def test_diagnostics_across_block_boundaries(sites, record_every):
         grid, spec = TensorGrid.cube(-8.0, 8.0, 201, 1), HARMONIC
         psi0 = normalized_packet(grid, center=1.0, momentum=0.5)
     else:
-        grid, spec, psi0 = _two_site_packet(17)
+        grid, spec, psi0 = _site_packet({2: 17, 3: 7}[sites], sites)
     params = ModelParams(l=1.0)
     g0 = initialize_constraint(grid, psi0, params)
     block = _block_rows(grid.quad_weights().size)
@@ -682,11 +682,13 @@ def test_diagnostics_across_block_boundaries(sites, record_every):
                               equal_nan=True), key
     for snap, k in zip(sparse.snapshots, picked, strict=True):
         assert np.array_equal(snap.psi, dense.snapshots[k].psi)
-        assert np.array_equal(snap.f_bar[0], dense.snapshots[k].f_bar[0])
+        for x in range(grid.ndim):
+            assert np.array_equal(snap.a_phi[x], dense.snapshots[k].a_phi[x])
+            assert np.array_equal(snap.f_bar[x], dense.snapshots[k].f_bar[x])
 
 
 def test_keep_snapshots_false_keeps_the_end_states_and_the_diagnostics():
-    grid, spec, psi0 = _two_site_packet()
+    grid, spec, psi0 = _site_packet()
     params = ModelParams(l=1.0)
     g0 = initialize_constraint(grid, psi0, params)
     steps = _block_rows(grid.quad_weights().size) + 7
@@ -753,11 +755,15 @@ def test_cn_step_1d_equals_solve_banded_bitwise(count, links):
     phases = link_phases(grid, [rng.standard_normal(count - 1)]) if links else None
     band = _cn_band(grid, diag, 1.0, 0.01)
     saved = band.copy()
+    saved_phases = None if phases is None else phases[0].copy()
     step = _cn_step_1d(grid, psi, phases, band, 1.0, 0.01)
     ref = _solve_banded_cn_reference(grid, psi, phases, diag, 1.0, 0.01)
     assert np.array_equal(step, ref)
-    # the band is left for the next step: the evolver builds it once
+    # the band is left for the next step: the evolver builds it once; the
+    # off-diagonals are built in place, but never in the phases
     assert np.array_equal(band, saved)
+    if links:
+        assert np.array_equal(phases[0], saved_phases)
     assert np.abs(step - psi).max() > 1e-3
     # the one-solve form and the two-sided one agree to roundoff
     two_sided = _two_sided_cn_reference(grid, psi, phases, diag, 1.0, 0.01)
@@ -824,7 +830,7 @@ def test_evolve_rejects_a_nan_two_site_state_with_integrator_error():
     # the nD CN step skips the inner solve of a non-finite state, so the
     # state reaches the norm guard instead of spinning the solver to its
     # iteration cap
-    grid, spec, psi = _two_site_packet()
+    grid, spec, psi = _site_packet()
     params = ModelParams(l=1.0)
     g0 = initialize_constraint(grid, psi, params)
     bad = psi.copy()

@@ -352,7 +352,11 @@ def test_stacked_states_equal_the_single_state_calls(axes):
     hpsi = apply_hamiltonian_raw(grid, psi, phases, diag, 0.8)
     div = link_divergence(grid, f)
     gres = gauss_residual(grid, f, rho, params)
+    saved = [psi.copy()] + [u.copy() for u in phases]
     currents = [link_current(grid, psi, phases, x) for x in range(grid.ndim)]
+    # the current's product is formed in place, never in its inputs
+    for arr, before in zip([psi] + phases, saved, strict=True):
+        assert np.array_equal(arr, before)
     for b in range(stack):
         ph_b, f_b = [p[b] for p in phases], [fx[b] for fx in f]
         assert np.array_equal(hpsi[b], apply_hamiltonian_raw(grid, psi[b], ph_b,

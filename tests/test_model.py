@@ -121,3 +121,17 @@ def test_gauge_state_names_the_link_shape_it_wants():
     with pytest.raises(ValueError) as info:
         GaugeState(grid, good.a_t, [np.zeros((9, 9)), good.a_phi[1]], good.f)
     assert str(info.value) == "link field along axis 0 must have shape (8, 9)"
+
+
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("which", ["a_phi", "f"])
+def test_gauge_state_names_the_link_field_count_it_wants(which, count):
+    # one link field per grid axis: too few or too many is a ValueError
+    grid = TensorGrid.cube(-1.0, 1.0, 9, 2)
+    good = GaugeState.zero(grid)
+    links = {"a_phi": good.a_phi, "f": good.f}
+    links[which] = (links[which] * 2)[:count]
+    with pytest.raises(ValueError) as info:
+        GaugeState(grid, good.a_t, links["a_phi"], links["f"])
+    assert str(info.value) == (f"{which} must hold 2 link fields, one per grid "
+                               f"axis; got {count}")
