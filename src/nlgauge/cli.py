@@ -47,7 +47,7 @@ _FRACTION = (lambda v: 0 < v <= 1, "must be in (0, 1]")
 _SCHEMA = {
     "experiment": {
         "kind": (str, None),
-        "seed": (int, 0),
+        "seed": (int, 0, _NONNEGATIVE),
     },
     "grid": {
         "lower": (float, -8.0),
@@ -457,7 +457,10 @@ def main(argv=None) -> int:
             return 0
         return run(cfg)
 
-    # verify
+    # verify; a bad --seed exits 1, as argparse's 2 means a failing check
+    if args.seed < 0:
+        sys.stderr.write(f"error: --seed must be >= 0 (got {args.seed})\n")
+        return 1
     reports = verify_mod.run_all(seed=args.seed)
     print(_format_report_table(reports))
     if args.output:

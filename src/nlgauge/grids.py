@@ -35,15 +35,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _trapezoid_weights(count: int, spacing: float) -> np.ndarray:
-    if count > MAX_POINTS:  # before the allocation
-        raise ValueError(f"{count} nodes exceeds budget {MAX_POINTS}")
-    w = np.full(count, spacing)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return _read_only(w)
-
-
 def _require_finite(obj, *names: str) -> None:
     """Reject a non-finite bound; written so that a NaN fails too."""
     for name in names:
@@ -66,8 +57,12 @@ class UniformGrid1D:
         _require_finite(self, "lower", "upper")
         if not self.upper > self.lower:
             raise ValueError("upper must exceed lower")
-        object.__setattr__(self, "_weights",
-                           _trapezoid_weights(self.count, self.spacing))
+        if self.count > MAX_POINTS:  # before the allocation
+            raise ValueError(f"{self.count} nodes exceeds budget {MAX_POINTS}")
+        w = np.full(self.count, self.spacing)
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        object.__setattr__(self, "_weights", _read_only(w))
 
     @property
     def spacing(self) -> float:
@@ -186,12 +181,9 @@ class TensorGrid:
 
 
 @dataclass(frozen=True)
-class RadialGrid:
-    """Radial grid for u = r*psi substitutions; r_min > 0 regularizes u/r."""
-
-    r_min: float
-    r_max: float
-    count: int
+class RadialGrid(UniformGrid1D):
+    """Radial axis [r_min, r_max] for u = r*psi substitutions; r_min > 0
+    regularizes u/r. The fields are `lower`, `upper` and `count`."""
 
     def __post_init__(self):
         _require_finite(self, "r_min", "r_max")
@@ -201,17 +193,12 @@ class RadialGrid:
             raise ValueError("r_min must be small compared to r_max")
         if self.count < 16:
             raise ValueError("radial grid too coarse")
-        object.__setattr__(self, "_weights",
-                           _trapezoid_weights(self.count, self.spacing))
+        super().__post_init__()
 
     @property
-    def spacing(self) -> float:
-        return (self.r_max - self.r_min) / (self.count - 1)
+    def r_min(self) -> float:
+        return self.lower
 
     @property
-    def nodes(self) -> np.ndarray:
-        return np.linspace(self.r_min, self.r_max, self.count)
-
-    def quad_weights(self) -> np.ndarray:
-        """Trapezoid weights (read-only); they sum to `r_max - r_min`."""
-        return self._weights
+    def r_max(self) -> float:
+        return self.upper

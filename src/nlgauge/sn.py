@@ -467,8 +467,10 @@ def poisson_1d_neumann(grid: UniformGrid1D, source: np.ndarray) -> np.ndarray:
 
     The source mean is projected out first (compact-universe
     compatibility); the singular system is pinned at the first node and
-    the mean subtracted afterwards.
+    the mean subtracted afterwards. A complex source raises ValueError.
     """
+    if np.iscomplexobj(source):
+        raise ValueError("source must be real, not complex")
     w = grid.quad_weights()
     vol = grid.extent
     rhs = source - (w * source).sum() / vol

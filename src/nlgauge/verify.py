@@ -235,7 +235,7 @@ def check_scale_covariance() -> CheckReport:
     gam = action_evaluate(traj)
     worst = 0.0
     for c0 in (0.5, 2.0):
-        for a in (0.0, 1.0):
+        for a in (1.0, 2.0):  # a = 0 is the identity map: s = c0**0 = 1
             gam2 = action_evaluate(scale_transform(traj, c0, a))
             worst = max(worst, abs(gam / gam2 - 1.0))
     trajm = _packet_trajectory(l=1.0, steps=32, dt=0.004, coeffs=massive)
@@ -250,7 +250,7 @@ def check_scale_covariance() -> CheckReport:
                   ("massive_ratio_dev", broken),
                   ("action_quartic", gam), ("action_massive", gamm)],
         tolerance=1e-8,
-        context="(c0, a) in {0.5,2}x{0,1}; massive control at (2,1)")
+        context="(c0, a) in {0.5,2}x{1,2}; massive control at (2,1)")
 
 
 def _rescaled_resolve_dev(grid: TensorGrid, st: StationaryState,

@@ -152,8 +152,9 @@ _RULE_ROWS = [(section, key, row) for section, keys in cli._SCHEMA.items()
 def test_every_rule_row_reports_its_one_error(section, key, row):
     # sn-evolve starts from the packet, so it reads every section with rules
     typ, _, (_, msg) = row
-    raw = "nan" if typ is float else "0"
-    cfg, errors = validate(f"[experiment]\nkind = sn-evolve\n[{section}]\n{key} = {raw}\n")
+    raw = "nan" if typ is float else "-1"
+    header = "" if section == "experiment" else f"[{section}]\n"
+    cfg, errors = validate(f"[experiment]\nkind = sn-evolve\n{header}{key} = {raw}\n")
     assert cfg is None
     assert errors == [f"[{section}] {key} {msg} (got {typ(raw)})"]
 
@@ -576,6 +577,22 @@ def test_a_failing_verify_report_exits_2(tmp_path, monkeypatch):
     summary = json.loads((tmp_path / "v" / "summary.json").read_text())
     assert summary["results"]["all_passed"] is False
     assert summary["results"]["reports"] == [failing.to_dict()]
+
+
+def test_validate_rejects_a_negative_seed(tmp_path, capsys):
+    path = tmp_path / "verify.ini"
+    path.write_text(_evolve_text("verify", "seed = -1\n", tmp_path / "v"))
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: [experiment] seed must be finite and >= 0 (got -1)\n")
+
+
+def test_verify_rejects_a_negative_seed_before_running(monkeypatch, capsys):
+    def run_all(seed):
+        raise AssertionError(f"ran the checks at seed {seed}")
+    monkeypatch.setattr(verify, "run_all", run_all)
+    assert main(["verify", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: --seed must be >= 0 (got -1)\n"
 
 
 def test_a_non_finite_result_is_an_error_with_no_summary(tmp_path, monkeypatch,

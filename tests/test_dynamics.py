@@ -381,6 +381,68 @@ def test_two_site_packet_follows_the_coherent_state_orbit():
     assert 1.45 <= errors[0] / errors[1] <= 1.75, errors
 
 
+# The free lattice field: at l = inf with V = phi^2/2, gradient coupling
+# g = 0.5 and a = 1, the sites are oscillators coupled by K = I + g L, with
+# L the open-chain Laplacian, and the normal modes are exact.
+FREE_FIELD = HamiltonianSpec(potential_coeffs=(0.0, 0.0, 0.5), gradient_coupling=0.5)
+
+
+def free_field_modes(dim):
+    """(kappa_k, eigenvectors) of K = I + 0.5 L on `dim` sites."""
+    lap = 2.0 * np.eye(dim) - np.eye(dim, k=1) - np.eye(dim, k=-1)
+    lap[0, 0] = lap[-1, -1] = 1.0
+    return np.linalg.eigh(np.eye(dim) + 0.5 * lap)
+
+
+@pytest.mark.parametrize("dim, bound, counts, rich_bound", [
+    (2, 5.0, (21, 41, 81), 2e-5),
+    # [-4, 4] truncates below the h^4 error; 13^3 -> 25^3 is pre-asymptotic
+    (3, 4.0, (17, 33), 5e-4)], ids=["D2", "D3"])
+def test_stationary_omega_converges_to_the_normal_modes(dim, bound, counts,
+                                                        rich_bound):
+    kappa, _ = free_field_modes(dim)
+    exact = 0.5 * np.sqrt(kappa).sum()  # 1.207107 at D = 2, 1.902942 at D = 3
+    omega = np.array([
+        stationary_solve(FREE_FIELD, ModelParams(l=np.inf),
+                         TensorGrid.cube(-bound, bound, n, dim), tol=1e-11).omega_eig
+        for n in counts])
+    err = omega - exact
+    ratios = err[:-1] / err[1:]  # h halves between grids: 4 at O(h^2)
+    assert np.all(np.abs(ratios - 4.0) <= 0.15), ratios
+    richardson = (4.0 * omega[-1] - omega[-2]) / 3.0
+    assert abs(richardson - exact) < rich_bound, (richardson - exact, err)
+
+
+def test_coupled_two_site_orbit_follows_the_normal_modes():
+    # the exact coupled Gaussian exp(-(phi-d)^T sqrt(K) (phi-d)/2) is a
+    # coherent state: <phi>(t) = V cos(Omega t) V^T d, with the coupling
+    # carrying the displacement into site 1
+    kappa, vecs = free_field_modes(2)
+    sqrt_k = vecs @ np.diag(np.sqrt(kappa)) @ vecs.T
+    d = np.array([1.0, 0.0])
+    params = ModelParams(l=np.inf)
+    errors = []
+    for n in (33, 49):
+        grid = TensorGrid.cube(-7.0, 7.0, n, 2)
+        X = np.stack(grid.meshes())
+        Y = X - d[:, None, None]
+        psi = np.exp(-0.5 * np.einsum("i...,ij,j...->...", Y, sqrt_k, Y)) + 0j
+        psi[~grid.boundary_mask()] = 0.0
+        psi /= grid.norm(psi)
+        traj = evolve_temporal_gauge(psi, initialize_constraint(grid, psi, params),
+                                     FREE_FIELD, params, dt=0.005, steps=400,
+                                     record_every=20)
+        t = np.array([snap.time for snap in traj.snapshots])
+        mean = np.array([[np.real(grid.integrate(X[k] * np.abs(snap.psi) ** 2))
+                          for k in (0, 1)] for snap in traj.snapshots])
+        exact = (np.cos(np.outer(t, np.sqrt(kappa))) * (vecs.T @ d)) @ vecs.T
+        assert np.abs(exact[:, 1]).max() > 0.25  # site 1 moves by coupling alone
+        errors.append(np.abs(mean - exact).max())
+    assert errors[0] < 0.12 and errors[1] < 0.05, errors
+    # second order in h predicts (48/32)^2 = 2.25; first order 1.5, third 3.375
+    assert 2.0 <= errors[0] / errors[1] <= 2.6, errors
+
+
 def test_superposed_stationary_states_do_not_stay_stationary():
     # a sum of two overlapping stationary solutions is not a solution:
     # its density moves, unlike the single state's

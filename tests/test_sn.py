@@ -51,7 +51,8 @@ LINE16 = dataclasses.replace(COUPLED, background=1.0 / 16.0)
     lambda: sn_ground_radial_scf(COUPLED, RadialGrid(1e-6, 12.0, 200), tol=-1.0),
     lambda: sn_ground_radial_scf(COUPLED, RadialGrid(1e-6, 12.0, 200), tol=np.nan),
     lambda: line_ground_scf(UniformGrid1D(-8.0, 8.0, 161), LINE16, tol=-1.0),
-    # the oracle at coupling 0 never reaches the fixed-point driver
+    # the oracle's own entry checks reject these before it calls fixed_point,
+    # at coupling 0 as at coupling 1
     lambda: sn_ground_radial_shoot(HARM3D, RadialGrid(1e-6, 12.0, 200), tol=-1.0),
     lambda: sn_ground_radial_shoot(HARM3D, RadialGrid(1e-6, 12.0, 200), mixing=0.0),
     lambda: sn_ground_radial_shoot(HARM3D, RadialGrid(1e-6, 12.0, 200), tol=np.nan),
@@ -426,6 +427,16 @@ def test_poisson_1d_neumann_matches_cg_path():
     direct = poisson_1d_neumann(grid, src)
     cg = poisson_solve(tg, src)
     assert np.abs(direct - cg).max() < 1e-10
+
+
+def test_poisson_1d_neumann_rejects_a_complex_source():
+    # a cast to float would drop the imaginary part with only a warning
+    grid = UniformGrid1D(-8.0, 8.0, 101)
+    rho = (1 + 1j) * np.ones(grid.count) / 16
+    for solve in (lambda: poisson_1d_neumann(grid, rho),
+                  lambda: solve_phi_grav(grid, rho, SNParams())):
+        with pytest.raises(ValueError, match="^source must be real, not complex$"):
+            solve()
 
 
 @pytest.mark.parametrize("coeffs", [(0.0, 0.0, 0.5),

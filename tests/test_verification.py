@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from nlgauge.action import scale_transform
 from nlgauge.dynamics import stationary_solve
 from nlgauge.grids import TensorGrid
 from nlgauge.model import HamiltonianSpec, ModelParams
@@ -63,6 +64,19 @@ def test_scale_covariance_check():
     m = dict(rep.measured)
     assert m["quartic_worst_ratio_dev"] < 1e-8
     assert m["massive_ratio_dev"] > 1e-3
+
+
+def test_scale_covariance_check_never_tests_the_identity_map(monkeypatch):
+    # scale_transform at s = c0**(a/2) = 1 returns its input bit for bit
+    calls = []
+
+    def recording(traj, c0, a):
+        calls.append((c0, a))
+        return scale_transform(traj, c0, a)
+    monkeypatch.setattr("nlgauge.verify.scale_transform", recording)
+    assert check_scale_covariance().passed
+    assert len(calls) == 5
+    assert all(c0 ** (a / 2.0) != 1.0 for c0, a in calls)
 
 
 def test_born_homogeneity_check():
