@@ -34,7 +34,7 @@ from .dynamics import Snapshot, Trajectory, _field_energy
 from .errors import InsufficientDataError
 from .gaugeops import apply_hamiltonian_raw, link_phases
 from .grids import TensorGrid, UniformGrid1D
-from .model import HamiltonianSpec, ModelParams
+from .model import GaugeState, HamiltonianSpec, ModelParams
 
 
 def _safe_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -45,7 +45,10 @@ def _safe_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 
 def action_evaluate(traj: Trajectory) -> float:
-    """Discretized action of a uniformly sampled trajectory segment."""
+    """Discretized action of a uniformly sampled trajectory segment.
+
+    Raises InsufficientDataError for fewer than 3 slices, or unless the
+    first time step dt is > 0 and every step is within 1e-9 * dt of it."""
     snaps = traj.snapshots
     if len(snaps) < 3:
         raise InsufficientDataError(
@@ -53,10 +56,13 @@ def action_evaluate(traj: Trajectory) -> float:
     grid = traj.grid
     spec = traj.spec
     params = traj.params
-    dt = snaps[1].time - snaps[0].time
-    for i in range(len(snaps) - 1):
-        if not np.isclose(snaps[i + 1].time - snaps[i].time, dt):
-            raise InsufficientDataError("trajectory not uniformly sampled")
+    steps = np.diff([sn.time for sn in snaps])
+    dt = float(steps[0])
+    if not dt > 0:  # dt = 0 would give a NaN action
+        raise InsufficientDataError(f"trajectory times must increase (first step {dt})")
+    # relative, with no absolute floor, so that it holds at any time scale
+    if not (np.abs(steps - dt) <= 1e-9 * dt).all():
+        raise InsufficientDataError("trajectory not uniformly sampled")
 
     w = grid.quad_weights()
     wl = [grid.link_weights(x) for x in range(grid.ndim)]
@@ -65,20 +71,20 @@ def action_evaluate(traj: Trajectory) -> float:
     total = 0.0
     for k in range(1, len(snaps) - 1):
         s0, s1, s2 = snaps[k - 1], snaps[k], snaps[k + 1]
-        th_plus = 0.5 * dt * (s1.a_t + s2.a_t)
-        th_minus = 0.5 * dt * (s1.a_t + s0.a_t)
+        th_plus = 0.5 * dt * (s1.gauge.a_t + s2.gauge.a_t)
+        th_minus = 0.5 * dt * (s1.gauge.a_t + s0.gauge.a_t)
         dct = (np.exp(-1j * th_plus) * s2.psi
                - np.exp(1j * th_minus) * s0.psi) / (2.0 * dt)
         rho = np.abs(s1.psi) ** 2
         sym = np.real(np.conj(s1.psi) * 1j * dct)
         t1 = sym - inv_omega * _safe_ratio(sym, rho)
 
-        phases = link_phases(grid, s1.a_phi)
+        phases = link_phases(grid, s1.gauge.a_phi)
         hpsi = apply_hamiltonian_raw(grid, s1.psi, phases, diag,
                                      spec.lattice_spacing)
         t2 = np.real(np.conj(s1.psi) * hpsi)
 
-        slice_val = float((w * (t1 - t2)).sum()) + _field_energy(params, wl, s1.f_bar)
+        slice_val = float((w * (t1 - t2)).sum()) + _field_energy(params, wl, s1.gauge.f)
         total += dt * slice_val
     return total
 
@@ -110,18 +116,16 @@ def _scaled_model(grid: TensorGrid, spec: HamiltonianSpec, params: ModelParams,
 def scale_transform(traj: Trajectory, c0: float, a: float) -> Trajectory:
     """Image of a trajectory (with its spec and params) under the scale
     family; action_evaluate of the result equals that of the input exactly
-    for scale-free Hamiltonians."""
+    for scale-free Hamiltonians. Each image snapshot's gauge is on grid',
+    so it is initial data for evolving the primed problem."""
     s, grid2, spec2, params2 = _scaled_model(traj.grid, traj.spec, traj.params,
                                              c0, a)
     psi_fac = s ** (traj.grid.ndim / 2.0)
-    snaps2 = []
-    for sn in traj.snapshots:
-        snaps2.append(Snapshot(
-            time=sn.time * s,
-            psi=psi_fac * sn.psi,
-            a_phi=[s * ax for ax in sn.a_phi],
-            f_bar=[fx.copy() for fx in sn.f_bar],
-            a_t=sn.a_t / s))
+    snaps2 = [Snapshot(sn.time * s, psi_fac * sn.psi,
+                       GaugeState(grid2, sn.gauge.a_t / s,
+                                  [s * ax for ax in sn.gauge.a_phi],
+                                  [fx.copy() for fx in sn.gauge.f]))
+              for sn in traj.snapshots]
     return Trajectory(grid2, spec2, params2, traj.dt * s, snaps2,
                       dict(traj.diagnostics))
 

@@ -144,20 +144,20 @@ def stationary_solve(spec: HamiltonianSpec, params: ModelParams,
 
 @dataclass
 class Snapshot:
-    """One recorded instant of a temporal-gauge trajectory.
-
-    Snapshots recorded by `evolve_temporal_gauge` hold read-only arrays.
-    """
+    """One recorded instant: psi on `gauge.grid` and the connection at
+    `time`, all the state a run continues from. Snapshots recorded by
+    `evolve_temporal_gauge` hold read-only arrays."""
 
     time: float
     psi: np.ndarray
-    a_phi: list[np.ndarray]
-    f_bar: list[np.ndarray]   # field strength F at this snapshot's time
-    a_t: np.ndarray
+    gauge: GaugeState
 
 
 @dataclass
 class Trajectory:
+    """A run's snapshots and diagnostics, with the grid, spec and params
+    it ran on; `dt` is the time between recorded steps."""
+
     grid: TensorGrid
     spec: HamiltonianSpec
     params: ModelParams
@@ -327,7 +327,7 @@ def evolve_temporal_gauge(psi0: np.ndarray, gauge0: GaugeState,
     step's start, kick = dt / (2 l^2 a^3), the two half drifts of A_phi
     around the CN solve, and F - kick * J with the new current. Snapshots
     hold the step's own arrays, never copies and never views of the block
-    arrays: psi, the links and F (f_bar) are read-only, and all share one
+    arrays: psi, the links and F are read-only, and all gauges share one
     read-only zero a_t. The caller's psi0 and gauge0 arrays are copied
     first and never written. Each step's link phases and currents are
     computed once and serve both kicks, the energy and the continuity
@@ -407,10 +407,11 @@ def evolve_temporal_gauge(psi0: np.ndarray, gauge0: GaugeState,
             j_p[x][filled] = j_pv[x]
         filled += 1
 
-    def snapshot(k, psi_v, a_links, f_bar):
-        for arr in (psi_v, *a_links, *f_bar):
+    def snapshot(k, psi_v, a_links, f_links):
+        for arr in (psi_v, *a_links, *f_links):
             arr.flags.writeable = False
-        traj.snapshots.append(Snapshot(k * dt, psi_v, a_links, f_bar, zero_a_t))
+        traj.snapshots.append(Snapshot(k * dt, psi_v,
+                                       GaugeState(grid, zero_a_t, a_links, f_links)))
 
     def flush():
         nonlocal done, filled
@@ -540,21 +541,25 @@ def _continuity_residual(grid, rho0, j0, rho1, j1, dt, a_lat):
     return _grid_norms(grid, ddt + div)
 
 
-def continuity_residual(grid: TensorGrid, snap0: Snapshot, snap1: Snapshot,
+def continuity_residual(snap0: Snapshot, snap1: Snapshot,
                         spec: HamiltonianSpec) -> float:
-    """Grid norm of d_t(rho N) + (1/a^3) div J between two snapshots.
+    """Grid norm of d_t(rho N) + (1/a^3) div J between two snapshots on
+    one grid; ValueError if their grids differ.
 
     The time derivative is the forward difference of the charge density;
     the divergence uses the average of the link currents of the two
     endpoint states, which is gauge invariant and second-order accurate at
     the midpoint.
     """
+    grid = snap0.gauge.grid
+    if snap1.gauge.grid != grid:
+        raise ValueError("snapshots must be on one grid")
     dt = snap1.time - snap0.time
     if dt <= 0:
         raise InsufficientDataError("snapshots must be consecutive in time")
     js = []
     for snap in (snap0, snap1):
-        ph = link_phases(grid, snap.a_phi)
+        ph = link_phases(grid, snap.gauge.a_phi)
         js.append([link_current(grid, snap.psi, ph, x)
                    for x in range(grid.ndim)])
     return _continuity_residual(grid, np.abs(snap0.psi) ** 2, js[0],

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import UnsolvableConstraintError
 from .grids import TensorGrid
-from .model import GaugeState, ModelParams, nonlinearity
+from .model import GaugeState, ModelParams, _real, nonlinearity
 from .numerics import poisson_solve
 
 # largest |integral(rho) - 1| the Gauss solves accept as a unit charge
@@ -165,12 +165,12 @@ def gauge_transform(psi: np.ndarray, gauge: GaugeState, lam: np.ndarray,
                     lam_dot: np.ndarray) -> tuple[np.ndarray, GaugeState]:
     """(exp(i Lambda) psi, gauge'), with A_t -> A_t + dLambda/dt and each
     link of A_phi shifted by the midpoint-centered difference of Lambda
-    across it, for Lambda = `lam` and dLambda/dt = `lam_dot` cast to float.
-    The field strength is untouched (it is gauge invariant). psi, lam and
-    lam_dot are node arrays on `gauge.grid`; a wrong shape raises
-    GridShapeError."""
+    across it, for Lambda = `lam` and dLambda/dt = `lam_dot` cast to float
+    (a complex one raises ValueError naming it). The field strength is
+    untouched (it is gauge invariant). psi, lam and lam_dot are node
+    arrays on `gauge.grid`; a wrong shape raises GridShapeError."""
     grid = gauge.grid
-    lam, lam_dot = np.asarray(lam, dtype=float), np.asarray(lam_dot, dtype=float)
+    lam, lam_dot = _real("lam", lam), _real("lam_dot", lam_dot)
     for field in (np.asarray(psi), lam, lam_dot):
         grid.check_field(field)
     a_phi2 = [gauge.a_phi[x] + link_diff(grid, lam, x) for x in range(grid.ndim)]

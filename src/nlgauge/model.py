@@ -20,6 +20,22 @@ from numpy.polynomial.polynomial import polyval
 from .grids import TensorGrid
 
 
+def _real(name: str, values) -> np.ndarray:
+    """`values` as a float array (no copy if it is one); raises ValueError
+    naming `name` if it is complex, where numpy would only warn and drop
+    the imaginary part."""
+    if np.iscomplexobj(values):
+        raise ValueError(f"{name} must be real, not complex")
+    return np.asarray(values, dtype=float)
+
+
+def _check_coeffs(name: str, coeffs) -> None:
+    """Raises ValueError naming `name` unless every polynomial coefficient
+    is finite and real (NaN fails)."""
+    if not np.isfinite(_real(name, coeffs)).all():
+        raise ValueError(f"{name} must be finite (got {coeffs})")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Coupling constants of the gauge sector.
@@ -61,7 +77,7 @@ class HamiltonianSpec:
 
     Raises ValueError, naming the field, unless gradient_coupling is
     finite and >= 0, lattice_spacing is finite and > 0 and every
-    potential coefficient is finite (NaN fails each check).
+    potential coefficient is finite and real (NaN fails each check).
     """
 
     potential_coeffs: tuple[float, ...] = (0.0, 0.0, 0.5)  # default V = phi^2/2
@@ -75,8 +91,7 @@ class HamiltonianSpec:
                              f"(got {self.gradient_coupling})")
         if not 0 < self.lattice_spacing < math.inf:
             raise ValueError("lattice_spacing must be finite and positive")
-        if not np.isfinite(self.potential_coeffs).all():
-            raise ValueError(f"potential_coeffs must be finite (got {self.potential_coeffs})")
+        _check_coeffs("potential_coeffs", self.potential_coeffs)
 
     def potential(self, phi: np.ndarray) -> np.ndarray:
         # len, not truth: coefficients may come as a numpy array
@@ -111,6 +126,9 @@ class GaugeState:
     the array is one shorter in that axis); a link value sits at the
     midpoint between adjacent nodes, which is what makes the covariant
     structure exactly gauge covariant on the lattice.
+
+    Each field is cast to float; a complex one raises ValueError naming
+    it, and a wrong link count or shape raises ValueError.
     """
 
     grid: TensorGrid
@@ -119,10 +137,10 @@ class GaugeState:
     f: list[np.ndarray]
 
     def __post_init__(self):
-        self.a_t = np.asarray(self.a_t, dtype=float)
+        self.a_t = _real("a_t", self.a_t)
         self.grid.check_field(self.a_t)
-        self.a_phi = [np.asarray(a, dtype=float) for a in self.a_phi]
-        self.f = [np.asarray(a, dtype=float) for a in self.f]
+        self.a_phi = [_real("a_phi", a) for a in self.a_phi]
+        self.f = [_real("f", a) for a in self.f]
         for name, links in (("a_phi", self.a_phi), ("f", self.f)):
             if len(links) != self.grid.ndim:
                 raise ValueError(f"{name} must hold {self.grid.ndim} link fields, "

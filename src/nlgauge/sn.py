@@ -49,11 +49,11 @@ from numpy.polynomial.polynomial import polyval
 
 from .dynamics import (_NORM_TOL, _check_step_args, _cn_band, _cn_step_1d,
                        _rms_width, stationary_solve)
-from .errors import ConvergenceError, IntegratorError
+from .errors import ConvergenceError, GridShapeError, IntegratorError
 from .fixedpoint import fixed_point
 from .gaugeops import link_diff, link_divergence
 from .grids import RadialGrid, TensorGrid, UniformGrid1D
-from .model import HamiltonianSpec, ModelParams
+from .model import HamiltonianSpec, ModelParams, _check_coeffs, _real
 from .numerics import _lapack, tridiagonal_ground
 
 # RK4 steps per banded solve of a shot; the amplitude is rescaled only
@@ -67,7 +67,8 @@ class SNParams:
     external potential polynomial in r (or x on the line).
 
     Raises ValueError, naming the field, unless coupling and background
-    are finite and >= 0 and every coefficient is finite (NaN fails).
+    are finite and >= 0 and every coefficient is finite and real (NaN
+    fails).
     """
 
     coupling: float = 1.0
@@ -79,9 +80,7 @@ class SNParams:
             if not 0 <= getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and >= 0 "
                                  f"(got {getattr(self, name)})")
-        if not np.isfinite(self.external_potential_coeffs).all():
-            raise ValueError("external_potential_coeffs must be finite "
-                             f"(got {self.external_potential_coeffs})")
+        _check_coeffs("external_potential_coeffs", self.external_potential_coeffs)
 
     def external_potential(self, r: np.ndarray) -> np.ndarray:
         """The polynomial at r; a value that overflows raises ValueError."""
@@ -467,10 +466,12 @@ def poisson_1d_neumann(grid: UniformGrid1D, source: np.ndarray) -> np.ndarray:
 
     The source mean is projected out first (compact-universe
     compatibility); the singular system is pinned at the first node and
-    the mean subtracted afterwards. A complex source raises ValueError.
+    the mean subtracted afterwards. A complex source raises ValueError,
+    and one that is not one value per node raises GridShapeError.
     """
-    if np.iscomplexobj(source):
-        raise ValueError("source must be real, not complex")
+    source = _real("source", source)
+    if source.shape != (grid.count,):
+        raise GridShapeError(f"source shape {source.shape} != grid shape {(grid.count,)}")
     w = grid.quad_weights()
     vol = grid.extent
     rhs = source - (w * source).sum() / vol
@@ -485,7 +486,8 @@ def poisson_1d_neumann(grid: UniformGrid1D, source: np.ndarray) -> np.ndarray:
 
 def solve_phi_grav(grid: UniformGrid1D, rho: np.ndarray,
                    params: SNParams) -> np.ndarray:
-    """phi'' = -coupling (rho - background), mean-projected, zero mean."""
+    """phi'' = -coupling (rho - background), mean-projected, zero mean;
+    GridShapeError unless rho has one value per node."""
     return poisson_1d_neumann(grid, -params.coupling * (rho - params.background))
 
 

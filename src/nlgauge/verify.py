@@ -21,7 +21,7 @@ from .gaugeops import (apply_hamiltonian_raw, gauge_transform,
                        gauss_solve_stationary, initialize_constraint,
                        link_diff)
 from .grids import TensorGrid, UniformGrid1D
-from .model import GaugeState, HamiltonianSpec, ModelParams, StationaryState
+from .model import HamiltonianSpec, ModelParams, StationaryState
 from .numerics import poisson_solve
 
 
@@ -99,14 +99,10 @@ def transform_trajectory(traj: Trajectory, lam0: np.ndarray,
     to a temporal-gauge trajectory, exactly at the link level: each snapshot
     goes through `gauge_transform` with Lambda = lam0 + t mu and
     dLambda/dt = mu."""
-    grid = traj.grid
-    snaps = []
-    for sn in traj.snapshots:
-        psi, gauge = gauge_transform(
-            sn.psi, GaugeState(grid, sn.a_t, sn.a_phi, sn.f_bar),
-            lam0 + sn.time * mu, mu)
-        snaps.append(Snapshot(sn.time, psi, gauge.a_phi, gauge.f, gauge.a_t))
-    return Trajectory(grid, traj.spec, traj.params, traj.dt, snaps,
+    snaps = [Snapshot(sn.time, *gauge_transform(sn.psi, sn.gauge,
+                                                lam0 + sn.time * mu, mu))
+             for sn in traj.snapshots]
+    return Trajectory(traj.grid, traj.spec, traj.params, traj.dt, snaps,
                       dict(traj.diagnostics))
 
 
@@ -121,8 +117,8 @@ def fbar_from_a_series(traj: Trajectory) -> list[list[np.ndarray]]:
         dt2 = snaps[k + 1].time - snaps[k - 1].time
         fk = []
         for x in range(grid.ndim):
-            f = (snaps[k + 1].a_phi[x] - snaps[k - 1].a_phi[x]) / dt2
-            f = f - link_diff(grid, snaps[k].a_t, x)
+            f = (snaps[k + 1].gauge.a_phi[x] - snaps[k - 1].gauge.a_phi[x]) / dt2
+            f = f - link_diff(grid, snaps[k].gauge.a_t, x)
             fk.append(f)
         out.append(fk)
     return out
@@ -186,8 +182,8 @@ def check_gauge_invariance(seed: int = 0) -> CheckReport:
     gam_diff = abs(gam1 - gam2) / max(1.0, abs(gam1))
     # scalar residual diagnostics recomputed on the transformed snapshots
     cres_diff = max(
-        abs(continuity_residual(grid, *traj.snapshots[k:k + 2], traj.spec)
-            - continuity_residual(grid, *tr2.snapshots[k:k + 2], tr2.spec))
+        abs(continuity_residual(*traj.snapshots[k:k + 2], traj.spec)
+            - continuity_residual(*tr2.snapshots[k:k + 2], tr2.spec))
         for k in range(0, len(traj.snapshots) - 1, 6))
 
     tol = 1e-10
@@ -210,9 +206,7 @@ def control_gauge_invariance(seed: int = 0) -> CheckReport:
     traj = _packet_trajectory(l=1.5, steps=24, dt=0.01)
     grid = traj.grid
     lam0 = _smooth_functional(grid, rng)
-    snaps = [Snapshot(sn.time, np.exp(1j * lam0) * sn.psi,
-                      [a.copy() for a in sn.a_phi],
-                      [f.copy() for f in sn.f_bar], sn.a_t.copy())
+    snaps = [Snapshot(sn.time, np.exp(1j * lam0) * sn.psi, sn.gauge)
              for sn in traj.snapshots]
     broken = Trajectory(grid, traj.spec, traj.params, traj.dt, snaps, {})
     gam1 = action_evaluate(traj)

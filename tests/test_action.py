@@ -33,9 +33,7 @@ def test_zero_state_zero_action():
     spec = HamiltonianSpec()
     params = ModelParams(l=1.0)
     z = np.zeros(grid.shape, dtype=complex)
-    zf = [np.zeros(grid.shape[0] - 1)]
-    snaps = [Snapshot(k * 0.1, z.copy(), [zf[0].copy()], [zf[0].copy()],
-                      np.zeros(grid.shape)) for k in range(5)]
+    snaps = [Snapshot(k * 0.1, z.copy(), GaugeState.zero(grid)) for k in range(5)]
     traj = Trajectory(grid, spec, params, 0.1, snaps)
     assert action_evaluate(traj) == 0.0
 
@@ -45,8 +43,8 @@ def test_insufficient_slices_raises():
     spec = HamiltonianSpec()
     params = ModelParams(l=1.0)
     z = np.zeros(grid.shape, dtype=complex)
-    snaps = [Snapshot(0.0, z, [np.zeros(40)], [np.zeros(40)], np.zeros(41)),
-             Snapshot(0.1, z, [np.zeros(40)], [np.zeros(40)], np.zeros(41))]
+    snaps = [Snapshot(0.0, z, GaugeState.zero(grid)),
+             Snapshot(0.1, z, GaugeState.zero(grid))]
     with pytest.raises(InsufficientDataError):
         action_evaluate(Trajectory(grid, spec, params, 0.1, snaps))
 
@@ -159,12 +157,11 @@ def _evolved_image_deviation(ndim, coeffs, c0):
                                  keep_snapshots=False)
     image = scale_transform(traj, c0, 1.0)
     start, want = image.snapshots[0], image.snapshots[-1]
-    gauge0 = GaugeState(image.grid, start.a_t, start.a_phi, start.f_bar)
-    got = evolve_temporal_gauge(start.psi, gauge0, image.spec, image.params,
+    got = evolve_temporal_gauge(start.psi, start.gauge, image.spec, image.params,
                                 dt=image.dt, steps=100,
                                 keep_snapshots=False).snapshots[-1]
     dpsi = np.abs(got.psi - want.psi).max() / np.abs(want.psi).max()
-    df = max(np.abs(g - w).max() for g, w in zip(got.f_bar, want.f_bar))
+    df = max(np.abs(g - w).max() for g, w in zip(got.gauge.f, want.gauge.f))
     return float(dpsi), float(df)
 
 
@@ -184,3 +181,29 @@ def test_nonuniform_sampling_rejected():
     traj.snapshots[2].time += 1e-3
     with pytest.raises(InsufficientDataError):
         action_evaluate(traj)
+
+
+@pytest.mark.parametrize("times", [(0.0, 1e-9, 5e-9, 6e-9),
+                                   (0.0, 1.0, 2.000001, 3.0)])
+def test_nonuniform_sampling_rejected_at_any_time_scale(times):
+    # the tolerance is relative to the step, with no absolute floor
+    grid = TensorGrid.cube(-3.0, 3.0, 41, 1)
+    z = np.zeros(grid.shape, dtype=complex)
+    snaps = [Snapshot(t, z, GaugeState.zero(grid)) for t in times]
+    traj = Trajectory(grid, HamiltonianSpec(), ModelParams(l=1.0), times[1], snaps)
+    with pytest.raises(InsufficientDataError, match="not uniformly sampled"):
+        action_evaluate(traj)
+    uniform = [Snapshot(k * times[1], z, GaugeState.zero(grid)) for k in range(4)]
+    assert action_evaluate(Trajectory(grid, traj.spec, traj.params, times[1],
+                                      uniform)) == 0.0
+
+
+@pytest.mark.parametrize("step", [0.0, -0.1])
+def test_action_needs_increasing_times(step):
+    # equal times gave a NaN action
+    grid = TensorGrid.cube(-3.0, 3.0, 41, 1)
+    z = np.zeros(grid.shape, dtype=complex)
+    snaps = [Snapshot(k * step, z, GaugeState.zero(grid)) for k in range(4)]
+    with pytest.raises(InsufficientDataError, match="^trajectory times must increase"):
+        action_evaluate(Trajectory(grid, HamiltonianSpec(), ModelParams(l=1.0), step,
+                                   snaps))

@@ -505,16 +505,17 @@ def test_field_strength_takes_the_trapezoid_kick_of_the_current():
     kick = 0.5 * dt * params.inv_l2 / spec.lattice_spacing ** 3
 
     def currents(snap):
-        ph = link_phases(grid, snap.a_phi)
+        ph = link_phases(grid, snap.gauge.a_phi)
         return [link_current(grid, snap.psi, ph, x) for x in range(2)]
 
     js = [currents(snap) for snap in traj.snapshots]
     worst = 0.0
     for k in range(1, len(js)):
         for x in range(2):
-            df = traj.snapshots[k].f_bar[x] - traj.snapshots[k - 1].f_bar[x]
+            df = traj.snapshots[k].gauge.f[x] - traj.snapshots[k - 1].gauge.f[x]
             worst = max(worst, np.abs(df + kick * (js[k - 1][x] + js[k][x])).max())
-    assert np.abs(traj.snapshots[-1].f_bar[0] - traj.snapshots[0].f_bar[0]).max() > 1e-4
+    f_first, f_last = traj.snapshots[0].gauge.f[0], traj.snapshots[-1].gauge.f[0]
+    assert np.abs(f_last - f_first).max() > 1e-4
     assert worst < 1e-15
 
 
@@ -675,7 +676,44 @@ def test_continuity_residual_needs_two_distinct_times():
     snap = evolve_temporal_gauge(psi0, initialize_constraint(grid, psi0, params),
                                  HARMONIC, params, dt=0.01, steps=1).snapshots[0]
     with pytest.raises(InsufficientDataError, match="consecutive"):
-        continuity_residual(grid, snap, snap, HARMONIC)
+        continuity_residual(snap, snap, HARMONIC)
+
+
+def test_continuity_residual_rejects_snapshots_on_two_grids():
+    # two grids of one shape: the arrays would combine without an error
+    grid, other = (TensorGrid.cube(-h, h, 101, 1) for h in (8.0, 7.0))
+    psi = normalized_packet(grid, center=1.0)
+    s0 = dynamics.Snapshot(0.0, psi, GaugeState.zero(grid))
+    s1 = dynamics.Snapshot(0.01, psi, GaugeState.zero(other))
+    with pytest.raises(ValueError, match="^snapshots must be on one grid$"):
+        continuity_residual(s0, s1, HARMONIC)
+
+
+@pytest.mark.parametrize("sites", [1, 2])
+def test_a_recorded_snapshot_restarts_the_run_bitwise(sites):
+    # a snapshot is complete state: 12 steps, then 18 more from the last
+    # snapshot's psi and gauge, are bitwise the 30-step run
+    grid = TensorGrid.cube(-6.0, 6.0, 101 if sites == 1 else 17, sites)
+    spec = HamiltonianSpec(potential_coeffs=(0.0, 0.0, 0.5),
+                           gradient_coupling=0.5 if sites > 1 else 0.0)
+    params = ModelParams(l=1.0)
+    X = grid.meshes()
+    psi = np.exp(-0.5 * sum((x - 0.7) ** 2 for x in X) + 0.5j * X[0])
+    psi[~grid.boundary_mask()] = 0.0
+    psi /= np.sqrt(np.real(grid.integrate(np.abs(psi) ** 2)))
+
+    def run(psi0, gauge0, steps):
+        return evolve_temporal_gauge(psi0, gauge0, spec, params, dt=0.01, steps=steps,
+                                     keep_snapshots=False).snapshots[-1]
+
+    whole = run(psi, initialize_constraint(grid, psi, params), 30)
+    first = run(psi, initialize_constraint(grid, psi, params), 12)
+    rest = run(first.psi, first.gauge, 18)
+    assert np.abs(first.gauge.a_phi[0]).max() > 1e-6
+    assert np.array_equal(rest.psi, whole.psi)
+    for x in range(sites):
+        assert np.array_equal(rest.gauge.a_phi[x], whole.gauge.a_phi[x])
+        assert np.array_equal(rest.gauge.f[x], whole.gauge.f[x])
 
 
 def _assert_recorded_values_are_the_public_formulas(traj):
@@ -686,13 +724,13 @@ def _assert_recorded_values_are_the_public_formulas(traj):
     rec = traj.diagnostics
     w = g.quad_weights()
     diag = spec.site_potential_total(g)
-    assert np.abs(snaps[-1].a_phi[0]).max() > 1e-6
+    assert np.abs(snaps[-1].gauge.a_phi[0]).max() > 1e-6
     assert np.isnan(rec["continuity_residual"][0])
     for k, s in enumerate(snaps):
         assert rec["time"][k] == s.time
         if k > 0:
             assert rec["continuity_residual"][k] == continuity_residual(
-                g, snaps[k - 1], s, spec)
+                snaps[k - 1], s, spec)
         rho = np.abs(s.psi) ** 2
         # the norm is the integral of rho, i.e. grid.norm(psi) ** 2 up
         # to the rounding of the square root
@@ -701,12 +739,12 @@ def _assert_recorded_values_are_the_public_formulas(traj):
         assert rec["norm"][k] == pytest.approx(g.norm(s.psi) ** 2,
                                                rel=1e-14, abs=0.0)
         assert rec["charge"][k] == total_charge(g, rho, p)
-        assert rec["gauss_residual"][k] == gauss_residual(g, s.f_bar, rho, p)
+        assert rec["gauss_residual"][k] == gauss_residual(g, s.gauge.f, rho, p)
         # matter energy Re<psi, H psi> on the step's links, plus the field
         # energy -(l^2/2) sum_x <F_x, F_x> on the link lattice
-        hpsi = apply_hamiltonian_raw(g, s.psi, link_phases(g, s.a_phi), diag,
+        hpsi = apply_hamiltonian_raw(g, s.psi, link_phases(g, s.gauge.a_phi), diag,
                                      spec.lattice_spacing)
-        e_field = sum(float((g.link_weights(x) * s.f_bar[x] ** 2).sum())
+        e_field = sum(float((g.link_weights(x) * s.gauge.f[x] ** 2).sum())
                       for x in range(g.ndim))
         assert rec["energy"][k] == (float(np.real((w * np.conj(s.psi) * hpsi).sum()))
                                     - 0.5 * p.l ** 2 * e_field)
@@ -745,8 +783,8 @@ def test_diagnostics_across_block_boundaries(sites, record_every):
     for snap, k in zip(sparse.snapshots, picked, strict=True):
         assert np.array_equal(snap.psi, dense.snapshots[k].psi)
         for x in range(grid.ndim):
-            assert np.array_equal(snap.a_phi[x], dense.snapshots[k].a_phi[x])
-            assert np.array_equal(snap.f_bar[x], dense.snapshots[k].f_bar[x])
+            assert np.array_equal(snap.gauge.a_phi[x], dense.snapshots[k].gauge.a_phi[x])
+            assert np.array_equal(snap.gauge.f[x], dense.snapshots[k].gauge.f[x])
 
 
 def test_keep_snapshots_false_keeps_the_end_states_and_the_diagnostics():
@@ -762,8 +800,8 @@ def test_keep_snapshots_false_keeps_the_end_states_and_the_diagnostics():
     for snap, ref in zip(ends.snapshots, dense.snapshots[::len(dense.snapshots) - 1],
                          strict=True):
         assert snap.time == ref.time
-        for a, b in ((snap.psi, ref.psi), (snap.a_phi[1], ref.a_phi[1]),
-                     (snap.f_bar[1], ref.f_bar[1])):
+        for a, b in ((snap.psi, ref.psi), (snap.gauge.a_phi[1], ref.gauge.a_phi[1]),
+                     (snap.gauge.f[1], ref.gauge.f[1])):
             assert np.array_equal(a, b)
             assert not a.flags.writeable
     assert ends.snapshots[-1].time == steps * 0.01
@@ -858,13 +896,13 @@ def test_snapshots_are_read_only_and_do_not_alias_the_inputs():
                                  steps=6, record_every=2)
     snaps = traj.snapshots
     for snap in snaps:
-        for arr in (snap.psi, snap.a_phi[0], snap.f_bar[0], snap.a_t):
+        for arr in (snap.psi, snap.gauge.a_phi[0], snap.gauge.f[0], snap.gauge.a_t):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[1] = 1.0
             assert not any(np.shares_memory(arr, v) for v in inputs)
-        assert snap.a_t is snaps[0].a_t
-        assert not snap.a_t.any()
+        assert snap.gauge.a_t is snaps[0].gauge.a_t
+        assert not snap.gauge.a_t.any()
     for old, new in zip(snaps, snaps[1:]):
         assert not np.shares_memory(old.psi, new.psi)
         assert np.abs(new.psi - old.psi).max() > 0.0

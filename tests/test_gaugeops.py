@@ -83,6 +83,15 @@ def test_transform_casts_lambda_to_float_arrays():
     assert gauge2.a_t.dtype == float and np.array_equal(gauge2.a_t, np.arange(11.0))
 
 
+@pytest.mark.parametrize("which", ["lam", "lam_dot"])
+def test_transform_rejects_a_complex_lambda(which):
+    grid = TensorGrid.cube(-5.0, 5.0, 11, 1)
+    lams = {"lam": np.zeros(11), "lam_dot": np.zeros(11)}
+    lams[which] = 1j * np.ones(11)
+    with pytest.raises(ValueError, match=f"^{which} must be real, not complex$"):
+        gauge_transform(make_state(grid), GaugeState.zero(grid), **lams)
+
+
 @pytest.mark.parametrize("count", [50, 52])
 def test_transform_rejects_a_psi_of_the_wrong_shape_for_the_gauge_grid(count):
     psi = make_state(TensorGrid.cube(-5.0, 5.0, count, 1))

@@ -115,6 +115,24 @@ def test_hamiltonian_spec_validation():
             HamiltonianSpec(potential_coeffs=coeffs)
 
 
+def test_hamiltonian_spec_rejects_complex_potential_coeffs():
+    # accepted, they would fail deep inside the stationary solve
+    with pytest.raises(ValueError, match="^potential_coeffs must be real, not complex$"):
+        HamiltonianSpec(potential_coeffs=(0.0, 0.0, 0.5 + 0.1j))
+
+
+@pytest.mark.parametrize("which", ["a_t", "a_phi", "f"])
+def test_gauge_state_rejects_a_complex_field(which):
+    # a cast to float would drop the imaginary part with only a warning
+    grid = TensorGrid.cube(-1.0, 1.0, 9, 2)
+    good = GaugeState.zero(grid)
+    fields = {"a_t": good.a_t, "a_phi": good.a_phi, "f": good.f}
+    fields[which] = (2j * np.ones(grid.shape) if which == "a_t"
+                     else [2j * np.ones_like(v) for v in fields[which]])
+    with pytest.raises(ValueError, match=f"^{which} must be real, not complex$"):
+        GaugeState(grid, fields["a_t"], fields["a_phi"], fields["f"])
+
+
 def test_gauge_state_names_the_link_shape_it_wants():
     grid = TensorGrid.cube(-1.0, 1.0, 9, 2)
     good = GaugeState.zero(grid)

@@ -439,6 +439,17 @@ def test_poisson_1d_neumann_rejects_a_complex_source():
             solve()
 
 
+@pytest.mark.parametrize("shape", [(11, 1), (1, 11), (10,), (12,)])
+def test_poisson_1d_neumann_wants_one_source_value_per_node(shape):
+    # an (n, 1) source broadcast against the weights to a wrong (n, 1) answer
+    grid = UniformGrid1D(-5.0, 5.0, 11)
+    rho = np.random.default_rng(3).random(shape)
+    for solve in (lambda: poisson_1d_neumann(grid, rho),
+                  lambda: solve_phi_grav(grid, rho, SNParams())):
+        with pytest.raises(GridShapeError, match=r"^source shape"):
+            solve()
+
+
 @pytest.mark.parametrize("coeffs", [(0.0, 0.0, 0.5),
                                     (0.0, 0.0, 0.0, 0.0, 0.25)])
 def test_limit_equivalence(coeffs):
@@ -571,6 +582,10 @@ def test_sn_params_validation():
                          ("external_potential_coeffs", (0.0, 0.0, np.inf))):
         with pytest.raises(ValueError, match=field):
             SNParams(**{field: value})
+    # accepted, they would fail inside the radial SCF with a TypeError
+    with pytest.raises(ValueError,
+                       match="^external_potential_coeffs must be real, not complex$"):
+        SNParams(external_potential_coeffs=(0.0, 0.0, 0.5 + 0.1j))
     with pytest.raises(ValueError):
         sn_ground_radial_scf(SNParams(coupling=1.0, background=0.2),
                              RadialGrid(1e-6, 10.0, 100))
