@@ -117,7 +117,9 @@ def scale_transform(traj: Trajectory, c0: float, a: float) -> Trajectory:
     """Image of a trajectory (with its spec and params) under the scale
     family; action_evaluate of the result equals that of the input exactly
     for scale-free Hamiltonians. Each image snapshot's gauge is on grid',
-    so it is initial data for evolving the primed problem."""
+    so it is initial data for evolving the primed problem. The image
+    carries no diagnostics: the source run's times, energies and widths
+    are not the image's, which evolving it would compute."""
     s, grid2, spec2, params2 = _scaled_model(traj.grid, traj.spec, traj.params,
                                              c0, a)
     psi_fac = s ** (traj.grid.ndim / 2.0)
@@ -126,8 +128,7 @@ def scale_transform(traj: Trajectory, c0: float, a: float) -> Trajectory:
                                   [s * ax for ax in sn.gauge.a_phi],
                                   [fx.copy() for fx in sn.gauge.f]))
               for sn in traj.snapshots]
-    return Trajectory(grid2, spec2, params2, traj.dt * s, snaps2,
-                      dict(traj.diagnostics))
+    return Trajectory(grid2, spec2, params2, traj.dt * s, snaps2)
 
 
 def scale_transform_state(grid: TensorGrid, psi: np.ndarray, a_t: np.ndarray,

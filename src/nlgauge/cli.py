@@ -40,6 +40,8 @@ _POSITIVE = (lambda v: 0 < v < math.inf, "must be finite and > 0")
 _NONNEGATIVE = (lambda v: 0 <= v < math.inf, "must be finite and >= 0")
 _AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
 _FRACTION = (lambda v: 0 < v <= 1, "must be in (0, 1]")
+_ZERO = (lambda v: v == 0, "must be 0: the uniform background is 1/volume, "
+         "taken from the grid")
 
 # section -> key -> (type, default[, rule]); None default means required.
 # The [initial] rules hold for the packet kinds alone; the grid builders
@@ -63,7 +65,7 @@ _SCHEMA = {
     "physics": {
         "l": (float, 1.0),
         "coupling": (float, 1.0, _NONNEGATIVE),
-        "background": (float, 0.0, _NONNEGATIVE),
+        "background": (float, 0.0, _ZERO),
         "potential_coeffs": (str, "0, 0, 0.5"),
         "gradient_coupling": (float, 0.0, _NONNEGATIVE),
         "lattice_spacing": (float, 1.0, _POSITIVE),
@@ -164,8 +166,6 @@ def validate(text: str) -> tuple[dict | None, list[str]]:
                 check(section, key, *rule[0])
     if kind in ("sn-evolve", "functional-evolve", "limit-check"):  # one site
         check("grid", "dim", lambda v: v == 1, f"must be 1 for {kind}")
-    if kind == "sn-ground":
-        check("physics", "background", lambda v: v == 0, "must be 0 for sn-ground")
     try:
         ModelParams(l=values[("physics", "l")])
     except ValueError as exc:
@@ -195,6 +195,8 @@ def validate(text: str) -> tuple[dict | None, list[str]]:
                       + _hint(fmt, _FORMATS, "'{}'"))
     if not formats:
         errors.append("[output] formats names no format; use csv and/or json")
+    if not values[("output", "directory")]:
+        errors.append("[output] directory is empty; name the directory for the outputs")
     try:
         coeffs = _potential_coeffs(values)
     except ValueError:
@@ -243,7 +245,6 @@ def _radial_grid(cfg: dict) -> RadialGrid:
 
 def _sn_params(cfg: dict) -> SNParams:
     return SNParams(coupling=cfg[("physics", "coupling")],
-                    background=cfg[("physics", "background")],
                     external_potential_coeffs=_potential_coeffs(cfg))
 
 
@@ -382,13 +383,23 @@ _RUNNERS = {
 }
 
 
+def _output_error(exc: OSError) -> int:
+    sys.stderr.write(f"error: cannot write outputs: {exc}\n")
+    return 1
+
+
 def run(cfg: dict) -> int:
     """Execute the configured experiment; writes summary.json, CSVs, and
-    config.echo into the output directory. Returns the exit status."""
+    config.echo into the output directory, which is created before the
+    run. Returns the exit status; an OSError from creating the directory
+    or writing into it is reported, with status 1."""
     outdir = cfg[("output", "directory")]
     kind = cfg[("experiment", "kind")]
     formats = _formats(cfg)
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        return _output_error(exc)
     try:
         summary, csvs = _RUNNERS[kind](cfg)
         # numpy scalars become Python ones; a NaN or infinity raises
@@ -401,14 +412,17 @@ def run(cfg: dict) -> int:
     except Exception as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1
-    if "json" in formats:
-        with open(os.path.join(outdir, "summary.json"), "w") as fh:
-            fh.write(text + "\n")
-    if "csv" in formats:
-        for name, cols in csvs.items():
-            _write_csv(os.path.join(outdir, name), cols)
-    with open(os.path.join(outdir, "config.echo"), "w") as fh:
-        fh.write(_echo_text(cfg))
+    try:
+        if "json" in formats:
+            with open(os.path.join(outdir, "summary.json"), "w") as fh:
+                fh.write(text + "\n")
+        if "csv" in formats:
+            for name, cols in csvs.items():
+                _write_csv(os.path.join(outdir, name), cols)
+        with open(os.path.join(outdir, "config.echo"), "w") as fh:
+            fh.write(_echo_text(cfg))
+    except OSError as exc:
+        return _output_error(exc)
     if kind == "verify" and not summary["all_passed"]:
         return 2
     return 0
@@ -461,14 +475,21 @@ def main(argv=None) -> int:
     if args.seed < 0:
         sys.stderr.write(f"error: --seed must be >= 0 (got {args.seed})\n")
         return 1
+    if args.output is not None:
+        # before the suite runs, so that a bad directory fails at once
+        try:
+            os.makedirs(args.output, exist_ok=True)
+        except OSError as exc:
+            return _output_error(exc)
     reports = verify_mod.run_all(seed=args.seed)
     print(_format_report_table(reports))
-    if args.output:
-        os.makedirs(args.output, exist_ok=True)
-        with open(os.path.join(args.output, "verify_report.json"), "w") as fh:
-            json.dump([r.to_dict() for r in reports], fh, indent=2,
-                      sort_keys=True)
-            fh.write("\n")
+    if args.output is not None:
+        text = json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True)
+        try:
+            with open(os.path.join(args.output, "verify_report.json"), "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            return _output_error(exc)
     return 0 if all(r.passed for r in reports) else 2
 
 

@@ -281,9 +281,7 @@ def _block_rows(size: int) -> int:
     """Recorded steps whose diagnostics `evolve_temporal_gauge` computes
     together, for states of `size` grid values: at most 256, and at most
     2**12 values per stacked array. The block's temporaries set the
-    evolver's peak memory: when the sn line evolver used these blocks
-    too, 2**16 values raised its 1201-node peak 12% above per-step
-    diagnostics; 2**12 did not."""
+    evolver's peak memory, which is why the cap is small."""
     return max(1, min(256, 2 ** 12 // size))
 
 

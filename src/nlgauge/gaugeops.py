@@ -200,10 +200,11 @@ def gauss_solve_stationary(grid: TensorGrid, rho: np.ndarray,
     source, to A_t = 0.
 
     The source integrates to zero only for a normalized density; anything
-    else violates the vanishing-total-charge constraint and raises.
+    else, NaN included, violates the vanishing-total-charge constraint
+    and raises.
     """
     norm = float(np.real(grid.integrate(rho)))
-    if abs(norm - 1.0) > _COMPAT_TOL:
+    if not abs(norm - 1.0) <= _COMPAT_TOL:  # written so that a NaN fails
         raise UnsolvableConstraintError(
             f"density integrates to {norm:.6g}, not 1; total charge would not vanish")
     source = -params.inv_l2 * nonlinearity(rho, grid)

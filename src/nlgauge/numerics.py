@@ -59,8 +59,9 @@ def poisson_solve(grid: TensorGrid, source: np.ndarray, *,
     and the additive constant fixed by zero mean.
 
     The Neumann problem is solvable only for zero-mean sources; the check
-    is |integral(source)| < compat_tol. The solve is exact: the type-I
-    cosine transform diagonalizes the mirror-ghost Laplacian, with
+    is |integral(source)| <= compat_tol, which a NaN source fails. The
+    solve is exact: the type-I cosine transform diagonalizes the
+    mirror-ghost Laplacian, with
     eigenvalue sum_x (2 cos(pi k_x/(n_x-1)) - 2)/h_x^2 per mode. The
     all-zero mode is the constant; its coefficient is proportional to the
     trapezoid integral, so zeroing it projects out the source mean and
@@ -73,7 +74,7 @@ def poisson_solve(grid: TensorGrid, source: np.ndarray, *,
     w = grid.quad_weights()
     vol = grid.volume
     total = float((w * source).sum())
-    if abs(total) > compat_tol:
+    if not abs(total) <= compat_tol:  # written so that a NaN fails
         raise UnsolvableConstraintError(
             f"Neumann source has mean {total / vol:.3e} (integral {total:.3e}); "
             "the constraint is unsolvable for a non-neutral source")
@@ -100,9 +101,8 @@ def smallest_eigenpair(op_apply, guess: np.ndarray, tol: float = 1e-9, *,
     """Algebraically smallest eigenpair of a symmetric operator on the
     unknowns alone.
 
-    In the package it serves grids of D >= 2: the 1-D callers, the
-    stationary SCF on a line and the radial SCF, no longer reach it, as
-    their operators are tridiagonal and `tridiagonal_ground` solves them.
+    In the package it serves grids of D >= 2; the tridiagonal operators
+    of one dimension go to `tridiagonal_ground`.
 
     `op_apply` takes and returns arrays of `guess`'s shape, one entry per
     unknown (e.g. the interior nodes of a Dirichlet grid, so no spurious

@@ -12,8 +12,8 @@ Three solvers live here:
   matrices, and the shot is a unit lower-triangular banded system that
   LAPACK solves in chunks of steps (with the amplitude rescaled between
   them);
-* a 1D line evolver with the self-consistent potential, including the
-  uniform background term of the parent theory; its Crank-Nicolson step
+* a 1D line evolver with the self-consistent potential, sourced by
+  |psi|^2 - 1/volume as in the parent theory; its Crank-Nicolson step
   is the banded step of `dynamics` with the links switched off, taken
   once per step in the potential of a midpoint density that the
   discrete continuity equation predicts to O(dt^2) (so the step stays
@@ -32,11 +32,11 @@ Poisson equation). The attractive orientation is
 with v = r*Phi, v(0) = 0, and v(r_max) = -coupling * enclosed norm, so Phi
 has the -coupling/r far field of a unit mass. On the line,
 
-    phi_grav'' = -coupling (|psi|^2 - background),  V_eff = V_ext - phi_grav,
+    phi_grav'' = -coupling (|psi|^2 - 1/volume),  V_eff = V_ext - phi_grav,
 
-Neumann with zero mean; the source mean is projected out, which is what
-the compact-universe constraint demands (background = 0 behaves as
-background = 1/volume).
+Neumann with zero mean. The volume is the grid's, as Omega is on the
+functional path: the solve projects out the source mean, which for a unit
+norm is exactly the compact-universe background 1/volume.
 """
 
 from __future__ import annotations
@@ -53,7 +53,8 @@ from .errors import ConvergenceError, GridShapeError, IntegratorError
 from .fixedpoint import fixed_point
 from .gaugeops import link_diff, link_divergence
 from .grids import RadialGrid, TensorGrid, UniformGrid1D
-from .model import HamiltonianSpec, ModelParams, _check_coeffs, _real
+from .model import (HamiltonianSpec, ModelParams, _check_coeffs, _real,
+                    nonlinearity)
 from .numerics import _lapack, tridiagonal_ground
 
 # RK4 steps per banded solve of a shot; the amplitude is rescaled only
@@ -63,23 +64,19 @@ _SHOT_CHUNK = 512
 
 @dataclass(frozen=True)
 class SNParams:
-    """Schrodinger-Newton coupling, neutralizing background density and
-    external potential polynomial in r (or x on the line).
+    """Schrodinger-Newton coupling and external potential polynomial in r
+    (or x on the line).
 
-    Raises ValueError, naming the field, unless coupling and background
-    are finite and >= 0 and every coefficient is finite and real (NaN
-    fails).
+    Raises ValueError, naming the field, unless coupling is finite and
+    >= 0 and every coefficient is finite and real (NaN fails).
     """
 
     coupling: float = 1.0
-    background: float = 0.0
     external_potential_coeffs: tuple[float, ...] = ()
 
     def __post_init__(self):
-        for name in ("coupling", "background"):
-            if not 0 <= getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and >= 0 "
-                                 f"(got {getattr(self, name)})")
+        if not 0 <= self.coupling < np.inf:
+            raise ValueError(f"coupling must be finite and >= 0 (got {self.coupling})")
         _check_coeffs("external_potential_coeffs", self.external_potential_coeffs)
 
     def external_potential(self, r: np.ndarray) -> np.ndarray:
@@ -155,8 +152,6 @@ def sn_ground_radial_scf(params: SNParams, grid: RadialGrid, tol: float = 1e-10,
     bisected ground level); the energy is the summation-by-parts Rayleigh
     quotient of the converged u.
     """
-    if params.background != 0.0:
-        raise ValueError("radial solver is the background-free case")
     r = grid.nodes
     h = grid.spacing
     vext = params.external_potential(r)
@@ -402,8 +397,6 @@ def sn_ground_radial_shoot(params: SNParams, grid: RadialGrid,
     fixed-point driver until the energy settles. Raises ValueError unless
     tol > 0 and 0 < mixing <= 1, whatever the coupling.
     """
-    if params.background != 0.0:
-        raise ValueError("radial solver is the background-free case")
     # written so that a NaN fails each check
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
@@ -486,9 +479,11 @@ def poisson_1d_neumann(grid: UniformGrid1D, source: np.ndarray) -> np.ndarray:
 
 def solve_phi_grav(grid: UniformGrid1D, rho: np.ndarray,
                    params: SNParams) -> np.ndarray:
-    """phi'' = -coupling (rho - background), mean-projected, zero mean;
-    GridShapeError unless rho has one value per node."""
-    return poisson_1d_neumann(grid, -params.coupling * (rho - params.background))
+    """phi'' = -coupling (rho - 1/volume), zero mean: the solve of the
+    source -coupling rho projects out its mean, which is the background
+    1/volume for a unit norm. GridShapeError unless rho has one value per
+    node."""
+    return poisson_1d_neumann(grid, -params.coupling * rho)
 
 
 def _density_rate(psi: np.ndarray, h: float) -> np.ndarray:
@@ -537,9 +532,9 @@ def sn_evolve_1d(grid: UniformGrid1D, psi: np.ndarray, params: SNParams,
     compact Neumann stencil of `poisson_1d_neumann`, whose weighted row
     j is the flux difference F_{j+1/2} - F_{j-1/2}, F = diff(phi_grav)/h.
     So the fluxes are -coupling G, and summation by parts gives
-    <phi_grav, w rho> = h sum F^2 / coupling = coupling h sum G^2. The
-    background cancels in rho - rho_bar, and coupling 0 gives exactly 0.
-    Each step thus makes one Poisson solve, that of its midpoint density.
+    <phi_grav, w rho> = h sum F^2 / coupling = coupling h sum G^2;
+    coupling 0 gives exactly 0. Each step thus makes one Poisson solve,
+    that of its midpoint density.
 
     The norm guard (drift above 1e-6 raises IntegratorError) is checked
     at each recorded step, so the run stops at the first one that fails
@@ -602,7 +597,7 @@ def line_ground_scf(grid: UniformGrid1D, params: SNParams, tol: float = 1e-12,
     with the functional path it checks.
 
     Solves  omega psi = -1/2 psi'' + V_ext psi - phi psi,
-            phi'' = -coupling (|psi|^2 - background),   both zero-mean/Neumann,
+            phi'' = -coupling (|psi|^2 - 1/volume),   both zero-mean/Neumann,
     on the same discrete operators as the configuration-space module, so
     the two fixed points coincide to solver tolerance. Returns
     (omega, psi, phi).
@@ -645,14 +640,14 @@ def limit_equivalence_check(spec: HamiltonianSpec, params: ModelParams,
     coupling a^3/l^2 and potential a^6 V, solved by a^3 omega and a^3 A_t.
 
     Also inspects the sign structure: wherever the density falls below the
-    uniform background the constraint source flips sign and the potential
-    curvature turns locally repulsive.
+    uniform background 1/Omega the constraint source `nonlinearity` flips
+    sign and the potential curvature turns locally repulsive.
     """
     if grid.ndim != 1:
         raise ValueError("the limit check is the single-site case")
     st = stationary_solve(spec, params, grid, tol=tol * 100)
     a3 = spec.lattice_spacing ** 3
-    line = SNParams(coupling=a3 * params.inv_l2, background=1.0 / grid.volume,
+    line = SNParams(coupling=a3 * params.inv_l2,
                     external_potential_coeffs=tuple(
                         a3 * a3 * c for c in spec.potential_coeffs))
     omega_line, psi_line, phi_line = line_ground_scf(grid.axes[0], line, tol=tol)
@@ -660,9 +655,9 @@ def limit_equivalence_check(spec: HamiltonianSpec, params: ModelParams,
     dpsi = float(np.abs(st.psi - psi_line).max())
     dat = float(np.abs(st.a_t - phi_line).max())
 
-    # sign experiment: curvature of A_t vs sign of (rho - background)
+    # sign experiment: curvature of A_t vs sign of rho - 1/Omega
     curv = link_divergence(grid, [link_diff(grid, st.a_t, 0)])
-    src = st.psi * st.psi - line.background
+    src = nonlinearity(st.psi * st.psi, grid)
     sel = np.abs(src[1:-1]) > 1e-6 * np.abs(src).max()
     agree = np.sign(curv[1:-1][sel]) == -np.sign(src[1:-1][sel])
     # with no coupling A_t = 0, and there is no curvature to test

@@ -98,7 +98,8 @@ def transform_trajectory(traj: Trajectory, lam0: np.ndarray,
     """Apply the gauge transformation Lambda(phi, t) = lam0(phi) + t mu(phi)
     to a temporal-gauge trajectory, exactly at the link level: each snapshot
     goes through `gauge_transform` with Lambda = lam0 + t mu and
-    dLambda/dt = mu."""
+    dLambda/dt = mu. The diagnostics are copied, as each is gauge
+    invariant."""
     snaps = [Snapshot(sn.time, *gauge_transform(sn.psi, sn.gauge,
                                                 lam0 + sn.time * mu, mu))
              for sn in traj.snapshots]

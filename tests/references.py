@@ -67,7 +67,7 @@ def gravity_pairing(grid: UniformGrid1D, rho: np.ndarray,
     ld = np.longdouble
     w = grid.quad_weights().astype(ld)
     vol = w.sum()
-    source = -ld(params.coupling) * (rho.astype(ld) - ld(params.background))
+    source = -ld(params.coupling) * rho.astype(ld)
     source -= (w * source).sum() / vol
     phi = solve_phi_grav(grid, rho, params).astype(ld)
     resid = source - _axis_second_diff(phi, 0, ld(grid.spacing))

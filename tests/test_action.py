@@ -100,6 +100,17 @@ def test_scale_transform_is_nontrivial_for_c0_not_1():
     assert tr2.spec.lattice_spacing == pytest.approx(s)
 
 
+def test_scale_image_carries_no_diagnostics_of_the_source_run():
+    # the source run's times, energies and widths are not the image's:
+    # at (2, 1) its times stretch by sqrt(2) and its width halves
+    traj = packet_traj(QUARTIC, steps=4)
+    assert traj.diagnostics
+    image = scale_transform(traj, 2.0, 1.0)
+    assert image.diagnostics == {}
+    assert [sn.time for sn in image.snapshots] == [
+        sn.time * 2.0 ** 0.5 for sn in traj.snapshots]
+
+
 def test_scale_transform_state_rejects_a_non_positive_c0():
     grid = TensorGrid.cube(-3.0, 3.0, 41, 1)
     with pytest.raises(ValueError, match="c0 must be positive"):

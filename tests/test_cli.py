@@ -136,8 +136,9 @@ def test_non_finite_solver_and_physics_values_are_rejected(section, key):
     for raw in ("inf", "nan"):
         cfg, errors = validate(head + f"[{section}]\n{key} = {raw}\n")
         assert cfg is None
-        assert errors == [f"[{section}] {key} must be finite and "
-                          f"{'>' if section == 'solver' else '>='} 0 (got {raw})"]
+        msg = (cli._ZERO[1] if key == "background" else "must be finite and "
+               f"{'>' if section == 'solver' else '>='} 0")
+        assert errors == [f"[{section}] {key} {msg} (got {raw})"]
     # l = inf is the linear limit
     cfg, errors = validate(head + "[physics]\nl = inf\n")
     assert errors == []
@@ -516,13 +517,16 @@ def test_multi_site_sn_evolve_is_a_grid_dim_error(tmp_path, capsys, grid):
         f"config error: [grid] dim must be 1 for sn-evolve (got {grid.split()[-1]})"]
 
 
-def test_sn_ground_with_a_background_is_a_physics_error(tmp_path, capsys):
-    # the radial solvers are the background-free case
-    text = "[experiment]\nkind = sn-ground\n[physics]\nbackground = 0.5\n"
-    assert _validate_errors(tmp_path, capsys, text) == [
-        "config error: [physics] background must be 0 for sn-ground (got 0.5)"]
-    cfg, errors = validate(_evolve_text("sn-evolve", "[physics]\nbackground = 0.5\n"))
-    assert errors == []
+def test_a_background_other_than_zero_is_a_physics_error(tmp_path, capsys):
+    # every solver takes the background 1/volume from its grid; 0 is
+    # accepted so that configs spelling it out still validate
+    for kind in cli._RUNNERS:
+        text = f"[experiment]\nkind = {kind}\n[physics]\nbackground = 0.5\n"
+        assert _validate_errors(tmp_path, capsys, text) == [
+            "config error: [physics] background must be 0: the uniform background "
+            "is 1/volume, taken from the grid (got 0.5)"], kind
+        cfg, errors = validate(_evolve_text(kind, "[physics]\nbackground = 0.0\n"))
+        assert errors == [], kind
 
 
 def test_a_width_whose_square_overflows_is_the_flat_plane_wave(tmp_path):
@@ -606,3 +610,56 @@ def test_a_non_finite_result_is_an_error_with_no_summary(tmp_path, monkeypatch,
         assert run(cfg) == 1, value
         assert capsys.readouterr().err.startswith("error: ")
         assert not (outdir / "summary.json").exists()
+
+
+def test_an_empty_output_directory_is_an_output_error(tmp_path, capsys):
+    text = _evolve_text("sn-evolve", "", "")
+    assert _validate_errors(tmp_path, capsys, text) == [
+        "config error: [output] directory is empty; name the directory for the outputs"]
+
+
+def test_an_output_directory_that_cannot_be_made_is_an_error(tmp_path, monkeypatch,
+                                                              capsys):
+    # a path naming a file fails before the experiment runs
+    def runner(cfg):
+        raise AssertionError("ran the experiment")
+    monkeypatch.setitem(cli._RUNNERS, "sn-ground", runner)
+    taken = tmp_path / "file"
+    taken.write_text("")
+    path = tmp_path / "cfg.ini"
+    path.write_text(_evolve_text("sn-ground", "", taken))
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write outputs: [Errno ")
+    assert str(taken) in err and "Traceback" not in err
+
+
+def test_an_output_that_cannot_be_written_is_an_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(cli._RUNNERS, "sn-ground", lambda cfg: ({"energy": 1.0}, {}))
+    (tmp_path / "out" / "summary.json").mkdir(parents=True)
+    cfg, errors = validate(_evolve_text("sn-ground", "", tmp_path / "out"))
+    assert errors == []
+    assert run(cfg) == 1
+    assert capsys.readouterr().err.startswith("error: cannot write outputs: [Errno ")
+
+
+def test_verify_reports_a_bad_output_directory_before_running(tmp_path, monkeypatch,
+                                                              capsys):
+    def run_all(seed):
+        raise AssertionError(f"ran the checks at seed {seed}")
+    monkeypatch.setattr(verify, "run_all", run_all)
+    taken = tmp_path / "file"
+    taken.write_text("")
+    for output in (str(taken), ""):
+        assert main(["verify", "--output", output]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot write outputs: [Errno ")
+
+
+def test_verify_reports_a_report_that_cannot_be_written(tmp_path, monkeypatch, capsys):
+    passing = verify.CheckReport("always-passes", True, [("x", 0.0)], 1e-9)
+    monkeypatch.setattr(verify, "run_all", lambda seed: [passing])
+    (tmp_path / "verify_report.json").mkdir()
+    assert main(["verify", "--output", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert "always-passes" in captured.out
+    assert captured.err.startswith("error: cannot write outputs: [Errno ")

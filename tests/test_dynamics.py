@@ -106,6 +106,20 @@ def test_stationary_coupled_matches_dense_reference():
                - grid.norm(lap + params.inv_l2 * nonlinearity(rho, grid))) < 1e-13
 
 
+def test_stationary_raises_when_the_converged_loop_leaves_a_residual(monkeypatch):
+    # the loop converges; the final Gauss residual is then forced above 10*tol
+    monkeypatch.setattr(dynamics, "gauss_residual", lambda *args: 1.0)
+    grid = TensorGrid.cube(-6.0, 6.0, 61, 1)
+    with pytest.raises(ConvergenceError,
+                       match=r"^converged loop left residuals eig=.* gauss=1\.000e\+00 "
+                             r"above 10\*tol=1\.000e-09$") as info:
+        stationary_solve(HARMONIC, ModelParams(l=1.0), grid, tol=1e-10)
+    assert info.value.residual == 1.0
+    trace = info.value.trace
+    assert [t[0] for t in trace] == list(range(1, len(trace) + 1))
+    assert trace[-1][2] <= 1e-10
+
+
 def test_stationary_rejects_bad_mixing():
     grid = TensorGrid.cube(-6.0, 6.0, 61, 1)
     params = ModelParams(l=1.0)

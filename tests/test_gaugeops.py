@@ -263,6 +263,10 @@ def test_gauss_unnormalized_density_raises():
     rho *= 1.5 / np.real(grid.integrate(rho))
     with pytest.raises(UnsolvableConstraintError):
         gauss_solve_stationary(grid, rho, p)
+    # a NaN norm fails the check too, rather than giving a NaN A_t
+    rho[60] = np.nan
+    with pytest.raises(UnsolvableConstraintError, match="integrates to nan"):
+        gauss_solve_stationary(grid, rho, p)
 
 
 def test_gauss_linear_limit_returns_zero():
@@ -320,6 +324,9 @@ def test_initialize_constraint_requires_normalization():
     x = grid.axes[0].nodes
     psi = np.exp(-0.5 * x ** 2) + 0j
     with pytest.raises(UnsolvableConstraintError):
+        initialize_constraint(grid, psi, p)
+    psi[:] = np.nan
+    with pytest.raises(UnsolvableConstraintError, match="integrates to nan"):
         initialize_constraint(grid, psi, p)
 
 

@@ -4,6 +4,7 @@ import scipy.linalg
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
+from nlgauge import numerics
 from nlgauge.errors import ConvergenceError, UnsolvableConstraintError
 from nlgauge.gaugeops import hamiltonian
 from nlgauge.grids import TensorGrid, UniformGrid1D
@@ -115,6 +116,11 @@ def test_poisson_nonzero_mean_raises():
     g = TensorGrid.cube(0.0, 2.0, 51, 1)
     src = np.full(g.shape, 0.1)
     with pytest.raises(UnsolvableConstraintError):
+        poisson_solve(g, src)
+    # a NaN integral fails the check too
+    src = np.zeros(g.shape)
+    src[10] = np.nan
+    with pytest.raises(UnsolvableConstraintError, match="mean nan"):
         poisson_solve(g, src)
 
 
@@ -363,6 +369,32 @@ def test_tridiagonal_ground_of_one_unknown():
         assert lam == 5.5 and np.array_equal(x, [1.0])
     with pytest.raises(ValueError):
         tridiagonal_ground(np.array([1.5]), 2.0, np.zeros(1))
+
+
+def test_tridiagonal_ground_raises_when_the_bisection_shift_is_refused(monkeypatch):
+    # a dpttrf that reports failure refuses every shift, the bisection's too
+    real = numerics._lapack
+
+    def lapack(name):
+        if name == "dpttrf":
+            return lambda d, e: (d, e, 1)
+        return real(name)
+    monkeypatch.setattr(numerics, "_lapack", lapack)
+    pot, coef = _line_problem(200, "harmonic")
+    for guess in (None, np.ones(pot.size)):
+        with pytest.raises(ConvergenceError,
+                           match="below the bisected ground level .* was refused$") as info:
+            tridiagonal_ground(pot, coef, guess)
+        assert info.value.residual is None and info.value.trace == []
+
+
+def test_tridiagonal_ground_raises_without_a_fixed_point_in_its_step_cap(monkeypatch):
+    monkeypatch.setattr(numerics, "_INVERSE_MAX_ITER", 2)
+    pot, coef = _line_problem(200, "harmonic")
+    with pytest.raises(ConvergenceError,
+                       match="^inverse iteration reached no fixed point in 2 steps$") as info:
+        tridiagonal_ground(pot, coef, np.ones(pot.size))
+    assert info.value.residual is None and info.value.trace == []
 
 
 @pytest.mark.parametrize("n", [2000, 4000])

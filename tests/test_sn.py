@@ -42,15 +42,13 @@ def test_radial_oscillator_both_methods():
 # a coupled radial problem: with coupling 0 the zero potential is already
 # the fixed point, and any mixing weight would return it
 COUPLED = dataclasses.replace(HARM3D, coupling=1.0)
-# the coupled line problem of the harmonic trap on [-8, 8]
-LINE16 = dataclasses.replace(COUPLED, background=1.0 / 16.0)
 
 
 @pytest.mark.parametrize("solve", [
     lambda: sn_ground_radial_scf(COUPLED, RadialGrid(1e-6, 12.0, 200), mixing=0.0),
     lambda: sn_ground_radial_scf(COUPLED, RadialGrid(1e-6, 12.0, 200), tol=-1.0),
     lambda: sn_ground_radial_scf(COUPLED, RadialGrid(1e-6, 12.0, 200), tol=np.nan),
-    lambda: line_ground_scf(UniformGrid1D(-8.0, 8.0, 161), LINE16, tol=-1.0),
+    lambda: line_ground_scf(UniformGrid1D(-8.0, 8.0, 161), COUPLED, tol=-1.0),
     # the oracle's own entry checks reject these before it calls fixed_point,
     # at coupling 0 as at coupling 1
     lambda: sn_ground_radial_shoot(HARM3D, RadialGrid(1e-6, 12.0, 200), tol=-1.0),
@@ -89,7 +87,7 @@ def test_shooting_oracle_energy_and_shot_count(monkeypatch):
     lambda: sn_ground_radial_shoot(SNParams(coupling=1.0),
                                    RadialGrid(1e-6, 20.0, 400), tol=1e-12,
                                    max_outer=3),
-    lambda: line_ground_scf(UniformGrid1D(-8.0, 8.0, 161), LINE16, tol=1e-12,
+    lambda: line_ground_scf(UniformGrid1D(-8.0, 8.0, 161), COUPLED, tol=1e-12,
                             max_scf=3),
     lambda: stationary_solve(HamiltonianSpec(potential_coeffs=(0.0, 0.0, 0.5)),
                              ModelParams(l=1.0), CUBE9,
@@ -325,24 +323,24 @@ def test_free_gaussian_spreading_law():
 
 def test_uniform_density_gives_zero_potential():
     grid = UniformGrid1D(-5.0, 5.0, 201)
-    p = SNParams(coupling=1.0, background=0.1)
+    p = SNParams(coupling=1.0)
     rho = np.full(grid.count, 0.1)
     phi = solve_phi_grav(grid, rho, p)
     assert np.abs(phi).max() < 1e-13
 
 
-def test_background_zero_acts_as_compat_projection():
-    # with background 0 the source mean is projected out, matching the
-    # compact-universe constraint (equivalent to background = 1/volume)
+def test_a_constant_added_to_rho_leaves_phi_unchanged():
+    # the source mean is projected out, so rho and rho - 1/volume (the
+    # compact-universe source) give the same potential
     grid = UniformGrid1D(-5.0, 5.0, 201)
     x = grid.nodes
     w = line_weights(grid)
     rho = np.exp(-x ** 2)
     rho /= (w * rho).sum()
-    phi0 = solve_phi_grav(grid, rho, SNParams(coupling=1.0, background=0.0))
-    phi1 = solve_phi_grav(grid, rho,
-                          SNParams(coupling=1.0, background=1.0 / grid.extent))
-    assert np.abs(phi0 - phi1).max() < 1e-12
+    p = SNParams(coupling=1.0)
+    phi0 = solve_phi_grav(grid, rho, p)
+    for shift in (-1.0 / grid.extent, 0.3):
+        assert np.abs(solve_phi_grav(grid, rho + shift, p) - phi0).max() < 1e-12
 
 
 def test_shrinking_at_strong_coupling():
@@ -561,23 +559,13 @@ def test_uncoupled_radial_solves_stop_at_the_exact_fixed_point():
     assert sn_ground_radial_shoot(HARM3D, rg).iterations == 1
 
 
-def test_shooting_oracle_rejects_a_background():
-    with pytest.raises(ValueError, match="background-free"):
-        sn_ground_radial_shoot(SNParams(background=0.1),
-                               RadialGrid(1e-6, 12.0, 200))
-
-
 def test_sn_params_validation():
     with pytest.raises(ValueError):
         SNParams(coupling=-1.0)
     with pytest.raises(ValueError):
-        SNParams(background=-0.5)
-    with pytest.raises(ValueError):
         SNParams(coupling=np.nan)
-    with pytest.raises(ValueError):
-        SNParams(background=np.nan)
     # non-finite values would surface as a norm drift to nan at step 1
-    for field, value in (("coupling", np.inf), ("background", np.inf),
+    for field, value in (("coupling", np.inf),
                          ("external_potential_coeffs", (0.0, np.nan)),
                          ("external_potential_coeffs", (0.0, 0.0, np.inf))):
         with pytest.raises(ValueError, match=field):
@@ -586,9 +574,8 @@ def test_sn_params_validation():
     with pytest.raises(ValueError,
                        match="^external_potential_coeffs must be real, not complex$"):
         SNParams(external_potential_coeffs=(0.0, 0.0, 0.5 + 0.1j))
-    with pytest.raises(ValueError):
-        sn_ground_radial_scf(SNParams(coupling=1.0, background=0.2),
-                             RadialGrid(1e-6, 10.0, 100))
+    assert [f.name for f in dataclasses.fields(SNParams)] == [
+        "coupling", "external_potential_coeffs"]
 
 
 def _packet_1d(grid):
@@ -826,7 +813,7 @@ def test_sn_evolve_makes_one_poisson_solve_per_step(monkeypatch, record_every):
     assert len(calls) == 7
 
 
-def test_sn_gravity_energy_at_coupling_zero_and_with_a_background():
+def test_sn_gravity_energy_at_zero_and_nonzero_coupling():
     grid = UniformGrid1D(-15.0, 15.0, 301)
     x, h = grid.nodes, grid.spacing
     w = line_weights(grid)
@@ -834,8 +821,7 @@ def test_sn_gravity_energy_at_coupling_zero_and_with_a_background():
     psi /= np.sqrt((w * np.abs(psi) ** 2).sum())
     vext = 0.02 * x * x
     for p in (SNParams(coupling=0.0, external_potential_coeffs=(0.0, 0.0, 0.02)),
-              SNParams(coupling=1.5, background=0.05,
-                       external_potential_coeffs=(0.0, 0.0, 0.02))):
+              SNParams(coupling=1.5, external_potential_coeffs=(0.0, 0.0, 0.02))):
         out = sn_evolve_1d(grid, psi, p, dt=0.01, steps=6)
         state = psi.copy()
         state[0] = state[-1] = 0.0
