@@ -33,7 +33,7 @@ from .gaugeops import (_grid_norms, apply_hamiltonian_raw, gauss_residual,
                        project_dirichlet)
 from .grids import TensorGrid
 from .model import (GaugeState, HamiltonianSpec, ModelParams, StationaryState,
-                    nonlinearity)
+                    _real, nonlinearity)
 from .numerics import (_checked_eigenpair, _lapack, _weighted_norm,
                        smallest_eigenpair, tridiagonal_ground)
 
@@ -84,13 +84,14 @@ def stationary_solve(spec: HamiltonianSpec, params: ModelParams,
     state carries both coupled residuals, each required to be <= 10*tol:
     the eigen residual on the interior unknowns, with the Hamiltonian of
     the final A_t, and the Gauss residual on the whole grid. Raises
-    ValueError naming `guess` unless it is finite and nonzero. The guess
-    is first scaled by the power of two that puts its largest magnitude
-    in [1/2, 1), which is exact, so its square neither overflows nor
-    underflows and guesses that differ by a power of two give the same
-    state.
+    ValueError naming `guess` unless it is real, finite and nonzero (a
+    cast of a complex guess would drop its imaginary part with only a
+    warning). The guess is first scaled by the power of two that puts its
+    largest magnitude in [1/2, 1), which is exact, so its square neither
+    overflows nor underflows and guesses that differ by a power of two
+    give the same state.
     """
-    psi = default_gaussian_guess(grid) if guess is None else np.asarray(guess, dtype=float)
+    psi = default_gaussian_guess(grid) if guess is None else _real("guess", guess)
     if not (np.isfinite(psi).all() and psi.any()):
         raise ValueError("guess must be finite and nonzero")
     psi = np.ldexp(psi, -np.frexp(np.abs(psi).max())[1])

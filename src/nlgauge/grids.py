@@ -88,6 +88,8 @@ class TensorGrid:
     axes: tuple[UniformGrid1D, ...]
 
     def __post_init__(self):
+        # a list of axes would leave the grid mutable and unhashable
+        object.__setattr__(self, "axes", tuple(self.axes))
         if not 1 <= len(self.axes) <= 4:
             raise ValueError(f"need 1..4 axes, got {len(self.axes)}")
         shape = tuple(ax.count for ax in self.axes)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import ConvergenceError, UnsolvableConstraintError
 from .grids import TensorGrid
+from .model import _real
 
 # relative size of the perturbation added to an eigen-solve guess
 _PERTURB = 1e-8
@@ -67,9 +68,7 @@ def poisson_solve(grid: TensorGrid, source: np.ndarray, *,
     trapezoid integral, so zeroing it projects out the source mean and
     fixes the zero-mean gauge. A complex source raises ValueError.
     """
-    if np.iscomplexobj(source):
-        raise ValueError("source must be real, not complex")
-    source = np.asarray(source, dtype=float)
+    source = _real("source", source)
     grid.check_field(source)
     w = grid.quad_weights()
     vol = grid.volume
@@ -122,6 +121,8 @@ def smallest_eigenpair(op_apply, guess: np.ndarray, tol: float = 1e-9, *,
     One unknown (a grid of 3 nodes per axis) skips ARPACK, which needs
     more than one: the eigenvalue is `op_apply` of the unit vector, and
     the normalization, the sign and the residual check are the same.
+    Raises ValueError naming `guess` if it is complex (a cast would drop
+    its imaginary part with only a warning) or zero.
 
     ARPACK runs on scipy's default 20-vector Lanczos basis with `tol=0`,
     i.e. to machine precision, and `tol` is checked on the weighted
@@ -133,7 +134,7 @@ def smallest_eigenpair(op_apply, guess: np.ndarray, tol: float = 1e-9, *,
     """
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-    guess = np.asarray(guess, dtype=float)
+    guess = _real("guess", guess)
     shape = guess.shape
     if not guess.any():
         raise ValueError("guess must be nonzero")
@@ -227,11 +228,12 @@ def tridiagonal_ground(pot: np.ndarray, coef: float,
     starts reach that same state in practice, so lam carries no trace of
     the start, and an SCF loop's energy history no eigen-solve noise; a
     stop on the change in lam would leave that trace. Raises ValueError
-    for a zero guess, and ConvergenceError if a bisection shift is
-    refused or no iterate repeats within `_INVERSE_MAX_ITER` steps.
+    for a complex or zero guess, and ConvergenceError if a bisection
+    shift is refused or no iterate repeats within `_INVERSE_MAX_ITER`
+    steps.
     """
     n = pot.size
-    x = np.ones(n) if guess is None else np.abs(np.asarray(guess, dtype=float))
+    x = np.ones(n) if guess is None else np.abs(_real("guess", guess))
     if not x.any():
         raise ValueError("guess must be nonzero")
     x /= math.sqrt(np.dot(x, x))

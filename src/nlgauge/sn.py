@@ -42,7 +42,6 @@ norm is exactly the compact-universe background 1/volume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
@@ -425,55 +424,42 @@ def sn_ground_radial_shoot(params: SNParams, grid: RadialGrid,
 
 # ---------------------------------------------------------------- 1D line
 
-@lru_cache(maxsize=8)
-def _neumann_factors(n: int, h2: float) -> tuple[np.ndarray, ...]:
-    """LU factors (`dgttrf`, read-only) of the pinned compact Neumann
-    Laplacian on n nodes of squared spacing h2.
-
-    Its rows are the mirror-ghost ones, with the last row's lower entry
-    doubled; the first row is replaced by the pin u[0] = 0.
-    """
-    d = np.full(n, -2.0) / h2
-    up = np.ones(n - 1) / h2
-    lo = np.ones(n - 1) / h2
-    lo[-1] = 2.0 / h2
-    d[0] = 1.0
-    up[0] = 0.0
-    *factors, info = _lapack("dgttrf")(lo, d, up)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dgttrf failed on the Poisson matrix (info={info})")
-    for a in factors:
-        a.flags.writeable = False
-    return tuple(factors)
+def _neumann_fluxes(grid: UniformGrid1D, source: np.ndarray) -> np.ndarray:
+    """The fluxes F_{j+1/2} = sum_{i<=j} w_i (s_i - s_bar), j < count - 1,
+    of the compact Neumann solve u of u'' = source: F = diff(u)/h, as the
+    stencil's weighted row j is F_{j+1/2} - F_{j-1/2} = w_j (s_j - s_bar),
+    s_bar the source's weighted mean, with no flux past either end."""
+    w = grid.quad_weights()
+    f = source - np.dot(w, source) / grid.extent
+    f *= w
+    return np.cumsum(f[:-1])
 
 
 def poisson_1d_neumann(grid: UniformGrid1D, source: np.ndarray) -> np.ndarray:
-    """Direct tridiagonal solve of u'' = source, zero-gradient ends, zero
-    mean, by LAPACK `dgttrs` on the `dgttrf` factors of the grid's matrix,
-    factored once per grid; bitwise the `dgtsv` solve behind
-    `scipy.linalg.solve_banded((1, 1), ...)`.
+    """Direct solve of u'' = source, zero-gradient ends, zero mean, on the
+    compact Neumann stencil (mirror-ghost end rows): u is h times the
+    cumulative sum of the fluxes of `_neumann_fluxes`, minus its mean.
 
     This is the solver of the independent `line_ground_scf` oracle and of
-    the line evolver; it is kept apart from `numerics.poisson_solve` so
-    that the two can be checked against each other.
+    the line evolver; it is kept apart from `numerics.poisson_solve` and
+    from the Laplacian of `gaugeops` so that they can be checked against
+    each other.
 
     The source mean is projected out first (compact-universe
-    compatibility); the singular system is pinned at the first node and
-    the mean subtracted afterwards. A complex source raises ValueError,
-    and one that is not one value per node raises GridShapeError.
+    compatibility). Row 0 then fixes F_{1/2}, each interior row the next
+    flux, and the last row is sum w (s - s_bar) = 0, which the projection
+    makes hold; so the sums solve the stencil exactly, with roundoff that
+    grows about like the node count (an LU solve's grows like its square).
+    A complex source raises ValueError, and one that is not one value per
+    node raises GridShapeError.
     """
     source = _real("source", source)
     if source.shape != (grid.count,):
         raise GridShapeError(f"source shape {source.shape} != grid shape {(grid.count,)}")
-    w = grid.quad_weights()
-    vol = grid.extent
-    rhs = source - (w * source).sum() / vol
-    rhs[0] = 0.0
-    u, info = _lapack("dgttrs")(*_neumann_factors(grid.count, grid.spacing ** 2),
-                                rhs, overwrite_b=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dgttrs failed in the Poisson solve (info={info})")
-    u -= (w * u).sum() / vol
+    u = np.zeros(grid.count)
+    np.cumsum(_neumann_fluxes(grid, source), out=u[1:])
+    u *= grid.spacing
+    u -= np.dot(grid.quad_weights(), u) / grid.extent
     return u
 
 
@@ -523,18 +509,13 @@ def sn_evolve_1d(grid: UniformGrid1D, psi: np.ndarray, params: SNParams,
     V_ext on the stencil of the CN step. With psi zero at both ends and
     interior weights h, summation by parts turns the kinetic term into
     sum_j |psi_{j+1} - psi_j|^2 / (2h), so the energy is that sum plus
-    sum w V_ext rho - 1/2 coupling h sum_j G_j^2, with
-    G = cumsum(w (rho - rho_bar))[:-1] and rho_bar = sum w rho / extent:
-    no Hamiltonian apply, and no cancellation of the diagonal against
-    the hopping terms. The gravity term needs no Poisson solve: phi_grav
-    has zero mean, so <phi_grav, w rho> = <phi_grav, w (rho - rho_bar)>,
-    and w (rho - rho_bar) is -1/coupling times w phi_grav'' on the
-    compact Neumann stencil of `poisson_1d_neumann`, whose weighted row
-    j is the flux difference F_{j+1/2} - F_{j-1/2}, F = diff(phi_grav)/h.
-    So the fluxes are -coupling G, and summation by parts gives
-    <phi_grav, w rho> = h sum F^2 / coupling = coupling h sum G^2;
-    coupling 0 gives exactly 0. Each step thus makes one Poisson solve,
-    that of its midpoint density.
+    sum w V_ext rho - 1/2 coupling h sum_j G_j^2, with G the fluxes of
+    rho (`_neumann_fluxes`): no Hamiltonian apply, and no cancellation of
+    the diagonal against the hopping terms. The gravity term needs no
+    Poisson solve: the fluxes diff(phi_grav)/h are -coupling G, and since
+    phi_grav has zero mean, summation by parts gives <phi_grav, w rho> =
+    coupling h sum G^2; coupling 0 gives exactly 0. Each step thus makes
+    one Poisson solve, that of its midpoint density.
 
     The norm guard (drift above 1e-6 raises IntegratorError) is checked
     at each recorded step, so the run stops at the first one that fails
@@ -566,7 +547,7 @@ def sn_evolve_1d(grid: UniformGrid1D, psi: np.ndarray, params: SNParams,
         w_rho = w * rho
         nrm = w_rho.sum()
         dpsi = psi[1:] - psi[:-1]
-        flux = np.cumsum(w * (rho - nrm / grid.extent))[:-1]
+        flux = _neumann_fluxes(grid, rho)
         out["t"][row] = k * dt
         out["norm"][row] = nrm
         out["energy"][row] = (np.vdot(dpsi, dpsi).real / two_h + np.dot(w_rho, vext)
@@ -592,7 +573,7 @@ def sn_evolve_1d(grid: UniformGrid1D, psi: np.ndarray, params: SNParams,
 def line_ground_scf(grid: UniformGrid1D, params: SNParams, tol: float = 1e-12,
                     *, max_scf: int = 400):
     """Stationary 1D oracle, independently coded against the functional
-    path: dense tridiagonal eigensolve plus the direct banded Poisson
+    path: dense tridiagonal eigensolve plus the cumulative-sum Poisson
     solve of `solve_phi_grav`, which it shares with the line evolver, not
     with the functional path it checks.
 

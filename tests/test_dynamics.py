@@ -136,6 +136,16 @@ def test_stationary_rejects_a_guess_that_is_zero_or_not_finite(fill):
         stationary_solve(HARMONIC, ModelParams(l=1.0), grid, guess=guess)
 
 
+@pytest.mark.parametrize("phase", [1 + 1j, 1j])
+def test_stationary_rejects_a_complex_guess(phase):
+    # a cast to float would drop the imaginary part with only a warning:
+    # (1+1j) psi would solve as psi, and 1j psi would be called zero
+    grid = TensorGrid.cube(-6.0, 6.0, 61, 1)
+    guess = phase * np.exp(-0.5 * grid.coordinate(0) ** 2)
+    with pytest.raises(ValueError, match="^guess must be real, not complex$"):
+        stationary_solve(HARMONIC, ModelParams(l=1.0), grid, guess=guess)
+
+
 def test_stationary_guess_scale_is_exact_over_the_float_range():
     # the guess is scaled by a power of two first, so its square neither
     # overflows nor underflows, and a power of two changes nothing
@@ -1003,3 +1013,36 @@ def test_a_step_that_raises_after_a_guard_failure_reports_the_guard(monkeypatch)
     calls.clear()
     with pytest.raises(np.linalg.LinAlgError, match="info=7"):
         evolve_temporal_gauge(psi0, g0, HARMONIC, params, dt=0.01, steps=10)
+
+
+def test_a_failed_cn_solve_raises_from_the_evolver_after_its_rows(monkeypatch):
+    # zgtsv reports a singular system at the third step; the evolver
+    # reduces the rows recorded before it, then re-raises
+    grid = TensorGrid.cube(-8.0, 8.0, 101, 1)
+    params = ModelParams(l=1.0)
+    psi0 = normalized_packet(grid, center=1.0)
+    g0 = initialize_constraint(grid, psi0, params)
+    real = dynamics._lapack
+    calls = []
+
+    def zgtsv(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            return (None,) * 4 + (7,)
+        return real("zgtsv")(*args)
+
+    monkeypatch.setattr(dynamics, "_lapack",
+                        lambda name: zgtsv if name == "zgtsv" else real(name))
+    flushed = []
+    real_gauss = dynamics.gauss_residual
+
+    def gauss(*args):
+        res = real_gauss(*args)
+        flushed.append(res.size)
+        return res
+
+    monkeypatch.setattr(dynamics, "gauss_residual", gauss)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=r"^zgtsv failed in the CN step \(info=7\)$"):
+        evolve_temporal_gauge(psi0, g0, HARMONIC, params, dt=0.01, steps=10)
+    assert len(calls) == 3 and flushed == [3]

@@ -131,6 +131,16 @@ def test_grid_metadata_is_built_once_and_read_only(dim):
     assert repr(twin) == repr(g) == f"TensorGrid(axes={axes!r})"
 
 
+def test_a_list_of_axes_gives_the_same_immutable_grid():
+    axes = list(_UNEQUAL_AXES[:2])
+    g = TensorGrid(axes)
+    assert isinstance(g.axes, tuple)
+    assert g == TensorGrid(tuple(axes)) and hash(g) == hash(TensorGrid(tuple(axes)))
+    # the caller's list can no longer reach the grid behind its metadata
+    axes.append(_UNEQUAL_AXES[2])
+    assert g.ndim == 2 == len(g.shape)
+
+
 def test_grid_members_stay_class_level_for_wrappers():
     # a profiler or tracer wraps the class members; a cached_property or an
     # instance attribute under a public name would bypass the wrapper

@@ -316,6 +316,18 @@ def test_zero_guess_rejected():
                            weights=g.quad_weights()[inner])
 
 
+@pytest.mark.parametrize("phase", [1 + 1j, 1j])
+def test_complex_guess_rejected(phase):
+    g = TensorGrid.cube(-1.0, 1.0, 21, 1)
+    op, inner = _harmonic_op(g)
+    with pytest.raises(ValueError, match="^guess must be real, not complex$"):
+        smallest_eigenpair(op, phase * np.ones(g.shape)[inner],
+                           weights=g.quad_weights()[inner])
+    pot, coef = _line_problem(200, "harmonic")
+    with pytest.raises(ValueError, match="^guess must be real, not complex$"):
+        tridiagonal_ground(pot, coef, phase * np.ones(pot.size))
+
+
 # ---------------------------------------------------- tridiagonal ground
 # `tridiagonal_ground` on T = diag(pot) + coef (-second difference),
 # checked against LAPACK's dense tridiagonal eigensolver.

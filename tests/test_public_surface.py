@@ -121,7 +121,9 @@ ORACLES = {
     ("sn", "sn_ground_radial_shoot"): {"sn_ground_radial_scf", "_tridiag_ground",
                                        "tridiagonal_ground",
                                        "_potential_from_u_quadrature"},
-    ("sn", "poisson_1d_neumann"): {"poisson_solve"},
+    # the functional path's Neumann Laplacian and stencil
+    ("sn", "poisson_1d_neumann"): {"poisson_solve", "link_divergence",
+                                   "link_diff", "hamiltonian"},
     ("verify", "stationarity_residual"): {"stationary_solve",
                                           "gauss_solve_stationary",
                                           "smallest_eigenpair",

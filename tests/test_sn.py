@@ -269,6 +269,44 @@ def test_ground_level_raises_when_the_bracket_does_not_close(monkeypatch):
     assert err.value.residual > 1.0
 
 
+def test_ground_bracket_raises_when_no_node_appears(monkeypatch):
+    # with no history the cold bracket raises hi 60 times; a shot that
+    # never has a node leaves it without an upper end
+    monkeypatch.setattr(sn, "_shoot", lambda r, veff, e: (0, 1.0))
+    r = np.linspace(0.1, 1.0, 10)
+    with pytest.raises(ConvergenceError,
+                       match="^no node appeared while raising the bracket$") as err:
+        sn._ground_bracket(r, r, [])
+    assert err.value.residual is None and err.value.trace == []
+
+
+def test_ground_bracket_raises_when_its_floor_has_nodes(monkeypatch):
+    monkeypatch.setattr(sn, "_shoot", lambda r, veff, e: (1, -1.0))
+    r = np.linspace(0.1, 1.0, 10)
+    with pytest.raises(ConvergenceError,
+                       match="^bracket floor already has nodes; "
+                             "no ground state in bracket$") as err:
+        sn._ground_bracket(r, r, [])
+    assert err.value.residual is None and err.value.trace == []
+
+
+def test_tridiag_ground_flips_a_negative_eigenvector(monkeypatch):
+    # LAPACK may return either sign; the largest entry comes back positive
+    h = 0.1
+    x = np.linspace(-3.0, 3.0, 61)
+    ref_energy, ref_u = sn._tridiag_ground(h, 0.5 * x * x)
+    real = scipy.linalg.eigh_tridiagonal
+
+    def negated(*args, **kwargs):
+        vals, vecs = real(*args, **kwargs)
+        return vals, -vecs
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", negated)
+    energy, u = sn._tridiag_ground(h, 0.5 * x * x)
+    assert u[np.argmax(np.abs(u))] > 0
+    assert energy == ref_energy and np.array_equal(u, ref_u)
+
+
 def _scalar_rk4_poisson_v(r, u, coupling):
     """Reference: RK4 for v'' = 4 pi coupling u^2 / r step by step."""
     n = r.size
@@ -613,7 +651,7 @@ def test_a_potential_that_overflows_raises_a_value_error_naming_the_coefficients
 
 
 @pytest.mark.parametrize("count", [201, 1201])
-def test_poisson_1d_neumann_equals_solve_banded_bitwise(count):
+def test_poisson_1d_neumann_matches_solve_banded(count):
     grid = UniformGrid1D(-30.0, 30.0, count)
     rng = np.random.default_rng(count)
     source = rng.standard_normal(count)
@@ -632,7 +670,38 @@ def test_poisson_1d_neumann_equals_solve_banded_bitwise(count):
     rhs[0] = 0.0
     ref = scipy.linalg.solve_banded((1, 1), ab, rhs)
     ref -= (w * ref).sum() / grid.extent
-    assert np.array_equal(poisson_1d_neumann(grid, source), ref)
+    u = poisson_1d_neumann(grid, source)
+    assert np.abs(u - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _exact_neumann(grid, source):
+    """The compact Neumann stencil's zero-mean solution in rational
+    arithmetic: march its rows from u_0 = 0, check that the last row then
+    holds exactly, and subtract the weighted mean."""
+    from fractions import Fraction
+
+    h = Fraction(grid.spacing)
+    w = [Fraction(x) for x in line_weights(grid)]
+    s = [Fraction(x) for x in source]
+    mean = sum(a * b for a, b in zip(w, s)) / sum(w)
+    r = [x - mean for x in s]
+    u = [Fraction(0), h * h * r[0] / 2]
+    for j in range(1, grid.count - 1):
+        u.append(2 * u[j] - u[j - 1] + h * h * r[j])
+    assert 2 * (u[-2] - u[-1]) == h * h * r[-1]
+    shift = sum(a * b for a, b in zip(w, u)) / sum(w)
+    return np.array([float(x - shift) for x in u])
+
+
+@pytest.mark.parametrize("count", [1201, 4001])
+def test_poisson_1d_neumann_is_exact_to_roundoff(count):
+    # the flux sums keep the error near eps at any node count; an LU
+    # solve of the same stencil loses 1.6e-12 at 1201 nodes, 2.8e-11 at 4001
+    grid = UniformGrid1D(-30.0, 30.0, count)
+    source = np.exp(-grid.nodes ** 2)
+    ref = _exact_neumann(grid, source)
+    u = poisson_1d_neumann(grid, source)
+    assert np.abs(u - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("coupling", [0.0, 2.0])
